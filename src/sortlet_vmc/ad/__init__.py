@@ -6,11 +6,14 @@ including the diagonal curvature a Laplacian needs), and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters). Mixing Dual and Var in
 one call is an error; the two passes are always run separately.
 
-symsum is the load-bearing oddity: it accumulates along an axis in
-value-sorted order, which makes every reduction over electrons or pairs
-bit-for-bit invariant under relabeling. einsum is restricted to two
-operands and runs with optimize=False so contraction order never depends
-on shapes or BLAS.
+Two ops carry the engine's exactness guarantees. symsum accumulates along
+an axis in value-sorted order, which makes every reduction over electrons
+or pairs bit-for-bit invariant under relabeling. einsum takes two operands
+and, in every engine, runs as one stacked BLAS matmul (see contract.py).
+The walker axis is always a matmul stack axis and operands are made
+C-contiguous, so each walker's value, tangents and curvatures are bitwise
+independent of the batch or chunk size, of the walker's position in the
+batch, of the input's memory layout and of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forward, reverse
+from .contract import contract, parse_spec
 from .forward import Dual, seed_positions
 from .reverse import GradientTape, Var
 
@@ -127,7 +131,7 @@ def einsum(spec, a, b):
         return forward.einsum(spec, a, b)
     if mode == "var":
         return reverse.einsum(spec, a, b)
-    return np.einsum(spec, a, b, optimize=False)
+    return contract(*parse_spec(spec), np.asarray(a), np.asarray(b))
 
 
 def detach(x) -> np.ndarray:

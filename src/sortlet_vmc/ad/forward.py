@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contract import contract, parse_spec
+
 
 def _bt(t: np.ndarray, shape: tuple) -> np.ndarray:
     # broadcast a derivative block to match a (possibly grown) value shape
@@ -300,42 +302,30 @@ def stack(xs, axis: int) -> Dual:
                 np.stack([_bt(x.curv, shape) for x in xs], axis=axis))
 
 
-def _parse_spec(spec: str):
-    lhs, out = spec.split("->")
-    a_sub, b_sub = lhs.split(",")
-    for sub in (a_sub, b_sub, out):
-        if len(set(sub)) != len(sub):
-            raise ValueError(f"repeated index within one operand: {spec!r}")
-    if "t" in a_sub + b_sub + out:
-        raise ValueError("index letter 't' is reserved for seed lanes")
-    if not set(a_sub) <= set(out) | set(b_sub) or not set(b_sub) <= set(out) | set(a_sub):
-        raise ValueError(f"every operand index must appear elsewhere: {spec!r}")
-    return a_sub, b_sub, out
-
-
-def _ein(spec, a, b):
-    return np.einsum(spec, a, b, optimize=False)
-
-
 def einsum(spec: str, a, b) -> Dual:
     """Two-operand contraction with the product rule on both sides.
 
-    optimize=False keeps the contraction order fixed, so results do not
-    depend on batch size or BLAS dispatch.
+    The value, the tan and curv terms of each Dual operand and the
+    2 tan_a tan_b cross term are each one stacked matmul through
+    `contract`, with the seed lane as the matrix column index. Its
+    determinism contract makes every lane of a walker bitwise independent
+    of batch size, position in the batch, memory layout and BLAS threads.
     """
-    a_sub, b_sub, out = _parse_spec(spec)
+    a_sub, b_sub, out = parse_spec(spec)
     av = a.val if isinstance(a, Dual) else np.asarray(a, dtype=np.float64)
     bv = b.val if isinstance(b, Dual) else np.asarray(b, dtype=np.float64)
-    val = _ein(spec, av, bv)
-    t = _seed_count((a, b))
-    tan = np.zeros(val.shape + (t,))
-    curv = np.zeros(val.shape + (t,))
+    val = contract(a_sub, b_sub, out, av, bv)
+    at, bt, ot = a_sub + "t", b_sub + "t", out + "t"
+    tan = curv = None
     if isinstance(a, Dual):
-        tan = tan + _ein(f"{a_sub}t,{b_sub}->{out}t", a.tan, bv)
-        curv = curv + _ein(f"{a_sub}t,{b_sub}->{out}t", a.curv, bv)
+        tan = contract(at, b_sub, ot, a.tan, bv)
+        curv = contract(at, b_sub, ot, a.curv, bv)
     if isinstance(b, Dual):
-        tan = tan + _ein(f"{a_sub},{b_sub}t->{out}t", av, b.tan)
-        curv = curv + _ein(f"{a_sub},{b_sub}t->{out}t", av, b.curv)
-    if isinstance(a, Dual) and isinstance(b, Dual):
-        curv = curv + 2.0 * _ein(f"{a_sub}t,{b_sub}t->{out}t", a.tan, b.tan)
+        tan_b = contract(a_sub, bt, ot, av, b.tan)
+        curv_b = contract(a_sub, bt, ot, av, b.curv)
+        if tan is None:
+            tan, curv = tan_b, curv_b
+        else:
+            tan = tan + tan_b
+            curv = curv + curv_b + 2.0 * contract(at, bt, ot, a.tan, b.tan)
     return Dual(val, tan, curv)

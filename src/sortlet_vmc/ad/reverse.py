@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contract import contract, parse_spec
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
@@ -313,16 +315,13 @@ def stack(xs, axis: int) -> Var:
 
 
 def einsum(spec: str, a, b) -> Var:
-    from .forward import _parse_spec  # shared spec validation
-
-    a_sub, b_sub, out = _parse_spec(spec)
+    a_sub, b_sub, out = parse_spec(spec)
     av = a.val if isinstance(a, Var) else np.asarray(a, dtype=np.float64)
     bv = b.val if isinstance(b, Var) else np.asarray(b, dtype=np.float64)
-    val = np.einsum(spec, av, bv, optimize=False)
     parents = []
     if isinstance(a, Var):
-        parents.append((a, lambda g: np.einsum(f"{out},{b_sub}->{a_sub}", g, bv, optimize=False)))
+        parents.append((a, lambda g: contract(out, b_sub, a_sub, g, bv)))
     if isinstance(b, Var):
-        parents.append((b, lambda g: np.einsum(f"{a_sub},{out}->{b_sub}", av, g, optimize=False)))
+        parents.append((b, lambda g: contract(a_sub, out, b_sub, av, g)))
     tape = (a if isinstance(a, Var) else b).tape
-    return tape._record(val, parents)
+    return tape._record(contract(a_sub, b_sub, out, av, bv), parents)

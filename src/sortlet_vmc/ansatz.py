@@ -257,6 +257,9 @@ class SortletWavefunction:
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
+        if not isinstance(positions, (ad.Dual, ad.Var)):
+            # bits must not depend on the caller's memory layout
+            positions = np.ascontiguousarray(positions, dtype=np.float64)
         params = self.store.unpack(theta)
         s = backbone.scores(self.system, params, positions, self.hidden, self.layers)
         core = (sortlet_logs(s) if self.system.n_electrons > 1 else _single_score_logs(s))

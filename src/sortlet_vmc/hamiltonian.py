@@ -49,8 +49,13 @@ def nuclear_repulsion(system: SystemSpec) -> float:
 
 
 def electron_potentials(system: SystemSpec, positions: np.ndarray):
-    """(ee, en) per walker for plain positions (B, N, 3)."""
-    positions = np.asarray(positions, dtype=np.float64)
+    """(ee, en) per walker for plain positions (B, N, 3).
+
+    The batch is made C-contiguous first: numpy's reductions pick their
+    summation order by stride, so an F-ordered or fancy-indexed copy of
+    the same walkers would otherwise round differently.
+    """
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
     n = system.n_electrons
     # coincidences legitimately evaluate to +/- inf, not a warning
     with np.errstate(divide="ignore"):
@@ -70,7 +75,7 @@ def electron_potentials(system: SystemSpec, positions: np.ndarray):
 
 def harmonic_potential(positions: np.ndarray) -> np.ndarray:
     """(1/2) sum_i |r_i|^2, the isotropic-well test hook."""
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
     per_electron = 0.5 * np.sum(positions ** 2, axis=-1)
     return ad.symsum(per_electron, axis=-1)
 
@@ -82,7 +87,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     signed_log_fn maps a positions batch (plain or dual) to a SignedLog;
     chunking bounds the memory of the 3N-lane dual pass.
     """
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
     b = positions.shape[0]
     if potential == "coulomb":
         ee, en = electron_potentials(system, positions)

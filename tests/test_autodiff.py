@@ -224,6 +224,99 @@ def test_einsum_rejects_bad_specs():
         ad.einsum("ii,ij->ij", x, x)
 
 
+MODEL_SPECS = ("bnf,fh->bnh", "bnh,hg->bng", "bng,bmg->bnm", "b,k->bk")
+# distinct sizes, so a contraction that swaps two axes cannot pass
+ORACLE_SIZES = dict(b=4, n=3, m=5, f=6, h=7, g=2, k=3, t=4)
+
+
+def _oracle_cases():
+    # each spec at full size, then with every axis (the lanes too) at size 1
+    for spec in MODEL_SPECS:
+        yield spec, None
+        for axis in sorted(set(spec) - set(",->")) + ["t"]:
+            yield spec, axis
+
+
+@pytest.mark.parametrize("spec,unit", list(_oracle_cases()))
+def test_einsum_matches_numpy_oracle(spec, unit):
+    """Every engine's einsum against np.einsum on the specs the model uses.
+
+    Size-1 axes are where matmul switches from GEMM to GEMV, dot or its own
+    loop. Operands are positive, so no cancellation hides behind the
+    relative tolerance.
+    """
+    size = dict(ORACLE_SIZES, **({unit: 1} if unit else {}))
+    a_sub, b_sub, out = spec.replace("->", ",").split(",")
+    rng = np.random.default_rng(0)
+
+    def draw(sub):
+        return rng.uniform(0.5, 1.5, size=[size[i] for i in sub])
+
+    def check(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    av, bv, seed = draw(a_sub), draw(b_sub), draw(out)
+    check(ad.einsum(spec, av, bv), np.einsum(spec, av, bv))
+
+    at, ac, bt, bc = draw(a_sub + "t"), draw(a_sub + "t"), draw(b_sub + "t"), draw(b_sub + "t")
+    by_a = f"{a_sub}t,{b_sub}->{out}t"
+    by_b = f"{a_sub},{b_sub}t->{out}t"
+    for a_dual, b_dual in ((True, False), (False, True), (True, True)):
+        got = ad.einsum(spec, Dual(av, at, ac) if a_dual else av,
+                        Dual(bv, bt, bc) if b_dual else bv)
+        tan = np.zeros(got.tan.shape)
+        curv = np.zeros(got.curv.shape)
+        if a_dual:
+            tan += np.einsum(by_a, at, bv)
+            curv += np.einsum(by_a, ac, bv)
+        if b_dual:
+            tan += np.einsum(by_b, av, bt)
+            curv += np.einsum(by_b, av, bc)
+        if a_dual and b_dual:
+            curv += 2.0 * np.einsum(f"{a_sub}t,{b_sub}t->{out}t", at, bt)
+        check(got.val, np.einsum(spec, av, bv))
+        check(got.tan, tan)
+        check(got.curv, curv)
+
+    tape = GradientTape()
+    a, b = tape.leaf(av), tape.leaf(bv)
+    y = ad.einsum(spec, a, b)
+    check(y.val, np.einsum(spec, av, bv))
+    check(tape.gradient(y, a, seed=seed), np.einsum(f"{out},{b_sub}->{a_sub}", seed, bv))
+    check(tape.gradient(y, b, seed=seed), np.einsum(f"{a_sub},{out}->{b_sub}", av, seed))
+
+
+def test_einsum_bits_do_not_depend_on_operand_layout():
+    """Fortran-ordered operands give bitwise the same result in every engine.
+
+    At the model's widths BLAS rounds a transposed operand differently, so
+    this holds only because operands are made C-contiguous before matmul.
+    """
+    size = dict(b=4, n=3, m=3, f=13, h=32, g=32, k=16, t=9)
+    rng = np.random.default_rng(1)
+    f = np.asfortranarray
+    for spec in MODEL_SPECS:
+        a_sub, b_sub, out = spec.replace("->", ",").split(",")
+        av, at, ac = (rng.normal(size=[size[i] for i in sub])
+                      for sub in (a_sub, a_sub + "t", a_sub + "t"))
+        bv, bt, bc = (rng.normal(size=[size[i] for i in sub])
+                      for sub in (b_sub, b_sub + "t", b_sub + "t"))
+        np.testing.assert_array_equal(ad.einsum(spec, av, bv), ad.einsum(spec, f(av), f(bv)))
+        c = ad.einsum(spec, Dual(av, at, ac), Dual(bv, bt, bc))
+        d = ad.einsum(spec, Dual(f(av), f(at), f(ac)), Dual(f(bv), f(bt), f(bc)))
+        for x, y in ((c.val, d.val), (c.tan, d.tan), (c.curv, d.curv)):
+            np.testing.assert_array_equal(x, y)
+        seed = rng.normal(size=[size[i] for i in out])
+        grads = []
+        for x, y, g in ((av, bv, seed), (f(av), f(bv), f(seed))):
+            tape = GradientTape()
+            a, b = tape.leaf(x), tape.leaf(y)
+            z = ad.einsum(spec, a, b)
+            grads.append((tape.gradient(z, a, seed=g), tape.gradient(z, b, seed=g)))
+        for x, y in zip(*grads):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_mixing_engines_raises():
     tape = GradientTape()
     p = tape.leaf(np.ones(3))

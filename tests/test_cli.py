@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sortlet_vmc import cli
 from sortlet_vmc.cli import OUT_ENV, THREAD_VARS, build_parser, main
 
 H_CFG = """
@@ -95,6 +99,39 @@ def test_threads_flag_pins_blas_pools(h_config, tmp_path, monkeypatch):
           "--trials", "200", "--out", str(tmp_path / "runs")])
     for var in THREAD_VARS:
         assert os.environ[var] == "3"
+
+
+def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
+    """Training under --threads 1 and --threads 2 gives the same bits.
+
+    The pin only takes effect before numpy loads, so each run is its own
+    process. With 640 Li walkers the reductions over all walkers in the
+    parameter gradient are large enough for OpenBLAS to spread them over
+    both threads.
+    """
+    config = tmp_path / "li.yaml"
+    config.write_text(H_CFG.replace("element: H", "element: Li"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "sortlet_vmc.cli", "--threads", str(threads),
+                        "train", str(config), "--iters", "3", "--walkers", "640",
+                        "--burn-in", "5", "--checkpoint-every", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        (run_dir,) = out.glob("run-*")
+        records = [json.loads(line) for line in
+                   (run_dir / "metrics.ndjson").read_text().splitlines()]
+        for rec in records:
+            rec.pop("seconds")
+        with np.load(run_dir / "checkpoints" / "step-00000003.npz") as z:
+            runs.append((z["theta"], z["positions"], records))
+    (theta1, pos1, rec1), (theta2, pos2, rec2) = runs
+    assert np.array_equal(theta1, theta2)
+    assert np.array_equal(pos1, pos2)
+    assert len(rec1) == 3 and rec1 == rec2
 
 
 def test_threads_flag_rejects_nonpositive(h_config, tmp_path):

@@ -119,6 +119,36 @@ def test_local_energy_chunking_is_bitwise():
     a = local_energy(fn, LI, pos, chunk=None)
     b = local_energy(fn, LI, pos, chunk=2)
     np.testing.assert_array_equal(a.total, b.total)
+    # degenerate shapes: one electron in one-walker chunks, and in the plain
+    # engine each walker alone against the same walker inside the batch
+    wf_h = SortletWavefunction(H, seed=2)  # full width: GEMV and GEMM round apart here
+    pos_h = rng.normal(size=(7, 1, 3))
+    fn_h = lambda p: wf_h.signed_log(wf_h.theta0, p)
+    np.testing.assert_array_equal(local_energy(fn_h, H, pos_h, chunk=None).total,
+                                  local_energy(fn_h, H, pos_h, chunk=1).total)
+    for w, p in ((wf, pos), (wf_h, pos_h)):
+        alone = [w.log_density(w.theta0, p[i:i + 1])[0] for i in range(len(p))]
+        np.testing.assert_array_equal(w.log_density(w.theta0, p), alone)
+
+
+def test_results_do_not_depend_on_positions_layout():
+    # H8: eight nuclei give the electron-nucleus sum enough terms for numpy's
+    # stride-dependent summation order to show
+    h8 = load_system("system:\n  nuclei:\n" + "".join(
+        f"    - element: H\n      xyz: [{1.8 * i}, 0.0, 0.0]\n" for i in range(8)))
+    wf = SortletWavefunction(h8, n_sortlets=2, hidden=8, layers=1, seed=2)
+    fn = lambda p: wf.signed_log(wf.theta0, p)
+    pos = 2.0 * np.random.default_rng(6).normal(size=(6, 8, 3))
+    perm = [1, 0, 2, 3, 4, 5, 6, 7]
+    for odd in (np.asfortranarray(pos), pos[:, perm]):
+        assert not odd.flags.c_contiguous
+        ref = np.ascontiguousarray(odd)
+        np.testing.assert_array_equal(local_energy(fn, h8, odd).total,
+                                      local_energy(fn, h8, ref).total)
+        np.testing.assert_array_equal(wf.log_density(wf.theta0, odd),
+                                      wf.log_density(wf.theta0, ref))
+        np.testing.assert_array_equal(electron_potentials(h8, odd)[1],
+                                      electron_potentials(h8, ref)[1])
 
 
 def test_local_energy_nan_on_nodes():
