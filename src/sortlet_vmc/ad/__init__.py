@@ -6,14 +6,20 @@ including the diagonal curvature a Laplacian needs), and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters). Mixing Dual and Var in
 one call is an error; the two passes are always run separately.
 
-Two ops carry the engine's exactness guarantees. symsum accumulates along
-an axis in value-sorted order, which makes every reduction over electrons
-or pairs bit-for-bit invariant under relabeling. einsum takes two operands
-and, in every engine, runs as one stacked BLAS matmul (see contract.py).
-The walker axis is always a matmul stack axis and operands are made
-C-contiguous, so each walker's value, tangents and curvatures are bitwise
-independent of the batch or chunk size, of the walker's position in the
-batch, of the input's memory layout and of the BLAS thread count.
+einsum takes two operands and, in every engine, runs as one stacked BLAS
+matmul (see contract.py). The walker axis is always a matmul stack axis
+and operands are made C-contiguous, so each walker's value, tangents and
+curvatures are bitwise independent of the batch or chunk size, of the
+walker's position in the batch, of the input's memory layout and of the
+BLAS thread count.
+
+Reductions run in the order of their input. Invariance under electron
+relabeling is not an op's job: the model evaluates every walker with its
+electrons in one canonical order (`ansatz.canonical_order`), so each sum
+over electrons, pairs or seed lanes sees the same sequence for every
+relabeling. symsum and symsum_abs (sums in value- and |value|-sorted
+order) are no longer called by the model; perfbench's tracer still
+patches them by name.
 """
 
 from __future__ import annotations

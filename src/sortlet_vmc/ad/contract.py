@@ -31,12 +31,13 @@ position in the batch and of the BLAS thread count. Three rules meet it:
   call across threads. The only calls large enough to be threaded are the
   reverse-mode reductions over all walkers in the parameter gradient.
   Those are GEMMs and GEMVs, which OpenBLAS splits over output entries,
-  never inside a sum. The one exception is a dot product: OpenBLAS splits
-  one longer than 10 000 across threads. That happens only for the
-  envelope-rate gradient of a one-head model with more than 10 000 walkers.
+  never inside a sum. A product whose M and N are both 1 is a dot
+  product, which OpenBLAS would split inside its sum once it is longer
+  than 10 000; it runs as a numpy sum instead, which is never threaded.
 
-Invariance under same-spin relabelling is not this module's job: sums over
-electrons go through `symsum` instead of a contraction.
+Invariance under same-spin relabelling is not this module's job: the
+caller puts each walker's electrons in canonical order, so a contraction
+over electrons runs in the same order for every relabelling.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     size = dict(zip(x_sub, x.shape))
     size.update(zip(y_sub, y.shape))
     lhs, rhs = (y, x) if swap else (x, y)
-    res = np.matmul(_arrange(lhs, lperm, ldims, size), _arrange(rhs, rperm, rdims, size))
+    left, right = _arrange(lhs, lperm, ldims, size), _arrange(rhs, rperm, rdims, size)
+    if left.shape[-2] == 1 and right.shape[-1] == 1:  # a dot product: keep it off BLAS
+        res = np.sum(left * np.swapaxes(right, -1, -2), axis=-1, keepdims=True)
+    else:
+        res = np.matmul(left, right)
     res = res.reshape([size[i] for i in res_dims])
     return res if perm is None else res.transpose(perm)

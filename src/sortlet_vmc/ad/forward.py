@@ -103,15 +103,6 @@ class Dual:
                 - w[..., None] * _bt(self.curv, w.shape) / v[..., None])
         return Dual(w, tan, curv)
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only plain-number exponents are supported")
-        v = self.val
-        d1 = p * v ** (p - 1)
-        d2 = p * (p - 1) * v ** (p - 2) if p != 1 else np.zeros_like(v)
-        return Dual(v ** p, d1[..., None] * self.tan,
-                    d2[..., None] * self.tan ** 2 + d1[..., None] * self.curv)
-
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)

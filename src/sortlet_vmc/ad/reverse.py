@@ -131,13 +131,6 @@ class Var:
         w = c / v
         return self.tape._record(w, [(self, lambda g: -g * w / v)])
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only plain-number exponents are supported")
-        v = self.val
-        d1 = p * v ** (p - 1)
-        return self.tape._record(v ** p, [(self, lambda g: g * d1)])
-
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
@@ -257,13 +250,12 @@ def symsum_abs(x: Var, axis: int) -> Var:
 
 def take_along(x: Var, idx: np.ndarray, axis: int) -> Var:
     axis = axis % x.val.ndim
-    if idx.shape != x.val.shape and idx.shape[axis] != x.val.shape[axis]:
-        pass  # gather fewer/more slices than present is fine; scatter uses idx's grid
     shape = x.val.shape
 
     def vjp(g):
+        # g has the gathered shape, which idx may reach only by broadcasting
         z = np.zeros(shape)
-        ix = list(np.indices(idx.shape, sparse=True))
+        ix = list(np.indices(g.shape, sparse=True))
         ix[axis] = idx
         np.add.at(z, tuple(ix), g)
         return z

@@ -119,6 +119,23 @@ def score_parity(values: np.ndarray) -> np.ndarray:
     return _parity_cycles(np.argsort(values, axis=-1, kind="stable"))
 
 
+def canonical_order(spins: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-walker canonical electron order and its parity.
+
+    order (B, N) sorts each spin sector's electrons by (x, y, z) and keeps
+    them in that sector's slots, so gathering a batch into it gives the same
+    bits for every same-spin relabelling of the walker. parity (B,) is the
+    sign that permutation gives an antisymmetric function.
+    """
+    pos = ad.detach(positions)
+    sector = np.broadcast_to(spins, pos.shape[:2])
+    ranked = np.lexsort((pos[..., 2], pos[..., 1], pos[..., 0], sector), axis=-1)
+    # ranked lists the sectors in ascending spin; put each back in its slots
+    order = np.empty_like(ranked)
+    order[:, np.argsort(spins, kind="stable")] = ranked
+    return order, score_parity(order)
+
+
 def sortlet_logs(scores) -> SignedLog:
     """Signed log of the sorted-gap product, batched over leading axes.
 
@@ -202,7 +219,7 @@ def pair_log_factor(positions, spins: np.ndarray, beta_raw):
     par = b1 / (ad.square(b1) + dist)
     anti = b2 / (ad.square(b2) + dist)
     terms = par * (-0.25 * same) + anti * (-0.5 * (1.0 - same))
-    return ad.symsum(terms, axis=-1)
+    return ad.sum(terms, axis=-1)
 
 
 def envelope_distance_sum(system: SystemSpec, positions):
@@ -214,19 +231,20 @@ def envelope_distance_sum(system: SystemSpec, positions):
     nearest = dist[(slice(None), slice(None), 0)]
     for i in range(1, system.n_nuclei):
         nearest = ad.minimum(nearest, dist[(slice(None), slice(None), i)])
-    return ad.symsum(nearest, axis=-1)
+    return ad.sum(nearest, axis=-1)
 
 
 def mix_signed_logs(signs: np.ndarray, logmags, weights) -> SignedLog:
     """Signed log of sum_k w_k * sign_k * exp(logmag_k) over the last axis.
 
     The shift m is detached, which is exact (the result is m-independent).
-    Mantissas are accumulated in |value| order, so negating every head
-    (a global sign flip) negates the total bit-for-bit.
+    The heads are summed in a fixed order and round-to-nearest is symmetric,
+    so negating every head (a global sign flip) negates the total
+    bit-for-bit.
     """
     m = ad.amax(logmags, axis=-1, keepdims=True)
     mantissa = ad.exp(logmags - m) * signs.astype(np.float64) * weights
-    total = ad.symsum_abs(mantissa, axis=-1)
+    total = ad.sum(mantissa, axis=-1)
     tv = ad.detach(total)
     dead = tv == 0.0
     safe = ad.where(dead, 1.0, ad.absolute(total))
@@ -253,22 +271,27 @@ class SortletWavefunction:
         self.theta0 = backbone.init_params(self.store, seed=seed)
 
     def signed_log(self, theta, positions) -> SignedLog:
-        """Signed log of Psi for a batch: positions (B, N, 3) -> (B,)."""
+        """Signed log of Psi for a batch: positions (B, N, 3) -> (B,).
+
+        Walkers are evaluated in canonical electron order, gathered into a
+        C-contiguous copy, so the bits do not depend on a same-spin
+        relabelling or on memory layout; the order's parity restores the
+        sign of the caller's labelling.
+        """
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
-        if not isinstance(positions, (ad.Dual, ad.Var)):
-            # bits must not depend on the caller's memory layout
-            positions = np.ascontiguousarray(positions, dtype=np.float64)
+        order, parity = canonical_order(self.system.spins, positions)
+        positions = ad.take_along(positions, order[..., None], axis=1)
         params = self.store.unpack(theta)
         s = backbone.scores(self.system, params, positions, self.hidden, self.layers)
-        core = (sortlet_logs(s) if self.system.n_electrons > 1 else _single_score_logs(s))
+        core = sortlet_logs(s)
         rate = ad.softplus(params["env.rate"])  # (K,)
         reach = envelope_distance_sum(self.system, positions)  # (B,)
         env = ad.einsum("b,k->bk", reach, rate) * (-1.0)
         mixed = mix_signed_logs(core.sign, core.logmag + env, params["mix.w"])
         j = pair_log_factor(positions, self.system.spins, params["pair.beta"])
-        return SignedLog(mixed.sign, mixed.logmag + j)
+        return SignedLog(mixed.sign * parity, mixed.logmag + j)
 
     def log_density(self, theta: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """log Psi^2 up to sign handling; nodes come back as BIG_NEG."""

@@ -2,10 +2,11 @@
 
 Maps electron positions (B, N, 3) to per-sortlet scores (B, K, N). Every
 stage treats electrons symmetrically: per-electron features, then attention
-layers whose only cross-electron mixing goes through reductions that are
-bit-for-bit invariant under relabeling (sorted-order sums). Relabeling the
-same-spin electrons of the input therefore relabels the output scores
-exactly, with no floating-point drift.
+layers whose only cross-electron mixing goes through sums over electrons.
+Relabeling the same-spin electrons of the input relabels the output scores
+up to rounding, since those sums run in the input's electron order. Exact
+invariance comes from the caller: `SortletWavefunction.signed_log` puts
+every walker's electrons in one canonical order before calling in.
 
 Parameters live in one flat vector managed by a ParamStore, so the
 optimizer and checkpoints never deal with structure.
@@ -164,8 +165,8 @@ def featurize(system: SystemSpec, positions):
     for mask in (same, opp):
         count = np.maximum(mask.sum(axis=1), 1).astype(np.float64)  # (N,)
         m3 = np.broadcast_to(mask[None, :, :, None], (b, n, n, 1))
-        pooled_delta = ad.symsum(ad.where(m3, delta, 0.0), axis=2) / count[None, :, None]
-        pooled_dist = ad.symsum(ad.where(mask[None], dist, 0.0), axis=2) / count[None, :]
+        pooled_delta = ad.sum(ad.where(m3, delta, 0.0), axis=2) / count[None, :, None]
+        pooled_dist = ad.sum(ad.where(mask[None], dist, 0.0), axis=2) / count[None, :]
         parts.append(pooled_delta)
         parts.append(ad.reshape(pooled_dist, (b, n, 1)))
     return ad.concat(parts, axis=-1)
@@ -188,12 +189,9 @@ def scores(system: SystemSpec, params: dict, positions, hidden: int = DEFAULT_HI
         shifted = logits - ad.amax(logits, axis=-1, keepdims=True)
         weights = ad.exp(shifted)
         b, n = ad.detach(weights).shape[:2]
-        denom = ad.reshape(ad.symsum(weights, axis=-1), (b, n, 1))
+        denom = ad.reshape(ad.sum(weights, axis=-1), (b, n, 1))
         attn = weights / denom  # (B, N, M)
-        # mix values through a sorted-order sum over the electron axis so the
-        # result is bitwise relabeling-invariant (einsum would reassociate)
-        prod = ad.reshape(attn, (b, n, n, 1)) * ad.reshape(v, (b, 1, n, hidden))
-        mixed = ad.symsum(prod, axis=2)  # (B, N, H)
+        mixed = ad.einsum("bnm,bmg->bng", attn, v)  # (B, N, H)
         update = ad.einsum("bnh,hg->bng", mixed, params[f"att{layer}.wo"]) + params[f"att{layer}.bo"]
         h = ad.tanh(h + update)
     raw = _affine(h, params["out.w"], params["out.b"])  # (B, N, K)

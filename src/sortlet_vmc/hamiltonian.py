@@ -5,9 +5,11 @@ The local energy of a state written as Psi = sign * exp(L) is
     E_loc = -(1/2) (lap L + |grad L|^2) + V
 
 evaluated per walker, where grad and lap are taken over all 3N electron
-coordinates in one forward pass of second-order duals. All electron sums
-run through sorted-order reductions, so E_loc is exactly invariant under
-electron relabeling.
+coordinates in one forward pass of second-order duals. Each walker's
+electrons are put in canonical order (`ansatz.canonical_order`) before the
+potentials are summed and the dual lanes are seeded, so every sum over
+electrons, pairs and lanes runs in the same order for any same-spin
+relabeling, and E_loc is exactly invariant under it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .ansatz import SignedLog
+from .ansatz import SignedLog, canonical_order
 from .geometry import SystemSpec
 
 
@@ -62,14 +64,14 @@ def electron_potentials(system: SystemSpec, positions: np.ndarray):
         if n >= 2:
             iu, ju = np.triu_indices(n, 1)
             rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
-            ee = ad.symsum(1.0 / rij, axis=-1)
+            ee = np.sum(1.0 / rij, axis=-1)
         else:
             ee = np.zeros(positions.shape[0])
         d = np.linalg.norm(positions[:, :, None, :] - system.nuclei_positions[None, None],
                            axis=-1)  # (B, N, I)
         z = system.charges.astype(np.float64)
         per_electron = np.sum(z / d, axis=-1)  # fixed nucleus order per electron row
-        en = -ad.symsum(per_electron, axis=-1)
+        en = -np.sum(per_electron, axis=-1)
     return ee, en
 
 
@@ -77,7 +79,7 @@ def harmonic_potential(positions: np.ndarray) -> np.ndarray:
     """(1/2) sum_i |r_i|^2, the isotropic-well test hook."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     per_electron = 0.5 * np.sum(positions ** 2, axis=-1)
-    return ad.symsum(per_electron, axis=-1)
+    return np.sum(per_electron, axis=-1)
 
 
 def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
@@ -87,7 +89,9 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     signed_log_fn maps a positions batch (plain or dual) to a SignedLog;
     chunking bounds the memory of the 3N-lane dual pass.
     """
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    order, _ = canonical_order(system.spins, positions)
+    positions = np.take_along_axis(positions, order[..., None], axis=1)
     b = positions.shape[0]
     if potential == "coulomb":
         ee, en = electron_potentials(system, positions)
@@ -109,8 +113,8 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
             logmag = sl.logmag
             if not isinstance(logmag, ad.Dual):
                 raise TypeError("signed_log_fn must propagate dual positions")
-            grad2 = ad.symsum(logmag.tan ** 2, axis=-1)
-            lap = ad.symsum(logmag.curv, axis=-1)
+            grad2 = np.sum(logmag.tan ** 2, axis=-1)
+            lap = np.sum(logmag.curv, axis=-1)
             k = -0.5 * (lap + grad2)
             k = np.where(sl.sign == 0, np.nan, k)
             kinetic[lo:lo + step] = k

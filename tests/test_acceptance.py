@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sortlet_vmc import probes
-from sortlet_vmc.ansatz import SortletWavefunction, sort_with_parity
+from sortlet_vmc.ansatz import SortletWavefunction, score_parity
 from sortlet_vmc.geometry import SystemSpec
 from sortlet_vmc.hamiltonian import (
     HarmonicGroundState,
@@ -41,14 +41,14 @@ def beryllium():
 
 
 def test_criterion_01_parity_oracle():
-    """Merge parity equals brute-force inversion parity, 1e4 vectors, < 5 s."""
+    """The ansatz's parity equals brute-force inversion parity, 1e4 vectors, < 5 s."""
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(2, 13))
         v = rng.standard_normal(n)
-        _, parity = sort_with_parity(v)
+        parity = int(score_parity(v))
         i, j = np.triu_indices(n, 1)
         brute = 1 - 2 * (int(np.sum(v[i] > v[j])) % 2)
         mismatches += parity != brute

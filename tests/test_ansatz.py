@@ -10,6 +10,7 @@ from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import (
     BIG_NEG,
     SignedLog,
+    canonical_order,
     envelope_distance_sum,
     mix_signed_logs,
     pair_log_factor,
@@ -50,6 +51,32 @@ def test_score_parity_matches_merge_parity(batch):
     par = score_parity(batch)
     for row, p in zip(batch, par):
         assert p == sort_with_parity(row)[1]
+
+
+def test_canonical_order():
+    rng = np.random.default_rng(12)
+    spins = np.array([-1, 1, 1, -1, 1, 1])  # sectors interleaved on purpose
+    pos = rng.normal(size=(7, 6, 3))
+    pos[:, 2, 0] = pos[:, 1, 0]  # a tie in x falls through to y and z
+    order, parity = canonical_order(spins, pos)
+    canonical = np.take_along_axis(pos, order[..., None], axis=1)
+    assert np.all(spins[order] == spins)  # every slot keeps its spin
+    for row, p in zip(order, parity):
+        assert p == brute_parity(list(row))
+
+    for perm in ([0, 2, 1, 3, 4, 5], [3, 1, 4, 0, 5, 2]):  # one and three transpositions
+        relabelled = pos[:, perm]
+        order2, parity2 = canonical_order(spins, relabelled)
+        assert np.array_equal(np.take_along_axis(relabelled, order2[..., None], axis=1),
+                              canonical)
+        assert np.array_equal(parity2, -parity)
+
+    again, parity3 = canonical_order(spins, canonical)
+    assert np.array_equal(again, np.broadcast_to(np.arange(6), again.shape))
+    assert np.all(parity3 == 1)
+
+    order4, parity4 = canonical_order(spins, np.asfortranarray(pos))
+    assert np.array_equal(order4, order) and np.array_equal(parity4, parity)
 
 
 def test_score_parity_large_n_uses_cycle_path():
@@ -213,13 +240,19 @@ def test_pair_log_factor_single_electron_is_zero():
 
 
 def test_pair_log_factor_permutation_invariant_bitwise():
+    # the pair sum runs in input order, so a raw relabelling agrees up to
+    # rounding; in canonical order (what signed_log passes) it is bitwise
     rng = np.random.default_rng(5)
     spins = np.array([1, 1, 1, -1, -1])
     pos = rng.normal(size=(3, 5, 3))
     raw = rng.normal(size=2)
     base = pair_log_factor(pos, spins, raw)
     perm = np.array([2, 0, 1, 4, 3])  # preserves the spin pattern
-    assert np.array_equal(base, pair_log_factor(pos[:, perm], spins, raw))
+    np.testing.assert_allclose(pair_log_factor(pos[:, perm], spins, raw), base, rtol=1e-12)
+    canonical = [np.take_along_axis(p, canonical_order(spins, p)[0][..., None], axis=1)
+                 for p in (pos, pos[:, perm])]
+    assert np.array_equal(pair_log_factor(canonical[0], spins, raw),
+                          pair_log_factor(canonical[1], spins, raw))
 
 
 def test_pair_log_factor_beta_gradient_matches_fd():

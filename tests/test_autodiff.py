@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,7 @@ def smooth(x):
     d = ad.exp(c * 0.3) / (ad.square(c) + 1.5)
     e = d + 1.0 / (gram + 3.0)
     s = ad.symsum(ad.reshape(e, (4,)), axis=0)
-    q = ad.sqrt(ad.square(x[0]) + 1.0) + ad.log1p(ad.square(s)) + x[2] ** 3 * 0.01
+    q = ad.sqrt(ad.square(x[0]) + 1.0) + ad.log1p(ad.square(s)) + x[2] * x[2] * x[2] * 0.01
     parts = ad.stack([q, s * 0.5, ad.softplus(x[1])], axis=0)
     return ad.sum(ad.log(ad.absolute(parts) + 2.0), axis=0)
 
@@ -168,6 +173,21 @@ def test_take_along_reverse_scatter_with_repeats():
     d = f(seed_flat(x.ravel()).__class__(x, np.eye(6).reshape(2, 3, 6),
                                          np.zeros((2, 3, 6))))
     np.testing.assert_allclose(d.tan, g.ravel())
+
+
+def test_take_along_reverse_broadcasts_the_index():
+    # the (B, N, 1) electron order signed_log gathers a (B, N, 3) batch with
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 4, 3))
+    order = np.argsort(rng.normal(size=(2, 4)), axis=1)
+    w = rng.normal(size=(2, 4, 3))
+    tape = GradientTape()
+    p = tape.leaf(x)
+    g = tape.gradient(ad.take_along(p, order[..., None], axis=1), p, seed=w)
+    expect = np.zeros_like(x)
+    for b in range(2):
+        expect[b, order[b]] = w[b]
+    np.testing.assert_array_equal(g, expect)
 
 
 def test_weighted_seed_equals_weighted_sum_of_gradients():
@@ -333,3 +353,31 @@ def test_amax_and_detach():
     assert isinstance(m, np.ndarray) or np.isscalar(m)
     assert float(m) == 5.0
     assert np.array_equal(ad.detach(d), d.val)
+
+
+def test_long_dot_product_bits_do_not_depend_on_blas_threads():
+    """A one-head envelope-rate gradient over 10 001 walkers contracts to a
+    dot product long enough for OpenBLAS to split its sum over threads.
+
+    The thread pin only takes effect before numpy loads, so each count runs
+    in its own process.
+    """
+    code = (
+        "import numpy as np\n"
+        "from sortlet_vmc import ad\n"
+        "rng = np.random.default_rng(0)\n"
+        "reach = rng.normal(size=10_001)\n"
+        "tape = ad.GradientTape()\n"
+        "rate = tape.leaf(rng.normal(size=1))\n"
+        "out = ad.einsum('b,k->bk', reach, rate)\n"
+        "print(tape.gradient(out, rate, seed=rng.normal(size=(10_001, 1))).tobytes().hex())\n"
+    )
+    src = str(Path(ad.__file__).resolve().parents[2])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        bits.append(run.stdout)
+    assert bits[0] == bits[1]

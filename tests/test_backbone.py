@@ -4,7 +4,7 @@ import pytest
 from sortlet_vmc import ad
 from sortlet_vmc.ad import GradientTape
 from sortlet_vmc.ad.fd import grad_central, hessian_diag_central
-from sortlet_vmc.ansatz import SortletWavefunction
+from sortlet_vmc.ansatz import SortletWavefunction, canonical_order
 from sortlet_vmc.backbone import (
     ParamStore,
     build_param_store,
@@ -73,18 +73,28 @@ def test_feature_shapes_and_spin_tag():
 
 
 def test_scores_equivariant_bitwise_under_same_spin_swap():
+    # the network sums over electrons in input order, so a raw swap permutes
+    # the scores up to rounding; signed_log feeds it canonically ordered
+    # walkers, and a swapped walker in canonical order has the same bits
     wf = small_wf(BE)
     rng = np.random.default_rng(1)
     pos = rng.normal(size=(3, 4, 3))
     params = wf.store.unpack(wf.theta0)
+
+    def canonical(p):
+        return np.take_along_axis(p, canonical_order(BE.spins, p)[0][..., None], axis=1)
+
     base = scores(BE, params, pos, wf.hidden, wf.layers)  # (B, K, N)
+    base_canonical = scores(BE, params, canonical(pos), wf.hidden, wf.layers)
     for i, j in [(0, 1), (2, 3)]:  # same-spin pairs for Be
         swapped = pos.copy()
         swapped[:, [i, j]] = swapped[:, [j, i]]
         out = scores(BE, params, swapped, wf.hidden, wf.layers)
         expect = base.copy()
         expect[:, :, [i, j]] = expect[:, :, [j, i]]
-        assert np.array_equal(out, expect)
+        np.testing.assert_allclose(out, expect, rtol=1e-12)
+        out_canonical = scores(BE, params, canonical(swapped), wf.hidden, wf.layers)
+        assert np.array_equal(out_canonical, base_canonical)
 
 
 def test_scores_not_equivariant_across_spin_sectors():
