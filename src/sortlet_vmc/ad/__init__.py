@@ -1,15 +1,16 @@
 """Numpy-flavoured ops that dispatch on argument type.
 
 Model code is written once against this namespace and runs in three modes:
-plain ndarrays, forward-mode Dual (derivatives w.r.t. electron positions,
-including the diagonal curvature a Laplacian needs), and reverse-mode Var
-on a GradientTape (derivatives w.r.t. parameters). Mixing Dual and Var in
-one call is an error; the two passes are always run separately.
+plain ndarrays, forward-mode Dual (derivatives w.r.t. electron positions:
+the gradient per seed lane and the Laplacian per value, see forward.py),
+and reverse-mode Var on a GradientTape (derivatives w.r.t. parameters).
+Mixing Dual and Var in one call is an error; the two passes are always run
+separately.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul (see contract.py). The walker axis is always a matmul stack axis
 and operands are made C-contiguous, so each walker's value, tangents and
-curvatures are bitwise independent of the batch or chunk size, of the
+Laplacians are bitwise independent of the batch or chunk size, of the
 walker's position in the batch, of the input's memory layout and of the
 BLAS thread count.
 
@@ -36,7 +37,7 @@ __all__ = [
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "reshape", "moveaxis", "concat", "stack", "einsum",
-    "detach", "amax", "softplus", "gradient", "laplacian",
+    "detach", "amax", "softplus",
 ]
 
 
@@ -153,14 +154,3 @@ def amax(x, axis, keepdims=False) -> np.ndarray:
 
 
 softplus = _dispatch("softplus", lambda x: np.logaddexp(0.0, x))
-
-
-def gradient(x: Dual) -> np.ndarray:
-    """Seed-direction first derivatives of a scalar-per-walker Dual."""
-    return x.tan
-
-
-def laplacian(x: Dual) -> np.ndarray:
-    """Sum of per-seed curvatures; equals the Laplacian when the input was
-    wrapped by seed_positions."""
-    return np.sum(x.curv, axis=-1)

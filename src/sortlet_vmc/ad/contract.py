@@ -1,12 +1,14 @@
 """Two-operand einsum contractions as one stacked BLAS matmul.
 
-All three engines contract through `contract`: the plain value, the
-tangent, curvature and cross terms of the forward pass, and both reverse
+All three engines contract through `contract`: the plain value; the
+tangent, Laplacian and cross terms of the forward pass; and both reverse
 VJPs. A spec maps onto np.matmul(L, R) as follows:
 
 - N (matrix columns): the last output index that only one operand carries;
-  that operand is R. In the dual engine this is the trailing seed-lane
-  index, so lane-major arrays reach BLAS without a copy.
+  that operand is R. In a tangent term of the dual engine this is the
+  trailing seed-lane index, so lane-major arrays reach BLAS without a
+  copy. The Laplacian terms carry no lane index; the cross term carries
+  the lane on both operands and not in the output, so it folds into K.
 - M (matrix rows): the last output index that only the other operand, L,
   carries.
 - K (inner dimension): every shared index absent from the output, folded.
@@ -16,7 +18,7 @@ VJPs. A spec maps onto np.matmul(L, R) as follows:
 The walker axis, an index that leads the output and every operand that
 carries it, is never M or N. A missing M or N is a size-1 axis.
 
-Determinism contract: a walker's value, tangents, curvatures and local
+Determinism contract: a walker's value, tangents, Laplacian and local
 energy are bitwise independent of the batch or chunk size, of the walker's
 position in the batch and of the BLAS thread count. Three rules meet it:
 
@@ -27,13 +29,14 @@ position in the batch and of the BLAS thread count. Three rules meet it:
 - Operands are made C-contiguous before the call. The BLAS routine,
   transpose flags and leading dimensions then depend on those shapes
   alone, not on the memory layout a caller happened to pass in.
-- Per-walker products are far below the size at which OpenBLAS splits one
-  call across threads. The only calls large enough to be threaded are the
-  reverse-mode reductions over all walkers in the parameter gradient.
-  Those are GEMMs and GEMVs, which OpenBLAS splits over output entries,
-  never inside a sum. A product whose M and N are both 1 is a dot
-  product, which OpenBLAS would split inside its sum once it is longer
-  than 10 000; it runs as a numpy sum instead, which is never threaded.
+- OpenBLAS splits a GEMM or GEMV across threads over output entries,
+  never inside a sum. Two kinds of call are large enough to be split: the
+  reverse-mode reductions over all walkers in the parameter gradient, and
+  the per-walker dual cross term of the attention products, whose K holds
+  every seed lane (16 x 16 x (32 * 48) for an H16 chain at width 32). A
+  product whose M and N are both 1 is a dot product, which OpenBLAS would
+  split inside its sum once it is longer than 10 000; it runs as a numpy
+  sum instead, which is never threaded.
 
 Invariance under same-spin relabelling is not this module's job: the
 caller puts each walker's electrons in canonical order, so a contraction

@@ -1,9 +1,21 @@
-"""Forward-mode duals carrying first and diagonal second derivatives.
+"""Forward-mode duals carrying first derivatives and the Laplacian.
 
-A Dual wraps a value of shape S together with tan and curv of shape S + (T,),
-one trailing lane per seed direction. curv tracks d^2/d eps_t^2 along each
-seed separately (no mixed terms), which is all a Laplacian needs when the
-seeds are the coordinate axes: one pass gives grad and sum-of-curv.
+A Dual wraps a value of shape S together with tan of shape S + (T,), one
+trailing lane per seed direction, and curv of shape S: the sum over the
+seeds of the second derivative along each seed. Seeded with the coordinate
+axes (seed_positions), one pass gives the gradient in tan and the
+Laplacian in curv. This is the forward Laplacian of Li et al., "A
+computational framework for neural network-based VMC with Forward
+Laplacian" (arXiv:2307.08214): per-seed curvatures are only ever summed,
+so each op carries their sum instead of a lane per seed. The rules are
+
+    unary f:  curv = f' curv_x + f'' sum_t tan_x^2
+    product:  curv = curv_x y + 2 sum_t tan_x tan_y + x curv_y
+
+and quotients follow from the product rule. Every lane sum (`_lane_dot`)
+reduces a C-contiguous trailing lane axis, so its order is fixed by the
+lane count alone and each entry's bits do not depend on the batch size,
+the entry's position in it or the caller's memory layout.
 
 Constants stay plain ndarrays; binary ops lift them with zero derivatives.
 """
@@ -15,10 +27,19 @@ import numpy as np
 from .contract import contract, parse_spec
 
 
+def _grow(a: np.ndarray, shape: tuple) -> np.ndarray:
+    # broadcast a block to a (possibly grown) target shape
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
 def _bt(t: np.ndarray, shape: tuple) -> np.ndarray:
-    # broadcast a derivative block to match a (possibly grown) value shape
-    want = shape + t.shape[-1:]
-    return t if t.shape == want else np.broadcast_to(t, want)
+    # broadcast a tangent block to match a (possibly grown) value shape
+    return _grow(t, shape + t.shape[-1:])
+
+
+def _lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_t x_t y_t over the trailing lane axis, in an order fixed by T."""
+    return np.einsum("...t,...t->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
 
 
 class Dual:
@@ -29,6 +50,9 @@ class Dual:
         self.val = np.asarray(val, dtype=np.float64)
         self.tan = np.asarray(tan, dtype=np.float64)
         self.curv = np.asarray(curv, dtype=np.float64)
+        if self.curv.shape != self.val.shape:
+            raise ValueError(f"curv holds one Laplacian per value: shape {self.curv.shape} "
+                             f"!= value shape {self.val.shape}")
 
     @property
     def shape(self):
@@ -48,11 +72,9 @@ class Dual:
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            v = self.val + other.val
-            return Dual(v, _bt(self.tan, v.shape) + _bt(other.tan, v.shape),
-                        _bt(self.curv, v.shape) + _bt(other.curv, v.shape))
+            return Dual(self.val + other.val, self.tan + other.tan, self.curv + other.curv)
         v = self.val + other
-        return Dual(v, _bt(self.tan, v.shape), _bt(self.curv, v.shape))
+        return Dual(v, _bt(self.tan, v.shape), _grow(self.curv, v.shape))
 
     __radd__ = __add__
 
@@ -67,41 +89,30 @@ class Dual:
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            v = self.val * other.val
-            xt = _bt(self.tan, v.shape)
-            yt = _bt(other.tan, v.shape)
-            tan = xt * other.val[..., None] + self.val[..., None] * yt
-            curv = (_bt(self.curv, v.shape) * other.val[..., None]
-                    + 2.0 * xt * yt
-                    + self.val[..., None] * _bt(other.curv, v.shape))
-            return Dual(v, tan, curv)
+            tan = self.tan * other.val[..., None] + self.val[..., None] * other.tan
+            curv = (self.curv * other.val + 2.0 * _lane_dot(self.tan, other.tan)
+                    + self.val * other.curv)
+            return Dual(self.val * other.val, tan, curv)
         c = np.asarray(other, dtype=np.float64)
-        v = self.val * c
-        return Dual(v, _bt(self.tan, v.shape) * c[..., None],
-                    _bt(self.curv, v.shape) * c[..., None])
+        return Dual(self.val * c, self.tan * c[..., None], self.curv * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            # from u = w v: w' = (u' - w v') / v, w'' = (u'' - 2 w' v' - w v'') / v
+            # from u = w v: w' = (u' - w v') / v, lap w = (lap u - 2 w'.v' - w lap v) / v
             w = self.val / other.val
-            yv = other.val[..., None]
-            yt = _bt(other.tan, w.shape)
-            wt = (_bt(self.tan, w.shape) - w[..., None] * yt) / yv
-            wc = (_bt(self.curv, w.shape) - 2.0 * wt * yt
-                  - w[..., None] * _bt(other.curv, w.shape)) / yv
+            wt = (self.tan - w[..., None] * other.tan) / other.val[..., None]
+            wc = (self.curv - 2.0 * _lane_dot(wt, other.tan) - w * other.curv) / other.val
             return Dual(w, wt, wc)
         return self * (1.0 / np.asarray(other, dtype=np.float64))
 
     def __rtruediv__(self, other):
+        # d(c/v) = -w v'/v with w = c/v; lap(c/v) = w (2 |v'/v|^2 - lap v / v)
         v = self.val
         w = np.asarray(other, dtype=np.float64) / v
-        # d(c/v) = -c v'/v^2 ; d2 = c (2 v'^2 / v^3 - v''/v^2)
-        tan = -w[..., None] * _bt(self.tan, w.shape) / v[..., None]
-        curv = (2.0 * w[..., None] * (_bt(self.tan, w.shape) / v[..., None]) ** 2
-                - w[..., None] * _bt(self.curv, w.shape) / v[..., None])
-        return Dual(w, tan, curv)
+        q = self.tan / v[..., None]
+        return Dual(w, -w[..., None] * q, w * (2.0 * _lane_dot(q, q) - self.curv / v))
 
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
@@ -115,20 +126,18 @@ def seed_positions(r: np.ndarray) -> Dual:
     """Wrap walker positions (..., N, 3) with one seed per coordinate.
 
     Returns a Dual whose 3N seed lanes are the coordinate directions, so a
-    scalar function of it yields grad in .tan and per-axis curvature in .curv.
+    scalar function of it yields grad in .tan and the Laplacian in .curv.
     """
     r = np.asarray(r, dtype=np.float64)
     n, d = r.shape[-2], r.shape[-1]
     t = n * d
     eye = np.eye(t).reshape(n, d, t)
     tan = np.broadcast_to(eye, r.shape + (t,)).copy()
-    return Dual(r, tan, np.zeros(r.shape + (t,)))
+    return Dual(r, tan, np.zeros(r.shape))
 
 
 def _unary(x: Dual, v, d1, d2) -> Dual:
-    tan = d1[..., None] * x.tan
-    curv = d2[..., None] * x.tan ** 2 + d1[..., None] * x.curv
-    return Dual(v, tan, curv)
+    return Dual(v, d1[..., None] * x.tan, d1 * x.curv + d2 * _lane_dot(x.tan, x.tan))
 
 
 def exp(x: Dual) -> Dual:
@@ -169,11 +178,11 @@ def softplus(x: Dual) -> Dual:
 
 def absolute(x: Dual) -> Dual:
     s = np.sign(x.val)
-    return Dual(np.abs(x.val), s[..., None] * x.tan, s[..., None] * x.curv)
+    return Dual(np.abs(x.val), s[..., None] * x.tan, s * x.curv)
 
 
 def where(mask, a, b) -> Dual:
-    """Select a where mask else b; derivative lanes of the dropped branch are
+    """Select a where mask else b; derivatives of the dropped branch are
     fully severed, so masked-out NaN/inf derivatives cannot leak through."""
     mask = np.asarray(mask, dtype=bool)
     av, at, ac = (a.val, a.tan, a.curv) if isinstance(a, Dual) else (np.asarray(a, dtype=np.float64), None, None)
@@ -183,10 +192,10 @@ def where(mask, a, b) -> Dual:
     zero = np.zeros(v.shape + (t,))
     at = zero if at is None else _bt(at, v.shape)
     bt = zero if bt is None else _bt(bt, v.shape)
-    ac = zero if ac is None else _bt(ac, v.shape)
-    bc = zero if bc is None else _bt(bc, v.shape)
     m = mask[..., None] if mask.shape == v.shape else np.broadcast_to(mask, v.shape)[..., None]
-    return Dual(v, np.where(m, at, bt), np.where(m, ac, bc))
+    ac = np.zeros(v.shape) if ac is None else ac
+    bc = np.zeros(v.shape) if bc is None else bc
+    return Dual(v, np.where(m, at, bt), np.where(mask, ac, bc))
 
 
 def maximum(x, y) -> Dual:
@@ -224,7 +233,7 @@ def symsum(x: Dual, axis: int) -> Dual:
     order = np.argsort(x.val, axis=axis, kind="stable")
     return Dual(np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis),
                 np.sum(np.take_along_axis(x.tan, order[..., None], axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.curv, order[..., None], axis=axis), axis=axis))
+                np.sum(np.take_along_axis(x.curv, order, axis=axis), axis=axis))
 
 
 def symsum_abs(x: Dual, axis: int) -> Dual:
@@ -234,21 +243,20 @@ def symsum_abs(x: Dual, axis: int) -> Dual:
     order = np.argsort(np.abs(x.val), axis=axis, kind="stable")
     return Dual(np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis),
                 np.sum(np.take_along_axis(x.tan, order[..., None], axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.curv, order[..., None], axis=axis), axis=axis))
+                np.sum(np.take_along_axis(x.curv, order, axis=axis), axis=axis))
 
 
 def take_along(x: Dual, idx: np.ndarray, axis: int) -> Dual:
     axis = axis % x.val.ndim
     return Dual(np.take_along_axis(x.val, idx, axis=axis),
                 np.take_along_axis(x.tan, idx[..., None], axis=axis),
-                np.take_along_axis(x.curv, idx[..., None], axis=axis))
+                np.take_along_axis(x.curv, idx, axis=axis))
 
 
 def reshape(x: Dual, shape) -> Dual:
     shape = tuple(shape)
-    t = (x.n_seeds,)
-    return Dual(x.val.reshape(shape), np.ascontiguousarray(x.tan).reshape(shape + t),
-                np.ascontiguousarray(x.curv).reshape(shape + t))
+    return Dual(x.val.reshape(shape), np.ascontiguousarray(x.tan).reshape(shape + (x.n_seeds,)),
+                x.curv.reshape(shape))
 
 
 def moveaxis(x: Dual, src: int, dst: int) -> Dual:
@@ -264,7 +272,7 @@ def _lift(x, t, shape=None) -> Dual:
     v = np.asarray(x, dtype=np.float64)
     if shape is not None:
         v = np.broadcast_to(v, shape)
-    return Dual(v, np.zeros(v.shape + (t,)), np.zeros(v.shape + (t,)))
+    return Dual(v, np.zeros(v.shape + (t,)), np.zeros(v.shape))
 
 
 def _seed_count(xs):
@@ -290,17 +298,20 @@ def stack(xs, axis: int) -> Dual:
     axis = axis % (xs[0].val.ndim + 1)
     return Dual(np.stack([x.val for x in xs], axis=axis),
                 np.stack([_bt(x.tan, shape) for x in xs], axis=axis),
-                np.stack([_bt(x.curv, shape) for x in xs], axis=axis))
+                np.stack([x.curv for x in xs], axis=axis))
 
 
 def einsum(spec: str, a, b) -> Dual:
     """Two-operand contraction with the product rule on both sides.
 
-    The value, the tan and curv terms of each Dual operand and the
-    2 tan_a tan_b cross term are each one stacked matmul through
-    `contract`, with the seed lane as the matrix column index. Its
-    determinism contract makes every lane of a walker bitwise independent
-    of batch size, position in the batch, memory layout and BLAS threads.
+    The value, the tangent term of each Dual operand, its Laplacian term and
+    the 2 sum_t tan_a tan_b cross term are each one stacked matmul through
+    `contract`. Tangents carry the seed lane as the matrix column index; a
+    Laplacian term has no lane index and contracts like the value; the cross
+    term folds the lane into the inner dimension K, so its lane sum is part
+    of one GEMM per walker. Its determinism contract makes every walker's
+    result bitwise independent of batch size, position in the batch, memory
+    layout and BLAS threads.
     """
     a_sub, b_sub, out = parse_spec(spec)
     av = a.val if isinstance(a, Dual) else np.asarray(a, dtype=np.float64)
@@ -310,13 +321,13 @@ def einsum(spec: str, a, b) -> Dual:
     tan = curv = None
     if isinstance(a, Dual):
         tan = contract(at, b_sub, ot, a.tan, bv)
-        curv = contract(at, b_sub, ot, a.curv, bv)
+        curv = contract(a_sub, b_sub, out, a.curv, bv)
     if isinstance(b, Dual):
         tan_b = contract(a_sub, bt, ot, av, b.tan)
-        curv_b = contract(a_sub, bt, ot, av, b.curv)
+        curv_b = contract(a_sub, b_sub, out, av, b.curv)
         if tan is None:
             tan, curv = tan_b, curv_b
         else:
             tan = tan + tan_b
-            curv = curv + curv_b + 2.0 * contract(at, bt, ot, a.tan, b.tan)
+            curv = curv + curv_b + 2.0 * contract(at, bt, out, a.tan, b.tan)
     return Dual(val, tan, curv)

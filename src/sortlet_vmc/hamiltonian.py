@@ -5,8 +5,10 @@ The local energy of a state written as Psi = sign * exp(L) is
     E_loc = -(1/2) (lap L + |grad L|^2) + V
 
 evaluated per walker, where grad and lap are taken over all 3N electron
-coordinates in one forward pass of second-order duals. Each walker's
-electrons are put in canonical order (`ansatz.canonical_order`) before the
+coordinates in one forward-Laplacian pass: every dual value carries its
+gradient as 3N seed lanes and its Laplacian as one number (ad/forward.py),
+so logmag.tan is grad L and logmag.curv is lap L. Each walker's electrons
+are put in canonical order (`ansatz.canonical_order`) before the
 potentials are summed and the dual lanes are seeded, so every sum over
 electrons, pairs and lanes runs in the same order for any same-spin
 relabeling, and E_loc is exactly invariant under it.
@@ -114,7 +116,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
             if not isinstance(logmag, ad.Dual):
                 raise TypeError("signed_log_fn must propagate dual positions")
             grad2 = np.sum(logmag.tan ** 2, axis=-1)
-            lap = np.sum(logmag.curv, axis=-1)
+            lap = logmag.curv
             k = -0.5 * (lap + grad2)
             k = np.where(sl.sign == 0, np.nan, k)
             kinetic[lo:lo + step] = k

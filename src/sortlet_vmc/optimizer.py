@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,25 +225,34 @@ class Checkpoint:
     def save(path: Path, *, wf: SortletWavefunction, theta: np.ndarray, adam: Adam,
              ensemble: WalkerEnsemble, next_iter: int, fingerprint: str,
              model_fingerprint: str):
+        """Write the checkpoint beside `path` and rename it into place, so a
+        run killed mid-write leaves any checkpoint already at `path` intact."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         adam_state = adam.state()
-        np.savez(
-            path,
-            format=np.int64(Checkpoint.FORMAT),
-            layout_json=np.str_(json.dumps(wf.store.layout())),
-            fingerprint=np.str_(fingerprint),
-            model_fingerprint=np.str_(model_fingerprint),
-            next_iter=np.int64(next_iter),
-            theta=theta,
-            adam_m=adam_state["m"], adam_v=adam_state["v"],
-            adam_t=np.int64(adam_state["t"]),
-            positions=ensemble.positions,
-            logmag=ensemble.logmag,
-            sign=ensemble.sign,
-            sigma=np.float64(ensemble.sigma),
-            rng_states_json=np.str_(_encode_rng_states(ensemble.rng_states())),
-        )
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as f:
+                np.savez(
+                    f,
+                    format=np.int64(Checkpoint.FORMAT),
+                    layout_json=np.str_(json.dumps(wf.store.layout())),
+                    fingerprint=np.str_(fingerprint),
+                    model_fingerprint=np.str_(model_fingerprint),
+                    next_iter=np.int64(next_iter),
+                    theta=theta,
+                    adam_m=adam_state["m"], adam_v=adam_state["v"],
+                    adam_t=np.int64(adam_state["t"]),
+                    positions=ensemble.positions,
+                    logmag=ensemble.logmag,
+                    sign=ensemble.sign,
+                    sigma=np.float64(ensemble.sigma),
+                    rng_states_json=np.str_(_encode_rng_states(ensemble.rng_states())),
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None,

@@ -487,7 +487,7 @@ class ToyChain1D:
     def local_energies(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         d = ad.seed_positions(xs.reshape(-1, 1, 1))
         l = self.log_amplitude(theta, d[:, 0, 0])
-        lap = l.curv[:, 0]
+        lap = l.curv
         grad = l.tan[:, 0]
         return -0.5 * (lap + grad * grad) + 0.5 * xs * xs
 

@@ -112,7 +112,7 @@ def test_sortlet_single_electron_is_bare_score():
 def test_sortlet_tie_vanishes_with_finite_derivatives():
     scores = np.array([[0.5, 0.5, 1.0]])
     t = 3
-    d = Dual(scores, np.random.default_rng(1).normal(size=(1, 3, t)), np.zeros((1, 3, t)))
+    d = Dual(scores, np.random.default_rng(1).normal(size=(1, 3, t)), np.zeros((1, 3)))
     sl = sortlet_logs(d)
     assert sl.sign[0] == 0
     assert sl.logmag.val[0] == BIG_NEG
@@ -134,7 +134,7 @@ def test_sortlet_antisymmetry_is_bitwise(scores, perm):
 def test_sortlet_gradient_matches_fd():
     rng = np.random.default_rng(4)
     s = rng.normal(size=(1, 5))
-    d = Dual(s, np.eye(5)[None], np.zeros((1, 5, 5)))
+    d = Dual(s, np.eye(5)[None], np.zeros((1, 5)))
     sl = sortlet_logs(d)
     fd = grad_central(lambda z: sortlet_logs(z[None]).logmag[0], s[0], h=1e-6)
     np.testing.assert_allclose(sl.logmag.tan[0], fd, rtol=1e-6, atol=1e-9)
@@ -143,7 +143,7 @@ def test_sortlet_gradient_matches_fd():
 def test_sortlet_reverse_gradient_matches_forward():
     rng = np.random.default_rng(8)
     s = rng.normal(size=(2, 4))
-    d = Dual(s, np.broadcast_to(np.eye(4)[None], (2, 4, 4)).copy(), np.zeros((2, 4, 4)))
+    d = Dual(s, np.broadcast_to(np.eye(4)[None], (2, 4, 4)).copy(), np.zeros((2, 4)))
     fwd = sortlet_logs(d).logmag.tan  # (2, 4)
     tape = GradientTape()
     p = tape.leaf(s)

@@ -18,7 +18,7 @@ W = np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])
 
 def seed_flat(x):
     n = len(x)
-    return Dual(x, np.eye(n), np.zeros((n, n)))
+    return Dual(x, np.eye(n), np.zeros(n))
 
 
 def smooth(x):
@@ -55,7 +55,7 @@ def test_forward_gradient_matches_fd(x):
 def test_forward_curvature_matches_fd(x):
     d = smooth(seed_flat(x))
     fd = hessian_diag_central(smooth_np, x, h=1e-4)
-    np.testing.assert_allclose(d.curv, fd, rtol=1e-3, atol=1e-4)
+    np.testing.assert_allclose(d.curv, fd.sum(), rtol=1e-3, atol=1e-4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,7 +130,7 @@ def test_symsum_is_permutation_invariant_bitwise():
     assert np.array_equal(ad.symsum(x, axis=1), ad.symsum(x[:, perm], axis=1))
 
     tan = rng.normal(size=(5, 7, 3))
-    curv = rng.normal(size=(5, 7, 3))
+    curv = rng.normal(size=(5, 7))
     a = ad.symsum(Dual(x, tan, curv), axis=1)
     b = ad.symsum(Dual(x[:, perm], tan[:, perm], curv[:, perm]), axis=1)
     assert np.array_equal(a.val, b.val)
@@ -170,8 +170,7 @@ def test_take_along_reverse_scatter_with_repeats():
     g = tape.gradient(f(p), p)
     np.testing.assert_allclose(g, [[11.0, 0.0, 100.0], [0.0, 222.0, 0.0]])
 
-    d = f(seed_flat(x.ravel()).__class__(x, np.eye(6).reshape(2, 3, 6),
-                                         np.zeros((2, 3, 6))))
+    d = f(Dual(x, np.eye(6).reshape(2, 3, 6), np.zeros((2, 3))))
     np.testing.assert_allclose(d.tan, g.ravel())
 
 
@@ -230,8 +229,17 @@ def test_seed_positions_gradient_and_laplacian():
     r = rng.normal(size=(4, 3, 3))  # 4 walkers, 3 electrons
     rd = ad.seed_positions(r)
     f = ad.sum(ad.square(rd), axis=(1, 2))  # sum |r_i|^2 per walker
-    np.testing.assert_allclose(ad.gradient(f), 2.0 * r.reshape(4, 9))
-    np.testing.assert_allclose(ad.laplacian(f), np.full(4, 2.0 * 9))
+    np.testing.assert_allclose(f.tan, 2.0 * r.reshape(4, 9))
+    np.testing.assert_allclose(f.curv, np.full(4, 2.0 * 9))
+
+
+def test_dual_rejects_a_curvature_lane_per_seed():
+    # (1, 3) values with 3 lanes: a per-seed (1, 3, 3) curv would broadcast
+    # against the values without complaint
+    with pytest.raises(ValueError, match="one Laplacian per value"):
+        Dual(np.zeros((1, 3)), np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):
+        Dual(np.zeros(3), np.eye(3), np.zeros(()))
 
 
 def test_einsum_rejects_bad_specs():
@@ -278,7 +286,7 @@ def test_einsum_matches_numpy_oracle(spec, unit):
     av, bv, seed = draw(a_sub), draw(b_sub), draw(out)
     check(ad.einsum(spec, av, bv), np.einsum(spec, av, bv))
 
-    at, ac, bt, bc = draw(a_sub + "t"), draw(a_sub + "t"), draw(b_sub + "t"), draw(b_sub + "t")
+    at, ac, bt, bc = draw(a_sub + "t"), draw(a_sub), draw(b_sub + "t"), draw(b_sub)
     by_a = f"{a_sub}t,{b_sub}->{out}t"
     by_b = f"{a_sub},{b_sub}t->{out}t"
     for a_dual, b_dual in ((True, False), (False, True), (True, True)):
@@ -288,12 +296,12 @@ def test_einsum_matches_numpy_oracle(spec, unit):
         curv = np.zeros(got.curv.shape)
         if a_dual:
             tan += np.einsum(by_a, at, bv)
-            curv += np.einsum(by_a, ac, bv)
+            curv += np.einsum(spec, ac, bv)
         if b_dual:
             tan += np.einsum(by_b, av, bt)
-            curv += np.einsum(by_b, av, bc)
+            curv += np.einsum(spec, av, bc)
         if a_dual and b_dual:
-            curv += 2.0 * np.einsum(f"{a_sub}t,{b_sub}t->{out}t", at, bt)
+            curv += 2.0 * np.einsum(f"{a_sub}t,{b_sub}t->{out}", at, bt)
         check(got.val, np.einsum(spec, av, bv))
         check(got.tan, tan)
         check(got.curv, curv)
@@ -318,9 +326,9 @@ def test_einsum_bits_do_not_depend_on_operand_layout():
     for spec in MODEL_SPECS:
         a_sub, b_sub, out = spec.replace("->", ",").split(",")
         av, at, ac = (rng.normal(size=[size[i] for i in sub])
-                      for sub in (a_sub, a_sub + "t", a_sub + "t"))
+                      for sub in (a_sub, a_sub + "t", a_sub))
         bv, bt, bc = (rng.normal(size=[size[i] for i in sub])
-                      for sub in (b_sub, b_sub + "t", b_sub + "t"))
+                      for sub in (b_sub, b_sub + "t", b_sub))
         np.testing.assert_array_equal(ad.einsum(spec, av, bv), ad.einsum(spec, f(av), f(bv)))
         c = ad.einsum(spec, Dual(av, at, ac), Dual(bv, bt, bc))
         d = ad.einsum(spec, Dual(f(av), f(at), f(ac)), Dual(f(bv), f(bt), f(bc)))
@@ -335,6 +343,25 @@ def test_einsum_bits_do_not_depend_on_operand_layout():
             grads.append((tape.gradient(z, a, seed=g), tape.gradient(z, b, seed=g)))
         for x, y in zip(*grads):
             np.testing.assert_array_equal(x, y)
+
+
+def test_lane_sums_do_not_depend_on_batch_or_layout():
+    """Ops that sum over seed lanes give each entry's Laplacian the same bits
+    alone, inside a batch, and from transposed or Fortran-ordered tangents."""
+    rng = np.random.default_rng(4)
+    val = rng.uniform(0.5, 1.5, size=(5, 4))
+    tan = rng.normal(size=(5, 4, 24))
+    curv = rng.normal(size=(5, 4))
+
+    def f(d):
+        return ad.log(ad.tanh(d) * d + 1.0 / (ad.square(d) + 2.0)) / (d + 3.0)
+
+    batch = f(Dual(val, tan, curv)).curv
+    odd = f(Dual(val.T, np.asfortranarray(tan.transpose(1, 0, 2)), curv.T)).curv
+    np.testing.assert_array_equal(odd, batch.T)
+    for i, j in np.ndindex(val.shape):
+        alone = f(Dual(val[i, j], tan[i, j], curv[i, j])).curv
+        np.testing.assert_array_equal(alone, batch[i, j])
 
 
 def test_mixing_engines_raises():

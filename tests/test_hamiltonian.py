@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
 from sortlet_vmc.hamiltonian import (
@@ -149,6 +155,38 @@ def test_results_do_not_depend_on_positions_layout():
                                       wf.log_density(wf.theta0, ref))
         np.testing.assert_array_equal(electron_potentials(h8, odd)[1],
                                       electron_potentials(h8, ref)[1])
+
+
+def test_local_energy_bits_do_not_depend_on_blas_threads():
+    """Local energies on an H16 chain agree bitwise under 1 and 2 BLAS threads.
+
+    At full width the dual cross term of the attention products is one GEMM
+    of 16 x 16 x (32 * 48) per walker, large enough for OpenBLAS to split it
+    over threads. The thread pin only takes effect before numpy loads, so
+    each count runs in its own process.
+    """
+    code = (
+        "import numpy as np\n"
+        "from sortlet_vmc.ansatz import SortletWavefunction\n"
+        "from sortlet_vmc.geometry import SystemSpec\n"
+        "from sortlet_vmc.hamiltonian import local_energy\n"
+        "nuclei = np.outer(np.arange(16), [1.8, 0.0, 0.0])\n"
+        "h16 = SystemSpec(nuclei, np.ones(16, dtype=np.int64), 8, 8)\n"
+        "wf = SortletWavefunction(h16, n_sortlets=4, seed=0)\n"
+        "pos = h16.nuclei_positions + np.random.default_rng(0).normal(size=(6, 16, 3))\n"
+        "e = local_energy(lambda p: wf.signed_log(wf.theta0, p), h16, pos)\n"
+        "assert np.all(np.isfinite(e.total))\n"
+        "print(e.total.tobytes().hex())\n"
+    )
+    src = str(Path(ad.__file__).resolve().parents[2])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        bits.append(run.stdout)
+    assert bits[0] and bits[0] == bits[1]
 
 
 def test_local_energy_nan_on_nodes():

@@ -254,3 +254,31 @@ def test_checkpoint_rejects_mismatched_configuration(tmp_path):
     with pytest.raises(ValueError, match="different configuration"):
         Checkpoint.load(tmp_path / "checkpoints" / "step-00000003.npz",
                         wf=other, fingerprint=fp)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that dies partway through np.savez leaves the checkpoint
+    already at that path byte-identical and loadable, and no stray file."""
+    settings = smoke_settings(iters=3)
+    train(small_wf(), settings, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoints" / "step-00000003.npz"
+    before = ckpt.read_bytes()
+    write_array = np.lib.format.write_array
+    written = []
+
+    def dies_on_the_fifth_array(*args, **kwargs):
+        if len(written) == 4:
+            raise OSError("disk full")
+        written.append(args[1])
+        write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", dies_on_the_fifth_array)
+    with pytest.raises(OSError, match="disk full"):
+        train(small_wf(), settings, out_dir=tmp_path)
+    monkeypatch.undo()
+    assert len(written) == 4
+    assert ckpt.read_bytes() == before
+    assert [p.name for p in ckpt.parent.iterdir()] == [ckpt.name]
+    wf = small_wf()
+    state = Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
+    assert state["next_iter"] == 3
