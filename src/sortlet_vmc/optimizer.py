@@ -30,7 +30,7 @@ from . import ad
 from .ansatz import SortletWavefunction
 from .geometry import SystemSpec
 from .hamiltonian import local_energy
-from .sampler import WalkerEnsemble, chain_rngs, init_ensemble, run_sweeps
+from .sampler import WalkerEnsemble, init_ensemble, run_sweeps, stream_key
 
 
 @dataclass
@@ -192,34 +192,10 @@ def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _encode_rng_states(states: list) -> str:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, np.ndarray):
-            return {"__nd__": obj.dtype.str, "data": [int(x) for x in obj.ravel()]}
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        return obj
-
-    return json.dumps([clean(s) for s in states])
-
-
-def _decode_rng_states(blob: str) -> list:
-    def restore(obj):
-        if isinstance(obj, dict):
-            if "__nd__" in obj:
-                return np.array(obj["data"], dtype=np.dtype(obj["__nd__"]))
-            return {k: restore(v) for k, v in obj.items()}
-        return obj
-
-    return [restore(s) for s in json.loads(blob)]
-
-
 class Checkpoint:
     """One .npz holding everything needed to continue a run bit-for-bit."""
 
-    FORMAT = 1
+    FORMAT = 2
 
     @staticmethod
     def save(path: Path, *, wf: SortletWavefunction, theta: np.ndarray, adam: Adam,
@@ -247,7 +223,7 @@ class Checkpoint:
                     logmag=ensemble.logmag,
                     sign=ensemble.sign,
                     sigma=np.float64(ensemble.sigma),
-                    rng_states_json=np.str_(_encode_rng_states(ensemble.rng_states())),
+                    step=np.int64(ensemble.step),
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -281,8 +257,19 @@ class Checkpoint:
                 "logmag": z["logmag"].copy(),
                 "sign": z["sign"].copy(),
                 "sigma": float(z["sigma"]),
-                "rng_states": _decode_rng_states(str(z["rng_states_json"])),
+                "step": int(z["step"]),
             }
+
+
+def _truncate_metrics(path: Path, next_iter: int):
+    """Keep the records of iterations before `next_iter`, which a resumed run
+    does not write again, and drop a record a killed run left without its
+    newline; the file is rewritten beside itself and renamed into place."""
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.endswith("\n") and json.loads(line)["iter"] < next_iter]
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(kept))
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -299,7 +286,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
 
     Writes metrics.ndjson and periodic checkpoints under out_dir when given.
     Resuming from a checkpoint continues the exact run: same walkers, same
-    RNG streams, same optimizer state.
+    random draws, same optimizer state, and no repeated metric records.
     """
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
@@ -312,11 +299,10 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         state = Checkpoint.load(Path(resume_from), wf=wf, fingerprint=fingerprint)
         holder["theta"] = state["theta"]
         adam.load_state(state["adam"])
-        children = np.random.SeedSequence(settings.seed).spawn(settings.walkers)
         ensemble = WalkerEnsemble(positions=state["positions"], logmag=state["logmag"],
-                                  sign=state["sign"], rngs=chain_rngs(children),
-                                  sigma=state["sigma"])
-        ensemble.set_rng_states(state["rng_states"])
+                                  sign=state["sign"], key=stream_key(settings.seed),
+                                  chains=np.arange(settings.walkers), sigma=state["sigma"],
+                                  step=state["step"])
         start = state["next_iter"]
     else:
         ensemble = init_ensemble(system, fn, settings.walkers, settings.seed,
@@ -329,6 +315,8 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         metrics_path = out_dir / "metrics.ndjson"
+        if resume_from is not None and metrics_path.exists():
+            _truncate_metrics(metrics_path, start)
 
     energies = []
     stats = EnergyStats(np.nan, np.nan, np.nan, 0, 0)

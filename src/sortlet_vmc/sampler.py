@@ -1,11 +1,12 @@
 """Metropolis walkers over |Psi|^2.
 
-Each chain owns a Philox stream spawned from one seed, and every chain
-consumes its stream in the same order whether the ensemble is stepped as
-one batch or chain-by-chain; together with the batch-size-independent
-evaluation paths this makes batched and serial runs bit-for-bit identical
-(with the step size held fixed, since adaptation pools acceptance across
-the whole ensemble).
+Every draw is a pure function of (run seed, chain id, step): counter-based
+Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) in vectorized uint64 numpy. One call draws BLOCK_STEPS steps for
+every chain, and the ensemble caches that block. With the batch-independent
+evaluation paths, batched and serial runs are bit-for-bit identical (at a
+fixed step size: adaptation pools acceptance over the ensemble), and the
+sampler state is one integer step.
 
 Proposals move all electrons at once by a Gaussian step. A proposal whose
 wavefunction value is exactly zero or non-finite is rejected outright, so
@@ -23,37 +24,90 @@ from .geometry import SystemSpec
 
 ADAPT_TARGET = (0.45, 0.55)
 ADAPT_FACTOR = 1.1
+BLOCK_STEPS = 10  # Metropolis steps drawn per Philox call
+STEP, PLACEMENT = 0, 1  # counter purposes; a placement's step word is its attempt
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)  # key bumps
+_LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_LO, _M_HI = _M & _LO, _M >> _32
+
+
+def stream_key(seed: int) -> np.ndarray:
+    """The Philox key of a run: two uint64 words from the seed."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+def philox4x64(counter, key) -> tuple:
+    """Philox4x64-10 of the counter words (c0, c1, c2, c3), uint64 arrays
+    that broadcast, under a two-word key: the block's four output words. The
+    128-bit products are built from 32-bit halves in buffers made once."""
+    c = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in counter))
+    mul, other = np.stack(c[0::2]).reshape(2, -1), np.stack(c[1::2]).reshape(2, -1)
+    lo, hi, t, carry = (np.empty_like(mul) for _ in range(4))
+    k = np.array(key, dtype=np.uint64).reshape(2, 1)
+    for _ in range(10):
+        np.bitwise_and(mul, _LO, out=lo)
+        np.right_shift(mul, _32, out=hi)
+        np.multiply(lo, _M_LO, out=carry)
+        carry >>= _32
+        np.multiply(hi, _M_LO, out=t)
+        t += carry
+        lo *= _M_HI
+        lo += np.bitwise_and(t, _LO, out=carry)
+        hi *= _M_HI
+        hi += np.right_shift(t, _32, out=t)
+        hi += np.right_shift(lo, _32, out=lo)
+        np.multiply(mul, _M, out=lo)
+        # (c0, c2) <- (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1); (c1, c3) <- (lo1, lo0)
+        np.bitwise_xor(hi[::-1], other, out=mul)
+        mul ^= k
+        k += _W
+        lo, other = other, lo[::-1]
+    return tuple(w.reshape(c[0].shape) for w in (mul[0], other[0], mul[1], other[1]))
+
+
+def chain_draws(key, chains, steps, n_electrons: int, purpose: int = STEP) -> tuple:
+    """Standard normals (S, M, N, 3) and a uniform in [0, 1) (S, M) per chain
+    and step. The counter is (chain, step, block, purpose), and word w of a
+    (chain, step) comes from block w // 4: words [0, h) and [h, 2h) pair up
+    for Box-Muller, word 2h is the uniform."""
+    h = (3 * n_electrons + 1) // 2
+    blocks = np.arange((2 * h + 4) // 4)
+    words = philox4x64((chains, np.reshape(steps, (-1, 1)), blocks[:, None, None], purpose), key)
+    raw = np.stack(words, axis=1).reshape((4 * len(blocks),) + words[0].shape[1:])
+    u = (raw[:2 * h + 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:h])), 2.0 * np.pi * u[h:2 * h]
+    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:3 * n_electrons]
+    return np.moveaxis(normals, 0, -1).reshape(u.shape[1:] + (n_electrons, 3)), u[2 * h]
 
 
 @dataclass
 class WalkerEnsemble:
-    """Chain state: positions (M, N, 3), cached signed-log values, one RNG
-    per chain, and the (shared) proposal step size."""
+    """Chain state: positions (M, N, 3), cached signed-log values, the run's
+    Philox key, global chain ids, steps taken and the shared step size."""
 
     positions: np.ndarray
     logmag: np.ndarray
     sign: np.ndarray
-    rngs: list
+    key: np.ndarray
+    chains: np.ndarray
     sigma: float
-    accepted: int = 0
-    proposed: int = 0
+    step: int = 0
+    _block: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_walkers(self) -> int:
         return self.positions.shape[0]
 
-    def rng_states(self) -> list:
-        return [g.bit_generator.state for g in self.rngs]
-
-    def set_rng_states(self, states: list):
-        if len(states) != len(self.rngs):
-            raise ValueError("state count does not match chain count")
-        for g, s in zip(self.rngs, states):
-            g.bit_generator.state = s
-
-
-def chain_rngs(children) -> list:
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+    def step_draws(self) -> tuple:
+        """Proposal noise (M, N, 3) and accept uniforms (M,) of this step,
+        from the cached block of steps that holds it."""
+        if self._block is None or not 0 <= self.step - self._block[0] < BLOCK_STEPS:
+            steps = np.arange(self.step, self.step + BLOCK_STEPS)
+            self._block = (self.step,) + chain_draws(self.key, self.chains, steps,
+                                                     self.positions.shape[1])
+        start, noise, uniforms = self._block
+        return noise[self.step - start], uniforms[self.step - start]
 
 
 def electron_homes(system: SystemSpec) -> np.ndarray:
@@ -63,48 +117,35 @@ def electron_homes(system: SystemSpec) -> np.ndarray:
     return system.nuclei_positions[homes[np.arange(n) % len(homes)]]  # (N, 3)
 
 
-def init_positions(system: SystemSpec, n_walkers: int, rngs: list) -> np.ndarray:
-    """Drop each electron near its home nucleus plus a unit Gaussian; each
-    chain draws from its own stream."""
-    centers = electron_homes(system)
-    n = system.n_electrons
-    return np.stack([centers + rngs[m].normal(size=(n, 3)) for m in range(n_walkers)])
-
-
 def init_ensemble(system: SystemSpec, signed_log_fn, n_walkers: int, seed: int,
-                  sigma: float = 1.0, children=None) -> WalkerEnsemble:
-    """Fresh walkers; retries any chain that lands exactly on a node."""
-    if children is None:
-        children = np.random.SeedSequence(seed).spawn(n_walkers)
-    if len(children) != n_walkers:
-        raise ValueError("need one seed stream per walker")
-    rngs = chain_rngs(children)
-    positions = init_positions(system, n_walkers, rngs)
-    sl = signed_log_fn(positions)
-    logmag = np.asarray(ad.detach(sl.logmag), dtype=np.float64)
-    sign = np.asarray(sl.sign)
-    for _ in range(100):
-        dead = (sign == 0) | ~np.isfinite(logmag)
-        if not np.any(dead):
-            break
-        centers = electron_homes(system)
-        for m in np.flatnonzero(dead):
-            positions[m] = centers + rngs[m].normal(size=(system.n_electrons, 3))
+                  sigma: float = 1.0, chains=None) -> WalkerEnsemble:
+    """Fresh walkers: each electron near its home nucleus plus a unit
+    Gaussian, redrawn (attempt 1, 2, ...) for any chain that lands exactly on
+    a node. `chains` are the walkers' global chain ids (default 0..M-1)."""
+    chains = np.arange(n_walkers) if chains is None else np.asarray(chains)
+    if chains.shape != (n_walkers,):
+        raise ValueError("need one chain id per walker")
+    key = stream_key(seed)
+    n, centers = system.n_electrons, electron_homes(system)
+    positions, redo = np.empty((n_walkers, n, 3)), np.arange(n_walkers)
+    for attempt in range(100):
+        positions[redo] = centers + chain_draws(key, chains[redo], [attempt], n, PLACEMENT)[0][0]
         sl = signed_log_fn(positions)
         logmag = np.asarray(ad.detach(sl.logmag), dtype=np.float64)
         sign = np.asarray(sl.sign)
+        redo = np.flatnonzero((sign == 0) | ~np.isfinite(logmag))
+        if not len(redo):
+            break
     else:
         raise RuntimeError("could not find nonzero wavefunction values to start from")
-    return WalkerEnsemble(positions=positions, logmag=logmag, sign=sign,
-                          rngs=rngs, sigma=float(sigma))
+    return WalkerEnsemble(positions=positions, logmag=logmag, sign=sign, key=key,
+                          chains=chains, sigma=float(sigma))
 
 
 def mh_step(ensemble: WalkerEnsemble, signed_log_fn) -> float:
     """One all-electron Metropolis step for every chain; returns the
     acceptance fraction of this step."""
-    m, n, _ = ensemble.positions.shape
-    noise = np.stack([ensemble.rngs[i].normal(size=(n, 3)) for i in range(m)])
-    uniforms = np.array([ensemble.rngs[i].uniform() for i in range(m)])
+    noise, uniforms = ensemble.step_draws()
     proposal = ensemble.positions + ensemble.sigma * noise
     sl = signed_log_fn(proposal)
     new_logmag = np.asarray(ad.detach(sl.logmag), dtype=np.float64)
@@ -116,8 +157,7 @@ def mh_step(ensemble: WalkerEnsemble, signed_log_fn) -> float:
     ensemble.positions[accept] = proposal[accept]
     ensemble.logmag[accept] = new_logmag[accept]
     ensemble.sign[accept] = new_sign[accept]
-    ensemble.accepted += int(np.sum(accept))
-    ensemble.proposed += m
+    ensemble.step += 1
     return float(np.mean(accept))
 
 
@@ -134,31 +174,3 @@ def run_sweeps(ensemble: WalkerEnsemble, signed_log_fn, steps: int,
             elif rates[t] > ADAPT_TARGET[1]:
                 ensemble.sigma *= ADAPT_FACTOR
     return float(np.mean(rates)) if steps else 0.0
-
-
-def toy_three_state_frequencies(weights, steps: int, seed: int = 0,
-                                chains: int = 256) -> np.ndarray:
-    """Empirical occupation of a 3-state chain driven by the same accept rule
-    as mh_step (log-domain ratio of squared amplitudes).
-
-    weights are |psi|^2 up to normalization. Proposals pick one of the other
-    two states uniformly, which is symmetric, so detailed balance holds for
-    the bare ratio; the long-run frequencies must match the normalized
-    weights.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (3,) or np.any(w <= 0):
-        raise ValueError("need three positive weights")
-    logmag = 0.5 * np.log(w)  # treat weights as psi^2
-    rng = np.random.default_rng(seed)
-    state = rng.integers(0, 3, size=chains)
-    counts = np.zeros(3, dtype=np.int64)
-    per_chain = steps // chains
-    for _ in range(per_chain):
-        move = rng.integers(1, 3, size=chains)
-        proposal = (state + move) % 3
-        log_ratio = 2.0 * (logmag[proposal] - logmag[state])
-        accept = np.log(rng.uniform(size=chains)) < log_ratio
-        state = np.where(accept, proposal, state)
-        counts += np.bincount(state, minlength=3)
-    return counts / counts.sum()

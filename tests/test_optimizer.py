@@ -246,6 +246,41 @@ def test_train_resume_is_bitwise(tmp_path):
         assert la == lb
 
 
+def test_resume_into_the_same_directory_keeps_one_record_per_iteration(tmp_path):
+    def records(path):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for line in lines:
+            line.pop("seconds")
+        return lines
+
+    train(small_wf(), smoke_settings(), out_dir=tmp_path / "full")
+    expected = records(tmp_path / "full" / "metrics.ndjson")
+    assert [r["iter"] for r in expected] == list(range(6))
+    metrics = tmp_path / "metrics.ndjson"
+    ckpt = tmp_path / "checkpoints" / "step-00000003.npz"
+    train(small_wf(), smoke_settings(), out_dir=tmp_path)
+    train(small_wf(), smoke_settings(), out_dir=tmp_path, resume_from=ckpt)
+    assert records(metrics) == expected
+    with metrics.open("a") as fh:  # a record cut short by a killed run
+        fh.write('{"iter": 6, "ene')
+    train(small_wf(), smoke_settings(), out_dir=tmp_path, resume_from=ckpt)
+    assert records(metrics) == expected
+    assert not (tmp_path / "metrics.ndjson.tmp").exists()
+
+
+def test_checkpoint_refuses_an_older_format(tmp_path):
+    settings = smoke_settings(iters=3)
+    train(small_wf(), settings, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoints" / "step-00000003.npz"
+    with np.load(ckpt) as z:
+        arrays = dict(z)
+    arrays["format"] = np.int64(1)
+    np.savez(ckpt, **arrays)
+    wf = small_wf()
+    with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+        Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
+
+
 def test_checkpoint_rejects_mismatched_configuration(tmp_path):
     train(small_wf(), smoke_settings(iters=3), out_dir=tmp_path)
     other = SortletWavefunction(hydrogen_system(), n_sortlets=2, hidden=8,
