@@ -1,11 +1,20 @@
-"""Numpy-flavoured ops that dispatch on argument type.
+"""Numpy-flavoured ops written once for three engines.
 
-Model code is written once against this namespace and runs in three modes:
-plain ndarrays, forward-mode Dual (derivatives w.r.t. electron positions:
-the gradient per seed lane and the Laplacian per value, see forward.py),
-and reverse-mode Var on a GradientTape (derivatives w.r.t. parameters).
-Mixing Dual and Var in one call is an error; the two passes are always run
-separately.
+Model code is written once against this namespace and runs in three
+engines: plain ndarrays (Metropolis sampling), forward-mode Dual
+(derivatives w.r.t. electron positions: the gradient per seed lane and the
+Laplacian per value, see forward.py; the local energy) and reverse-mode Var
+on a GradientTape (derivatives w.r.t. parameters; the energy gradient).
+Every op picks its engine with one check over the operands it is handed
+(`_dispatch`); mixing Dual and Var in one call is an error.
+
+Elementwise ops are the rows of one table, ELEMENTWISE, each
+`name: (f, f'(x, y), f''(x, y, f') or None)` at y = f(x). The plain engine
+calls f; Var records g f'; Dual applies tan = f' tan_x and
+lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
+f' exists (absolute), and then no lane sum is computed. Only ops whose
+arithmetic differs per engine live in forward.py and reverse.py: where,
+sum, take_along, reshape, moveaxis, concat, einsum and the operators.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul (see contract.py). The walker axis is always a matmul stack axis
@@ -18,9 +27,12 @@ Reductions run in the order of their input. Invariance under electron
 relabeling is not an op's job: the model evaluates every walker with its
 electrons in one canonical order (`ansatz.canonical_order`), so each sum
 over electrons, pairs or seed lanes sees the same sequence for every
-relabeling. symsum and symsum_abs (sums in value- and |value|-sorted
-order) are no longer called by the model; perfbench's tracer still
-patches them by name.
+relabeling.
+
+No model code calls symsum, symsum_abs, log1p, stack or maximum. They stay,
+each an engine-generic composite or table row, only because perfbench's
+tracer patches them by name; deleting them waits for a change that
+refreshes the benchmark's list of names.
 """
 
 from __future__ import annotations
@@ -34,111 +46,74 @@ from .reverse import GradientTape, Var
 
 __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
-    "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute",
+    "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "reshape", "moveaxis", "concat", "stack", "einsum",
-    "detach", "amax", "softplus",
+    "detach", "amax",
 ]
 
+# name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
+ELEMENTWISE = {
+    "exp": (np.exp, lambda x, y: y, lambda x, y, d: y),
+    "log": (np.log, lambda x, y: 1.0 / x, lambda x, y, d: -d * d),
+    "log1p": (np.log1p, lambda x, y: 1.0 / (1.0 + x), lambda x, y, d: -d * d),
+    "sqrt": (np.sqrt, lambda x, y: 0.5 / y, lambda x, y, d: -0.25 / (y * x)),
+    "tanh": (np.tanh, lambda x, y: 1.0 - y * y, lambda x, y, d: -2.0 * y * d),
+    "square": (np.square, lambda x, y: 2.0 * x, lambda x, y, d: 2.0),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: 0.5 * (1.0 + np.tanh(0.5 * x)),
+                 lambda x, y, d: d * (1.0 - d)),
+    "absolute": (np.abs, lambda x, y: np.sign(x), None),
+}
 
-def _np_symsum(x: np.ndarray, axis: int) -> np.ndarray:
-    return np.sum(np.sort(x, axis=axis), axis=axis)
 
+def _dispatch(name, plain, dual, var, operands=slice(0, 1)):
+    """op(*args) runs plain, dual or var by the engine of args[operands]: a
+    slice of the positional arguments, or the index of one that holds a
+    list of operands."""
+    impls = (plain, dual, var)
 
-def _mode(*xs) -> str:
-    has_dual = any(isinstance(x, Dual) for x in xs)
-    has_var = any(isinstance(x, Var) for x in xs)
-    if has_dual and has_var:
-        raise TypeError("cannot mix forward-mode Dual and reverse-mode Var")
-    return "dual" if has_dual else "var" if has_var else "np"
+    def op(*args, **kwargs):
+        engine = 0
+        for x in args[operands]:
+            if isinstance(x, Dual):
+                engine |= 1
+            elif isinstance(x, Var):
+                engine |= 2
+        if engine == 3:
+            raise TypeError("cannot mix forward-mode Dual and reverse-mode Var")
+        return impls[engine](*args, **kwargs)
 
-
-def _dispatch(name, np_impl):
-    fwd = getattr(forward, name)
-    rev = getattr(reverse, name)
-
-    def op(x, *args, **kwargs):
-        mode = _mode(x)
-        if mode == "dual":
-            return fwd(x, *args, **kwargs)
-        if mode == "var":
-            return rev(x, *args, **kwargs)
-        return np_impl(x, *args, **kwargs)
-
-    op.__name__ = name
+    op.__name__ = op.__qualname__ = name
     return op
 
 
-exp = _dispatch("exp", np.exp)
-log = _dispatch("log", np.log)
-log1p = _dispatch("log1p", np.log1p)
-sqrt = _dispatch("sqrt", np.sqrt)
-tanh = _dispatch("tanh", np.tanh)
-square = _dispatch("square", np.square)
-absolute = _dispatch("absolute", np.abs)
-sum = _dispatch("sum", lambda x, axis: np.sum(x, axis=axis))  # noqa: A001
-symsum = _dispatch("symsum", _np_symsum)
-symsum_abs = _dispatch(
-    "symsum_abs",
-    lambda x, axis: np.sum(np.take_along_axis(x, np.argsort(np.abs(x), axis=axis, kind="stable"),
-                                              axis=axis), axis=axis))
-take_along = _dispatch("take_along", lambda x, idx, axis: np.take_along_axis(x, idx, axis=axis))
-reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape))
-moveaxis = _dispatch("moveaxis", np.moveaxis)
+def _elementwise(name):
+    f, d1, d2 = ELEMENTWISE[name]
+    return _dispatch(name, f, forward.elementwise(f, d1, d2), reverse.elementwise(f, d1))
 
 
-def where(mask, a, b):
-    mode = _mode(a, b)
-    if mode == "dual":
-        return forward.where(mask, a, b)
-    if mode == "var":
-        return reverse.where(mask, a, b)
-    return np.where(mask, a, b)
+exp = _elementwise("exp")
+log = _elementwise("log")
+log1p = _elementwise("log1p")
+sqrt = _elementwise("sqrt")
+tanh = _elementwise("tanh")
+square = _elementwise("square")
+softplus = _elementwise("softplus")
+absolute = _elementwise("absolute")
 
-
-def maximum(a, b):
-    mode = _mode(a, b)
-    if mode == "dual":
-        return forward.maximum(a, b)
-    if mode == "var":
-        return reverse.maximum(a, b)
-    return np.maximum(a, b)
-
-
-def minimum(a, b):
-    mode = _mode(a, b)
-    if mode == "dual":
-        return forward.minimum(a, b)
-    if mode == "var":
-        return reverse.minimum(a, b)
-    return np.minimum(a, b)
-
-
-def concat(xs, axis):
-    mode = _mode(*xs)
-    if mode == "dual":
-        return forward.concat(xs, axis)
-    if mode == "var":
-        return reverse.concat(xs, axis)
-    return np.concatenate(xs, axis=axis)
-
-
-def stack(xs, axis):
-    mode = _mode(*xs)
-    if mode == "dual":
-        return forward.stack(xs, axis)
-    if mode == "var":
-        return reverse.stack(xs, axis)
-    return np.stack(xs, axis=axis)
-
-
-def einsum(spec, a, b):
-    mode = _mode(a, b)
-    if mode == "dual":
-        return forward.einsum(spec, a, b)
-    if mode == "var":
-        return reverse.einsum(spec, a, b)
-    return contract(*parse_spec(spec), np.asarray(a), np.asarray(b))
+where = _dispatch("where", np.where, forward.where, reverse.where, slice(1, 3))
+sum = _dispatch("sum", lambda x, axis: np.sum(x, axis=axis),  # noqa: A001
+                forward.sum, reverse.sum)
+take_along = _dispatch("take_along", lambda x, idx, axis: np.take_along_axis(x, idx, axis=axis),
+                       forward.take_along, reverse.take_along)
+reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
+                    forward.reshape, reverse.reshape)
+moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)
+concat = _dispatch("concat", lambda xs, axis: np.concatenate(xs, axis=axis),
+                   forward.concat, reverse.concat, 0)
+einsum = _dispatch(
+    "einsum", lambda spec, a, b: contract(*parse_spec(spec), np.asarray(a), np.asarray(b)),
+    forward.einsum, reverse.einsum, slice(1, 3))
 
 
 def detach(x) -> np.ndarray:
@@ -153,4 +128,32 @@ def amax(x, axis, keepdims=False) -> np.ndarray:
     return np.max(detach(x), axis=axis, keepdims=keepdims)
 
 
-softplus = _dispatch("softplus", lambda x: np.logaddexp(0.0, x))
+def _select(name, plain, keep_a):
+    # where(keep_a(a, b), a, b) on detached values in the AD engines
+    def pick(a, b):
+        return where(keep_a(detach(a), detach(b)), a, b)
+    return _dispatch(name, plain, pick, pick, slice(0, 2))
+
+
+maximum = _select("maximum", np.maximum, np.greater_equal)
+minimum = _select("minimum", np.minimum, np.less_equal)
+
+
+def symsum(x, axis):
+    """Sum along axis in value-sorted order, so permuting the slices along
+    axis leaves every bit of the result unchanged. Ties keep their order."""
+    return sum(take_along(x, np.argsort(detach(x), axis=axis, kind="stable"), axis), axis)
+
+
+def symsum_abs(x, axis):
+    """Sum along axis in |value|-sorted order, so negating every slice
+    negates the result bit for bit."""
+    order = np.argsort(np.abs(detach(x)), axis=axis, kind="stable")
+    return sum(take_along(x, order, axis), axis)
+
+
+def stack(xs, axis):
+    """np.stack in every engine: each operand gets a unit axis at `axis`,
+    then all are concatenated along it."""
+    axis = axis % (len(np.shape(xs[0])) + 1)
+    return concat([reshape(x, np.shape(x)[:axis] + (1,) + np.shape(x)[axis:]) for x in xs], axis)

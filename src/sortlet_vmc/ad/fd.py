@@ -16,18 +16,6 @@ def grad_central(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-def hessian_diag_central(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference diagonal second derivatives of scalar f at x."""
-    x = np.asarray(x, dtype=np.float64)
-    f0 = f(x)
-    d = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[i] = h
-        d.flat[i] = (f(x + e) - 2.0 * f0 + f(x - e)) / (h * h)
-    return d
-
-
 def derivative_one_sided(f, t0: float, h: float, side: int = +1) -> float:
     """Three-point one-sided derivative of f at t0 from the given side."""
     s = float(side)

@@ -12,10 +12,11 @@ so each op carries their sum instead of a lane per seed. The rules are
     unary f:  curv = f' curv_x + f'' sum_t tan_x^2
     product:  curv = curv_x y + 2 sum_t tan_x tan_y + x curv_y
 
-and quotients follow from the product rule. Every lane sum (`_lane_dot`)
-reduces a C-contiguous trailing lane axis, so its order is fixed by the
-lane count alone and each entry's bits do not depend on the batch size,
-the entry's position in it or the caller's memory layout.
+and quotients follow from the product rule; `elementwise` applies the
+unary rule to each row of the op table in ad/__init__.py. Every lane sum
+(`_lane_dot`) reduces a C-contiguous trailing lane axis, so its order is
+fixed by the lane count alone and each entry's bits do not depend on the
+batch size, the entry's position in it or the caller's memory layout.
 
 Constants stay plain ndarrays; binary ops lift them with zero derivatives.
 """
@@ -30,11 +31,6 @@ from .contract import contract, parse_spec
 def _grow(a: np.ndarray, shape: tuple) -> np.ndarray:
     # broadcast a block to a (possibly grown) target shape
     return a if a.shape == shape else np.broadcast_to(a, shape)
-
-
-def _bt(t: np.ndarray, shape: tuple) -> np.ndarray:
-    # broadcast a tangent block to match a (possibly grown) value shape
-    return _grow(t, shape + t.shape[-1:])
 
 
 def _lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -74,7 +70,7 @@ class Dual:
         if isinstance(other, Dual):
             return Dual(self.val + other.val, self.tan + other.tan, self.curv + other.curv)
         v = self.val + other
-        return Dual(v, _bt(self.tan, v.shape), _grow(self.curv, v.shape))
+        return Dual(v, _grow(self.tan, v.shape + (self.n_seeds,)), _grow(self.curv, v.shape))
 
     __radd__ = __add__
 
@@ -136,78 +132,29 @@ def seed_positions(r: np.ndarray) -> Dual:
     return Dual(r, tan, np.zeros(r.shape))
 
 
-def _unary(x: Dual, v, d1, d2) -> Dual:
-    return Dual(v, d1[..., None] * x.tan, d1 * x.curv + d2 * _lane_dot(x.tan, x.tan))
-
-
-def exp(x: Dual) -> Dual:
-    e = np.exp(x.val)
-    return _unary(x, e, e, e)
-
-
-def log(x: Dual) -> Dual:
-    inv = 1.0 / x.val
-    return _unary(x, np.log(x.val), inv, -inv * inv)
-
-
-def log1p(x: Dual) -> Dual:
-    inv = 1.0 / (1.0 + x.val)
-    return _unary(x, np.log1p(x.val), inv, -inv * inv)
-
-
-def sqrt(x: Dual) -> Dual:
-    s = np.sqrt(x.val)
-    d1 = 0.5 / s
-    return _unary(x, s, d1, -0.25 / (s * x.val))
-
-
-def tanh(x: Dual) -> Dual:
-    th = np.tanh(x.val)
-    sech2 = 1.0 - th * th
-    return _unary(x, th, sech2, -2.0 * th * sech2)
-
-
-def square(x: Dual) -> Dual:
-    return _unary(x, x.val * x.val, 2.0 * x.val, np.full_like(x.val, 2.0))
-
-
-def softplus(x: Dual) -> Dual:
-    sig = 0.5 * (1.0 + np.tanh(0.5 * x.val))
-    return _unary(x, np.logaddexp(0.0, x.val), sig, sig * (1.0 - sig))
-
-
-def absolute(x: Dual) -> Dual:
-    s = np.sign(x.val)
-    return Dual(np.abs(x.val), s[..., None] * x.tan, s * x.curv)
+def elementwise(f, d1, d2):
+    """The Dual op of an elementwise f with f' = d1(x, y) and f'' =
+    d2(x, y, f') at y = f(x); d2 None computes no lane sum."""
+    def op(x: Dual) -> Dual:
+        y = f(x.val)
+        d = d1(x.val, y)
+        curv = d * x.curv
+        if d2 is not None:
+            curv = curv + d2(x.val, y, d) * _lane_dot(x.tan, x.tan)
+        return Dual(y, d[..., None] * x.tan, curv)
+    return op
 
 
 def where(mask, a, b) -> Dual:
     """Select a where mask else b; derivatives of the dropped branch are
-    fully severed, so masked-out NaN/inf derivatives cannot leak through."""
+    fully severed, so masked-out NaN/inf derivatives cannot leak through.
+    A constant branch selects against a scalar zero."""
     mask = np.asarray(mask, dtype=bool)
-    av, at, ac = (a.val, a.tan, a.curv) if isinstance(a, Dual) else (np.asarray(a, dtype=np.float64), None, None)
-    bv, bt, bc = (b.val, b.tan, b.curv) if isinstance(b, Dual) else (np.asarray(b, dtype=np.float64), None, None)
+    av, at, ac = (a.val, a.tan, a.curv) if isinstance(a, Dual) else (np.asarray(a, dtype=np.float64), 0.0, 0.0)
+    bv, bt, bc = (b.val, b.tan, b.curv) if isinstance(b, Dual) else (np.asarray(b, dtype=np.float64), 0.0, 0.0)
     v = np.where(mask, av, bv)
-    t = at.shape[-1] if at is not None else bt.shape[-1]
-    zero = np.zeros(v.shape + (t,))
-    at = zero if at is None else _bt(at, v.shape)
-    bt = zero if bt is None else _bt(bt, v.shape)
-    m = mask[..., None] if mask.shape == v.shape else np.broadcast_to(mask, v.shape)[..., None]
-    ac = np.zeros(v.shape) if ac is None else ac
-    bc = np.zeros(v.shape) if bc is None else bc
-    return Dual(v, np.where(m, at, bt), np.where(mask, ac, bc))
-
-
-def maximum(x, y) -> Dual:
-    xv = x.val if isinstance(x, Dual) else np.asarray(x, dtype=np.float64)
-    yv = y.val if isinstance(y, Dual) else np.asarray(y, dtype=np.float64)
-    return where(xv >= yv, x, y)
-
-
-def minimum(x, y) -> Dual:
-    xv = x.val if isinstance(x, Dual) else np.asarray(x, dtype=np.float64)
-    yv = y.val if isinstance(y, Dual) else np.asarray(y, dtype=np.float64)
-    return where(xv <= yv, x, y)
+    mask = np.broadcast_to(mask, v.shape)
+    return Dual(v, np.where(mask[..., None], at, bt), np.where(mask, ac, bc))
 
 
 def _norm_axis(axis, ndim):
@@ -220,30 +167,6 @@ def sum(x: Dual, axis) -> Dual:  # noqa: A001 - mirrors the numpy name
     axis = _norm_axis(axis, x.val.ndim)
     return Dual(np.sum(x.val, axis=axis), np.sum(x.tan, axis=axis),
                 np.sum(x.curv, axis=axis))
-
-
-def symsum(x: Dual, axis: int) -> Dual:
-    """Sum along axis in value-sorted order.
-
-    Any permutation of the slices along axis feeds the accumulator the same
-    sequence, so the result (value and derivatives) is bit-for-bit identical
-    across permutations. Ties fall back to original order.
-    """
-    axis = axis % x.val.ndim
-    order = np.argsort(x.val, axis=axis, kind="stable")
-    return Dual(np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.tan, order[..., None], axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.curv, order, axis=axis), axis=axis))
-
-
-def symsum_abs(x: Dual, axis: int) -> Dual:
-    """Sum along axis in |value|-sorted order. Negating every slice negates
-    the result bit-for-bit, since the accumulation order is unchanged."""
-    axis = axis % x.val.ndim
-    order = np.argsort(np.abs(x.val), axis=axis, kind="stable")
-    return Dual(np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.tan, order[..., None], axis=axis), axis=axis),
-                np.sum(np.take_along_axis(x.curv, order, axis=axis), axis=axis))
 
 
 def take_along(x: Dual, idx: np.ndarray, axis: int) -> Dual:
@@ -266,12 +189,10 @@ def moveaxis(x: Dual, src: int, dst: int) -> Dual:
                 np.moveaxis(x.curv, src, dst))
 
 
-def _lift(x, t, shape=None) -> Dual:
+def _lift(x, t) -> Dual:
     if isinstance(x, Dual):
         return x
     v = np.asarray(x, dtype=np.float64)
-    if shape is not None:
-        v = np.broadcast_to(v, shape)
     return Dual(v, np.zeros(v.shape + (t,)), np.zeros(v.shape))
 
 
@@ -289,16 +210,6 @@ def concat(xs, axis: int) -> Dual:
     return Dual(np.concatenate([x.val for x in xs], axis=axis),
                 np.concatenate([x.tan for x in xs], axis=axis),
                 np.concatenate([x.curv for x in xs], axis=axis))
-
-
-def stack(xs, axis: int) -> Dual:
-    t = _seed_count(xs)
-    shape = np.broadcast_shapes(*[np.shape(x.val if isinstance(x, Dual) else x) for x in xs])
-    xs = [_lift(x, t, shape) for x in xs]
-    axis = axis % (xs[0].val.ndim + 1)
-    return Dual(np.stack([x.val for x in xs], axis=axis),
-                np.stack([_bt(x.tan, shape) for x in xs], axis=axis),
-                np.stack([x.curv for x in xs], axis=axis))
 
 
 def einsum(spec: str, a, b) -> Dual:

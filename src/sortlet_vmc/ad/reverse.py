@@ -146,44 +146,13 @@ class Var:
         return self.tape._record(self.val[idx], [(self, vjp)])
 
 
-def _unary(x: Var, val: np.ndarray, d1: np.ndarray) -> Var:
-    return x.tape._record(val, [(x, lambda g: g * d1)])
-
-
-def exp(x: Var) -> Var:
-    e = np.exp(x.val)
-    return _unary(x, e, e)
-
-
-def log(x: Var) -> Var:
-    return _unary(x, np.log(x.val), 1.0 / x.val)
-
-
-def log1p(x: Var) -> Var:
-    return _unary(x, np.log1p(x.val), 1.0 / (1.0 + x.val))
-
-
-def sqrt(x: Var) -> Var:
-    s = np.sqrt(x.val)
-    return _unary(x, s, 0.5 / s)
-
-
-def tanh(x: Var) -> Var:
-    th = np.tanh(x.val)
-    return _unary(x, th, 1.0 - th * th)
-
-
-def square(x: Var) -> Var:
-    return _unary(x, x.val * x.val, 2.0 * x.val)
-
-
-def softplus(x: Var) -> Var:
-    return _unary(x, np.logaddexp(0.0, x.val), 0.5 * (1.0 + np.tanh(0.5 * x.val)))
-
-
-def absolute(x: Var) -> Var:
-    s = np.sign(x.val)
-    return _unary(x, np.abs(x.val), s)
+def elementwise(f, d1):
+    """The Var op of an elementwise f with f' = d1(x, y) at y = f(x)."""
+    def op(x: Var) -> Var:
+        y = f(x.val)
+        d = d1(x.val, y)
+        return x.tape._record(y, [(x, lambda g: g * d)])
+    return op
 
 
 def where(mask, a, b) -> Var:
@@ -200,52 +169,10 @@ def where(mask, a, b) -> Var:
     return tape._record(val, parents)
 
 
-def maximum(x, y) -> Var:
-    xv = x.val if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-    yv = y.val if isinstance(y, Var) else np.asarray(y, dtype=np.float64)
-    return where(xv >= yv, x, y)
-
-
-def minimum(x, y) -> Var:
-    xv = x.val if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-    yv = y.val if isinstance(y, Var) else np.asarray(y, dtype=np.float64)
-    return where(xv <= yv, x, y)
-
-
-def _norm_axis(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _sum_vjp(shape, axes):
-    def vjp(g):
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-        return np.broadcast_to(g, shape)
-    return vjp
-
-
 def sum(x: Var, axis) -> Var:  # noqa: A001 - mirrors the numpy name
-    axes = _norm_axis(axis, x.val.ndim)
-    return x.tape._record(np.sum(x.val, axis=axes), [(x, _sum_vjp(x.val.shape, axes))])
-
-
-def symsum(x: Var, axis: int) -> Var:
-    """Sum along axis in value-sorted order; the adjoint is the same as a
-    plain sum because the total is order-independent in exact arithmetic."""
-    axis = axis % x.val.ndim
-    order = np.argsort(x.val, axis=axis, kind="stable")
-    val = np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis)
-    return x.tape._record(val, [(x, _sum_vjp(x.val.shape, (axis,)))])
-
-
-def symsum_abs(x: Var, axis: int) -> Var:
-    """Sum along axis in |value|-sorted order; adjoint as for a plain sum."""
-    axis = axis % x.val.ndim
-    order = np.argsort(np.abs(x.val), axis=axis, kind="stable")
-    val = np.sum(np.take_along_axis(x.val, order, axis=axis), axis=axis)
-    return x.tape._record(val, [(x, _sum_vjp(x.val.shape, (axis,)))])
+    shape = x.val.shape
+    return x.tape._record(np.sum(x.val, axis=axis),
+                          [(x, lambda g: np.broadcast_to(np.expand_dims(g, axis), shape))])
 
 
 def take_along(x: Var, idx: np.ndarray, axis: int) -> Var:
@@ -289,21 +216,6 @@ def concat(xs, axis: int) -> Var:
             sl = tuple(slice(None) for _ in range(axis)) + (slice(lo, hi),)
             parents.append((x, lambda g, sl=sl: g[sl]))
     return tape._record(np.concatenate(vals, axis=axis), parents)
-
-
-def stack(xs, axis: int) -> Var:
-    tape = next(x.tape for x in xs if isinstance(x, Var))
-    shape = np.broadcast_shapes(*[np.shape(x.val if isinstance(x, Var) else x) for x in xs])
-    vals = [np.broadcast_to(x.val if isinstance(x, Var) else np.asarray(x, dtype=np.float64), shape)
-            for x in xs]
-    out = np.stack(vals, axis=axis)
-    axis = axis % out.ndim
-    parents = []
-    for i, x in enumerate(xs):
-        if isinstance(x, Var):
-            sl = tuple(slice(None) for _ in range(axis)) + (i,)
-            parents.append((x, lambda g, sl=sl: g[sl]))
-    return tape._record(out, parents)
 
 
 def einsum(spec: str, a, b) -> Var:

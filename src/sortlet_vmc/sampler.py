@@ -95,6 +95,11 @@ class WalkerEnsemble:
     step: int = 0
     _block: tuple = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # a short id array would broadcast one chain's draws over many walkers
+        if np.shape(self.chains) != (self.n_walkers,):
+            raise ValueError("need one chain id per walker")
+
     @property
     def n_walkers(self) -> int:
         return self.positions.shape[0]

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import complexity_benchmark
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction, score_parity
 from sortlet_vmc.geometry import SystemSpec
@@ -234,7 +235,7 @@ def test_criterion_09_c1_smoothness():
 
 def test_criterion_10_complexity():
     """Runtime slope of the sortlet is sort-like; the comparator is quadratic."""
-    r = probes.complexity_benchmark(seed=100)
+    r = complexity_benchmark(seed=100)
     ok = r["sortlet_slope"] <= 1.2 and r["vandermonde_slope"] >= 1.8
     _verdict("criterion 10 (complexity)",
              ok,

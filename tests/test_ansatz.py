@@ -15,11 +15,42 @@ from sortlet_vmc.ansatz import (
     mix_signed_logs,
     pair_log_factor,
     score_parity,
-    sort_with_parity,
     sortlet_logs,
     vandermonde_logs,
 )
 from sortlet_vmc.geometry import SystemSpec
+
+
+def sort_with_parity(values):
+    """Merge-sort a 1-D sequence, returning (sorted array, permutation parity).
+
+    Parity is (-1)**inversions, counted exactly during the merges; the cost
+    is O(N log N) comparisons. Ties contribute no inversions.
+    """
+    a = [float(v) for v in values]
+    n = len(a)
+    buf = a[:]
+    inversions = 0
+    width = 1
+    while width < n:
+        src, dst = a, buf
+        for lo in range(0, n, 2 * width):
+            mid = min(lo + width, n)
+            hi = min(lo + 2 * width, n)
+            i, j, k = lo, mid, lo
+            while i < mid and j < hi:
+                if src[j] < src[i]:
+                    dst[k] = src[j]
+                    inversions += mid - i
+                    j += 1
+                else:
+                    dst[k] = src[i]
+                    i += 1
+                k += 1
+            dst[k:hi] = src[i:mid] if i < mid else src[j:hi]
+        a, buf = buf, a
+        width *= 2
+    return np.array(a), (-1 if inversions % 2 else 1)
 
 
 def brute_parity(v):

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from sortlet_vmc import ad
 from sortlet_vmc.ad import Dual, GradientTape
-from sortlet_vmc.ad.fd import grad_central, hessian_diag_central
+from oracles import hessian_diag_central
+from sortlet_vmc.ad.fd import grad_central
 
 W = np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])
 
@@ -408,3 +409,62 @@ def test_long_dot_product_bits_do_not_depend_on_blas_threads():
                              capture_output=True, text=True, timeout=60)
         bits.append(run.stdout)
     assert bits[0] == bits[1]
+
+
+# points inside each row's domain, away from the kink of absolute
+TABLE_POINTS = np.array([-1.3, -0.45, 0.35, 0.8, 1.6])
+POSITIVE_ONLY = {"log", "log1p", "sqrt"}
+
+
+@pytest.mark.parametrize("name", sorted(ad.ELEMENTWISE))
+def test_elementwise_table_rows_agree_across_engines(name):
+    """Every table row: the three engines give the same value bits, and
+    the derivatives the table generates match central differences."""
+    op = getattr(ad, name)
+    x = np.abs(TABLE_POINTS) if name in POSITIVE_ONLY else TABLE_POINTS
+    rng = np.random.default_rng(17)
+    tan, lap, seed = rng.normal(size=(5, 3)), rng.normal(size=5), rng.normal(size=5)
+
+    plain = op(x)
+    d = op(Dual(x, tan, lap))
+    tape = GradientTape()
+    p = tape.leaf(x)
+    v = op(p)
+    assert np.array_equal(d.val, plain) and np.array_equal(v.val, plain)
+
+    h1, h2 = 1e-6, 1e-4
+    d1 = (op(x + h1) - op(x - h1)) / (2.0 * h1)
+    d2 = (op(x + h2) - 2.0 * plain + op(x - h2)) / (h2 * h2)
+    np.testing.assert_allclose(d.tan, d1[:, None] * tan, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(d.curv, d1 * lap + d2 * np.sum(tan * tan, axis=1),
+                               rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(tape.gradient(v, p, seed=seed), d1 * seed, rtol=1e-7, atol=1e-9)
+
+
+def test_where_and_minimum_with_a_broadcasting_mask():
+    rng = np.random.default_rng(19)
+    b, n, t = 3, 4, 2
+    mask = np.array([True, False, True, False])  # (N,) against (B, N) values
+    full, row = rng.normal(size=(b, n)), rng.normal(size=n)
+    tan = rng.normal(size=(n, t))
+
+    def engines(v, vt):
+        tape = GradientTape()
+        return v, Dual(v, vt, np.ones(v.shape)), tape.leaf(v)
+
+    for x in engines(full, rng.normal(size=(b, n, t))):
+        assert np.array_equal(ad.detach(ad.where(mask, x, 0.0)), np.where(mask, full, 0.0))
+    for x in engines(row, tan):
+        assert np.array_equal(ad.detach(ad.where(mask, x, full)), np.where(mask, row, full))
+        assert np.array_equal(ad.detach(ad.minimum(x, full)), np.minimum(row, full))
+
+    d = ad.where(mask, Dual(row, tan, np.ones(n)), full)
+    assert d.tan.shape == (b, n, t) and d.curv.shape == (b, n)
+    np.testing.assert_array_equal(d.tan, np.where(mask[:, None], tan, 0.0)[None].repeat(b, 0))
+    np.testing.assert_array_equal(d.curv, np.where(mask, 1.0, 0.0)[None].repeat(b, 0))
+
+    m = ad.minimum(Dual(row, tan, np.ones(n)), full)
+    keep = row <= full
+    assert m.tan.shape == (b, n, t) and m.curv.shape == (b, n)
+    np.testing.assert_array_equal(m.tan, np.where(keep[..., None], tan, 0.0))
+    np.testing.assert_array_equal(m.curv, np.where(keep, 1.0, 0.0))

