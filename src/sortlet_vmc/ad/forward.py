@@ -123,8 +123,9 @@ def seed_positions(r: np.ndarray) -> Dual:
 
     Returns a Dual whose 3N seed lanes are the coordinate directions, so a
     scalar function of it yields grad in .tan and the Laplacian in .curv.
+    The value is C-contiguous whatever the layout of r.
     """
-    r = np.asarray(r, dtype=np.float64)
+    r = np.ascontiguousarray(r, dtype=np.float64)
     n, d = r.shape[-2], r.shape[-1]
     t = n * d
     eye = np.eye(t).reshape(n, d, t)

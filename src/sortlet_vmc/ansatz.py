@@ -244,13 +244,16 @@ class SortletWavefunction:
         Walkers are evaluated in canonical electron order, gathered into a
         C-contiguous copy, so the bits do not depend on a same-spin
         relabelling or on memory layout; the order's parity restores the
-        sign of the caller's labelling.
+        sign of the caller's labelling. Dual positions already in that order
+        (local_energy seeds them so) skip the gather of their 3N lanes;
+        seed_positions makes them C-contiguous.
         """
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
         order, parity = canonical_order(self.system.spins, positions)
-        positions = ad.take_along(positions, order[..., None], axis=1)
+        if not (isinstance(positions, ad.Dual) and np.all(order == np.arange(shape[1]))):
+            positions = ad.take_along(positions, order[..., None], axis=1)
         params = self.store.unpack(theta)
         s = backbone.scores(self.system, params, positions, self.hidden, self.layers)
         core = sortlet_logs(s)

@@ -12,6 +12,14 @@ are put in canonical order (`ansatz.canonical_order`) before the
 potentials are summed and the dual lanes are seeded, so every sum over
 electrons, pairs and lanes runs in the same order for any same-spin
 relabeling, and E_loc is exactly invariant under it.
+
+The dual pass runs over chunks of B walkers. Its largest arrays are the
+(B, N, width, 3N) tangents of the backbone, whose bytes grow as B N^2, so
+`walker_chunk` keeps B N^2 at most LANE_BUDGET and B at most CHUNK_MAX:
+128 walkers for Li, Be and LiH, 81 for B, 32 for H8 and 8 for H16. That
+bounds the peak memory of a pass, which the process keeps once the heap
+holds on to freed blocks (see sortlet_vmc/__init__.py). A walker's bits do
+not depend on the chunk it is evaluated in.
 """
 
 from __future__ import annotations
@@ -84,12 +92,23 @@ def harmonic_potential(positions: np.ndarray) -> np.ndarray:
     return np.sum(per_electron, axis=-1)
 
 
+CHUNK_MAX = 128
+LANE_BUDGET = 2048
+
+
+def walker_chunk(n_electrons: int) -> int:
+    """Walkers per dual pass: min(CHUNK_MAX, LANE_BUDGET // N^2), at least 1."""
+    return max(1, min(CHUNK_MAX, LANE_BUDGET // n_electrons ** 2))
+
+
 def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
-                 potential: str = "coulomb", chunk: int | None = 128) -> LocalEnergyBreakdown:
+                 potential: str = "coulomb",
+                 chunk: int | str | None = "auto") -> LocalEnergyBreakdown:
     """Per-walker local energy for any SignedLog-producing callable.
 
-    signed_log_fn maps a positions batch (plain or dual) to a SignedLog;
-    chunking bounds the memory of the 3N-lane dual pass.
+    signed_log_fn maps a positions batch (plain or dual) to a SignedLog.
+    The 3N-lane dual pass runs over chunks of `walker_chunk(N)` walkers;
+    an integer chunk overrides that and None takes the whole batch at once.
     """
     positions = np.asarray(positions, dtype=np.float64)
     order, _ = canonical_order(system.spins, positions)
@@ -105,6 +124,8 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
         raise ValueError(f"unknown potential {potential!r}")
 
     kinetic = np.empty(b)
+    if chunk == "auto":
+        chunk = walker_chunk(system.n_electrons)
     step = b if chunk is None else max(1, chunk)
     # walkers exactly on a node or a coincidence produce non-finite lanes by
     # construction; they are flagged NaN below rather than warned about

@@ -165,7 +165,6 @@ class TrainSettings:
     checkpoint_every: int = 200
     seed: int = 0
     sigma: float = 1.0
-    chunk: int = 128
     potential: str = "coulomb"
 
 
@@ -324,7 +323,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         t0 = time.perf_counter()
         rate = run_sweeps(ensemble, fn, settings.steps_per_iter, adapt=False)
         breakdown = local_energy(fn, system, ensemble.positions,
-                                 potential=settings.potential, chunk=settings.chunk)
+                                 potential=settings.potential)
         eloc = breakdown.total
         stats = estimate_energy(eloc)
         if not np.isfinite(stats.mean) or stats.n_valid < max(1, eloc.size // 2):
@@ -371,8 +370,7 @@ class EnergyReport:
 
 def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int = 500,
                     n_estimates: int = 200, steps_between: int = 10, seed: int = 1,
-                    potential: str = "coulomb", sigma: float = 1.0,
-                    chunk: int = 128) -> EnergyReport:
+                    potential: str = "coulomb", sigma: float = 1.0) -> EnergyReport:
     """Fixed-parameter energy with an uncertainty from per-chain means.
 
     Chains are independent, so the spread of their time-averaged energies
@@ -386,8 +384,7 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     per_chain_n = np.zeros(n_walkers)
     for _ in range(n_estimates):
         run_sweeps(ensemble, fn, steps_between, adapt=False)
-        eloc = local_energy(fn, system, ensemble.positions,
-                            potential=potential, chunk=chunk).total
+        eloc = local_energy(fn, system, ensemble.positions, potential=potential).total
         good = np.isfinite(eloc)
         per_chain[good] += eloc[good]
         per_chain_n[good] += 1

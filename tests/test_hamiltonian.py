@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sortlet_vmc
 from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
@@ -16,6 +17,7 @@ from sortlet_vmc.hamiltonian import (
     harmonic_potential,
     local_energy,
     nuclear_repulsion,
+    walker_chunk,
 )
 
 H = load_system("""
@@ -31,6 +33,9 @@ system:
     - element: Li
       xyz: [0.0, 0.0, 0.0]
 """)
+
+H8 = load_system("system:\n  nuclei:\n" + "".join(
+    f"    - element: H\n      xyz: [{1.8 * i}, 0.0, 0.0]\n" for i in range(8)))
 
 
 def test_nuclear_repulsion_hand_values():
@@ -137,24 +142,76 @@ def test_local_energy_chunking_is_bitwise():
         np.testing.assert_array_equal(w.log_density(w.theta0, p), alone)
 
 
+def test_derived_chunk_splits_an_h8_batch_bitwise():
+    assert [walker_chunk(n) for n in (1, 3, 4, 5, 8, 16, 64)] == [128, 128, 128, 81, 32, 8, 1]
+    wf = SortletWavefunction(H8, n_sortlets=2, hidden=8, layers=1, seed=4)
+    batches = []
+
+    def fn(p):
+        batches.append(ad.detach(p).shape[0])
+        return wf.signed_log(wf.theta0, p)
+
+    pos = H8.nuclei_positions + np.random.default_rng(8).normal(size=(40, 8, 3))
+    derived = local_energy(fn, H8, pos).total
+    assert batches == [32, 8]
+    assert np.all(np.isfinite(derived))
+    for chunk in (None, 1):
+        np.testing.assert_array_equal(local_energy(fn, H8, pos, chunk=chunk).total, derived)
+
+
+def test_repeated_local_energy_passes_reuse_their_memory():
+    """Steady-state 128-walker H8 passes take under 200 minor page faults.
+
+    The package fixes glibc's mmap and trim thresholds at import, so the
+    dual pass's freed temporaries stay in the heap for the next pass; with
+    glibc's dynamic thresholds each pass faulted in about 8 000 pages.
+    Counted in a fresh interpreter, whose first passes set up the heap.
+    """
+    if not sortlet_vmc.HEAP_KEPT:
+        pytest.skip("glibc mallopt is not available, so the heap thresholds are not set")
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import sortlet_vmc\n"
+        "from sortlet_vmc.ansatz import SortletWavefunction\n"
+        "from sortlet_vmc.geometry import SystemSpec\n"
+        "from sortlet_vmc.hamiltonian import local_energy\n"
+        "nuclei = np.outer(np.arange(8), [1.8, 0.0, 0.0])\n"
+        "h8 = SystemSpec(nuclei, np.ones(8, dtype=np.int64), 4, 4)\n"
+        "wf = SortletWavefunction(h8, seed=0)\n"
+        "pos = nuclei + np.random.default_rng(0).normal(size=(128, 8, 3))\n"
+        "faults = []\n"
+        "for _ in range(4):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    local_energy(lambda p: wf.signed_log(wf.theta0, p), h8, pos)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(*faults)\n"
+    )
+    src = str(Path(ad.__file__).resolve().parents[2])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    faults = [int(f) for f in run.stdout.split()]
+    assert len(faults) == 4 and max(faults[2:]) < 200, faults
+
+
 def test_results_do_not_depend_on_positions_layout():
     # H8: eight nuclei give the electron-nucleus sum enough terms for numpy's
     # stride-dependent summation order to show
-    h8 = load_system("system:\n  nuclei:\n" + "".join(
-        f"    - element: H\n      xyz: [{1.8 * i}, 0.0, 0.0]\n" for i in range(8)))
-    wf = SortletWavefunction(h8, n_sortlets=2, hidden=8, layers=1, seed=2)
+    wf = SortletWavefunction(H8, n_sortlets=2, hidden=8, layers=1, seed=2)
     fn = lambda p: wf.signed_log(wf.theta0, p)
     pos = 2.0 * np.random.default_rng(6).normal(size=(6, 8, 3))
     perm = [1, 0, 2, 3, 4, 5, 6, 7]
     for odd in (np.asfortranarray(pos), pos[:, perm]):
         assert not odd.flags.c_contiguous
         ref = np.ascontiguousarray(odd)
-        np.testing.assert_array_equal(local_energy(fn, h8, odd).total,
-                                      local_energy(fn, h8, ref).total)
+        np.testing.assert_array_equal(local_energy(fn, H8, odd).total,
+                                      local_energy(fn, H8, ref).total)
         np.testing.assert_array_equal(wf.log_density(wf.theta0, odd),
                                       wf.log_density(wf.theta0, ref))
-        np.testing.assert_array_equal(electron_potentials(h8, odd)[1],
-                                      electron_potentials(h8, ref)[1])
+        np.testing.assert_array_equal(electron_potentials(H8, odd)[1],
+                                      electron_potentials(H8, ref)[1])
 
 
 def test_local_energy_bits_do_not_depend_on_blas_threads():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -210,6 +212,13 @@ def smoke_settings(**kw):
                 lr=5e-3, seed=0, checkpoint_every=3)
     base.update(kw)
     return TrainSettings(**base)
+
+
+def test_local_energy_chunk_is_not_a_setting():
+    # the walker chunk is derived from the system (hamiltonian.walker_chunk);
+    # results do not depend on it, so no run setting carries it
+    assert "chunk" not in {f.name for f in dataclasses.fields(TrainSettings)}
+    assert "chunk" not in inspect.signature(evaluate_energy).parameters
 
 
 def test_train_smoke_writes_metrics(tmp_path):
