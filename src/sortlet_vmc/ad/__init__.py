@@ -14,7 +14,15 @@ calls f; Var records g f'; Dual applies tan = f' tan_x and
 lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
 f' exists (absolute), and then no lane sum is computed. Only ops whose
 arithmetic differs per engine live in forward.py and reverse.py: where,
-sum, take_along, reshape, moveaxis, concat, einsum and the operators.
+sum, take_along, reshape, moveaxis, concat, einsum, softmax, norm and the
+operators.
+
+softmax and norm reduce over the last axis and are single fused ops, not
+compositions of the elementwise rows: one plain function computes the
+value for all three engines (so plain, Dual.val and Var.val agree bit for
+bit), and the Dual and Var ops add only their derivative rules. The Dual
+rules are written out in forward.py; each of their sums over the reduced
+axis or over the seed lanes runs in an order fixed by per-walker sizes.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul (see contract.py). The walker axis is always a matmul stack axis
@@ -29,10 +37,11 @@ electrons in one canonical order (`ansatz.canonical_order`), so each sum
 over electrons, pairs or seed lanes sees the same sequence for every
 relabeling.
 
-No model code calls symsum, symsum_abs, log1p, stack or maximum. They stay,
-each an engine-generic composite or table row, only because perfbench's
-tracer patches them by name; deleting them waits for a change that
-refreshes the benchmark's list of names.
+No model code calls symsum, symsum_abs, log1p, sqrt, stack or maximum.
+They stay, each an engine-generic composite or table row, only because
+perfbench's tracer patches them by name; deleting them waits for a change
+that refreshes the benchmark's list of names. The tracer does not patch
+softmax or norm, so their time counts in the calling span's self time.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
-    "reshape", "moveaxis", "concat", "stack", "einsum",
+    "reshape", "moveaxis", "concat", "stack", "einsum", "softmax", "norm",
     "detach", "amax",
 ]
 
@@ -114,6 +123,26 @@ concat = _dispatch("concat", lambda xs, axis: np.concatenate(xs, axis=axis),
 einsum = _dispatch(
     "einsum", lambda spec, a, b: contract(*parse_spec(spec), np.asarray(a), np.asarray(b)),
     forward.einsum, reverse.einsum, slice(1, 3))
+
+
+def _softmax(x) -> np.ndarray:
+    """exp(x - max) / sum over the last axis, C-contiguous whatever x's layout."""
+    e = np.exp(np.ascontiguousarray(x, dtype=np.float64) - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _norm(x, eps=0.0) -> np.ndarray:
+    """sqrt(sum_c x_c^2 + eps^2) over the last axis, summed in an order fixed by its length."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return np.sqrt(np.einsum("...c,...c->...", x, x) + eps * eps)
+
+
+softmax = _dispatch("softmax", _softmax, lambda x: forward.softmax(x, _softmax(x.val)),
+                    lambda x: reverse.softmax(x, _softmax(x.val)))
+softmax.__doc__ = "Softmax over the last axis, one op in every engine."
+norm = _dispatch("norm", _norm, lambda x, eps=0.0: forward.norm(x, _norm(x.val, eps)),
+                 lambda x, eps=0.0: reverse.norm(x, _norm(x.val, eps)))
+norm.__doc__ = "sqrt(sum_c x_c^2 + eps^2) over the last axis, one op in every engine."
 
 
 def detach(x) -> np.ndarray:

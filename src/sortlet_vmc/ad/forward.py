@@ -13,10 +13,14 @@ so each op carries their sum instead of a lane per seed. The rules are
     product:  curv = curv_x y + 2 sum_t tan_x tan_y + x curv_y
 
 and quotients follow from the product rule; `elementwise` applies the
-unary rule to each row of the op table in ad/__init__.py. Every lane sum
-(`_lane_dot`) reduces a C-contiguous trailing lane axis, so its order is
-fixed by the lane count alone and each entry's bits do not depend on the
-batch size, the entry's position in it or the caller's memory layout.
+unary rule to each row of the op table in ad/__init__.py. softmax and norm
+reduce over the last value axis and carry their own rules, one pass each
+where the composed ops took five or more. Every lane sum (`_lane_dot`)
+reduces a C-contiguous trailing lane axis, and every sum over the last
+value axis of a tangent (`_axis_dot`) runs in ascending index with the
+lane axis innermost, so both orders are fixed by per-walker sizes alone
+and each entry's bits do not depend on the batch size, the entry's
+position in it or the caller's memory layout.
 
 Constants stay plain ndarrays; binary ops lift them with zero derivatives.
 """
@@ -36,6 +40,13 @@ def _grow(a: np.ndarray, shape: tuple) -> np.ndarray:
 def _lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_t x_t y_t over the trailing lane axis, in an order fixed by T."""
     return np.einsum("...t,...t->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
+
+
+def _axis_dot(w: np.ndarray, tan: np.ndarray) -> np.ndarray:
+    """sum_k w_k tan_kt over the last value axis. Each entry is a sum in
+    ascending k: the lane axis stays innermost and is never folded into
+    another, so the order is fixed by K and T alone."""
+    return np.einsum("...k,...kt->...t", np.ascontiguousarray(w), np.ascontiguousarray(tan))
 
 
 class Dual:
@@ -144,6 +155,25 @@ def elementwise(f, d1, d2):
             curv = curv + d2(x.val, y, d) * _lane_dot(x.tan, x.tan)
         return Dual(y, d[..., None] * x.tan, curv)
     return op
+
+
+def softmax(x: Dual, y: np.ndarray) -> Dual:
+    """Softmax over the last axis given its value y. With u = tan_x -
+    sum_k y_k tan_x,k and w = curv_x + sum_t u_t^2: tan = y u and
+    curv = y (w - sum_k y_k w_k)."""
+    u = x.tan - _axis_dot(y, x.tan)[..., None, :]
+    w = x.curv + _lane_dot(u, u)
+    return Dual(y, y[..., None] * u, y * (w - _lane_dot(y, w)[..., None]))
+
+
+def norm(x: Dual, f: np.ndarray) -> Dual:
+    """f = sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f:
+    tan = sum_c x_c tan_c / f and curv = (sum_c,t tan_c,t^2 + sum_c x_c curv_c
+    - |tan|^2) / f."""
+    tan = _axis_dot(x.val, x.tan) / f[..., None]
+    lanes = np.ascontiguousarray(x.tan).reshape(f.shape + (-1,))  # (c, t) folded
+    curv = (_lane_dot(lanes, lanes) + _lane_dot(x.val, x.curv) - _lane_dot(tan, tan)) / f
+    return Dual(f, tan, curv)
 
 
 def where(mask, a, b) -> Dual:

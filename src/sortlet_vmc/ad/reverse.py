@@ -155,6 +155,17 @@ def elementwise(f, d1):
     return op
 
 
+def softmax(x: Var, y: np.ndarray) -> Var:
+    """Softmax over the last axis given its value y: g_x = y (g - sum_k g_k y_k)."""
+    return x.tape._record(y, [(x, lambda g: y * (g - np.sum(g * y, axis=-1, keepdims=True)))])
+
+
+def norm(x: Var, f: np.ndarray) -> Var:
+    """sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f: g_x = g x / f."""
+    d = x.val / f[..., None]
+    return x.tape._record(f, [(x, lambda g: g[..., None] * d)])
+
+
 def where(mask, a, b) -> Var:
     mask = np.asarray(mask, dtype=bool)
     av = a.val if isinstance(a, Var) else np.asarray(a, dtype=np.float64)

@@ -181,7 +181,7 @@ def pair_log_factor(positions, spins: np.ndarray, beta_raw):
     beta = ad.softplus(beta_raw)
     iu, ju = np.triu_indices(n, 1)
     delta = positions[(slice(None), iu)] - positions[(slice(None), ju)]  # (B, P, 3)
-    dist = ad.sqrt(ad.sum(ad.square(delta), axis=-1))  # (B, P) exact: carries the cusp
+    dist = ad.norm(delta)  # (B, P) exact: carries the cusp
     same = (spins[iu] == spins[ju]).astype(np.float64)  # (P,)
     b1, b2 = beta[0], beta[1]
     par = b1 / (ad.square(b1) + dist)
@@ -195,7 +195,7 @@ def envelope_distance_sum(system: SystemSpec, positions):
     b, n = ad.detach(positions).shape[:2]
     pos = ad.reshape(positions, (b, n, 1, 3))
     delta = pos - system.nuclei_positions[None, None]  # (B, N, I, 3)
-    dist = ad.sqrt(ad.sum(ad.square(delta), axis=-1))  # (B, N, I)
+    dist = ad.norm(delta)  # (B, N, I)
     nearest = dist[(slice(None), slice(None), 0)]
     for i in range(1, system.n_nuclei):
         nearest = ad.minimum(nearest, dist[(slice(None), slice(None), i)])

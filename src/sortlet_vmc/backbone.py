@@ -8,6 +8,17 @@ up to rounding, since those sums run in the input's electron order. Exact
 invariance comes from the caller: `SortletWavefunction.signed_log` puts
 every walker's electrons in one canonical order before calling in.
 
+Each attention layer folds its four projections in pairs on the
+parameter side, once per call and with no walker axis:
+
+    logits = (h Wq)(h Wk)^T / sqrt(H) = (h QK) h^T,   QK = Wq Wk^T / sqrt(H)
+    update = attn (h Wv) Wo + bo      = attn (h VO) + bo,  VO = Wv Wo
+
+so the walkers see two projections per layer instead of four and no
+1/sqrt(H) pass over the logits; the softmax is one fused op. Both folds
+are exact algebra, so the stored parameters (Wq, Wk, Wv, Wo) and their
+layout are those of the unfolded network, whose scores agree to rounding.
+
 Parameters live in one flat vector managed by a ParamStore, so the
 optimizer and checkpoints never deal with structure.
 """
@@ -136,10 +147,6 @@ def init_params(store: ParamStore, seed: int = 0) -> np.ndarray:
     return store.pack(tensors)
 
 
-def _softened_norm(delta, axis=-1):
-    return ad.sqrt(ad.sum(ad.square(delta), axis=axis) + FEATURE_EPS ** 2)
-
-
 def featurize(system: SystemSpec, positions):
     """Electron features (B, N, F); equivariant row-for-row under relabeling."""
     n = system.n_electrons
@@ -149,26 +156,26 @@ def featurize(system: SystemSpec, positions):
     for i in range(system.n_nuclei):
         delta = positions - nuc[i]
         parts.append(delta)
-        parts.append(ad.reshape(_softened_norm(delta), ad.detach(delta).shape[:-1] + (1,)))
+        parts.append(ad.reshape(ad.norm(delta, FEATURE_EPS), ad.detach(delta).shape[:-1] + (1,)))
     b = ad.detach(positions).shape[0]
     spin_col = np.broadcast_to(spins[None, :, None], (b, n, 1))
     parts.append(spin_col)
 
     # pooled pair features: mean displacement and mean softened distance to
-    # the same-spin and opposite-spin partners of each electron
+    # the same-spin and opposite-spin partners of each electron. By
+    # linearity sum_m mask_nm (r_n - r_m) = cnt_n r_n - (mask r)_n, so the
+    # displacement is one (N x N) matrix applied to each walker's positions.
     pos_i = ad.reshape(positions, (b, n, 1, 3))
     pos_j = ad.reshape(positions, (b, 1, n, 3))
-    delta = pos_i - pos_j  # (B, N, N, 3)
-    dist = _softened_norm(delta)  # (B, N, N)
+    dist = ad.norm(pos_i - pos_j, FEATURE_EPS)  # (B, N, N)
     same = (spins[:, None] == spins[None, :]) & ~np.eye(n, dtype=bool)
     opp = spins[:, None] != spins[None, :]
     for mask in (same, opp):
-        count = np.maximum(mask.sum(axis=1), 1).astype(np.float64)  # (N,)
-        m3 = np.broadcast_to(mask[None, :, :, None], (b, n, n, 1))
-        pooled_delta = ad.sum(ad.where(m3, delta, 0.0), axis=2) / count[None, :, None]
-        pooled_dist = ad.sum(ad.where(mask[None], dist, 0.0), axis=2) / count[None, :]
-        parts.append(pooled_delta)
-        parts.append(ad.reshape(pooled_dist, (b, n, 1)))
+        cnt = mask.sum(axis=1)
+        count = np.maximum(cnt, 1).astype(np.float64)[:, None]  # (N, 1)
+        pool = (np.diag(cnt) - mask) / count
+        parts.append(ad.einsum("nm,bmc->bnc", pool, positions))
+        parts.append(ad.reshape(ad.einsum("bnm,nm->bn", dist, mask / count), (b, n, 1)))
     return ad.concat(parts, axis=-1)
 
 
@@ -182,17 +189,13 @@ def scores(system: SystemSpec, params: dict, positions, hidden: int = DEFAULT_HI
     h = ad.tanh(_affine(featurize(system, positions), params["feat.w"], params["feat.b"]))
     scale = 1.0 / np.sqrt(hidden)
     for layer in range(layers):
-        q = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wq"])
-        k = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wk"])
-        v = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wv"])
-        logits = ad.einsum("bng,bmg->bnm", q, k) * scale
-        shifted = logits - ad.amax(logits, axis=-1, keepdims=True)
-        weights = ad.exp(shifted)
-        b, n = ad.detach(weights).shape[:2]
-        denom = ad.reshape(ad.sum(weights, axis=-1), (b, n, 1))
-        attn = weights / denom  # (B, N, M)
-        mixed = ad.einsum("bnm,bmg->bng", attn, v)  # (B, N, H)
-        update = ad.einsum("bnh,hg->bng", mixed, params[f"att{layer}.wo"]) + params[f"att{layer}.bo"]
-        h = ad.tanh(h + update)
+        att = f"att{layer}."
+        # folded on the parameter side, see the module docstring
+        qk = ad.einsum("hg,kg->hk", params[att + "wq"], params[att + "wk"]) * scale
+        vo = ad.einsum("hg,gk->hk", params[att + "wv"], params[att + "wo"])
+        logits = ad.einsum("bnk,bmk->bnm", ad.einsum("bnh,hk->bnk", h, qk), h)
+        attn = ad.softmax(logits)  # (B, N, M)
+        update = ad.einsum("bnm,bmk->bnk", attn, ad.einsum("bnh,hk->bnk", h, vo))
+        h = ad.tanh(h + (update + params[att + "bo"]))
     raw = _affine(h, params["out.w"], params["out.b"])  # (B, N, K)
     return ad.moveaxis(raw, -1, -2)

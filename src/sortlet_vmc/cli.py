@@ -6,9 +6,10 @@ the environment before the first array library loads.
 
 Output layout, stable: <out>/run-<hash>/metrics.ndjson, checkpoints/
 step-%08d.npz and report-<kind>.txt, where <hash> fingerprints the
-configuration actually run. Reports and metrics are append-only, one JSON
-record per line. The output root comes from --out, else $SORTLET_VMC_OUT,
-else ./runs.
+configuration actually run. `evaluate` appends its report to the run
+directory that holds the checkpoint. Reports and metrics are append-only,
+one JSON record per line. The output root comes from --out, else
+$SORTLET_VMC_OUT, else ./runs.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ def cmd_evaluate(args) -> int:
                              seed=seed + 1, potential=cfg.run.potential)
     print(f"energy {report.formatted()} Ha  "
           f"({report.n_chains} chains x {report.n_estimates} estimates)")
-    _append_report(_out_root(args) / f"run-{_config_digest(args.config)}", "evaluate",
+    # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the config
+    ckpt_dir = args.checkpoint.resolve().parent
+    run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
+               else _out_root(args) / f"run-{_config_digest(args.config)}")
+    _append_report(run_dir, "evaluate",
                    {"checkpoint": str(args.checkpoint), "energy": report.mean,
                     "stderr": report.stderr, "formatted": report.formatted()})
     return 0

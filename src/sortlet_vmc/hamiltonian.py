@@ -159,7 +159,7 @@ class HydrogenGroundState:
         if shape[1:] != (1, 3):
             raise ValueError(f"one electron expected, got {shape}")
         delta = positions - self.center
-        dist = ad.sqrt(ad.sum(ad.square(delta), axis=(1, 2)))
+        dist = ad.reshape(ad.norm(delta), shape[:1])
         return SignedLog(np.ones(shape[0], dtype=np.int64), -dist)
 
 

@@ -7,7 +7,9 @@ import time
 
 import numpy as np
 
+from sortlet_vmc import ad
 from sortlet_vmc.ansatz import sortlet_logs, vandermonde_logs
+from sortlet_vmc.backbone import FEATURE_EPS
 
 
 def hessian_diag_central(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -73,3 +75,59 @@ def complexity_benchmark(seed: int = 0, sortlet_ns=None, vandermonde_ns=None) ->
             "sortlet_slope": _loglog_slope(sortlet_ns, sortlet_times),
             "vandermonde_ns": list(vandermonde_ns), "vandermonde_seconds": vdm_times,
             "vandermonde_slope": _loglog_slope(vandermonde_ns, vdm_times)}
+
+
+def composed_norm(x, eps=0.0):
+    """ad.norm written as the elementwise ops it fuses."""
+    return ad.sqrt(ad.sum(ad.square(x), axis=-1) + eps ** 2)
+
+
+def composed_softmax(x):
+    """ad.softmax written as shift, exp, sum and a Dual/Var quotient."""
+    shifted = x - ad.amax(x, axis=-1, keepdims=True)
+    weights = ad.exp(shifted)
+    denom = ad.reshape(ad.sum(weights, axis=-1), ad.detach(weights).shape[:-1] + (1,))
+    return weights / denom
+
+
+def composed_featurize(system, positions):
+    """backbone.featurize with composed norms and the pair block pooled by
+    where and sum over (B, N, N, 3)."""
+    n = system.n_electrons
+    spins = system.spins.astype(np.float64)
+    parts = []
+    for i in range(system.n_nuclei):
+        delta = positions - system.nuclei_positions[i]
+        parts.append(delta)
+        parts.append(ad.reshape(composed_norm(delta, FEATURE_EPS),
+                                ad.detach(delta).shape[:-1] + (1,)))
+    b = ad.detach(positions).shape[0]
+    parts.append(np.broadcast_to(spins[None, :, None], (b, n, 1)))
+    delta = ad.reshape(positions, (b, n, 1, 3)) - ad.reshape(positions, (b, 1, n, 3))
+    dist = composed_norm(delta, FEATURE_EPS)  # (B, N, N)
+    same = (spins[:, None] == spins[None, :]) & ~np.eye(n, dtype=bool)
+    opp = spins[:, None] != spins[None, :]
+    for mask in (same, opp):
+        count = np.maximum(mask.sum(axis=1), 1).astype(np.float64)  # (N,)
+        m3 = np.broadcast_to(mask[None, :, :, None], (b, n, n, 1))
+        parts.append(ad.sum(ad.where(m3, delta, 0.0), axis=2) / count[None, :, None])
+        pooled_dist = ad.sum(ad.where(mask[None], dist, 0.0), axis=2) / count[None, :]
+        parts.append(ad.reshape(pooled_dist, (b, n, 1)))
+    return ad.concat(parts, axis=-1)
+
+
+def unfolded_scores(system, params: dict, positions, hidden: int, layers: int):
+    """backbone.scores with separate q, k, v and o projections, the logits
+    scaled on the walker side and the composed softmax."""
+    h = ad.tanh(ad.einsum("bnf,fh->bnh", composed_featurize(system, positions),
+                          params["feat.w"]) + params["feat.b"])
+    for layer in range(layers):
+        q = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wq"])
+        k = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wk"])
+        v = ad.einsum("bnh,hg->bng", h, params[f"att{layer}.wv"])
+        attn = composed_softmax(ad.einsum("bng,bmg->bnm", q, k) * (1.0 / np.sqrt(hidden)))
+        mixed = ad.einsum("bnm,bmg->bng", attn, v)
+        update = ad.einsum("bnh,hg->bng", mixed, params[f"att{layer}.wo"]) + params[f"att{layer}.bo"]
+        h = ad.tanh(h + update)
+    raw = ad.einsum("bnf,fh->bnh", h, params["out.w"]) + params["out.b"]
+    return ad.moveaxis(raw, -1, -2)

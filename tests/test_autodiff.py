@@ -347,8 +347,9 @@ def test_einsum_bits_do_not_depend_on_operand_layout():
 
 
 def test_lane_sums_do_not_depend_on_batch_or_layout():
-    """Ops that sum over seed lanes give each entry's Laplacian the same bits
-    alone, inside a batch, and from transposed or Fortran-ordered tangents."""
+    """Ops that sum over seed lanes, or over the last value axis of a
+    tangent, give each entry's Laplacian the same bits alone, inside a
+    batch, and from transposed or Fortran-ordered tangents."""
     rng = np.random.default_rng(4)
     val = rng.uniform(0.5, 1.5, size=(5, 4))
     tan = rng.normal(size=(5, 4, 24))
@@ -363,6 +364,17 @@ def test_lane_sums_do_not_depend_on_batch_or_layout():
     for i, j in np.ndindex(val.shape):
         alone = f(Dual(val[i, j], tan[i, j], curv[i, j])).curv
         np.testing.assert_array_equal(alone, batch[i, j])
+
+    # softmax and norm reduce over the last value axis: one row is one entry
+    for op in (ad.softmax, lambda d: ad.norm(d, 0.1)):
+        batch = op(Dual(val, tan, curv))
+        odd = op(Dual(np.asfortranarray(val), np.asfortranarray(tan), np.asfortranarray(curv)))
+        np.testing.assert_array_equal(odd.tan, batch.tan)
+        np.testing.assert_array_equal(odd.curv, batch.curv)
+        for i in range(len(val)):
+            alone = op(Dual(val[i], tan[i], curv[i]))
+            np.testing.assert_array_equal(alone.tan, batch.tan[i])
+            np.testing.assert_array_equal(alone.curv, batch.curv[i])
 
 
 def test_mixing_engines_raises():
@@ -468,3 +480,49 @@ def test_where_and_minimum_with_a_broadcasting_mask():
     assert m.tan.shape == (b, n, t) and m.curv.shape == (b, n)
     np.testing.assert_array_equal(m.tan, np.where(keep[..., None], tan, 0.0))
     np.testing.assert_array_equal(m.curv, np.where(keep, 1.0, 0.0))
+
+
+# name: (op, numpy reference for its value)
+FUSED = {
+    "softmax": (ad.softmax, lambda x: np.exp(x) / np.sum(np.exp(x), axis=-1, keepdims=True)),
+    "norm": (ad.norm, lambda x: np.linalg.norm(x, axis=-1)),
+    "norm_eps": (lambda x: ad.norm(x, 0.3), lambda x: np.sqrt(np.sum(x * x, axis=-1) + 0.09)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_last_axis_ops_agree_across_engines(name):
+    """softmax and norm: the three engines give the same value bits, and the
+    Dual tangent and Laplacian and the Var gradient match central
+    differences. The Dual input is the path x(s) = x + tan s + lap |s|^2 / 2T
+    in T seed directions s, whose Laplacian in s is lap."""
+    op, reference = FUSED[name]
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, 4))
+    t = 5
+    tan, lap = rng.normal(size=(3, 4, t)), rng.normal(size=(3, 4))
+
+    plain = op(x)
+    seed = rng.normal(size=plain.shape)
+    d = op(Dual(x, tan, lap))
+    tape = GradientTape()
+    p = tape.leaf(x)
+    v = op(p)
+    assert np.array_equal(d.val, plain) and np.array_equal(v.val, plain)
+    np.testing.assert_allclose(plain, reference(x), rtol=1e-14)
+
+    def path(s):
+        return op(x + tan @ s + lap * (s @ s) / (2.0 * t))
+
+    h1, h2 = 1e-6, 1e-4
+    eye = np.eye(t)
+    d1 = np.stack([(path(h1 * e) - path(-h1 * e)) / (2.0 * h1) for e in eye], axis=-1)
+    d2 = np.sum([(path(h2 * e) - 2.0 * plain + path(-h2 * e)) / (h2 * h2) for e in eye], axis=0)
+    np.testing.assert_allclose(d.tan, d1, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(d.curv, d2, rtol=1e-5, atol=1e-6)
+
+    def weighted(z):
+        return float(np.sum(seed * op(z.reshape(x.shape))))
+
+    fd = grad_central(weighted, x.ravel(), h=h1).reshape(x.shape)
+    np.testing.assert_allclose(tape.gradient(v, p, seed=seed), fd, rtol=1e-7, atol=1e-9)

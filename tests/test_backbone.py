@@ -3,7 +3,7 @@ import pytest
 
 from sortlet_vmc import ad
 from sortlet_vmc.ad import GradientTape
-from oracles import hessian_diag_central
+from oracles import hessian_diag_central, unfolded_scores
 from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import SortletWavefunction, canonical_order
 from sortlet_vmc.backbone import (
@@ -96,6 +96,52 @@ def test_scores_equivariant_bitwise_under_same_spin_swap():
         np.testing.assert_allclose(out, expect, rtol=1e-12)
         out_canonical = scores(BE, params, canonical(swapped), wf.hidden, wf.layers)
         assert np.array_equal(out_canonical, base_canonical)
+
+
+LIH = load_system("""
+system:
+  nuclei:
+    - element: Li
+      xyz: [0.0, 0.0, 0.0]
+    - element: H
+      xyz: [3.015, 0.0, 0.0]
+""")
+
+
+@pytest.mark.parametrize("system", [LI, LIH], ids=["li", "lih"])
+def test_scores_match_the_unfolded_attention_oracle(system):
+    """The folded projections (QK = Wq Wk^T / sqrt(H), VO = Wv Wo), the fused
+    softmax and norm and the pooling by linearity give the scores of the
+    unfolded, composed network in every engine: plain values, Dual values,
+    tangents and Laplacians, Var values and parameter gradients."""
+    wf = small_wf(system)
+    rng = np.random.default_rng(8)
+    pos = rng.normal(size=(5, system.n_electrons, 3)) * 1.5
+    theta = wf.theta0 + 0.3 * rng.normal(size=wf.theta0.shape)  # biases off zero
+
+    def both(params, positions):
+        return [f(system, params, positions, wf.hidden, wf.layers)
+                for f in (scores, unfolded_scores)]
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+
+    got, want = both(wf.store.unpack(theta), pos)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    got, want = both(wf.store.unpack(theta), ad.seed_positions(pos))
+    for part in ("val", "tan", "curv"):
+        close(getattr(got, part), getattr(want, part))
+
+    seed = rng.normal(size=want.shape)
+    grads = []
+    for f in (scores, unfolded_scores):
+        tape = GradientTape()
+        leaf = tape.leaf(theta)
+        out = f(system, wf.store.unpack(leaf), pos, wf.hidden, wf.layers)
+        grads.append((out.val, tape.gradient(out, leaf, seed=seed)))
+    np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-12, atol=1e-14)
+    close(grads[0][1], grads[1][1])
 
 
 def test_scores_not_equivariant_across_spin_sectors():

@@ -62,6 +62,20 @@ def test_evaluate_roundtrip_and_hash_refusal(h_config, tmp_path, capsys):
     assert "different model" in capsys.readouterr().err
 
 
+def test_evaluate_reports_into_the_run_directory_of_its_checkpoint(h_config, tmp_path):
+    out = tmp_path / "runs"
+    assert main(train_args(h_config, out)) == 0
+    ckpt = next(out.glob("run-*/checkpoints/step-00000004.npz"))
+    assert main(["evaluate", str(h_config), str(ckpt), "--sortlets", "1",
+                 "--estimates", "3", "--equilibration", "5", "--walkers", "8",
+                 "--out", str(out)]) == 0
+    run_dir = ckpt.parent.parent
+    assert (run_dir / "metrics.ndjson").exists()
+    record = json.loads((run_dir / "report-evaluate.txt").read_text().splitlines()[0])
+    assert record["checkpoint"] == str(ckpt)
+    assert [p.parent for p in out.glob("run-*/report-evaluate.txt")] == [run_dir]
+
+
 def test_probe_variational_report(h_config, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["probe", "variational", str(h_config), "--trials", "500",
