@@ -25,11 +25,14 @@ rules are written out in forward.py; each of their sums over the reduced
 axis or over the seed lanes runs in an order fixed by per-walker sizes.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
-matmul (see contract.py). The walker axis is always a matmul stack axis
-and operands are made C-contiguous, so each walker's value, tangents and
-Laplacians are bitwise independent of the batch or chunk size, of the
-walker's position in the batch, of the input's memory layout and of the
-BLAS thread count.
+matmul (see contract.py) whose matrix dimensions fold runs of indices.
+The walker axis is always a matmul stack axis, operands are made
+C-contiguous in their own index order and any transposed view follows
+from the spec alone, so each walker's value, tangents and Laplacians are
+bitwise independent of the batch or chunk size, of the walker's position
+in the batch, of the input's memory layout and of the BLAS thread count.
+take_along is one flat gather in every engine: a Dual takes whole rows of
+T lanes, and the Var VJP scatters with one bincount.
 
 Reductions run in the order of their input. Invariance under electron
 relabeling is not an op's job: the model evaluates every walker with its
@@ -45,6 +48,8 @@ softmax or norm, so their time counts in the calling span's self time.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -113,8 +118,24 @@ absolute = _elementwise("absolute")
 where = _dispatch("where", np.where, forward.where, reverse.where, slice(1, 3))
 sum = _dispatch("sum", lambda x, axis: np.sum(x, axis=axis),  # noqa: A001
                 forward.sum, reverse.sum)
-take_along = _dispatch("take_along", lambda x, idx, axis: np.take_along_axis(x, idx, axis=axis),
-                       forward.take_along, reverse.take_along)
+
+
+def _take_index(shape, idx, axis) -> np.ndarray:
+    """The flat C-order positions in an array of `shape` that
+    take_along_axis(x, idx, axis) reads, in the gathered shape. idx holds
+    indices in [0, shape[axis]) and may broadcast against x as in numpy."""
+    axis = axis % len(shape)
+    lead, stride = prod(shape[:axis]), prod(shape[axis + 1:])
+    first = np.arange(lead)[:, None] * (shape[axis] * stride) + np.arange(stride)
+    first = first.reshape(shape[:axis] + (1,) + shape[axis + 1:])  # where idx is 0
+    return first + (idx if stride == 1 else idx * stride)
+
+
+take_along = _dispatch(
+    "take_along", lambda x, idx, axis: np.ravel(x)[_take_index(np.shape(x), idx, axis)],
+    lambda x, idx, axis: forward.take(x, _take_index(x.shape, idx, axis)),
+    lambda x, idx, axis: reverse.take(x, _take_index(x.shape, idx, axis)))
+take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)

@@ -2,21 +2,32 @@
 
 All three engines contract through `contract`: the plain value; the
 tangent, Laplacian and cross terms of the forward pass; and both reverse
-VJPs. A spec maps onto np.matmul(L, R) as follows:
+VJPs. A spec maps onto np.matmul(L, R) as follows, each matrix dimension
+folding a run of indices:
 
-- N (matrix columns): the last output index that only one operand carries;
-  that operand is R. In a tangent term of the dual engine this is the
-  trailing seed-lane index, so lane-major arrays reach BLAS without a
-  copy. The Laplacian terms carry no lane index; the cross term carries
-  the lane on both operands and not in the output, so it folds into K.
-- M (matrix rows): the last output index that only the other operand, L,
-  carries.
-- K (inner dimension): every shared index absent from the output, folded.
+- N (matrix columns): the longest suffix of the output that only one
+  operand carries; that operand is R. In a tangent term of the dual engine
+  it ends in the trailing seed-lane index, so an attention product such as
+  bnm,bmkt->bnkt folds (k, t) into N: one (N x M)(M x K*T) GEMM per
+  walker. Where R does not hold that suffix as one run, N keeps the part
+  it does hold so and the rest become stack axes: bnk,bmkt->bnmt stacks
+  (b, m) and returns a transposed view instead of copying bmkt.
+- M (matrix rows): the run of the output just before that suffix that
+  only the other operand, L, carries.
+- K (inner dimension): every shared index absent from the output, in R's
+  order. The cross term carries the lane on both operands and not in the
+  output, so the lane folds into K.
 - Stack axes: every other output index. matmul loops over them and
   broadcasts an operand that lacks one.
 
 The walker axis, an index that leads the output and every operand that
-carries it, is never M or N. A missing M or N is a size-1 axis.
+carries it, is never part of M or N. An empty run is a size-1 axis.
+
+Each operand is made C-contiguous in its own index order. If that order is
+(stack, rows, cols) it reshapes into its matrices; if it is (stack, cols,
+rows) it is handed to matmul as a transposed view and BLAS gets a
+transpose flag instead of a copy. Only an operand holding its indices in
+neither order is copied into (stack, rows, cols).
 
 Determinism contract: a walker's value, tangents, Laplacian and local
 energy are bitwise independent of the batch or chunk size, of the walker's
@@ -26,17 +37,21 @@ position in the batch and of the BLAS thread count. Three rules meet it:
   has a shape fixed by per-walker sizes (electrons, features, hidden
   width, heads, 3N lanes), never by the walker count. Folding walkers into
   M would switch a one-walker batch from GEMM to GEMV and change its bits.
-- Operands are made C-contiguous before the call. The BLAS routine,
-  transpose flags and leading dimensions then depend on those shapes
-  alone, not on the memory layout a caller happened to pass in.
+- The plan, transpose flags included, is a function of the spec alone,
+  and every operand is C-contiguous in its own index order before the
+  call. The BLAS routine, transpose flags and leading dimensions then
+  depend on the spec and the shapes, not on the memory layout a caller
+  happened to pass in. numpy would run x @ x.T on one buffer as a SYRK,
+  which rounds differently from a GEMM, so an operand that aliases the
+  other beside a transposed view is copied first, keeping its layout.
 - OpenBLAS splits a GEMM or GEMV across threads over output entries,
-  never inside a sum. Two kinds of call are large enough to be split: the
-  reverse-mode reductions over all walkers in the parameter gradient, and
-  the per-walker dual cross term of the attention products, whose K holds
-  every seed lane (16 x 16 x (32 * 48) for an H16 chain at width 32). A
-  product whose M and N are both 1 is a dot product, which OpenBLAS would
-  split inside its sum once it is longer than 10 000; it runs as a numpy
-  sum instead, which is never threaded.
+  never inside a sum, whatever the transpose flags. The calls large
+  enough to be split are the reverse-mode reductions over all walkers in
+  the parameter gradient and per-walker products whose N folds width and
+  seed lanes, such as (16 x 16)(16 x 32 * 48) for an H16 chain at width
+  32. A product whose M and N are both 1 is a dot product, which OpenBLAS
+  would split inside its sum once it is longer than 10 000; it runs as a
+  numpy sum instead, which is never threaded.
 
 Invariance under same-spin relabelling is not this module's job: the
 caller puts each walker's electrons in canonical order, so a contraction
@@ -68,35 +83,72 @@ def parse_spec(spec: str):
     return a_sub, b_sub, out
 
 
+def _arrangement(sub: str, stack: str, rows: str, cols: str):
+    """How an operand with indices `sub` becomes (stack..., rows, cols):
+    (perm, dims, transposed). dims lists the indices folded into each axis
+    of the reshape; perm is None where the operand's own order already
+    reshapes into them, transposed where that gives (cols, rows)."""
+    head = "".join(i for i in stack if i in sub)
+    lead = tuple((i,) if i in sub else () for i in stack)
+    if sub == head + rows + cols:
+        return None, lead + (tuple(rows), tuple(cols)), False
+    if sub == head + cols + rows:
+        return None, lead + (tuple(cols), tuple(rows)), True
+    perm = tuple(sub.index(i) for i in head + rows + cols)
+    return perm, lead + (tuple(rows), tuple(cols)), False
+
+
 @lru_cache
-def _plan(x_sub: str, y_sub: str, out: str):
+def plan(x_sub: str, y_sub: str, out: str):
+    """(swap, (stack, m, k, n), left, right, perm). swap says whether y is
+    L; stack, m and n are the output indices of the result axes, k the
+    folded inner indices; left and right are the operands' arrangements;
+    perm takes the result to `out` order, None where it already is."""
     shared = set(x_sub) & set(y_sub)
     lead = out[:1]
     walker = lead if lead and all(s.startswith(lead) for s in (x_sub, y_sub)
-                                  if lead in s) else None
-    free = [i for i in out if i not in shared and i != walker]
-    n = free[-1] if free else None
-    swap = n is not None and n in x_sub
+                                  if lead in s) else ""
+    free = set(out) - shared - {walker}  # the output indices M and N may fold
+
+    def run(end, sub):
+        # the start of the longest run of out ending at `end` that only `sub` carries
+        start = end
+        while start and out[start - 1] in free and out[start - 1] in sub:
+            start -= 1
+        return start
+
+    swap = bool(out) and out[-1] in free and out[-1] in x_sub
     l_sub, r_sub = (y_sub, x_sub) if swap else (x_sub, y_sub)
-    m = next((i for i in reversed(free) if i in l_sub), None)
-    stack = [i for i in out if i not in (m, n)]
-    k = tuple(i for i in r_sub if i in shared and i not in out)
-
-    def arrange(sub, rows, cols):
-        # each target axis is the tuple of indices folded into it
-        dims = [(i,) if i in sub else () for i in stack] + [rows, cols]
-        return tuple(sub.index(i) for d in dims for i in d), tuple(dims)
-
-    left = arrange(l_sub, (m,) if m else (), k)
-    right = arrange(r_sub, k, (n,) if n else ())
-    res = stack + [i for i in (m, n) if i]
-    perm = tuple(res.index(i) for i in out)
-    return swap, left, right, tuple(res), None if perm == tuple(range(len(out))) else perm
+    n_at = run(len(out), r_sub)
+    cut = n_at
+    while out[cut:] not in r_sub:  # N is the part of that run R holds as one run
+        cut += 1
+    m_at = run(n_at, l_sub)
+    stack, m, n = out[:m_at] + out[n_at:cut], out[m_at:n_at], out[cut:]
+    k = "".join(i for i in r_sub if i in shared and i not in out)
+    res = stack + m + n
+    perm = None if res == out else tuple(res.index(i) for i in out)
+    return (swap, (stack, m, k, n),
+            _arrangement(l_sub, stack, m, k), _arrangement(r_sub, stack, k, n), perm)
 
 
-def _arrange(x: np.ndarray, perm, dims, size) -> np.ndarray:
-    x = np.ascontiguousarray(np.transpose(x, perm))
-    return x.reshape([prod(size[i] for i in d) for d in dims])
+def _arrange(x: np.ndarray, perm, dims, transposed, size) -> np.ndarray:
+    x = np.ascontiguousarray(x if perm is None else np.transpose(x, perm))
+    x = x.reshape([prod(size[i] for i in d) for d in dims])
+    return np.swapaxes(x, -1, -2) if transposed else x
+
+
+def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
+    """The matrices (L, R) that `contract` hands to matmul, and the size of
+    every index."""
+    swap, _, lplan, rplan, _ = plan(x_sub, y_sub, out)
+    size = dict(zip(x_sub, x.shape))
+    size.update(zip(y_sub, y.shape))
+    lhs, rhs = (y, x) if swap else (x, y)
+    left, right = _arrange(lhs, *lplan, size), _arrange(rhs, *rplan, size)
+    if (lplan[2] or rplan[2]) and np.may_share_memory(left, right):
+        right = right.copy(order="K")  # same layout, no alias: GEMM, not SYRK
+    return left, right, size
 
 
 def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,14 +157,11 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     Subscripts are trusted (see parse_spec), so internal specs may use the
     reserved lane index 't'. The result may be a transposed view.
     """
-    swap, (lperm, ldims), (rperm, rdims), res_dims, perm = _plan(x_sub, y_sub, out)
-    size = dict(zip(x_sub, x.shape))
-    size.update(zip(y_sub, y.shape))
-    lhs, rhs = (y, x) if swap else (x, y)
-    left, right = _arrange(lhs, lperm, ldims, size), _arrange(rhs, rperm, rdims, size)
+    left, right, size = operands(x_sub, y_sub, out, x, y)
     if left.shape[-2] == 1 and right.shape[-1] == 1:  # a dot product: keep it off BLAS
         res = np.sum(left * np.swapaxes(right, -1, -2), axis=-1, keepdims=True)
     else:
         res = np.matmul(left, right)
-    res = res.reshape([size[i] for i in res_dims])
+    _, (stack, m, _, n), _, _, perm = plan(x_sub, y_sub, out)
+    res = res.reshape([size[i] for i in stack + m + n])
     return res if perm is None else res.transpose(perm)

@@ -89,7 +89,9 @@ class Dual:
         return Dual(-self.val, -self.tan, -self.curv)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Dual) else -np.asarray(other))
+        if isinstance(other, Dual):
+            return Dual(self.val - other.val, self.tan - other.tan, self.curv - other.curv)
+        return self + (-np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -200,11 +202,11 @@ def sum(x: Dual, axis) -> Dual:  # noqa: A001 - mirrors the numpy name
                 np.sum(x.curv, axis=axis))
 
 
-def take_along(x: Dual, idx: np.ndarray, axis: int) -> Dual:
-    axis = axis % x.val.ndim
-    return Dual(np.take_along_axis(x.val, idx, axis=axis),
-                np.take_along_axis(x.tan, idx[..., None], axis=axis),
-                np.take_along_axis(x.curv, idx, axis=axis))
+def take(x: Dual, flat: np.ndarray) -> Dual:
+    """Gather the values at C-order positions `flat`, each with its whole
+    row of T tangent lanes."""
+    rows = x.tan.reshape(-1, x.n_seeds)
+    return Dual(x.val.ravel()[flat], np.take(rows, flat, axis=0), x.curv.ravel()[flat])
 
 
 def reshape(x: Dual, shape) -> Dual:
@@ -248,12 +250,12 @@ def einsum(spec: str, a, b) -> Dual:
 
     The value, the tangent term of each Dual operand, its Laplacian term and
     the 2 sum_t tan_a tan_b cross term are each one stacked matmul through
-    `contract`. Tangents carry the seed lane as the matrix column index; a
-    Laplacian term has no lane index and contracts like the value; the cross
-    term folds the lane into the inner dimension K, so its lane sum is part
-    of one GEMM per walker. Its determinism contract makes every walker's
-    result bitwise independent of batch size, position in the batch, memory
-    layout and BLAS threads.
+    `contract`. A tangent's trailing seed lane ends the folded column run N
+    (bnm,bmkt->bnkt is one GEMM per walker); a Laplacian term contracts like
+    the value; the cross term folds the lane into K. The spec alone decides
+    which operands reach BLAS as (transposed) views, and contract.py's
+    determinism contract makes every walker's result bitwise independent of
+    batch size, position in the batch, memory layout and BLAS threads.
     """
     a_sub, b_sub, out = parse_spec(spec)
     av = a.val if isinstance(a, Dual) else np.asarray(a, dtype=np.float64)

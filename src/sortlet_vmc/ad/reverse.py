@@ -186,19 +186,15 @@ def sum(x: Var, axis) -> Var:  # noqa: A001 - mirrors the numpy name
                           [(x, lambda g: np.broadcast_to(np.expand_dims(g, axis), shape))])
 
 
-def take_along(x: Var, idx: np.ndarray, axis: int) -> Var:
-    axis = axis % x.val.ndim
-    shape = x.val.shape
+def take(x: Var, flat: np.ndarray) -> Var:
+    """Gather the values at C-order positions `flat`; the VJP sums g into
+    them in C order of the gathered shape, one bincount."""
+    shape, size = x.val.shape, x.val.size
 
     def vjp(g):
-        # g has the gathered shape, which idx may reach only by broadcasting
-        z = np.zeros(shape)
-        ix = list(np.indices(g.shape, sparse=True))
-        ix[axis] = idx
-        np.add.at(z, tuple(ix), g)
-        return z
+        return np.bincount(flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape)
 
-    return x.tape._record(np.take_along_axis(x.val, idx, axis=axis), [(x, vjp)])
+    return x.tape._record(x.val.ravel()[flat], [(x, vjp)])
 
 
 def reshape(x: Var, shape) -> Var:

@@ -115,12 +115,10 @@ def sortlet_logs(scores) -> SignedLog:
     if n == 1:
         return _single_score_logs(scores)
     order = np.argsort(vals, axis=-1, kind="stable")
-    ranked = ad.take_along(scores, order, axis=-1)
-    lead = ranked[_all_but_last(vals.ndim, slice(1, None))]
-    trail = ranked[_all_but_last(vals.ndim, slice(None, -1))]
-    first = ranked[_all_but_last(vals.ndim, slice(0, 1))]
-    last = ranked[_all_but_last(vals.ndim, slice(-1, None))]
-    gaps = ad.concat([lead - trail, last - first], axis=-1)  # (..., N)
+    # gap j is ranked[j + 1] - ranked[j]; the last is the wrap gap ranked[N-1] - ranked[0]
+    upper = order[..., np.r_[1:n, n - 1]]
+    lower = order[..., np.r_[0:n - 1, 0]]
+    gaps = ad.take_along(scores, upper, axis=-1) - ad.take_along(scores, lower, axis=-1)
     gv = ad.detach(gaps)
     tied = np.any(gv == 0.0, axis=-1)
     safe = ad.where(gv == 0.0, 1.0, gaps)

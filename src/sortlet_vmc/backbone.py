@@ -123,8 +123,13 @@ def _raw_for_softplus(target: float) -> float:
 
 
 def init_params(store: ParamStore, seed: int = 0) -> np.ndarray:
-    """Fan-in scaled weights; scores head small and biased apart so the
-    sortlets start distinct; envelope rate 2, pair strength 1, mixing 1."""
+    """Fan-in scaled weights, a small scores head, envelope rate 2, pair
+    strength 1 and mixing 1.
+
+    The heads start distinct through out.w. The linspace(-1, 1, K) bias
+    out.b shifts every score of a head by one constant, which leaves every
+    gap unchanged, so for N >= 2 electrons it changes no sortlet and gets
+    no gradient; only single-electron systems (a bare score) depend on it."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for name in store.names:

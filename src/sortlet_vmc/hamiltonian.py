@@ -112,7 +112,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     """
     positions = np.asarray(positions, dtype=np.float64)
     order, _ = canonical_order(system.spins, positions)
-    positions = np.take_along_axis(positions, order[..., None], axis=1)
+    positions = ad.take_along(positions, order[..., None], axis=1)
     b = positions.shape[0]
     if potential == "coulomb":
         ee, en = electron_potentials(system, positions)

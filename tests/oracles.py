@@ -131,3 +131,13 @@ def unfolded_scores(system, params: dict, positions, hidden: int, layers: int):
         h = ad.tanh(h + update)
     raw = ad.einsum("bnf,fh->bnh", h, params["out.w"]) + params["out.b"]
     return ad.moveaxis(raw, -1, -2)
+
+
+def take_along_vjp_add_at(shape, idx, axis, g) -> np.ndarray:
+    """The reverse of take_along_axis(x, idx, axis) for x of `shape` as an
+    np.add.at scatter of g, which has the gathered shape."""
+    z = np.zeros(shape)
+    ix = list(np.indices(g.shape, sparse=True))
+    ix[axis % len(shape)] = idx
+    np.add.at(z, tuple(ix), g)
+    return z

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sortlet_vmc import ad
+from sortlet_vmc import ad, backbone
 from sortlet_vmc.ad import Dual, GradientTape
-from oracles import hessian_diag_central
+from oracles import hessian_diag_central, take_along_vjp_add_at
+from sortlet_vmc.ad.contract import contract, operands, plan
 from sortlet_vmc.ad.fd import grad_central
+from sortlet_vmc.geometry import load_system
 
 W = np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])
 
@@ -253,9 +255,10 @@ def test_einsum_rejects_bad_specs():
         ad.einsum("ii,ij->ij", x, x)
 
 
-MODEL_SPECS = ("bnf,fh->bnh", "bnh,hg->bng", "bng,bmg->bnm", "b,k->bk")
+MODEL_SPECS = ("bnf,fh->bnh", "bnh,hg->bng", "bng,bmg->bnm", "b,k->bk",
+               "bnk,bmk->bnm", "bnm,bmk->bnk", "hg,kg->hk", "nm,bmc->bnc", "bnm,nm->bn")
 # distinct sizes, so a contraction that swaps two axes cannot pass
-ORACLE_SIZES = dict(b=4, n=3, m=5, f=6, h=7, g=2, k=3, t=4)
+ORACLE_SIZES = dict(b=4, n=3, m=5, f=6, h=7, g=2, k=3, t=4, c=8)
 
 
 def _oracle_cases():
@@ -321,7 +324,7 @@ def test_einsum_bits_do_not_depend_on_operand_layout():
     At the model's widths BLAS rounds a transposed operand differently, so
     this holds only because operands are made C-contiguous before matmul.
     """
-    size = dict(b=4, n=3, m=3, f=13, h=32, g=32, k=16, t=9)
+    size = dict(b=4, n=3, m=3, f=13, h=32, g=32, k=16, t=9, c=3)
     rng = np.random.default_rng(1)
     f = np.asfortranarray
     for spec in MODEL_SPECS:
@@ -526,3 +529,191 @@ def test_fused_last_axis_ops_agree_across_engines(name):
 
     fd = grad_central(weighted, x.ravel(), h=h1).reshape(x.shape)
     np.testing.assert_allclose(tape.gradient(v, p, seed=seed), fd, rtol=1e-7, atol=1e-9)
+
+
+LI = load_system("system:\n  nuclei:\n    - element: Li\n      xyz: [0.0, 0.0, 0.0]\n")
+
+
+def _scores_specs(monkeypatch) -> set:
+    """Every einsum spec backbone.scores runs, featurize included."""
+    seen, einsum = set(), ad.einsum
+
+    def spy(spec, a, b):
+        seen.add(spec)
+        return einsum(spec, a, b)
+
+    monkeypatch.setattr(ad, "einsum", spy)
+    store = backbone.build_param_store(LI, n_sortlets=4, hidden=8, layers=1)
+    params = store.unpack(backbone.init_params(store))
+    backbone.scores(LI, params, np.ones((2, 3, 3)), hidden=8, layers=1)
+    return seen
+
+
+def test_contract_matches_einsum_on_every_scores_spec(monkeypatch):
+    """contract against np.einsum, with a distinct size per index, on each
+    spec backbone.scores runs and on every contraction the engines derive
+    from it: the Dual tangent terms (the Laplacian terms contract like the
+    value), the cross term and both reverse VJPs."""
+    specs = _scores_specs(monkeypatch)
+    assert {"bnk,bmk->bnm", "bnm,bmk->bnk", "nm,bmc->bnc"} <= specs
+    size = dict(b=2, n=3, m=4, c=5, f=6, h=7, g=8, k=9, t=10)
+    rng = np.random.default_rng(31)
+    for spec in sorted(specs):
+        a, b, o = spec.replace("->", ",").split(",")
+        for x_sub, y_sub, out in ((a, b, o), (a + "t", b, o + "t"), (a, b + "t", o + "t"),
+                                  (a + "t", b + "t", o), (o, b, a), (a, o, b)):
+            x = rng.uniform(0.5, 1.5, size=[size[i] for i in x_sub])
+            y = rng.uniform(0.5, 1.5, size=[size[i] for i in y_sub])
+            got = contract(x_sub, y_sub, out, x, y)
+            want = np.einsum(f"{x_sub},{y_sub}->{out}", x, y)
+            assert got.shape == want.shape, (x_sub, y_sub, out)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_contract_matches_einsum_on_random_specs():
+    """The plan's runs, stack axes, transposed views and result permutation
+    on 300 random two-operand specs, a size-1 index among them."""
+    rng = np.random.default_rng(61)
+    size = dict(b=2, n=3, m=4, k=5, h=1, g=6, t=7)
+    for _ in range(300):
+        x_sub, y_sub = ("".join(rng.permutation(list(size))[:rng.integers(5)]) for _ in "xy")
+        keep = set(x_sub) ^ set(y_sub) | {i for i in set(x_sub) & set(y_sub) if rng.random() < 0.5}
+        out = "".join(rng.permutation(sorted(keep)))
+        x = rng.normal(size=[size[i] for i in x_sub])
+        y = rng.normal(size=[size[i] for i in y_sub])
+        want = np.einsum(f"{x_sub},{y_sub}->{out}", x, y)
+        got = contract(x_sub, y_sub, out, x, y)
+        assert got.shape == want.shape, (x_sub, y_sub, out)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_products_stack_only_the_walker():
+    """The attention update's tangent and the logits' cross term are one
+    GEMM per walker: (N x M)(M x K*T) and (N x K*T)(K*T x M)."""
+    assert plan("bnm", "bmkt", "bnkt")[1] == ("b", "n", "m", "kt")
+    assert plan("bnkt", "bmkt", "bnm")[1] == ("b", "n", "kt", "m")
+
+
+def test_logit_tangent_stacks_the_key_electron_instead_of_copying():
+    """In bnk,bmkt->bnmt the second operand does not hold (m, t) as one run,
+    so m becomes a stack axis beside the walker: both operands reach matmul
+    as views of the input and the result is a transposed view."""
+    assert plan("bnk", "bmkt", "bnmt")[1] == ("bm", "n", "k", "t")
+    rng = np.random.default_rng(59)
+    x, y = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4, 5, 6))
+    left, right, _ = operands("bnk", "bmkt", "bnmt", x, y)
+    assert np.shares_memory(left, x) and np.shares_memory(right, y)
+    got = contract("bnk", "bmkt", "bnmt", x, y)
+    np.testing.assert_allclose(got, np.einsum("bnk,bmkt->bnmt", x, y), rtol=1e-12, atol=1e-12)
+
+
+# (x_sub, y_sub, out, side): contractions whose plan hands `side` to matmul
+# as a transposed view: the cross term of the logits, the VJPs of a
+# projection (with one row per walker, a GEMV each) and of the attention
+# update, and a parameter gradient
+TRANSPOSED = (("bnkt", "bmkt", "bnm", "right"), ("bnk", "hk", "bnh", "right"),
+              ("bk", "hk", "bh", "right"), ("bnm", "bnk", "bmk", "left"),
+              ("bnh", "bnk", "hk", "left"))
+TRANSPOSED_SIZES = dict(b=5, n=8, m=8, h=32, k=16, t=24)
+
+
+def _draw(rng, sub, size=TRANSPOSED_SIZES):
+    return rng.normal(size=[size[i] for i in sub])
+
+
+@pytest.mark.parametrize("x_sub,y_sub,out,side", TRANSPOSED)
+def test_transposed_operands_are_views_of_the_input(x_sub, y_sub, out, side):
+    rng = np.random.default_rng(37)
+    x, y = _draw(rng, x_sub), _draw(rng, y_sub)
+    left, right, _ = operands(x_sub, y_sub, out, x, y)
+    view, other = (left, right) if side == "left" else (right, left)
+    assert view.strides[-2] == view.itemsize  # a transposed matrix: its rows are adjacent
+    assert np.shares_memory(view, x if side == "left" else y)
+    assert np.shares_memory(other, y if side == "left" else x)
+
+
+@pytest.mark.parametrize("x_sub,y_sub,out,side", TRANSPOSED)
+def test_transposed_view_plans_do_not_depend_on_batch_or_layout(x_sub, y_sub, out, side):
+    """Each walker alone, and Fortran-ordered operands, give the batch's bits."""
+    rng = np.random.default_rng(41)
+    x, y = _draw(rng, x_sub), _draw(rng, y_sub)
+    batch = contract(x_sub, y_sub, out, x, y)
+    f = np.asfortranarray
+    np.testing.assert_array_equal(contract(x_sub, y_sub, out, f(x), f(y)), batch)
+    if out.startswith("b"):
+        for i in range(len(x)):
+            one = [z[i:i + 1] if sub.startswith("b") else z for z, sub in ((x, x_sub), (y, y_sub))]
+            np.testing.assert_array_equal(contract(x_sub, y_sub, out, *one), batch[i:i + 1])
+
+
+def test_an_operand_aliasing_its_transposed_partner_gives_the_same_bits():
+    # numpy would run x @ x.T on one buffer as a SYRK
+    x = np.random.default_rng(43).normal(size=(3, 8, 32))
+    np.testing.assert_array_equal(ad.einsum("bnk,bmk->bnm", x, x),
+                                  ad.einsum("bnk,bmk->bnm", x, x.copy()))
+
+
+def test_transposed_view_plans_do_not_depend_on_blas_threads():
+    """Folded and transposed-view plans at H16 sizes (width 32, 48 lanes)
+    agree bitwise under 1 and 2 BLAS threads. OpenBLAS threads two of them
+    at these sizes: bnm,bmkt->bnkt and the sum over 512 x 16 rows in
+    wnh,wnk->hk. The thread pin only takes effect before numpy loads, so
+    each count runs in its own process."""
+    code = (
+        "import numpy as np\n"
+        "from sortlet_vmc.ad.contract import contract\n"
+        "size = dict(b=3, n=16, m=16, h=32, k=32, t=48, w=512)\n"
+        "rng = np.random.default_rng(0)\n"
+        "for x_sub, y_sub, out in (('bnkt', 'bmkt', 'bnm'), ('bnm', 'bmkt', 'bnkt'),\n"
+        "                          ('bnm', 'bnkt', 'bmkt'), ('wnh', 'wnk', 'hk'),\n"
+        "                          ('bnk', 'hk', 'bnh')):\n"
+        "    x = rng.normal(size=[size[i] for i in x_sub])\n"
+        "    y = rng.normal(size=[size[i] for i in y_sub])\n"
+        "    print(contract(x_sub, y_sub, out, x, y).tobytes().hex())\n"
+    )
+    src = str(Path(ad.__file__).resolve().parents[2])
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        bits.append(run.stdout)
+    assert bits[0] and bits[0] == bits[1]
+
+
+def _take_cases():
+    rng = np.random.default_rng(47)
+    # same-shape index: the sortlet's sort order
+    x = rng.normal(size=(3, 4, 5))
+    yield "same_shape", x, np.argsort(x, axis=-1), -1
+    # broadcast (B, N, 1) index: the canonical electron gather of (B, N, 3)
+    order = np.argsort(rng.normal(size=(3, 4)), axis=1)
+    yield "broadcast", rng.normal(size=(3, 4, 3)), order[..., None], 1
+    # negative axis, with repeats and more picks than the axis holds
+    yield "negative_axis", rng.normal(size=(3, 5, 4)), rng.integers(0, 5, size=(3, 7, 4)), -2
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _take_cases()])
+def test_take_along_matches_numpy_in_every_engine(case):
+    """Plain, Dual and Var take_along against np.take_along_axis, bitwise,
+    and the Var VJP against the np.add.at scatter."""
+    _, x, idx, axis = next(c for c in _take_cases() if c[0] == case)
+    rng = np.random.default_rng(53)
+    want = np.take_along_axis(x, idx, axis=axis)
+    np.testing.assert_array_equal(ad.take_along(x, idx, axis), want)
+
+    tan, curv = rng.normal(size=x.shape + (6,)), rng.normal(size=x.shape)
+    d = ad.take_along(Dual(x, tan, curv), idx, axis)
+    np.testing.assert_array_equal(d.val, want)
+    np.testing.assert_array_equal(d.tan, np.take_along_axis(tan, idx[..., None], axis=axis % x.ndim))
+    np.testing.assert_array_equal(d.curv, np.take_along_axis(curv, idx, axis=axis))
+
+    tape = GradientTape()
+    p = tape.leaf(x)
+    v = ad.take_along(p, idx, axis)
+    np.testing.assert_array_equal(v.val, want)
+    g = rng.normal(size=want.shape)
+    np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
+                                  take_along_vjp_add_at(x.shape, idx, axis, g))
+

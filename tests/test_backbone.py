@@ -246,3 +246,24 @@ def test_wavefunction_rejects_bad_shapes():
         wf.signed_log(wf.theta0, np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
         wf.signed_log(wf.theta0, np.zeros((3, 3)))
+
+
+def test_score_bias_only_moves_single_electron_systems():
+    """out.b shifts every score of a head by one constant. Every gap, and so
+    every sortlet with N >= 2 electrons, is unchanged (Li, to rounding), but
+    a single electron's sortlet is its bare score (hydrogen)."""
+    h = load_system("system:\n  nuclei:\n    - element: H\n      xyz: [0.0, 0.0, 0.0]\n")
+    rng = np.random.default_rng(29)
+    for system, moves in ((LI, False), (h, True)):
+        wf = small_wf(system, seed=3)
+        tensors = wf.store.unpack(wf.theta0)
+        tensors["out.b"] = tensors["out.b"] + rng.uniform(0.5, 1.5, size=wf.n_sortlets)
+        shifted = wf.store.pack(tensors)
+        pos = rng.normal(size=(5, system.n_electrons, 3))
+        base = wf.signed_log(wf.theta0, ad.seed_positions(pos))
+        moved = wf.signed_log(shifted, ad.seed_positions(pos))
+        same = [np.allclose(x, y, rtol=1e-9, atol=1e-9) for x, y in
+                ((base.logmag.val, moved.logmag.val), (base.logmag.tan, moved.logmag.tan),
+                 (base.logmag.curv, moved.logmag.curv))]
+        assert np.array_equal(base.sign, moved.sign) or moves
+        assert same == [not moves] * 3, (system.n_electrons, same)
