@@ -19,8 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ElectronConfiguration": "geometry",
     "SystemSpec": "geometry",
-    "exchange_path": "geometry",
-    "h4_rectangle": "geometry",
     "load_system": "geometry",
     "transpose_electrons": "geometry",
     "SortletWavefunction": "ansatz",

@@ -25,20 +25,17 @@ rules are written out in forward.py; each of their sums over the reduced
 axis or over the seed lanes runs in an order fixed by per-walker sizes.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
-matmul (see contract.py) whose matrix dimensions fold runs of indices.
-The walker axis is always a matmul stack axis, operands are made
-C-contiguous in their own index order and any transposed view follows
-from the spec alone, so each walker's value, tangents and Laplacians are
-bitwise independent of the batch or chunk size, of the walker's position
-in the batch, of the input's memory layout and of the BLAS thread count.
-take_along is one flat gather in every engine: a Dual takes whole rows of
-T lanes, and the Var VJP scatters with one bincount.
+matmul planned once per spec and operand shapes; contract.py states the
+determinism contract it keeps. take_along is one flat gather in every
+engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
+one bincount.
 
-Reductions run in the order of their input. Invariance under electron
-relabeling is not an op's job: the model evaluates every walker with its
-electrons in one canonical order (`ansatz.canonical_order`), so each sum
-over electrons, pairs or seed lanes sees the same sequence for every
-relabeling.
+Reductions run in the order of their input. Only exact reductions (max,
+any, parity) run lane-leading, through reduce_exact; sums keep their
+input order. Invariance under electron relabeling is not an op's job: the
+model evaluates every walker with its electrons in one canonical order
+(`ansatz.canonical_order`), so each sum over electrons, pairs or seed
+lanes sees the same sequence for every relabeling.
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack or maximum.
 They stay, each an engine-generic composite or table row, only because
@@ -49,6 +46,7 @@ softmax or norm, so their time counts in the calling span's self time.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -63,7 +61,7 @@ __all__ = [
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "reshape", "moveaxis", "concat", "stack", "einsum", "softmax", "norm",
-    "detach", "amax",
+    "detach", "amax", "reduce_exact",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
@@ -120,14 +118,26 @@ sum = _dispatch("sum", lambda x, axis: np.sum(x, axis=axis),  # noqa: A001
                 forward.sum, reverse.sum)
 
 
+@lru_cache(maxsize=8)
+def _take_offsets(shape: tuple, axis: int):
+    """(first, stride): the flat position of every gathered entry whose
+    index along `axis` is 0, shaped for broadcasting against idx, and the
+    stride of `axis`. Read-only and cached per (shape, axis); the cache is
+    small because a grid holds one index per gathered row (64 KB for 512
+    walkers of 16 heads) and init_ensemble's redraws gather at arbitrary
+    batch sizes."""
+    lead, stride = prod(shape[:axis]), prod(shape[axis + 1:])
+    first = np.arange(lead)[:, None] * (shape[axis] * stride) + np.arange(stride)
+    first = first.reshape(shape[:axis] + (1,) + shape[axis + 1:])
+    first.flags.writeable = False
+    return first, stride
+
+
 def _take_index(shape, idx, axis) -> np.ndarray:
     """The flat C-order positions in an array of `shape` that
     take_along_axis(x, idx, axis) reads, in the gathered shape. idx holds
     indices in [0, shape[axis]) and may broadcast against x as in numpy."""
-    axis = axis % len(shape)
-    lead, stride = prod(shape[:axis]), prod(shape[axis + 1:])
-    first = np.arange(lead)[:, None] * (shape[axis] * stride) + np.arange(stride)
-    first = first.reshape(shape[:axis] + (1,) + shape[axis + 1:])  # where idx is 0
+    first, stride = _take_offsets(tuple(shape), axis % len(shape))
     return first + (idx if stride == 1 else idx * stride)
 
 
@@ -146,9 +156,22 @@ einsum = _dispatch(
     forward.einsum, reverse.einsum, slice(1, 3))
 
 
+def reduce_exact(ufunc, x, axis=-1, keepdims=False) -> np.ndarray:
+    """ufunc.reduce(x, axis) with that short axis moved first: one
+    C-contiguous transposed copy, then one reduce across all other entries
+    at once instead of numpy's loop over short rows. Only for order-free
+    reductions (maximum, logical_or, logical_xor), so the values are the
+    reduce's own, NaN included. Of zeros of both signs a maximum may keep
+    either, as numpy's reduce does by layout; no caller's shift can see it.
+    Sums never run here: they keep their input order."""
+    out = ufunc.reduce(np.ascontiguousarray(np.moveaxis(np.asarray(x), axis, 0)), axis=0)
+    return np.expand_dims(out, axis) if keepdims else out
+
+
 def _softmax(x) -> np.ndarray:
     """exp(x - max) / sum over the last axis, C-contiguous whatever x's layout."""
-    e = np.exp(np.ascontiguousarray(x, dtype=np.float64) - np.max(x, axis=-1, keepdims=True))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    e = np.exp(x - reduce_exact(np.maximum, x, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
@@ -175,7 +198,7 @@ def detach(x) -> np.ndarray:
 
 def amax(x, axis, keepdims=False) -> np.ndarray:
     """Detached max along an axis (e.g. the shift inside log-sum-exp)."""
-    return np.max(detach(x), axis=axis, keepdims=keepdims)
+    return reduce_exact(np.maximum, detach(x), axis, keepdims)
 
 
 def _select(name, plain, keep_a):

@@ -27,7 +27,9 @@ Each operand is made C-contiguous in its own index order. If that order is
 (stack, rows, cols) it reshapes into its matrices; if it is (stack, cols,
 rows) it is handed to matmul as a transposed view and BLAS gets a
 transpose flag instead of a copy. Only an operand holding its indices in
-neither order is copied into (stack, rows, cols).
+neither order is copied into (stack, rows, cols). `shaped_plan` caches
+the matrix shapes, result shape and permutation per spec and operand
+shapes, so a call only checks contiguity, reshapes and runs one matmul.
 
 Determinism contract: a walker's value, tangents, Laplacian and local
 energy are bitwise independent of the batch or chunk size, of the walker's
@@ -132,23 +134,45 @@ def plan(x_sub: str, y_sub: str, out: str):
             _arrangement(l_sub, stack, m, k), _arrangement(r_sub, stack, k, n), perm)
 
 
-def _arrange(x: np.ndarray, perm, dims, transposed, size) -> np.ndarray:
-    x = np.ascontiguousarray(x if perm is None else np.transpose(x, perm))
-    x = x.reshape([prod(size[i] for i in d) for d in dims])
+@lru_cache(maxsize=1024)
+def shaped_plan(x_sub: str, y_sub: str, out: str, x_shape: tuple, y_shape: tuple):
+    """`plan` resolved at fixed operand shapes: (swap, left, right, shape,
+    perm, dot, size). left and right are each operand's (perm, matrix
+    shape, transposed); shape is the result's before perm; dot says M and
+    N are both 1; size maps every index to its length. The cache is
+    bounded, since callers such as init_ensemble's redraws evaluate
+    arbitrary batch sizes."""
+    swap, (stack, m, _, n), lplan, rplan, perm = plan(x_sub, y_sub, out)
+    size = dict(zip(x_sub, x_shape))
+    size.update(zip(y_sub, y_shape))
+
+    def fold(arrangement):
+        p, dims, transposed = arrangement
+        return p, tuple(prod(size[i] for i in d) for d in dims), transposed
+
+    dot = prod(size[i] for i in m) == 1 and prod(size[i] for i in n) == 1
+    return (swap, fold(lplan), fold(rplan), tuple(size[i] for i in stack + m + n), perm,
+            dot, size)
+
+
+def _arrange(x: np.ndarray, perm, shape, transposed) -> np.ndarray:
+    x = np.ascontiguousarray(x if perm is None else np.transpose(x, perm)).reshape(shape)
     return np.swapaxes(x, -1, -2) if transposed else x
+
+
+def _matrices(swap, lplan, rplan, x: np.ndarray, y: np.ndarray):
+    lhs, rhs = (y, x) if swap else (x, y)
+    left, right = _arrange(lhs, *lplan), _arrange(rhs, *rplan)
+    if (lplan[2] or rplan[2]) and np.may_share_memory(left, right):
+        right = right.copy(order="K")  # same layout, no alias: GEMM, not SYRK
+    return left, right
 
 
 def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
     """The matrices (L, R) that `contract` hands to matmul, and the size of
     every index."""
-    swap, _, lplan, rplan, _ = plan(x_sub, y_sub, out)
-    size = dict(zip(x_sub, x.shape))
-    size.update(zip(y_sub, y.shape))
-    lhs, rhs = (y, x) if swap else (x, y)
-    left, right = _arrange(lhs, *lplan, size), _arrange(rhs, *rplan, size)
-    if (lplan[2] or rplan[2]) and np.may_share_memory(left, right):
-        right = right.copy(order="K")  # same layout, no alias: GEMM, not SYRK
-    return left, right, size
+    swap, lplan, rplan, _, _, _, size = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
+    return (*_matrices(swap, lplan, rplan, x, y), dict(size))
 
 
 def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -157,11 +181,11 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     Subscripts are trusted (see parse_spec), so internal specs may use the
     reserved lane index 't'. The result may be a transposed view.
     """
-    left, right, size = operands(x_sub, y_sub, out, x, y)
-    if left.shape[-2] == 1 and right.shape[-1] == 1:  # a dot product: keep it off BLAS
+    swap, lplan, rplan, shape, perm, dot, _ = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
+    left, right = _matrices(swap, lplan, rplan, x, y)
+    if dot:  # a dot product: keep it off BLAS
         res = np.sum(left * np.swapaxes(right, -1, -2), axis=-1, keepdims=True)
     else:
         res = np.matmul(left, right)
-    _, (stack, m, _, n), _, _, perm = plan(x_sub, y_sub, out)
-    res = res.reshape([size[i] for i in stack + m + n])
+    res = res.reshape(shape)
     return res if perm is None else res.transpose(perm)

@@ -253,9 +253,8 @@ def einsum(spec: str, a, b) -> Dual:
     `contract`. A tangent's trailing seed lane ends the folded column run N
     (bnm,bmkt->bnkt is one GEMM per walker); a Laplacian term contracts like
     the value; the cross term folds the lane into K. The spec alone decides
-    which operands reach BLAS as (transposed) views, and contract.py's
-    determinism contract makes every walker's result bitwise independent of
-    batch size, position in the batch, memory layout and BLAS threads.
+    which operands reach BLAS as (transposed) views; contract.py states the
+    determinism contract.
     """
     a_sub, b_sub, out = parse_spec(spec)
     av = a.val if isinstance(a, Dual) else np.asarray(a, dtype=np.float64)

@@ -137,10 +137,16 @@ class Var:
         if any(ix is Ellipsis for ix in idx):
             raise IndexError("Ellipsis indexing is not supported on Var")
         shape = self.val.shape
+        # basic indexing reaches each entry at most once, so an in-place add
+        # gives np.add.at's bits without its per-entry loop
+        basic = not any(isinstance(ix, (list, tuple, np.ndarray)) for ix in idx)
 
         def vjp(g):
             z = np.zeros(shape)
-            np.add.at(z, idx, g)
+            if basic:
+                z[idx] += g
+            else:
+                np.add.at(z, idx, g)
             return z
 
         return self.tape._record(self.val[idx], [(self, vjp)])

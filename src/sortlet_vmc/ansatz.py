@@ -26,6 +26,7 @@ contributes zero to the mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,10 +54,12 @@ class SignedLog:
 
 
 def _parity_small(values: np.ndarray) -> np.ndarray:
-    # (..., N) -> (...,) via a broadcast inversion count; O(N^2) but N is tiny
+    # (..., N) -> (...,): the inversion count's parity, an exact XOR of the
+    # pair comparisons, reduced lane-leading as in ad.reduce_exact; O(N^2)
+    # but N is tiny
     i, j = np.triu_indices(values.shape[-1], 1)
-    inv = np.sum(values[..., i] > values[..., j], axis=-1)
-    return np.where(inv % 2 == 0, 1, -1).astype(np.int64)
+    lanes = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    return np.where(np.logical_xor.reduce(lanes[i] > lanes[j], axis=0), -1, 1)
 
 
 def _parity_cycles(order: np.ndarray) -> np.ndarray:
@@ -115,17 +118,26 @@ def sortlet_logs(scores) -> SignedLog:
     if n == 1:
         return _single_score_logs(scores)
     order = np.argsort(vals, axis=-1, kind="stable")
-    # gap j is ranked[j + 1] - ranked[j]; the last is the wrap gap ranked[N-1] - ranked[0]
-    upper = order[..., np.r_[1:n, n - 1]]
-    lower = order[..., np.r_[0:n - 1, 0]]
-    gaps = ad.take_along(scores, upper, axis=-1) - ad.take_along(scores, lower, axis=-1)
-    gv = ad.detach(gaps)
-    tied = np.any(gv == 0.0, axis=-1)
-    safe = ad.where(gv == 0.0, 1.0, gaps)
+    ends = ad.take_along(scores, order[..., _gap_ends(n)], axis=-1)  # (..., 2N)
+    upper, lower = (_all_but_last(vals.ndim, half) for half in (slice(None, n), slice(n, None)))
+    gaps = ends[upper] - ends[lower]
+    zero = ad.detach(gaps) == 0.0
+    tied = ad.reduce_exact(np.logical_or, zero)
+    safe = ad.where(zero, 1.0, gaps)
     logmag = ad.sum(ad.log(safe), axis=-1)  # gather order is canonical already
     logmag = ad.where(tied, BIG_NEG, logmag)
     sign = np.where(tied, 0, score_parity(vals))
     return SignedLog(sign, logmag)
+
+
+@lru_cache
+def _gap_ends(n: int) -> np.ndarray:
+    """Ranks of the gap ends: the N upper ends, then the N lower ends. Gap
+    j is ranked[j + 1] - ranked[j]; the last is the wrap gap
+    ranked[N-1] - ranked[0]."""
+    ends = np.r_[1:n, n - 1, 0:n - 1, 0]
+    ends.flags.writeable = False
+    return ends
 
 
 def _all_but_last(ndim: int, last) -> tuple:
@@ -257,7 +269,7 @@ class SortletWavefunction:
         core = sortlet_logs(s)
         rate = ad.softplus(params["env.rate"])  # (K,)
         reach = envelope_distance_sum(self.system, positions)  # (B,)
-        env = ad.einsum("b,k->bk", reach, rate) * (-1.0)
+        env = ad.einsum("b,k->bk", -reach, rate)
         mixed = mix_signed_logs(core.sign, core.logmag + env, params["mix.w"])
         j = pair_log_factor(positions, self.system.spins, params["pair.beta"])
         return SignedLog(mixed.sign * parity, mixed.logmag + j)

@@ -7,7 +7,6 @@ their position rows, never their spin tags.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,32 +124,6 @@ def transpose_electrons(c: ElectronConfiguration, i: int, j: int) -> ElectronCon
     pos = c.positions.copy()
     pos[[i, j]] = pos[[j, i]]
     return ElectronConfiguration(positions=pos, spins=c.spins)
-
-
-def exchange_path(c: ElectronConfiguration, i: int, j: int, t: float) -> ElectronConfiguration:
-    """Linear path from c at t=0 to the (i j)-transposed configuration at t=1.
-
-    Only defined for same-spin pairs; at t=0.5 the two electrons coincide.
-    """
-    n = c.n_electrons
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"electron index out of range: ({i}, {j}) for N={n}")
-    if c.spins[i] != c.spins[j]:
-        raise ValueError(f"electrons {i} and {j} have different spins")
-    swapped = transpose_electrons(c, i, j)
-    pos = (1.0 - t) * c.positions + t * swapped.positions
-    return ElectronConfiguration(positions=pos, spins=c.spins)
-
-
-def h4_rectangle(theta_deg: float, radius: float = 1.738 * BOHR_PER_ANGSTROM) -> SystemSpec:
-    """Four hydrogens on a circle of the given radius (Bohr), parameterized
-    by the apex angle theta; theta=90 gives the square."""
-    t = math.radians(theta_deg) / 2.0
-    x = radius * math.cos(t)
-    y = radius * math.sin(t)
-    nuclei = [(x, y, 0.0), (x, -y, 0.0), (-x, y, 0.0), (-x, -y, 0.0)]
-    return SystemSpec(nuclei_positions=np.array(nuclei), charges=np.array([1, 1, 1, 1]),
-                      n_up=2, n_down=2)
 
 
 # ---------------------------------------------------------------------------

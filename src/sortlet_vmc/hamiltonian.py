@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .ansatz import SignedLog, canonical_order
+from .ansatz import canonical_order
 from .geometry import SystemSpec
 
 
@@ -143,33 +143,3 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
             kinetic[lo:lo + step] = k
     return LocalEnergyBreakdown(kinetic=kinetic, ee=ee, en=en, nn=nn)
 
-
-class HydrogenGroundState:
-    """Exact 1s state around one proton: log|Psi| = -|r - c|.
-
-    Its local energy is -1/2 Hartree identically, which makes it the
-    sharpest end-to-end check of the dual-based kinetic evaluation.
-    """
-
-    def __init__(self, center=(0.0, 0.0, 0.0)):
-        self.center = np.asarray(center, dtype=np.float64)
-
-    def signed_log(self, positions):
-        shape = ad.detach(positions).shape
-        if shape[1:] != (1, 3):
-            raise ValueError(f"one electron expected, got {shape}")
-        delta = positions - self.center
-        dist = ad.reshape(ad.norm(delta), shape[:1])
-        return SignedLog(np.ones(shape[0], dtype=np.int64), -dist)
-
-
-class HarmonicGroundState:
-    """Exact isotropic-well ground state: log|Psi| = -(1/2) sum_i |r_i|^2.
-
-    With the harmonic potential hook its local energy is 1.5 per electron.
-    """
-
-    def signed_log(self, positions):
-        shape = ad.detach(positions).shape
-        logmag = -0.5 * ad.sum(ad.square(positions), axis=(1, 2))
-        return SignedLog(np.ones(shape[0], dtype=np.int64), logmag)

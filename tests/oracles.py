@@ -3,13 +3,20 @@ against. Nothing in src/ or perfbench/ calls them."""
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from sortlet_vmc import ad
-from sortlet_vmc.ansatz import sortlet_logs, vandermonde_logs
+from sortlet_vmc.ansatz import SignedLog, sortlet_logs, vandermonde_logs
 from sortlet_vmc.backbone import FEATURE_EPS
+from sortlet_vmc.geometry import (
+    BOHR_PER_ANGSTROM,
+    ElectronConfiguration,
+    SystemSpec,
+    transpose_electrons,
+)
 
 
 def hessian_diag_central(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -141,3 +148,60 @@ def take_along_vjp_add_at(shape, idx, axis, g) -> np.ndarray:
     ix[axis % len(shape)] = idx
     np.add.at(z, tuple(ix), g)
     return z
+
+
+def exchange_path(c: ElectronConfiguration, i: int, j: int, t: float) -> ElectronConfiguration:
+    """Linear path from c at t=0 to the (i j)-transposed configuration at t=1.
+
+    Only defined for same-spin pairs; at t=0.5 the two electrons coincide.
+    """
+    n = c.n_electrons
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"electron index out of range: ({i}, {j}) for N={n}")
+    if c.spins[i] != c.spins[j]:
+        raise ValueError(f"electrons {i} and {j} have different spins")
+    swapped = transpose_electrons(c, i, j)
+    pos = (1.0 - t) * c.positions + t * swapped.positions
+    return ElectronConfiguration(positions=pos, spins=c.spins)
+
+
+def h4_rectangle(theta_deg: float, radius: float = 1.738 * BOHR_PER_ANGSTROM) -> SystemSpec:
+    """Four hydrogens on a circle of the given radius (Bohr), parameterized
+    by the apex angle theta; theta=90 gives the square."""
+    t = math.radians(theta_deg) / 2.0
+    x = radius * math.cos(t)
+    y = radius * math.sin(t)
+    nuclei = [(x, y, 0.0), (x, -y, 0.0), (-x, y, 0.0), (-x, -y, 0.0)]
+    return SystemSpec(nuclei_positions=np.array(nuclei), charges=np.array([1, 1, 1, 1]),
+                      n_up=2, n_down=2)
+
+
+class HydrogenGroundState:
+    """Exact 1s state around one proton: log|Psi| = -|r - c|.
+
+    Its local energy is -1/2 Hartree identically, which makes it the
+    sharpest end-to-end check of the dual-based kinetic evaluation.
+    """
+
+    def __init__(self, center=(0.0, 0.0, 0.0)):
+        self.center = np.asarray(center, dtype=np.float64)
+
+    def signed_log(self, positions):
+        shape = ad.detach(positions).shape
+        if shape[1:] != (1, 3):
+            raise ValueError(f"one electron expected, got {shape}")
+        delta = positions - self.center
+        dist = ad.reshape(ad.norm(delta), shape[:1])
+        return SignedLog(np.ones(shape[0], dtype=np.int64), -dist)
+
+
+class HarmonicGroundState:
+    """Exact isotropic-well ground state: log|Psi| = -(1/2) sum_i |r_i|^2.
+
+    With the harmonic potential hook its local energy is 1.5 per electron.
+    """
+
+    def signed_log(self, positions):
+        shape = ad.detach(positions).shape
+        logmag = -0.5 * ad.sum(ad.square(positions), axis=(1, 2))
+        return SignedLog(np.ones(shape[0], dtype=np.int64), logmag)

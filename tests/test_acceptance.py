@@ -11,15 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import complexity_benchmark
+from oracles import HarmonicGroundState, HydrogenGroundState, complexity_benchmark
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction, score_parity
 from sortlet_vmc.geometry import SystemSpec
-from sortlet_vmc.hamiltonian import (
-    HarmonicGroundState,
-    HydrogenGroundState,
-    local_energy,
-)
+from sortlet_vmc.hamiltonian import local_energy
 from sortlet_vmc.optimizer import TrainSettings, evaluate_energy, train
 from sortlet_vmc.sampler import init_ensemble, mh_step, run_sweeps
 

@@ -110,6 +110,19 @@ def test_canonical_order():
     assert np.array_equal(order4, order) and np.array_equal(parity4, parity)
 
 
+def test_score_parity_matches_brute_force_with_ties():
+    """The pair-comparison XOR path, N = 1..64, with ties (which count no
+    inversion) and on a moveaxis view."""
+    rng = np.random.default_rng(14)
+    for n in range(1, 65):
+        raw = rng.integers(0, max(2, n // 2), size=(3, n, 2)).astype(np.float64)
+        values = np.moveaxis(raw, 1, -1)  # (3, 2, n), non-contiguous
+        par = score_parity(values)
+        assert par.shape == (3, 2)
+        for row, p in zip(values.reshape(-1, n), par.ravel()):
+            assert p == brute_parity(list(row))
+
+
 def test_score_parity_large_n_uses_cycle_path():
     rng = np.random.default_rng(0)
     v = rng.normal(size=200)  # > the small-N cutoff
@@ -148,6 +161,30 @@ def test_sortlet_tie_vanishes_with_finite_derivatives():
     assert sl.sign[0] == 0
     assert sl.logmag.val[0] == BIG_NEG
     assert np.all(np.isfinite(sl.logmag.tan)) and np.all(np.isfinite(sl.logmag.curv))
+
+
+def test_sortlet_logs_agree_across_engines_on_a_moveaxis_view():
+    """sortlet_logs gathers both gap ends at once from the (B, K, N) moveaxis
+    view that backbone.scores returns. Plain, Dual.val and Var.val are
+    bitwise equal, and equal to the result on a contiguous copy; a tied
+    head has sign 0, an all-zero tangent and a zero Laplacian."""
+    rng = np.random.default_rng(21)
+    b, n, k, t = 3, 8, 5, 4
+    raw = rng.normal(size=(b, n, k))
+    raw[1, 5, 3] = raw[1, 2, 3]  # walker 1, head 3: two scores tie
+    plain = sortlet_logs(np.moveaxis(raw, -1, -2))
+    dual = sortlet_logs(ad.moveaxis(Dual(raw, rng.normal(size=(b, n, k, t)),
+                                         rng.normal(size=(b, n, k))), -1, -2))
+    var = sortlet_logs(ad.moveaxis(GradientTape().leaf(raw), -1, -2))
+    contiguous = sortlet_logs(np.ascontiguousarray(np.moveaxis(raw, -1, -2)))
+    for other in (dual.logmag.val, var.logmag.val, contiguous.logmag):
+        assert np.array_equal(other, plain.logmag)
+    for other in (dual.sign, var.sign, contiguous.sign):
+        np.testing.assert_array_equal(other, plain.sign)
+    assert plain.sign[1, 3] == 0 and np.count_nonzero(plain.sign) == b * k - 1
+    assert plain.logmag[1, 3] == BIG_NEG
+    assert not np.any(dual.logmag.tan[1, 3]) and dual.logmag.curv[1, 3] == 0.0
+    assert np.all(np.isfinite(dual.logmag.tan)) and np.any(dual.logmag.tan[0])
 
 
 @settings(max_examples=100, deadline=None)

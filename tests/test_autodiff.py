@@ -390,12 +390,55 @@ def test_mixing_engines_raises():
         d * p
 
 
+@pytest.mark.parametrize("idx", [(slice(None), slice(1, 3)), (1,), (slice(None), 2),
+                                 (np.array([0, 0, 2]),), (slice(None), [1, 1])],
+                         ids=["slices", "int", "slice_int", "repeated_rows", "repeated_cols"])
+def test_var_getitem_vjp_matches_add_at(idx):
+    """Basic indexing scatters with an in-place add, fancy indexing with
+    np.add.at; both give np.add.at's bits."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 3))
+    tape = GradientTape()
+    leaf = tape.leaf(x)
+    out = leaf[idx]
+    g = rng.normal(size=out.shape)
+    ref = np.zeros(x.shape)
+    np.add.at(ref, idx, g)
+    assert np.array_equal(tape.gradient(out, leaf, seed=g), ref)
+
+
 def test_amax_and_detach():
     d = seed_flat(np.array([1.0, 5.0, 2.0]))
     m = ad.amax(d, axis=0)
     assert isinstance(m, np.ndarray) or np.isscalar(m)
     assert float(m) == 5.0
     assert np.array_equal(ad.detach(d), d.val)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_reduce_exact_matches_numpy_over_short_last_axes(n):
+    """reduce_exact gives np.max's and np.any's values over a last axis of
+    length n, with -inf, NaN and zeros of both signs among the inputs, on a
+    moveaxis view (as backbone.scores returns) and on a contiguous copy.
+    Bits agree except the sign of a zero maximum in a row holding zeros of
+    both signs, which numpy's own reduce picks by layout."""
+    rng = np.random.default_rng(n)
+    pool = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, -1.5, 2.0, 1e-300])
+    raw = rng.choice(pool, size=(64, n, 5), p=[0.1, 0.02, 0.03, 0.25, 0.25, 0.15, 0.1, 0.1])
+    view = np.moveaxis(raw, 1, -1)
+    for x in (view, np.ascontiguousarray(view)):
+        ref = np.max(x, axis=-1)
+        got = ad.reduce_exact(np.maximum, x)
+        zero, negative = x == 0.0, np.signbit(x)
+        both_zeros = (ref == 0.0) & np.any(zero & negative, -1) & np.any(zero & ~negative, -1)
+        assert np.array_equal(got.view(np.int64)[~both_zeros], ref.view(np.int64)[~both_zeros])
+        assert np.all(got[both_zeros] == 0.0)
+        assert np.array_equal(ad.reduce_exact(np.maximum, x, keepdims=True), got[..., None],
+                              equal_nan=True)
+        for mask in (x == 0.0, np.isnan(x), x > 1.0):
+            assert np.array_equal(ad.reduce_exact(np.logical_or, mask), np.any(mask, axis=-1))
+    finite = np.where(np.isfinite(raw), raw, 0.5)  # another axis, as amax allows
+    assert np.array_equal(ad.amax(finite, axis=1, keepdims=True), np.max(finite, axis=1, keepdims=True))
 
 
 def test_long_dot_product_bits_do_not_depend_on_blas_threads():

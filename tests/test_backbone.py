@@ -108,6 +108,10 @@ system:
 """)
 
 
+H8 = load_system("system:\n  nuclei:\n" + "".join(
+    f"    - element: H\n      xyz: [0.0, 0.0, {1.8 * i}]\n" for i in range(8)))
+
+
 @pytest.mark.parametrize("system", [LI, LIH], ids=["li", "lih"])
 def test_scores_match_the_unfolded_attention_oracle(system):
     """The folded projections (QK = Wq Wk^T / sqrt(H), VO = Wv Wo), the fused
@@ -174,20 +178,23 @@ def test_wavefunction_antisymmetry_exact():
 
 
 def test_wavefunction_engines_agree():
-    wf = small_wf(LI)
+    """Plain logmag, Dual.val and Var.val are bitwise equal, with equal signs,
+    on Li, LiH and H8 at the production sizes (K=16, hidden 32, 2 layers)."""
     rng = np.random.default_rng(4)
-    pos = rng.normal(size=(4, 3, 3))
-    plain = wf.signed_log(wf.theta0, pos)
+    for system in (LI, LIH, H8):
+        wf = SortletWavefunction(system, seed=2)
+        homes = rng.integers(system.n_nuclei, size=(6, system.n_electrons))
+        pos = system.nuclei_positions[homes] + rng.normal(size=(6, system.n_electrons, 3))
+        plain = wf.signed_log(wf.theta0, pos)
 
-    dual = wf.signed_log(wf.theta0, ad.seed_positions(pos))
-    np.testing.assert_allclose(dual.logmag.val, plain.logmag, rtol=1e-14)
-    np.testing.assert_array_equal(dual.sign, plain.sign)
+        dual = wf.signed_log(wf.theta0, ad.seed_positions(pos))
+        assert np.array_equal(dual.logmag.val, plain.logmag)
+        np.testing.assert_array_equal(dual.sign, plain.sign)
 
-    tape = GradientTape()
-    theta = tape.leaf(wf.theta0)
-    var = wf.signed_log(theta, pos)
-    np.testing.assert_allclose(var.logmag.val, plain.logmag, rtol=1e-14)
-    np.testing.assert_array_equal(var.sign, plain.sign)
+        tape = GradientTape()
+        var = wf.signed_log(tape.leaf(wf.theta0), pos)
+        assert np.array_equal(var.logmag.val, plain.logmag)
+        np.testing.assert_array_equal(var.sign, plain.sign)
 
 
 def test_position_gradient_matches_fd():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exchange_path, h4_rectangle
 from sortlet_vmc.geometry import (
     BOHR_PER_ANGSTROM,
     ConfigError,
     ElectronConfiguration,
     SystemSpec,
-    exchange_path,
-    h4_rectangle,
     load_system,
     parse_config,
     transpose_electrons,

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import sortlet_vmc
+from oracles import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
 from sortlet_vmc.hamiltonian import (
-    HarmonicGroundState,
-    HydrogenGroundState,
     electron_potentials,
     harmonic_potential,
     local_energy,

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import HydrogenGroundState
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec
-from sortlet_vmc.hamiltonian import HydrogenGroundState
 from sortlet_vmc.optimizer import (
     Adam,
     Checkpoint,

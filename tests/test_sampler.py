@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import load_system
-from sortlet_vmc.hamiltonian import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc.sampler import (
     WalkerEnsemble,
     chain_draws,
