@@ -14,8 +14,8 @@ calls f; Var records g f'; Dual applies tan = f' tan_x and
 lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
 f' exists (absolute), and then no lane sum is computed. Only ops whose
 arithmetic differs per engine live in forward.py and reverse.py: where,
-sum, take_along, reshape, moveaxis, concat, einsum, softmax, norm and the
-operators.
+sum, the gathers behind take_along and take_ranked, reshape, moveaxis,
+concat, einsum, softmax, norm and the operators.
 
 softmax and norm reduce over the last axis and are single fused ops, not
 compositions of the elementwise rows: one plain function computes the
@@ -28,20 +28,27 @@ einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul planned once per spec and operand shapes; contract.py states the
 determinism contract it keeps. take_along is one flat gather in every
 engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
-one bincount.
+one bincount. take_ranked returns chosen ranks of a sort along the last
+axis with the rank axis first; the plain engine only sorts values, and a
+Dual or Var gathers by the stable argsort as take_along does.
 
 Reductions run in the order of their input. Only exact reductions (max,
-any, parity) run lane-leading, through reduce_exact; sums keep their
-input order. Invariance under electron relabeling is not an op's job: the
-model evaluates every walker with its electrons in one canonical order
-(`ansatz.canonical_order`), so each sum over electrons, pairs or seed
-lanes sees the same sequence for every relabeling.
+any, parity) run lane-leading (max through reduce_exact); sums keep
+their input order. The sortlet's sum over gaps runs rank-leading as a
+left fold in gap order, written out in ansatz.sortlet_logs, so neither
+layout nor batch shape can pick its order. Invariance under electron
+relabeling is not an op's job: the model evaluates every walker with its
+electrons in one canonical order (`ansatz.canonical_order`), so each sum
+over electrons, pairs or seed lanes sees the same sequence for every
+relabeling.
 
-No model code calls symsum, symsum_abs, log1p, sqrt, stack or maximum.
-They stay, each an engine-generic composite or table row, only because
-perfbench's tracer patches them by name; deleting them waits for a change
-that refreshes the benchmark's list of names. The tracer does not patch
-softmax or norm, so their time counts in the calling span's self time.
+No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
+minimum. They stay, each an engine-generic composite or table row, only
+because perfbench's tracer (perfbench/spans.py) patches them by name;
+deleting them waits for a change that refreshes the benchmark's list of
+names. The tracer does not patch softmax, norm or take_ranked, so their
+time counts in the calling span's self time (take_ranked's in
+ansatz.sortlet_logs).
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
-    "reshape", "moveaxis", "concat", "stack", "einsum", "softmax", "norm",
-    "detach", "amax", "reduce_exact",
+    "take_ranked", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
+    "norm", "detach", "amax", "reduce_exact",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
@@ -146,6 +153,24 @@ take_along = _dispatch(
     lambda x, idx, axis: forward.take(x, _take_index(x.shape, idx, axis)),
     lambda x, idx, axis: reverse.take(x, _take_index(x.shape, idx, axis)))
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
+
+
+def _ranked_index(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The flat C-order positions in vals of the entries at `ranks` of each
+    row's stable ascending sort along the last axis, rank axis first."""
+    order = np.argsort(vals, axis=-1, kind="stable")
+    return np.moveaxis(_take_index(vals.shape, order[..., ranks], -1), -1, 0)
+
+
+take_ranked = _dispatch(
+    "take_ranked", lambda x, ranks: np.moveaxis(np.sort(x, axis=-1), -1, 0)[ranks],
+    lambda x, ranks: forward.take(x, _ranked_index(x.val, ranks)),
+    lambda x, ranks: reverse.take(x, _ranked_index(x.val, ranks)))
+take_ranked.__doc__ = """The entries at `ranks` of an ascending sort along the last axis, rank
+axis first: shape (len(ranks),) + x.shape[:-1]. Plain arrays are sorted
+(values only); a Dual or Var gathers whole entries by the stable argsort.
+The values are the same floats in every engine; zeros of both signs may
+come out in either order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)

@@ -23,6 +23,9 @@ and each entry's bits do not depend on the batch size, the entry's
 position in it or the caller's memory layout.
 
 Constants stay plain ndarrays; binary ops lift them with zero derivatives.
+An op may accumulate in place into a temporary it made itself, in the
+order the out-of-place expression would take, and never writes into an
+operand.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class Dual:
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            tan = self.tan * other.val[..., None] + self.val[..., None] * other.tan
+            tan = self.tan * other.val[..., None]
+            tan += self.val[..., None] * other.tan
             curv = (self.curv * other.val + 2.0 * _lane_dot(self.tan, other.tan)
                     + self.val * other.curv)
             return Dual(self.val * other.val, tan, curv)
@@ -111,7 +115,9 @@ class Dual:
         if isinstance(other, Dual):
             # from u = w v: w' = (u' - w v') / v, lap w = (lap u - 2 w'.v' - w lap v) / v
             w = self.val / other.val
-            wt = (self.tan - w[..., None] * other.tan) / other.val[..., None]
+            wt = w[..., None] * other.tan
+            np.subtract(self.tan, wt, out=wt)
+            wt /= other.val[..., None]
             wc = (self.curv - 2.0 * _lane_dot(wt, other.tan) - w * other.curv) / other.val
             return Dual(w, wt, wc)
         return self * (1.0 / np.asarray(other, dtype=np.float64))
@@ -165,14 +171,16 @@ def softmax(x: Dual, y: np.ndarray) -> Dual:
     curv = y (w - sum_k y_k w_k)."""
     u = x.tan - _axis_dot(y, x.tan)[..., None, :]
     w = x.curv + _lane_dot(u, u)
-    return Dual(y, y[..., None] * u, y * (w - _lane_dot(y, w)[..., None]))
+    u *= y[..., None]
+    return Dual(y, u, y * (w - _lane_dot(y, w)[..., None]))
 
 
 def norm(x: Dual, f: np.ndarray) -> Dual:
     """f = sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f:
     tan = sum_c x_c tan_c / f and curv = (sum_c,t tan_c,t^2 + sum_c x_c curv_c
     - |tan|^2) / f."""
-    tan = _axis_dot(x.val, x.tan) / f[..., None]
+    tan = _axis_dot(x.val, x.tan)
+    tan /= f[..., None]
     lanes = np.ascontiguousarray(x.tan).reshape(f.shape + (-1,))  # (c, t) folded
     curv = (_lane_dot(lanes, lanes) + _lane_dot(x.val, x.curv) - _lane_dot(tan, tan)) / f
     return Dual(f, tan, curv)
@@ -271,6 +279,7 @@ def einsum(spec: str, a, b) -> Dual:
         if tan is None:
             tan, curv = tan_b, curv_b
         else:
-            tan = tan + tan_b
-            curv = curv + curv_b + 2.0 * contract(at, bt, out, a.tan, b.tan)
+            tan += tan_b
+            curv += curv_b
+            curv += 2.0 * contract(at, bt, out, a.tan, b.tan)
     return Dual(val, tan, curv)

@@ -117,14 +117,14 @@ def sortlet_logs(scores) -> SignedLog:
     n = vals.shape[-1]
     if n == 1:
         return _single_score_logs(scores)
-    order = np.argsort(vals, axis=-1, kind="stable")
-    ends = ad.take_along(scores, order[..., _gap_ends(n)], axis=-1)  # (..., 2N)
-    upper, lower = (_all_but_last(vals.ndim, half) for half in (slice(None, n), slice(n, None)))
-    gaps = ends[upper] - ends[lower]
+    ends = ad.take_ranked(scores, _gap_ends(n))  # (2N, ...)
+    gaps = ends[:n] - ends[n:]
     zero = ad.detach(gaps) == 0.0
-    tied = ad.reduce_exact(np.logical_or, zero)
-    safe = ad.where(zero, 1.0, gaps)
-    logmag = ad.sum(ad.log(safe), axis=-1)  # gather order is canonical already
+    tied = np.logical_or.reduce(zero, axis=0)
+    logs = ad.log(ad.where(zero, 1.0, gaps))
+    logmag = logs[0]
+    for j in range(1, n):  # a left fold in gap order, whatever the layout or batch
+        logmag = logmag + logs[j]
     logmag = ad.where(tied, BIG_NEG, logmag)
     sign = np.where(tied, 0, score_parity(vals))
     return SignedLog(sign, logmag)
@@ -206,10 +206,9 @@ def envelope_distance_sum(system: SystemSpec, positions):
     pos = ad.reshape(positions, (b, n, 1, 3))
     delta = pos - system.nuclei_positions[None, None]  # (B, N, I, 3)
     dist = ad.norm(delta)  # (B, N, I)
-    nearest = dist[(slice(None), slice(None), 0)]
-    for i in range(1, system.n_nuclei):
-        nearest = ad.minimum(nearest, dist[(slice(None), slice(None), i)])
-    return ad.sum(nearest, axis=-1)
+    # argmin keeps the earlier nucleus of a tie
+    nearest = ad.take_along(dist, np.argmin(ad.detach(dist), axis=-1)[..., None], axis=-1)
+    return ad.sum(ad.reshape(nearest, (b, n)), axis=-1)
 
 
 def mix_signed_logs(signs: np.ndarray, logmags, weights) -> SignedLog:

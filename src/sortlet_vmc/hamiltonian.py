@@ -74,7 +74,8 @@ def electron_potentials(system: SystemSpec, positions: np.ndarray):
         if n >= 2:
             iu, ju = np.triu_indices(n, 1)
             rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
-            ee = np.sum(1.0 / rij, axis=-1)
+            # a left fold over pairs: np.sum's order would follow rij's layout
+            ee = np.add.accumulate(1.0 / rij, axis=-1)[..., -1]
         else:
             ee = np.zeros(positions.shape[0])
         d = np.linalg.norm(positions[:, :, None, :] - system.nuclei_positions[None, None],

@@ -345,3 +345,30 @@ def test_envelope_distance_sum():
 def test_signed_log_value_roundtrip():
     sl = SignedLog(np.array([-1, 0, 1]), np.array([0.5, BIG_NEG, 1.0]))
     np.testing.assert_allclose(sl.value(), [-np.exp(0.5), 0.0, np.exp(1.0)])
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
+    """A (1, 1, N) row gets the bits it has inside a batch, in every engine:
+    the log gaps are summed in gap order whatever the batch shape, where
+    numpy's own sum over a lone row of N >= 8 goes pairwise."""
+    rng = np.random.default_rng(n)
+    b, k, t = 4, 3, 5
+    raw = rng.normal(size=(b, n, k))
+    tan, curv = rng.normal(size=(b, n, k, t)), rng.normal(size=(b, n, k))
+
+    def heads(x):  # (b, n, k) -> the (b, k, n) view backbone.scores returns
+        return ad.moveaxis(x, -1, -2)
+
+    plain = sortlet_logs(heads(raw))
+    dual = sortlet_logs(heads(Dual(raw, tan, curv))).logmag
+    var = sortlet_logs(heads(GradientTape().leaf(raw))).logmag
+    for i in range(b):
+        for j in range(k):
+            one = (slice(i, i + 1), slice(None), slice(j, j + 1))
+            assert sortlet_logs(heads(raw[one])).logmag[0, 0] == plain.logmag[i, j]
+            lone = sortlet_logs(heads(Dual(raw[one], tan[one], curv[one]))).logmag
+            assert lone.val[0, 0] == dual.val[i, j] and lone.curv[0, 0] == dual.curv[i, j]
+            np.testing.assert_array_equal(lone.tan[0, 0], dual.tan[i, j])
+            alone = sortlet_logs(heads(GradientTape().leaf(raw[one]))).logmag
+            assert alone.val[0, 0] == var.val[i, j]

@@ -13,6 +13,7 @@ from sortlet_vmc import ad, backbone
 from sortlet_vmc.ad import Dual, GradientTape
 from oracles import hessian_diag_central, take_along_vjp_add_at
 from sortlet_vmc.ad.contract import contract, operands, plan
+from sortlet_vmc.ad.forward import _axis_dot, _lane_dot
 from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.geometry import load_system
 
@@ -760,3 +761,97 @@ def test_take_along_matches_numpy_in_every_engine(case):
     np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
                                   take_along_vjp_add_at(x.shape, idx, axis, g))
 
+
+
+def test_take_ranked_matches_a_sort_in_every_engine():
+    """take_ranked against np.sort, rank axis first: plain, Dual and Var
+    values bitwise; a Dual takes each entry's lanes and Laplacian by the
+    stable argsort (ties in index order), and the Var VJP matches the
+    np.add.at scatter."""
+    rng = np.random.default_rng(59)
+    x = np.moveaxis(rng.normal(size=(3, 6, 4)), -1, -2)  # (3, 4, 6), a view
+    x[0, 1, 4] = x[0, 1, 2]
+    ranks = np.array([1, 2, 5, 5, 0, 3, 0])
+    want = np.moveaxis(np.sort(x, axis=-1), -1, 0)[ranks]
+    assert want.shape == (7, 3, 4)
+    np.testing.assert_array_equal(ad.take_ranked(x, ranks), want)
+
+    order = np.argsort(x, axis=-1, kind="stable")[..., ranks]
+    tan, curv = rng.normal(size=x.shape + (5,)), rng.normal(size=x.shape)
+    d = ad.take_ranked(Dual(x, tan, curv), ranks)
+    np.testing.assert_array_equal(d.val, want)
+    np.testing.assert_array_equal(
+        d.tan, np.moveaxis(np.take_along_axis(tan, order[..., None], axis=-2), -2, 0))
+    np.testing.assert_array_equal(d.curv, np.moveaxis(np.take_along_axis(curv, order, -1), -1, 0))
+
+    tape = GradientTape()
+    p = tape.leaf(x)
+    v = ad.take_ranked(p, ranks)
+    np.testing.assert_array_equal(v.val, want)
+    g = rng.normal(size=want.shape)
+    np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
+                                  take_along_vjp_add_at(x.shape, order, -1, np.moveaxis(g, 0, -1)))
+
+
+def _dual_and_bytes(rng, shape, t=4):
+    d = Dual(rng.normal(size=shape), rng.normal(size=shape + (t,)), rng.normal(size=shape))
+    return d, [(a, a.tobytes()) for a in (d.val, d.tan, d.curv)]
+
+
+def _assert_dual_equal(got, val, tan, curv):
+    for have, want in ((got.val, val), (got.tan, tan), (got.curv, curv)):
+        assert have.shape == want.shape
+        np.testing.assert_array_equal(have, want)
+
+
+@pytest.mark.parametrize("spec", ["bnk,bmk->bnm", "bnm,nk->kbm"])
+def test_dual_einsum_accumulates_in_place_without_writing_its_operands(spec):
+    """Dual x Dual einsum sums its tangent and Laplacian terms into fresh
+    results: operands keep their bytes and the result has the bits of the
+    out-of-place sums. bnm,nk->kbm's result is a transposed view."""
+    a_sub, b_sub, out = spec.replace("->", ",").split(",")
+    size = dict(b=3, n=4, m=5, k=6)
+    rng = np.random.default_rng(61)
+    a, a_bytes = _dual_and_bytes(rng, tuple(size[i] for i in a_sub))
+    b, b_bytes = _dual_and_bytes(rng, tuple(size[i] for i in b_sub))
+    got = ad.einsum(spec, a, b)
+    for arr, before in a_bytes + b_bytes:
+        assert arr.tobytes() == before
+    at, bt, ot = a_sub + "t", b_sub + "t", out + "t"
+    value = contract(a_sub, b_sub, out, a.val, b.val)
+    if spec == "bnm,nk->kbm":
+        assert not value.flags.c_contiguous
+    _assert_dual_equal(
+        got, value,
+        contract(at, b_sub, ot, a.tan, b.val) + contract(a_sub, bt, ot, a.val, b.tan),
+        contract(a_sub, b_sub, out, a.curv, b.val) + contract(a_sub, b_sub, out, a.val, b.curv)
+        + 2.0 * contract(at, bt, out, a.tan, b.tan))
+
+
+def test_fused_and_binary_dual_ops_do_not_write_their_operands():
+    """softmax, norm, and Dual * Dual and Dual / Dual with broadcast shapes
+    (each way round) reuse their own temporaries only: operands keep their
+    bytes and results have the bits of the out-of-place formulas."""
+    rng = np.random.default_rng(67)
+    x, x_bytes = _dual_and_bytes(rng, (3, 2, 5))
+    y = ad._softmax(x.val)
+    u = x.tan - _axis_dot(y, x.tan)[..., None, :]
+    w = x.curv + _lane_dot(u, u)
+    _assert_dual_equal(ad.softmax(x), y, y[..., None] * u, y * (w - _lane_dot(y, w)[..., None]))
+    f = ad._norm(x.val)
+    tan = _axis_dot(x.val, x.tan) / f[..., None]
+    lanes = x.tan.reshape(f.shape + (-1,))
+    curv = (_lane_dot(lanes, lanes) + _lane_dot(x.val, x.curv) - _lane_dot(tan, tan)) / f
+    _assert_dual_equal(ad.norm(x), f, tan, curv)
+
+    small, small_bytes = _dual_and_bytes(rng, (2, 1))
+    for p, q in ((x, small), (small, x)):
+        _assert_dual_equal(p * q, p.val * q.val,
+                           p.tan * q.val[..., None] + p.val[..., None] * q.tan,
+                           p.curv * q.val + 2.0 * _lane_dot(p.tan, q.tan) + p.val * q.curv)
+        ratio = p.val / q.val
+        wt = (p.tan - ratio[..., None] * q.tan) / q.val[..., None]
+        _assert_dual_equal(p / q, ratio, wt,
+                           (p.curv - 2.0 * _lane_dot(wt, q.tan) - ratio * q.curv) / q.val)
+    for arr, before in x_bytes + small_bytes:
+        assert arr.tobytes() == before

@@ -36,6 +36,13 @@ system:
 H8 = load_system("system:\n  nuclei:\n" + "".join(
     f"    - element: H\n      xyz: [{1.8 * i}, 0.0, 0.0]\n" for i in range(8)))
 
+B = load_system("""
+system:
+  nuclei:
+    - element: B
+      xyz: [0.0, 0.0, 0.0]
+""")
+
 
 def test_nuclear_repulsion_hand_values():
     assert nuclear_repulsion(H) == 0.0
@@ -156,6 +163,23 @@ def test_derived_chunk_splits_an_h8_batch_bitwise():
     assert np.all(np.isfinite(derived))
     for chunk in (None, 1):
         np.testing.assert_array_equal(local_energy(fn, H8, pos, chunk=chunk).total, derived)
+
+
+@pytest.mark.parametrize("system", [B, H8], ids=["B", "H8"])
+def test_local_energy_of_a_lone_walker_matches_the_batch(system):
+    """Each walker alone gets the bits of its entry in a batch of five, in
+    E_loc and in each term, at the production head count. Pair sums over
+    10 (B) and 28 (H8) pairs are long enough for numpy's pairwise order to
+    show, where a reduction's order would follow the batch's layout."""
+    wf = SortletWavefunction(system, n_sortlets=16, seed=3)
+    fn = lambda p: wf.signed_log(wf.theta0, p)
+    pos = system.nuclei_positions[np.arange(system.n_electrons) % system.n_nuclei]
+    pos = pos + np.random.default_rng(12).normal(size=(5, system.n_electrons, 3))
+    batch = local_energy(fn, system, pos)
+    for i in range(len(pos)):
+        alone = local_energy(fn, system, pos[i:i + 1])
+        for term in ("total", "kinetic", "ee", "en"):
+            np.testing.assert_array_equal(getattr(alone, term), getattr(batch, term)[i:i + 1])
 
 
 def test_repeated_local_energy_passes_reuse_their_memory():
