@@ -30,7 +30,9 @@ determinism contract it keeps. take_along is one flat gather in every
 engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
 one bincount. take_ranked returns chosen ranks of a sort along the last
 axis with the rank axis first; the plain engine only sorts values, and a
-Dual or Var gathers by the stable argsort as take_along does.
+Dual or Var gathers by the stable argsort as take_along does. A Var takes
+basic indices only (integers, slices, None); every gather of a Var goes
+through take_along or take_ranked.
 
 Reductions run in the order of their input. Only exact reductions (max,
 any, parity) run lane-leading (max through reduce_exact); sums keep

@@ -132,21 +132,18 @@ class Var:
         return self.tape._record(w, [(self, lambda g: -g * w / v)])
 
     def __getitem__(self, idx):
+        """Basic indexing only: integers, slices and None."""
         if not isinstance(idx, tuple):
             idx = (idx,)
-        if any(ix is Ellipsis for ix in idx):
-            raise IndexError("Ellipsis indexing is not supported on Var")
+        if any(ix is Ellipsis or isinstance(ix, (list, tuple, np.ndarray)) for ix in idx):
+            raise IndexError("Var takes basic indices only; gather with ad.take_along")
         shape = self.val.shape
-        # basic indexing reaches each entry at most once, so an in-place add
-        # gives np.add.at's bits without its per-entry loop
-        basic = not any(isinstance(ix, (list, tuple, np.ndarray)) for ix in idx)
 
         def vjp(g):
+            # a basic index reaches each entry at most once, so an in-place
+            # add gives np.add.at's bits
             z = np.zeros(shape)
-            if basic:
-                z[idx] += g
-            else:
-                np.add.at(z, idx, g)
+            z[idx] += g
             return z
 
         return self.tape._record(self.val[idx], [(self, vjp)])

@@ -264,7 +264,7 @@ class SortletWavefunction:
         if not (isinstance(positions, ad.Dual) and np.all(order == np.arange(shape[1]))):
             positions = ad.take_along(positions, order[..., None], axis=1)
         params = self.store.unpack(theta)
-        s = backbone.scores(self.system, params, positions, self.hidden, self.layers)
+        s = backbone.scores(self.system, params, positions)
         core = sortlet_logs(s)
         rate = ad.softplus(params["env.rate"])  # (K,)
         reach = envelope_distance_sum(self.system, positions)  # (B,)
@@ -272,8 +272,3 @@ class SortletWavefunction:
         mixed = mix_signed_logs(core.sign, core.logmag + env, params["mix.w"])
         j = pair_log_factor(positions, self.system.spins, params["pair.beta"])
         return SignedLog(mixed.sign * parity, mixed.logmag + j)
-
-    def log_density(self, theta: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """log Psi^2 up to sign handling; nodes come back as BIG_NEG."""
-        sl = self.signed_log(theta, positions)
-        return 2.0 * np.where(sl.sign == 0, BIG_NEG, ad.detach(sl.logmag))

@@ -188,12 +188,12 @@ def _affine(x, w, b):
     return ad.einsum("bnf,fh->bnh", x, w) + b
 
 
-def scores(system: SystemSpec, params: dict, positions, hidden: int = DEFAULT_HIDDEN,
-           layers: int = DEFAULT_LAYERS):
-    """Per-sortlet electron scores (B, K, N)."""
+def scores(system: SystemSpec, params: dict, positions):
+    """Per-sortlet electron scores (B, K, N). The width and the number of
+    attention layers are those of `params`, as unpacked by a ParamStore."""
     h = ad.tanh(_affine(featurize(system, positions), params["feat.w"], params["feat.b"]))
-    scale = 1.0 / np.sqrt(hidden)
-    for layer in range(layers):
+    scale = 1.0 / np.sqrt(params["feat.b"].shape[0])
+    for layer in range(sum(name.endswith(".wq") for name in params)):
         att = f"att{layer}."
         # folded on the parameter side, see the module docstring
         qk = ad.einsum("hg,kg->hk", params[att + "wq"], params[att + "wk"]) * scale

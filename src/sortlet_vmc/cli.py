@@ -27,6 +27,13 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 PROBE_KINDS = ("antisymmetry", "nodes", "smoothness", "variational", "gradcheck")
 
 
+def count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sortlet-vmc",
@@ -37,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="optimize wavefunction parameters")
     t.add_argument("config", type=Path, help="YAML system/run description")
-    t.add_argument("--iters", type=int, default=1000)
-    t.add_argument("--walkers", type=int, default=512)
+    t.add_argument("--iters", type=count, default=1000)
+    t.add_argument("--walkers", type=count, default=512)
     t.add_argument("--sortlets", type=int, default=16)
     t.add_argument("--seed", type=int, help="override the config seed")
     t.add_argument("--lr", type=float, default=1e-3)
@@ -51,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="energy of a trained checkpoint")
     e.add_argument("config", type=Path)
     e.add_argument("checkpoint", type=Path)
-    e.add_argument("--estimates", type=int, default=200)
+    e.add_argument("--estimates", type=count, default=200)
     e.add_argument("--equilibration", type=int, default=500)
-    e.add_argument("--walkers", type=int, default=256)
+    e.add_argument("--walkers", type=count, default=256)
     e.add_argument("--sortlets", type=int, default=16)
     e.add_argument("--seed", type=int)
     e.add_argument("--out", type=Path)
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("kind", choices=PROBE_KINDS)
     r.add_argument("config", type=Path)
     r.add_argument("--seed", type=int)
-    r.add_argument("--trials", type=int, default=1000,
+    r.add_argument("--trials", type=count, default=1000,
                    help="trials or paths, depending on the probe")
     r.add_argument("--sortlets", type=int, default=16)
     group = r.add_mutually_exclusive_group()
@@ -117,6 +124,9 @@ def cmd_train(args) -> int:
     try:
         result = train(wf, settings, out_dir=run_dir, resume_from=args.resume,
                        log=print)
+    except FileNotFoundError:
+        print(f"error: no such checkpoint: {args.resume}", file=sys.stderr)
+        return 1
     except (RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         print(f"partial artifacts kept in {run_dir}", file=sys.stderr)

@@ -103,13 +103,11 @@ def walker_chunk(n_electrons: int) -> int:
 
 
 def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
-                 potential: str = "coulomb",
-                 chunk: int | str | None = "auto") -> LocalEnergyBreakdown:
+                 potential: str = "coulomb") -> LocalEnergyBreakdown:
     """Per-walker local energy for any SignedLog-producing callable.
 
     signed_log_fn maps a positions batch (plain or dual) to a SignedLog.
-    The 3N-lane dual pass runs over chunks of `walker_chunk(N)` walkers;
-    an integer chunk overrides that and None takes the whole batch at once.
+    The 3N-lane dual pass runs over chunks of `walker_chunk(N)` walkers.
     """
     positions = np.asarray(positions, dtype=np.float64)
     order, _ = canonical_order(system.spins, positions)
@@ -125,9 +123,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
         raise ValueError(f"unknown potential {potential!r}")
 
     kinetic = np.empty(b)
-    if chunk == "auto":
-        chunk = walker_chunk(system.n_electrons)
-    step = b if chunk is None else max(1, chunk)
+    step = walker_chunk(system.n_electrons)
     # walkers exactly on a node or a coincidence produce non-finite lanes by
     # construction; they are flagged NaN below rather than warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,9 +233,19 @@ class Checkpoint:
     @staticmethod
     def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None,
              model_fingerprint: str | None = None) -> dict:
+        """The run state saved at `path`. FileNotFoundError if it is missing;
+        ValueError if it is not a checkpoint or does not fit this run."""
         if fingerprint is None and model_fingerprint is None:
             raise ValueError("a fingerprint to check against is required")
-        with np.load(path, allow_pickle=False) as z:
+        try:
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare array, not an archive")
+            with archive:
+                z = {name: archive[name] for name in archive.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as err:
+            raise ValueError(f"not a readable checkpoint: {path} ({err})") from None
+        try:
             if int(z["format"]) != Checkpoint.FORMAT:
                 raise ValueError(f"unsupported checkpoint format {int(z['format'])}")
             if fingerprint is not None and str(z["fingerprint"]) != fingerprint:
@@ -258,6 +269,8 @@ class Checkpoint:
                 "sigma": float(z["sigma"]),
                 "step": int(z["step"]),
             }
+        except KeyError as err:
+            raise ValueError(f"not a readable checkpoint: {path} (no field {err})") from None
 
 
 def _truncate_metrics(path: Path, next_iter: int):

@@ -9,6 +9,7 @@ derivatives come from finite differences of plain values.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -37,9 +38,7 @@ class VandermondeComparator:
         self.theta0 = self._wf.theta0
 
     def signed_log(self, theta: np.ndarray, positions: np.ndarray) -> SignedLog:
-        params = self._wf.store.unpack(theta)
-        s = backbone_scores(self.system, params, positions,
-                            self._wf.hidden, self._wf.layers)
+        s = backbone_scores(self.system, self._wf.store.unpack(theta), positions)
         return vandermonde_logs(s[:, 0, :])
 
 
@@ -148,6 +147,18 @@ def _bisect_sign_change(signed_log_fn, base, target, lo, hi, sign_lo, tol):
         hi[sub[exact]] = mid[sub[exact]]
 
 
+def _sign_changes(signs: np.ndarray):
+    """Grid indices k >= 1 of sign changes: `zeros` opens each run of zero
+    samples (one crossing, located exactly), `flips` has a nonzero sign
+    unlike the sample before. The sample after a zero run is not compared,
+    so no crossing counts twice (an even grid always hits the t = 1/2 zero)."""
+    prev, cur = signs[:-1], signs[1:]
+    after_zero = np.r_[False, prev[1:] == 0]
+    zeros = np.flatnonzero((cur == 0) & ~after_zero) + 1
+    flips = np.flatnonzero((cur != 0) & (cur != prev) & ~after_zero) + 1
+    return zeros, flips
+
+
 def node_crossing_probe(signed_log_fn, config: ElectronConfiguration, i: int, j: int,
                         resolution: int = 200, tol: float = 1e-10) -> dict:
     """Locate sign changes of the wavefunction along one exchange path.
@@ -168,29 +179,11 @@ def node_crossing_probe(signed_log_fn, config: ElectronConfiguration, i: int, j:
     if signs[0] == 0 or signs[-1] == 0:
         raise ValueError("path endpoint lies on a node")
 
-    # a zero hit on the grid is one crossing, located exactly; the sign
-    # comparison resumes after it so the flip is not double counted (the
-    # coincidence at t = 1/2 lands on every even-resolution grid)
-    locations = []
-    lo_list, hi_list, s_list = [], [], []
-    prev_t, prev_s = ts[0], signs[0]
-    in_zero_run = False
-    for t, s in zip(ts[1:], signs[1:]):
-        if s == 0:
-            if not in_zero_run:
-                locations.append((float(t), float(t)))
-                in_zero_run = True
-            continue
-        if in_zero_run:
-            in_zero_run = False
-        elif s != prev_s:
-            lo_list.append(prev_t)
-            hi_list.append(t)
-            s_list.append(prev_s)
-        prev_t, prev_s = t, s
-    if lo_list:
+    zeros, flips = _sign_changes(signs)
+    locations = [(float(ts[k]), float(ts[k])) for k in zeros]
+    if flips.size:
         lo, hi = _bisect_sign_change(signed_log_fn, base, target,
-                                     lo_list, hi_list, s_list, tol)
+                                     ts[flips - 1], ts[flips], signs[flips - 1], tol)
         locations.extend(zip(lo.tolist(), hi.tolist()))
     locations.sort()
     return {"count": len(locations), "locations": locations,
@@ -204,24 +197,18 @@ def _three_cycle_target(positions: np.ndarray, triple) -> np.ndarray:
     return out
 
 
-def _scan_crossings(signed_log_fn, base, target, resolution, tol):
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    signs = np.asarray(signed_log_fn(_path_positions(base, target, ts)).sign)
-    count = 0
-    prev = signs[0]
-    in_zero_run = False
-    for s in signs[1:]:
-        if s == 0:
-            if not in_zero_run:
-                count += 1
-                in_zero_run = True
+def _exchange_paths(system: SystemSpec, fn, rng, attempts: int, resolution: int,
+                    tol: float):
+    """(config, i, j, crossings) along random same-spin exchange paths, from
+    at most `attempts` draws; a path with an endpoint on a node is skipped."""
+    for _ in range(attempts):
+        config = ElectronConfiguration(_random_configs(system, 1, rng)[0], system.spins)
+        i, j = (int(k[0]) for k in _random_same_spin_pairs(system, 1, rng))
+        try:
+            result = node_crossing_probe(fn, config, i, j, resolution=resolution, tol=tol)
+        except ValueError:
             continue
-        if in_zero_run:
-            in_zero_run = False
-        elif s != prev:
-            count += 1
-        prev = s
-    return count
+        yield config, i, j, result
 
 
 def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: int = 100,
@@ -248,34 +235,19 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
     fn = lambda p: model.signed_log(model.theta0, p)
 
     t0 = time.perf_counter()
-    found = 0
-    max_width = 0.0
-    counts = []
-    attempts = 0
-    paths = 0
-    while paths < n_paths:
-        attempts += 1
-        if attempts > 20 * n_paths:
-            raise RuntimeError("could not draw enough off-node paths")
-        pos = _random_configs(system, 1, rng)[0]
-        config = ElectronConfiguration(pos, system.spins)
-        i, j = _random_same_spin_pairs(system, 1, rng)
-        try:
-            result = node_crossing_probe(fn, config, int(i[0]), int(j[0]),
-                                         resolution=resolution, tol=tol)
-        except ValueError:
-            continue  # endpoint on a node: resample
-        paths += 1
-        counts.append(result["count"])
-        if result["count"] >= 1:
-            found += 1
-            max_width = max(max_width, result["max_width"])
+    results = [r for *_, r in itertools.islice(
+        _exchange_paths(system, fn, rng, 20 * n_paths, resolution, tol), n_paths)]
+    if len(results) < n_paths:
+        raise RuntimeError("could not draw enough off-node paths")
+    counts = [r["count"] for r in results]
+    found = sum(c >= 1 for c in counts)
+    max_width = max([r["max_width"] for r in results if r["count"] >= 1], default=0.0)
 
-    report = {"probe": "nodes", "kind": kind, "seed": seed, "paths": paths,
+    report = {"probe": "nodes", "kind": kind, "seed": seed, "paths": n_paths,
               "with_crossing": found, "max_bracket_width": max_width,
               "mean_crossings": float(np.mean(counts)),
               "elapsed": round(time.perf_counter() - t0, 3),
-              "passed": found == paths}
+              "passed": found == n_paths}
 
     if kind == "sum":
         # exploratory: three-cycle paths return to the same configuration
@@ -285,21 +257,14 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
         sectors = [np.flatnonzero(system.spins == s) for s in (+1, -1)]
         sectors = [s for s in sectors if s.size >= 3]
         if sectors:
+            ts = np.linspace(0.0, 1.0, resolution + 1)
             for _ in range(min(n_paths, 25)):
                 pos = _random_configs(system, 1, rng)[0]
                 triple = rng.choice(sectors[0], size=3, replace=False)
-                target = _three_cycle_target(pos, triple)
-                cyc_counts.append(_scan_crossings(fn, pos, target, resolution, tol))
+                path = _path_positions(pos, _three_cycle_target(pos, triple), ts)
+                cyc_counts.append(sum(k.size for k in _sign_changes(np.asarray(fn(path).sign))))
             report["three_cycle_crossing_counts"] = cyc_counts
     return report
-
-
-def _tie_path_function(wf, theta, base, target):
-    def value(t: float) -> float:
-        sl = wf.signed_log(theta, _path_positions(base, target, [t]))
-        return float(sl.value()[0])
-
-    return value
 
 
 _H_SWEEP = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
@@ -356,57 +321,41 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0,
                              seed=seed)
     theta = wf.theta0
     fn = lambda p: wf.signed_log(theta, p)
+    flat_value = lambda p: float(fn(p.reshape(-1, 3)[None]).value()[0])
 
     single = []
-    attempts = 0
     clearance_needed = 5.0 * max(_H_SWEEP)
-    while len(single) < trials:
-        attempts += 1
-        if attempts > 50 * trials:
-            break
-        pos = _random_configs(system, 1, rng)[0]
-        config = ElectronConfiguration(pos, system.spins)
-        i, j = _random_same_spin_pairs(system, 1, rng)
-        try:
-            result = node_crossing_probe(fn, config, int(i[0]), int(j[0]),
-                                         resolution=1000, tol=1e-12)
-        except ValueError:
-            continue
+    for config, i, j, result in _exchange_paths(system, fn, rng, 50 * trials,
+                                                resolution=1000, tol=1e-12):
         # the widest stencil must not straddle a neighboring crossing; skip
         # the coincidence at t = 1/2, where the path is odd by symmetry and
         # one-sided derivatives agree vacuously
         mids = [0.5 * (a + b) for a, b in result["locations"]]
         best_t, best_clear = None, clearance_needed
-        for t in mids:
+        for k, t in enumerate(mids):
             if abs(t - 0.5) < 1e-2:
                 continue
-            clear = min([abs(t - u) for u in mids if u is not t] + [t, 1.0 - t])
+            clear = min([abs(t - u) for m, u in enumerate(mids) if m != k] + [t, 1.0 - t])
             if clear > best_clear:
                 best_t, best_clear = t, clear
         if best_t is None:
             continue
-        target = transpose_electrons(config, int(i[0]), int(j[0])).positions
-        f = _tie_path_function(wf, theta, pos, target)
-        best = _one_sided_agreement(f, best_t)
+        target = transpose_electrons(config, i, j).positions
+        best = _one_sided_agreement(
+            lambda t: float(fn(_path_positions(config.positions, target, [t])).value()[0]),
+            best_t)
         best["t"] = best_t
         single.append(best)
+        if len(single) == trials:
+            break
     worst_single = max((s["rel"] for s in single), default=np.inf)
 
     double_report = {"applicable": False}
     pos2 = _double_tie_config(system, rng)
     if pos2 is not None:
-        sl0 = fn(pos2[None])
-        grads = []
-        h = 1e-6
-        flat = pos2.reshape(-1)
-        for q in range(flat.size):
-            e = np.zeros_like(flat)
-            e[q] = h
-            fp = float(fn((flat + e).reshape(pos2.shape)[None]).value()[0])
-            fm = float(fn((flat - e).reshape(pos2.shape)[None]).value()[0])
-            grads.append((fp - fm) / (2.0 * h))
+        grads = grad_central(flat_value, pos2.reshape(-1), h=1e-6)
         double_report = {"applicable": True,
-                         "on_node": bool(np.all(sl0.sign == 0)),
+                         "on_node": bool(np.all(fn(pos2[None]).sign == 0)),
                          "max_coordinate_derivative": float(np.max(np.abs(grads)))}
 
     # control: away from ties the value is plainly differentiable and the
@@ -414,9 +363,7 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0,
     pos3 = _random_configs(system, 1, rng)[0]
     d = fn(ad.seed_positions(pos3[None]))
     engine = d.logmag.tan[0] * float(d.value()[0])
-    fd = grad_central(
-        lambda p: float(fn(p.reshape(pos3.shape)[None]).value()[0]),
-        pos3.reshape(-1), h=1e-5)
+    fd = grad_central(flat_value, pos3.reshape(-1), h=1e-5)
     control_rel = float(np.max(np.abs(engine - fd))
                         / max(float(np.max(np.abs(fd))), 1e-300))
 

@@ -104,14 +104,14 @@ def test_criterion_03_zero_variance_oracles():
         mh_step(ensemble, fn)
         chunks.append(ensemble.positions.copy())
     pts = np.concatenate(chunks)  # (100000, 1, 3)
-    eloc = local_energy(fn, system, pts, chunk=4096).total
+    eloc = local_energy(fn, system, pts).total
     dev_h = float(np.max(np.abs(eloc + 0.5)))
 
     harm = HarmonicGroundState()
     rng = np.random.default_rng(31)
     pts2 = rng.standard_normal((10_000, 1, 3))
     eloc2 = local_energy(lambda p: harm.signed_log(p), system, pts2,
-                         potential="harmonic", chunk=4096).total
+                         potential="harmonic").total
     dev_w = float(np.max(np.abs(eloc2 - 1.5)))
     _verdict("criterion 3 (zero-variance oracles)",
              dev_h < 1e-9 and dev_w < 1e-9,

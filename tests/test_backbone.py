@@ -85,16 +85,16 @@ def test_scores_equivariant_bitwise_under_same_spin_swap():
     def canonical(p):
         return np.take_along_axis(p, canonical_order(BE.spins, p)[0][..., None], axis=1)
 
-    base = scores(BE, params, pos, wf.hidden, wf.layers)  # (B, K, N)
-    base_canonical = scores(BE, params, canonical(pos), wf.hidden, wf.layers)
+    base = scores(BE, params, pos)  # (B, K, N)
+    base_canonical = scores(BE, params, canonical(pos))
     for i, j in [(0, 1), (2, 3)]:  # same-spin pairs for Be
         swapped = pos.copy()
         swapped[:, [i, j]] = swapped[:, [j, i]]
-        out = scores(BE, params, swapped, wf.hidden, wf.layers)
+        out = scores(BE, params, swapped)
         expect = base.copy()
         expect[:, :, [i, j]] = expect[:, :, [j, i]]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
-        out_canonical = scores(BE, params, canonical(swapped), wf.hidden, wf.layers)
+        out_canonical = scores(BE, params, canonical(swapped))
         assert np.array_equal(out_canonical, base_canonical)
 
 
@@ -123,9 +123,14 @@ def test_scores_match_the_unfolded_attention_oracle(system):
     pos = rng.normal(size=(5, system.n_electrons, 3)) * 1.5
     theta = wf.theta0 + 0.3 * rng.normal(size=wf.theta0.shape)  # biases off zero
 
+    def folded(params, positions):
+        return scores(system, params, positions)
+
+    def unfolded(params, positions):
+        return unfolded_scores(system, params, positions, wf.hidden, wf.layers)
+
     def both(params, positions):
-        return [f(system, params, positions, wf.hidden, wf.layers)
-                for f in (scores, unfolded_scores)]
+        return [f(params, positions) for f in (folded, unfolded)]
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
@@ -139,10 +144,10 @@ def test_scores_match_the_unfolded_attention_oracle(system):
 
     seed = rng.normal(size=want.shape)
     grads = []
-    for f in (scores, unfolded_scores):
+    for f in (folded, unfolded):
         tape = GradientTape()
         leaf = tape.leaf(theta)
-        out = f(system, wf.store.unpack(leaf), pos, wf.hidden, wf.layers)
+        out = f(wf.store.unpack(leaf), pos)
         grads.append((out.val, tape.gradient(out, leaf, seed=seed)))
     np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-12, atol=1e-14)
     close(grads[0][1], grads[1][1])
@@ -153,10 +158,10 @@ def test_scores_not_equivariant_across_spin_sectors():
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(1, 4, 3))
     params = wf.store.unpack(wf.theta0)
-    base = scores(BE, params, pos, wf.hidden, wf.layers)
+    base = scores(BE, params, pos)
     swapped = pos.copy()
     swapped[:, [0, 2]] = swapped[:, [2, 0]]  # up <-> down
-    out = scores(BE, params, swapped, wf.hidden, wf.layers)
+    out = scores(BE, params, swapped)
     expect = base.copy()
     expect[:, :, [0, 2]] = expect[:, :, [2, 0]]
     assert not np.allclose(out, expect)

@@ -181,3 +181,39 @@ def test_train_resume_from_cli_checkpoint(h_config, tmp_path):
     with np.load(full) as za, np.load(resumed) as zb:
         assert np.array_equal(za["theta"], zb["theta"])
         assert np.array_equal(za["positions"], zb["positions"])
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unreadable_checkpoint_is_a_one_line_error(h_config, tmp_path, capsys, command, damage):
+    ckpt = tmp_path / "bad.npz"
+    if damage == "truncated":
+        main(train_args(h_config, tmp_path / "good"))
+        good = next((tmp_path / "good").glob("run-*/checkpoints/step-00000004.npz"))
+        ckpt.write_bytes(good.read_bytes()[:300])
+    capsys.readouterr()
+    if command == "train":
+        argv = train_args(h_config, tmp_path / "runs", extra=["--resume", str(ckpt)])
+    else:
+        argv = ["evaluate", str(h_config), str(ckpt), "--sortlets", "1",
+                "--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err.splitlines()[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{cfg}", "--iters", "0"],
+    ["train", "{cfg}", "--walkers", "0"],
+    ["evaluate", "{cfg}", "ckpt.npz", "--estimates", "0"],
+    ["evaluate", "{cfg}", "ckpt.npz", "--walkers", "-1"],
+    ["probe", "nodes", "{cfg}", "--trials", "0"],
+    ["probe", "antisymmetry", "{cfg}", "--trials", "0"],
+], ids=["iters", "train_walkers", "estimates", "evaluate_walkers", "nodes_trials",
+        "antisymmetry_trials"])
+def test_count_flags_below_one_are_usage_errors(h_config, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(cfg=h_config) for a in argv])
+    assert exit_.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

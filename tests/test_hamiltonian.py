@@ -128,24 +128,32 @@ def test_local_energy_exchange_invariant():
     np.testing.assert_array_equal(base.total, other.total)
 
 
+def _sliced_total(fn, system, pos, width):
+    """local_energy of pos evaluated in separate slices of `width` walkers."""
+    return np.concatenate([local_energy(fn, system, pos[lo:lo + width]).total
+                           for lo in range(0, len(pos), width)])
+
+
 def test_local_energy_chunking_is_bitwise():
     wf = SortletWavefunction(LI, n_sortlets=2, hidden=8, layers=1, seed=2)
     rng = np.random.default_rng(6)
     pos = rng.normal(size=(7, 3, 3))
     fn = lambda p: wf.signed_log(wf.theta0, p)
-    a = local_energy(fn, LI, pos, chunk=None)
-    b = local_energy(fn, LI, pos, chunk=2)
-    np.testing.assert_array_equal(a.total, b.total)
-    # degenerate shapes: one electron in one-walker chunks, and in the plain
+    np.testing.assert_array_equal(local_energy(fn, LI, pos).total,
+                                  _sliced_total(fn, LI, pos, 2))
+    # degenerate shapes: one electron in one-walker slices, and in the plain
     # engine each walker alone against the same walker inside the batch
     wf_h = SortletWavefunction(H, seed=2)  # full width: GEMV and GEMM round apart here
     pos_h = rng.normal(size=(7, 1, 3))
     fn_h = lambda p: wf_h.signed_log(wf_h.theta0, p)
-    np.testing.assert_array_equal(local_energy(fn_h, H, pos_h, chunk=None).total,
-                                  local_energy(fn_h, H, pos_h, chunk=1).total)
+    np.testing.assert_array_equal(local_energy(fn_h, H, pos_h).total,
+                                  _sliced_total(fn_h, H, pos_h, 1))
     for w, p in ((wf, pos), (wf_h, pos_h)):
-        alone = [w.log_density(w.theta0, p[i:i + 1])[0] for i in range(len(p))]
-        np.testing.assert_array_equal(w.log_density(w.theta0, p), alone)
+        batch = w.signed_log(w.theta0, p)
+        for i in range(len(p)):
+            alone = w.signed_log(w.theta0, p[i:i + 1])
+            np.testing.assert_array_equal(alone.sign, batch.sign[i:i + 1])
+            np.testing.assert_array_equal(alone.logmag, batch.logmag[i:i + 1])
 
 
 def test_derived_chunk_splits_an_h8_batch_bitwise():
@@ -161,8 +169,8 @@ def test_derived_chunk_splits_an_h8_batch_bitwise():
     derived = local_energy(fn, H8, pos).total
     assert batches == [32, 8]
     assert np.all(np.isfinite(derived))
-    for chunk in (None, 1):
-        np.testing.assert_array_equal(local_energy(fn, H8, pos, chunk=chunk).total, derived)
+    for width in (20, 1):
+        np.testing.assert_array_equal(_sliced_total(fn, H8, pos, width), derived)
 
 
 @pytest.mark.parametrize("system", [B, H8], ids=["B", "H8"])
@@ -231,8 +239,8 @@ def test_results_do_not_depend_on_positions_layout():
         ref = np.ascontiguousarray(odd)
         np.testing.assert_array_equal(local_energy(fn, H8, odd).total,
                                       local_energy(fn, H8, ref).total)
-        np.testing.assert_array_equal(wf.log_density(wf.theta0, odd),
-                                      wf.log_density(wf.theta0, ref))
+        np.testing.assert_array_equal(wf.signed_log(wf.theta0, odd).logmag,
+                                      wf.signed_log(wf.theta0, ref).logmag)
         np.testing.assert_array_equal(electron_potentials(H8, odd)[1],
                                       electron_potentials(H8, ref)[1])
 

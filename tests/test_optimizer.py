@@ -290,6 +290,28 @@ def test_checkpoint_refuses_an_older_format(tmp_path):
         Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
 
 
+@pytest.mark.parametrize("damage", ["text", "bare_array", "object_array", "field_missing"])
+def test_checkpoint_that_is_not_an_archive_of_its_fields_is_refused(tmp_path, damage):
+    settings = smoke_settings(iters=3)
+    train(small_wf(), settings, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoints" / "step-00000003.npz"
+    with np.load(ckpt) as z:
+        arrays = dict(z)
+    if damage == "text":
+        ckpt.write_text("not a checkpoint\n")
+    elif damage == "bare_array":
+        with ckpt.open("wb") as fh:
+            np.save(fh, arrays["theta"])
+    elif damage == "object_array":
+        np.savez(ckpt, **dict(arrays, theta=np.array([None], dtype=object)))
+    else:
+        del arrays["theta"]
+        np.savez(ckpt, **arrays)
+    wf = small_wf()
+    with pytest.raises(ValueError, match="not a readable checkpoint"):
+        Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
+
+
 def test_checkpoint_rejects_mismatched_configuration(tmp_path):
     train(small_wf(), smoke_settings(iters=3), out_dir=tmp_path)
     other = SortletWavefunction(hydrogen_system(), n_sortlets=2, hidden=8,

@@ -58,6 +58,69 @@ def test_node_probe_brackets_are_tight_and_odd():
         assert 0.0 < lo <= hi < 1.0
 
 
+def _probe_scan(signs):
+    """The sign-change scan node_crossing_probe ran as a loop: grid indices
+    of the zero hits and of the upper ends of the flip brackets."""
+    zeros, flips = [], []
+    prev_s, in_zero_run = signs[0], False
+    for k, s in enumerate(signs[1:], start=1):
+        if s == 0:
+            if not in_zero_run:
+                zeros.append(k)
+                in_zero_run = True
+            continue
+        if in_zero_run:
+            in_zero_run = False
+        elif s != prev_s:
+            flips.append(k)
+        prev_s = s
+    return zeros, flips
+
+
+def _three_cycle_count(signs):
+    """The crossing count the three-cycle scan ran as a loop."""
+    count, prev, in_zero_run = 0, signs[0], False
+    for s in signs[1:]:
+        if s == 0:
+            if not in_zero_run:
+                count += 1
+                in_zero_run = True
+            continue
+        if in_zero_run:
+            in_zero_run = False
+        elif s != prev:
+            count += 1
+        prev = s
+    return count
+
+
+@pytest.mark.parametrize("signs,zeros,flips", [
+    ([1, 1, -1, -1], [], [2]),
+    ([1, 0, 0, 0, 1], [1], []),
+    ([1, 0, 0, -1, 1], [1], [4]),
+    ([0, 1, 1, -1], [], [1, 3]),
+    ([0, 0, -1], [1], []),
+    ([1, 1, 0, -1, -1], [2], []),
+], ids=["flip", "zero_run", "flip_after_zero_run", "leading_zero", "leading_zero_run",
+        "midpoint_zero"])
+def test_sign_changes_match_the_scan_loops(signs, zeros, flips):
+    """A zero run counts once, the sample after it is not compared, and a
+    leading zero (a three-cycle path may start on a node) is compared like
+    any sign. The midpoint case is the t = 1/2 zero an even grid hits."""
+    got_zeros, got_flips = probes._sign_changes(np.array(signs))
+    assert (got_zeros.tolist(), got_flips.tolist()) == (zeros, flips) == _probe_scan(signs)
+    assert got_zeros.size + got_flips.size == _three_cycle_count(signs)
+
+
+def test_sign_changes_match_the_scan_loops_on_random_sequences():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        signs = rng.choice([-1, 0, 1], size=rng.integers(2, 12), p=[0.4, 0.2, 0.4])
+        zeros, flips = probes._sign_changes(signs)
+        assert (zeros.tolist(), flips.tolist()) == _probe_scan(signs.tolist())
+        assert zeros.size + flips.size == _three_cycle_count(signs.tolist())
+
+
 @pytest.mark.parametrize("kind", ["sortlet", "vandermonde"])
 def test_node_suite_finds_crossing_on_every_path(kind):
     report = probes.node_crossing_suite(beryllium(), kind=kind, n_paths=25, seed=4)
