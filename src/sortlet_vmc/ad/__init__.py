@@ -29,16 +29,21 @@ matmul planned once per spec and operand shapes; contract.py states the
 determinism contract it keeps. take_along is one flat gather in every
 engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
 one bincount. take_ranked returns chosen ranks of a sort along the last
-axis with the rank axis first; the plain engine only sorts values, and a
-Dual or Var gathers by the stable argsort as take_along does. A Var takes
-basic indices only (integers, slices, None); every gather of a Var goes
-through take_along or take_ranked.
+axis with the rank axis first, and the sort's parity; the plain engine
+only sorts values, and a Dual or Var gathers by the stable argsort as
+take_along does. A Var takes basic indices only (integers, slices, None);
+every gather of a Var goes through take_along or take_ranked.
 
-Reductions run in the order of their input. Only exact reductions (max,
-any, parity) run lane-leading (max through reduce_exact); sums keep
-their input order. The sortlet's sum over gaps runs rank-leading as a
-left fold in gap order, written out in ansatz.sortlet_logs, so neither
-layout nor batch shape can pick its order. Invariance under electron
+Reductions run in the order of their input. Only exact, order-free ops
+(max, any, parity, and the sort behind take_ranked) run lane-leading:
+max through reduce_exact, and the sort as Batcher's odd-even merge
+network of elementwise minimum/maximum passes, which also counts the
+parity of its swaps. The network serves rows of up to NETWORK_MAX finite
+keys; longer rows, or any NaN or infinity, take np.sort and score_parity.
+Sums keep their input order. The sortlet's sum over gaps runs
+rank-leading as a left fold in gap order, written out in
+ansatz.sortlet_logs, so neither layout nor batch shape can pick its
+order. Invariance under electron
 relabeling is not an op's job: the model evaluates every walker with its
 electrons in one canonical order (`ansatz.canonical_order`), so each sum
 over electrons, pairs or seed lanes sees the same sequence for every
@@ -70,7 +75,7 @@ __all__ = [
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "take_ranked", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
-    "norm", "detach", "amax", "reduce_exact",
+    "norm", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
@@ -157,6 +162,106 @@ take_along = _dispatch(
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 
 
+# rows of more keys take np.sort and score_parity. The network costs a few
+# numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16 it
+# takes 215 against 338 us for np.sort plus the pair parity on 1024 rows,
+# but 133 against 40 us on 16 rows, a gap that widens with N
+NETWORK_MAX = 16
+
+
+@lru_cache
+def _network(n: int) -> tuple:
+    """Batcher's odd-even merge sort for n keys (Batcher, AFIPS 1968): the
+    comparators (i, j), i < j, of the network for the next power of two
+    that touch only indices < n. 3 at n = 3, 19 at n = 8, 63 at n = 16."""
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _parity_small(values: np.ndarray) -> np.ndarray:
+    # (..., N) -> (...,): the inversion count's parity, an exact XOR of the
+    # pair comparisons, reduced lane-leading as in reduce_exact; O(N^2)
+    # but N is tiny
+    i, j = np.triu_indices(values.shape[-1], 1)
+    lanes = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    return np.where(np.logical_xor.reduce(lanes[i] > lanes[j], axis=0), -1, 1)
+
+
+def _parity_cycles(order: np.ndarray) -> np.ndarray:
+    # parity via cycle decomposition of the sorting permutation, O(N) each
+    flat = order.reshape(-1, order.shape[-1])
+    out = np.empty(flat.shape[0], dtype=np.int64)
+    for row, perm in enumerate(flat):
+        seen = np.zeros(len(perm), dtype=bool)
+        transpositions = 0
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            length = 0
+            node = start
+            while not seen[node]:
+                seen[node] = True
+                node = perm[node]
+                length += 1
+            transpositions += length - 1
+        out[row] = -1 if transpositions % 2 else 1
+    return out.reshape(order.shape[:-1])
+
+
+def score_parity(values: np.ndarray) -> np.ndarray:
+    """Parity of the permutation that sorts `values` along the last axis."""
+    if values.shape[-1] <= 64:
+        return _parity_small(values)
+    return _parity_cycles(np.argsort(values, axis=-1, kind="stable"))
+
+
+def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted, parity): an ascending sort along the last axis with that
+    axis first, shape (N,) + vals.shape[:-1], and the sign of the sorting
+    permutation, shape vals.shape[:-1]. Never writes to vals.
+
+    Up to NETWORK_MAX keys, all finite, one compare-exchange network runs
+    lane-leading on a rank-first copy: each comparator is elementwise (a
+    strict greater-than that flips the parity, then np.minimum and
+    np.maximum), so a row's bits cannot depend on its batch or layout. The
+    values are np.sort's floats, bit for bit except that zeros of both
+    signs in one row may trade places, and each row stays a permutation of
+    its own bits. The parity is exact on every row without a tie; a finite
+    tie leaves a zero gap, so the sortlet never reads its parity. Longer
+    rows take np.sort and score_parity, and so does any input holding a
+    NaN (which minimum and maximum would copy into both slots) or an
+    infinity (two equal ones leave a NaN gap, not a zero one, and the
+    sortlet then reads score_parity's sign of the tie)."""
+    n = vals.shape[-1]
+    v = np.array(np.moveaxis(vals, -1, 0), order="C")  # a copy, never a view of vals
+    if n > NETWORK_MAX or not np.isfinite(v).all():
+        return np.moveaxis(np.sort(vals, axis=-1), -1, 0), score_parity(vals)
+    rows = list(v)
+    odd = np.zeros(v.shape[1:], dtype=bool)
+    swap, spare = np.empty_like(odd), np.empty_like(rows[0])
+    for i, j in _network(n):
+        a, b = rows[i], rows[j]
+        np.greater(a, b, out=swap)
+        odd ^= swap
+        rows[i] = np.minimum(a, b, out=spare)
+        # operands swapped against minimum: of two equal zeros, each returns
+        # its second operand, so the pair stays a permutation of its bits
+        np.maximum(b, a, out=b)
+        spare = a  # a's buffer is free again
+    return np.stack(rows), np.where(odd, -1, 1)
+
+
 def _ranked_index(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The flat C-order positions in vals of the entries at `ranks` of each
     row's stable ascending sort along the last axis, rank axis first."""
@@ -164,15 +269,21 @@ def _ranked_index(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return np.moveaxis(_take_index(vals.shape, order[..., ranks], -1), -1, 0)
 
 
+def _take_ranked_plain(x, ranks):
+    v, parity = _sort_parity(x)
+    return v[ranks], parity
+
+
 take_ranked = _dispatch(
-    "take_ranked", lambda x, ranks: np.moveaxis(np.sort(x, axis=-1), -1, 0)[ranks],
-    lambda x, ranks: forward.take(x, _ranked_index(x.val, ranks)),
-    lambda x, ranks: reverse.take(x, _ranked_index(x.val, ranks)))
-take_ranked.__doc__ = """The entries at `ranks` of an ascending sort along the last axis, rank
-axis first: shape (len(ranks),) + x.shape[:-1]. Plain arrays are sorted
-(values only); a Dual or Var gathers whole entries by the stable argsort.
-The values are the same floats in every engine; zeros of both signs may
-come out in either order."""
+    "take_ranked", _take_ranked_plain,
+    lambda x, ranks: (forward.take(x, _ranked_index(x.val, ranks)), _sort_parity(x.val)[1]),
+    lambda x, ranks: (reverse.take(x, _ranked_index(x.val, ranks)), _sort_parity(x.val)[1]))
+take_ranked.__doc__ = """(entries, parity): the entries at `ranks` of an ascending sort along
+the last axis, rank axis first, shape (len(ranks),) + x.shape[:-1], and
+the sort's parity from _sort_parity on the values, shape x.shape[:-1].
+Plain arrays take _sort_parity's sorted values; a Dual or Var gathers whole
+entries by the stable argsort. The values are the same floats in every
+engine; zeros of both signs may come out in either order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)

@@ -10,7 +10,10 @@ contributes its bare score). Swapping two electrons permutes the scores,
 which leaves every gap untouched and flips the sort parity, so psi_k is
 antisymmetric by construction; it vanishes exactly when two scores tie.
 Sorting is the only N-coupled step, so one head costs O(N log N) against
-the O(N^3) of a determinant.
+the O(N^3) of a determinant. Up to ad.NETWORK_MAX = 16 electrons the sort
+and its parity come from one comparator network of O(N log^2 N) passes
+(ad.take_ranked); longer rows keep np.sort and score_parity, whose cycle
+path is O(N) per row, so the sortlet's cost still grows like a sort.
 
 The full state multiplies in a symmetric pair factor (electron-electron
 cusps), per-head nucleus envelopes (decay and nuclear cusps), and mixes the
@@ -31,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import ad, backbone
+from .ad import score_parity
 from .geometry import SystemSpec
 
 # stand-in log-magnitude for an exact zero: finite (so no inf-inf traps),
@@ -51,43 +55,6 @@ class SignedLog:
     def value(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return self.sign * np.exp(ad.detach(self.logmag))
-
-
-def _parity_small(values: np.ndarray) -> np.ndarray:
-    # (..., N) -> (...,): the inversion count's parity, an exact XOR of the
-    # pair comparisons, reduced lane-leading as in ad.reduce_exact; O(N^2)
-    # but N is tiny
-    i, j = np.triu_indices(values.shape[-1], 1)
-    lanes = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    return np.where(np.logical_xor.reduce(lanes[i] > lanes[j], axis=0), -1, 1)
-
-
-def _parity_cycles(order: np.ndarray) -> np.ndarray:
-    # parity via cycle decomposition of the sorting permutation, O(N) each
-    flat = order.reshape(-1, order.shape[-1])
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    for row, perm in enumerate(flat):
-        seen = np.zeros(len(perm), dtype=bool)
-        transpositions = 0
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = perm[node]
-                length += 1
-            transpositions += length - 1
-        out[row] = -1 if transpositions % 2 else 1
-    return out.reshape(order.shape[:-1])
-
-
-def score_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the permutation that sorts `values` along the last axis."""
-    if values.shape[-1] <= 64:
-        return _parity_small(values)
-    return _parity_cycles(np.argsort(values, axis=-1, kind="stable"))
 
 
 def canonical_order(spins: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +84,7 @@ def sortlet_logs(scores) -> SignedLog:
     n = vals.shape[-1]
     if n == 1:
         return _single_score_logs(scores)
-    ends = ad.take_ranked(scores, _gap_ends(n))  # (2N, ...)
+    ends, parity = ad.take_ranked(scores, _gap_ends(n))  # (2N, ...), (...)
     gaps = ends[:n] - ends[n:]
     zero = ad.detach(gaps) == 0.0
     tied = np.logical_or.reduce(zero, axis=0)
@@ -126,7 +93,7 @@ def sortlet_logs(scores) -> SignedLog:
     for j in range(1, n):  # a left fold in gap order, whatever the layout or batch
         logmag = logmag + logs[j]
     logmag = ad.where(tied, BIG_NEG, logmag)
-    sign = np.where(tied, 0, score_parity(vals))
+    sign = np.where(tied, 0, parity)
     return SignedLog(sign, logmag)
 
 

@@ -129,7 +129,8 @@ def cmd_train(args) -> int:
         return 1
     except (RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        print(f"partial artifacts kept in {run_dir}", file=sys.stderr)
+        if run_dir.exists():  # a refused --resume fails before anything is written
+            print(f"partial artifacts kept in {run_dir}", file=sys.stderr)
         return 1
     print(f"final energy {format_energy(result.stats.mean, result.stats.stderr)} Ha "
           f"({settings.iters} iterations)")

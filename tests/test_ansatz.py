@@ -347,7 +347,7 @@ def test_signed_log_value_roundtrip():
     np.testing.assert_allclose(sl.value(), [-np.exp(0.5), 0.0, np.exp(1.0)])
 
 
-@pytest.mark.parametrize("n", range(8, 17))
+@pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 2))
 def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
     """A (1, 1, N) row gets the bits it has inside a batch, in every engine:
     the log gaps are summed in gap order whatever the batch shape, where
@@ -372,3 +372,35 @@ def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
             np.testing.assert_array_equal(lone.tan[0, 0], dual.tan[i, j])
             alone = sortlet_logs(heads(GradientTape().leaf(raw[one]))).logmag
             assert alone.val[0, 0] == var.val[i, j]
+
+
+@pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 2))
+def test_sortlet_logs_match_np_sort_and_score_parity(n):
+    """The plain sortlet from take_ranked's network (or its fallback) gives
+    the bits of np.sort plus score_parity: on finite rows with ties and
+    zeros of both signs, and with infinities of both signs or NaN in many
+    rows or in one row of an otherwise finite batch."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(400, n))
+    pick = rng.random(size=x.shape) < 0.3
+    x[pick] = rng.choice([0.0, -0.0, 1.0], size=pick.sum())
+    batches = [x]
+    for bad in (np.inf, -np.inf, np.nan):
+        many, one = x.copy(), x.copy()
+        many[::7, n // 2] = bad
+        many[::5, 0] = np.inf  # two equal infinities in some rows
+        one[3, 0] = bad
+        batches += [many, one]
+    ends = np.r_[1:n, n - 1, 0:n - 1, 0]
+    for batch in batches:
+        srt = np.moveaxis(np.sort(batch, axis=-1), -1, 0)
+        with np.errstate(invalid="ignore"):
+            gaps = srt[ends[:n]] - srt[ends[n:]]
+            logs = np.log(np.where(gaps == 0, 1.0, gaps))
+            got = sortlet_logs(batch)
+        tied = (gaps == 0).any(0)
+        logmag = logs[0]
+        for j in range(1, n):
+            logmag = logmag + logs[j]
+        np.testing.assert_array_equal(got.sign, np.where(tied, 0, score_parity(batch)))
+        assert got.logmag.tobytes() == np.where(tied, BIG_NEG, logmag).tobytes()

@@ -775,30 +775,120 @@ def test_take_ranked_matches_a_sort_in_every_engine():
     """take_ranked against np.sort, rank axis first: plain, Dual and Var
     values bitwise; a Dual takes each entry's lanes and Laplacian by the
     stable argsort (ties in index order), and the Var VJP matches the
-    np.add.at scatter."""
+    np.add.at scatter. Every engine returns the same parity, score_parity's
+    on every untied row."""
     rng = np.random.default_rng(59)
     x = np.moveaxis(rng.normal(size=(3, 6, 4)), -1, -2)  # (3, 4, 6), a view
     x[0, 1, 4] = x[0, 1, 2]
     ranks = np.array([1, 2, 5, 5, 0, 3, 0])
     want = np.moveaxis(np.sort(x, axis=-1), -1, 0)[ranks]
     assert want.shape == (7, 3, 4)
-    np.testing.assert_array_equal(ad.take_ranked(x, ranks), want)
+    vals, parity = ad.take_ranked(x, ranks)
+    np.testing.assert_array_equal(vals, want)
+    untied = np.ones(x.shape[:-1], dtype=bool)
+    untied[0, 1] = False
+    np.testing.assert_array_equal(parity[untied], ad.score_parity(x)[untied])
 
     order = np.argsort(x, axis=-1, kind="stable")[..., ranks]
     tan, curv = rng.normal(size=x.shape + (5,)), rng.normal(size=x.shape)
-    d = ad.take_ranked(Dual(x, tan, curv), ranks)
+    d, d_parity = ad.take_ranked(Dual(x, tan, curv), ranks)
     np.testing.assert_array_equal(d.val, want)
     np.testing.assert_array_equal(
         d.tan, np.moveaxis(np.take_along_axis(tan, order[..., None], axis=-2), -2, 0))
     np.testing.assert_array_equal(d.curv, np.moveaxis(np.take_along_axis(curv, order, -1), -1, 0))
+    np.testing.assert_array_equal(d_parity, parity)
 
     tape = GradientTape()
     p = tape.leaf(x)
-    v = ad.take_ranked(p, ranks)
+    v, v_parity = ad.take_ranked(p, ranks)
     np.testing.assert_array_equal(v.val, want)
+    np.testing.assert_array_equal(v_parity, parity)
     g = rng.normal(size=want.shape)
     np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
                                   take_along_vjp_add_at(x.shape, order, -1, np.moveaxis(g, 0, -1)))
+
+
+SPECIALS = {"zeros": [0.0, -0.0, 1.0], "inf": [0.0, -0.0, 1.0, np.inf, -np.inf],
+            "nan": [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]}
+
+
+def _special_rows(rng, n, rows, special):
+    """Rows of n keys mixing normals with ties, zeros of both signs and the
+    other SPECIALS[special]."""
+    x = rng.normal(size=(rows, n))
+    specials = np.array(SPECIALS[special])
+    pick = rng.random(size=x.shape) < 0.3
+    x[pick] = rng.choice(specials, size=pick.sum())
+    return x
+
+
+def _bit_sorted(a, axis):
+    """Each line's bit patterns in ascending order: equal for two lines that
+    are permutations of the same floats."""
+    return np.sort(np.ascontiguousarray(a).view(np.int64), axis=axis)
+
+
+@pytest.mark.parametrize("n", range(1, ad.NETWORK_MAX + 2))
+@pytest.mark.parametrize("special", sorted(SPECIALS))
+def test_take_ranked_network_matches_sort_and_score_parity(n, special):
+    """The compare-exchange network (N <= NETWORK_MAX, all finite) and its
+    np.sort fallback against np.sort and score_parity. Values are np.sort's
+    as floats, bit for bit on every row without zeros of both signs, and
+    the network's are a permutation of each row's own bits; the parity is
+    score_parity's on every untied row; plain, Dual and Var agree on both."""
+    rng = np.random.default_rng(n)
+    x = np.moveaxis(_special_rows(rng, n, 600, special).reshape(30, 20, n), -1, 0)
+    x = np.moveaxis(np.ascontiguousarray(x), 0, -1)  # the layout backbone.scores returns
+    vals, parity = ad.take_ranked(x, np.arange(n))
+    want = np.moveaxis(np.sort(x, axis=-1), -1, 0)
+    np.testing.assert_array_equal(vals, want)  # as floats, NaN equal to NaN
+    mixed_zeros = ((x == 0) & np.signbit(x)).any(-1) & ((x == 0) & ~np.signbit(x)).any(-1)
+    assert (mixed_zeros.any() or n == 1) and (~mixed_zeros).any()
+    np.testing.assert_array_equal(vals.view(np.int64)[:, ~mixed_zeros],
+                                  want.view(np.int64)[:, ~mixed_zeros])
+    if n <= ad.NETWORK_MAX and special == "zeros":  # np.sort may turn a zero's sign
+        np.testing.assert_array_equal(_bit_sorted(vals, 0), _bit_sorted(np.moveaxis(x, -1, 0), 0))
+
+    srt = np.sort(x, axis=-1)
+    untied = ~(srt[..., 1:] == srt[..., :-1]).any(-1) & ~np.isnan(x).any(-1)
+    assert untied.any()
+    np.testing.assert_array_equal(parity[untied], ad.score_parity(x)[untied])
+
+    tan, curv = rng.normal(size=x.shape + (2,)), rng.normal(size=x.shape)
+    d, d_parity = ad.take_ranked(Dual(x, tan, curv), np.arange(n))
+    v, v_parity = ad.take_ranked(GradientTape().leaf(x), np.arange(n))
+    for other, other_parity in ((d.val, d_parity), (v.val, v_parity)):
+        np.testing.assert_array_equal(other_parity, parity)
+        np.testing.assert_array_equal(other.view(np.int64)[:, ~mixed_zeros],
+                                      vals.view(np.int64)[:, ~mixed_zeros])
+        np.testing.assert_array_equal(other, vals)
+
+
+@pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 1))
+def test_take_ranked_sorts_every_zero_one_row(n):
+    """By the 0-1 principle, a comparator network that sorts all 2^N rows of
+    zeros and ones sorts every input of N keys."""
+    rows = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    vals, _ = ad.take_ranked(rows.astype(np.float64), np.arange(n))
+    np.testing.assert_array_equal(vals, np.sort(rows, axis=-1).T)
+
+
+@pytest.mark.parametrize("n", [3, 8, ad.NETWORK_MAX, ad.NETWORK_MAX + 1])
+def test_take_ranked_never_writes_its_input(n):
+    """The sort runs on a copy, also where moving the key axis first would
+    give a view of the caller's array: a C-contiguous (1, N) or (1, 1, N)
+    row, and the rank-first view backbone.scores returns."""
+    rng = np.random.default_rng(n)
+    rank_first = rng.normal(size=(n, 2, 3))
+    for x in (rng.normal(size=(1, n)), rng.normal(size=(1, 1, n)), rng.normal(size=(4, n)),
+              np.moveaxis(rank_first, 0, -1)):
+        before = x.copy()
+        want = np.moveaxis(np.sort(x, axis=-1), -1, 0)
+        for arg in (x, Dual(x, np.zeros(x.shape + (1,)), np.zeros(x.shape)),
+                    GradientTape().leaf(x)):
+            vals, _ = ad.take_ranked(arg, np.arange(n))
+            np.testing.assert_array_equal(ad.detach(vals), want)
+            assert x.tobytes() == before.tobytes()
 
 
 def _dual_and_bytes(rng, shape, t=4):

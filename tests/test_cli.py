@@ -203,6 +203,21 @@ def test_unreadable_checkpoint_is_a_one_line_error(h_config, tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+def test_refused_resume_names_no_missing_directory(h_config, tmp_path, capsys):
+    """A truncated --resume checkpoint fails before the run directory is
+    made, so the error names no partial artifacts."""
+    main(train_args(h_config, tmp_path / "good"))
+    good = next((tmp_path / "good").glob("run-*/checkpoints/step-00000004.npz"))
+    ckpt = tmp_path / "bad.npz"
+    ckpt.write_bytes(good.read_bytes()[:300])
+    capsys.readouterr()
+    runs = tmp_path / "runs"
+    assert main(train_args(h_config, runs, extra=["--resume", str(ckpt)])) == 1
+    err = capsys.readouterr().err
+    assert not runs.exists()
+    assert "partial artifacts" not in err and str(runs) not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "{cfg}", "--iters", "0"],
     ["train", "{cfg}", "--walkers", "0"],
