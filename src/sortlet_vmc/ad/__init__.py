@@ -6,7 +6,9 @@ engines: plain ndarrays (Metropolis sampling), forward-mode Dual
 Laplacian per value, see forward.py; the local energy) and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters; the energy gradient).
 Every op picks its engine with one check over the operands it is handed
-(`_dispatch`); mixing Dual and Var in one call is an error.
+(`_dispatch`); mixing Dual and Var in one call is an error. concat and
+norm have no Var engine: no parameter gradient passes through them, since
+positions are never a Var, and a Var operand raises TypeError.
 
 Elementwise ops are the rows of one table, ELEMENTWISE, each
 `name: (f, f'(x, y), f''(x, y, f') or None)` at y = f(x). The plain engine
@@ -14,28 +16,30 @@ calls f; Var records g f'; Dual applies tan = f' tan_x and
 lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
 f' exists (absolute), and then no lane sum is computed. Only ops whose
 arithmetic differs per engine live in forward.py and reverse.py: where,
-sum, the gathers behind take_along and take_ranked, reshape, moveaxis,
+sum, the gathers behind take_along and sort_parity, reshape, moveaxis,
 concat, einsum, softmax, norm and the operators.
 
 softmax and norm reduce over the last axis and are single fused ops, not
 compositions of the elementwise rows: one plain function computes the
-value for all three engines (so plain, Dual.val and Var.val agree bit for
-bit), and the Dual and Var ops add only their derivative rules. The Dual
-rules are written out in forward.py; each of their sums over the reduced
-axis or over the seed lanes runs in an order fixed by per-walker sizes.
+value for every engine the op has (so plain, Dual.val and Var.val agree
+bit for bit), and the Dual and Var ops add only their derivative rules.
+The Dual rules are written out in forward.py; each of their sums over the
+reduced axis or over the seed lanes runs in an order fixed by per-walker
+sizes.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul planned once per spec and operand shapes; contract.py states the
 determinism contract it keeps. take_along is one flat gather in every
 engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
-one bincount. take_ranked returns chosen ranks of a sort along the last
-axis with the rank axis first, and the sort's parity; the plain engine
-only sorts values, and a Dual or Var gathers by the stable argsort as
-take_along does. A Var takes basic indices only (integers, slices, None);
-every gather of a Var goes through take_along or take_ranked.
+one bincount. sort_parity returns the whole ascending sort along the
+last axis with the rank axis first, and the sort's parity; the plain
+engine only sorts values, and a Dual or Var gathers each entry once by
+the stable argsort as take_along does. A Var takes basic indices only
+(integers, slices, None); every gather of a Var goes through take_along
+or sort_parity.
 
 Reductions run in the order of their input. Only exact, order-free ops
-(max, any, parity, and the sort behind take_ranked) run lane-leading:
+(max, any, parity, and the sort behind sort_parity) run lane-leading:
 max through reduce_exact, and the sort as Batcher's odd-even merge
 network of elementwise minimum/maximum passes, which also counts the
 parity of its swaps. The network serves rows of up to NETWORK_MAX finite
@@ -43,18 +47,17 @@ keys; longer rows, or any NaN or infinity, take np.sort and score_parity.
 Sums keep their input order. The sortlet's sum over gaps runs
 rank-leading as a left fold in gap order, written out in
 ansatz.sortlet_logs, so neither layout nor batch shape can pick its
-order. Invariance under electron
-relabeling is not an op's job: the model evaluates every walker with its
-electrons in one canonical order (`ansatz.canonical_order`), so each sum
-over electrons, pairs or seed lanes sees the same sequence for every
-relabeling.
+order. Invariance under electron relabeling is not an op's job: the
+model evaluates every walker with its electrons in one canonical order
+(`ansatz.canonical_order`), so each sum over electrons, pairs or seed
+lanes sees the same sequence for every relabeling.
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
 because perfbench's tracer (perfbench/spans.py) patches them by name;
 deleting them waits for a change that refreshes the benchmark's list of
-names. The tracer does not patch softmax, norm or take_ranked, so their
-time counts in the calling span's self time (take_ranked's in
+names. The tracer does not patch softmax, norm or sort_parity, so their
+time counts in the calling span's self time (sort_parity's in
 ansatz.sortlet_logs).
 """
 
@@ -74,7 +77,7 @@ __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
-    "take_ranked", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
+    "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
     "norm", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
 ]
 
@@ -95,7 +98,7 @@ ELEMENTWISE = {
 def _dispatch(name, plain, dual, var, operands=slice(0, 1)):
     """op(*args) runs plain, dual or var by the engine of args[operands]: a
     slice of the positional arguments, or the index of one that holds a
-    list of operands."""
+    list of operands. An engine given as None raises TypeError."""
     impls = (plain, dual, var)
 
     def op(*args, **kwargs):
@@ -107,6 +110,8 @@ def _dispatch(name, plain, dual, var, operands=slice(0, 1)):
                 engine |= 2
         if engine == 3:
             raise TypeError("cannot mix forward-mode Dual and reverse-mode Var")
+        if impls[engine] is None:
+            raise TypeError(f"{name} has no reverse-mode engine")
         return impls[engine](*args, **kwargs)
 
     op.__name__ = op.__qualname__ = name
@@ -262,33 +267,30 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.where(odd, -1, 1)
 
 
-def _ranked_index(vals: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The flat C-order positions in vals of the entries at `ranks` of each
-    row's stable ascending sort along the last axis, rank axis first."""
+def _ranked_index(vals: np.ndarray) -> np.ndarray:
+    """The flat C-order positions in vals of each row's stable ascending
+    sort along the last axis, rank axis first and C-contiguous: a gather
+    keeps its index's layout, and the sortlet's gaps and fold read whole
+    ranks."""
     order = np.argsort(vals, axis=-1, kind="stable")
-    return np.moveaxis(_take_index(vals.shape, order[..., ranks], -1), -1, 0)
+    return np.ascontiguousarray(np.moveaxis(_take_index(vals.shape, order, -1), -1, 0))
 
 
-def _take_ranked_plain(x, ranks):
-    v, parity = _sort_parity(x)
-    return v[ranks], parity
-
-
-take_ranked = _dispatch(
-    "take_ranked", _take_ranked_plain,
-    lambda x, ranks: (forward.take(x, _ranked_index(x.val, ranks)), _sort_parity(x.val)[1]),
-    lambda x, ranks: (reverse.take(x, _ranked_index(x.val, ranks)), _sort_parity(x.val)[1]))
-take_ranked.__doc__ = """(entries, parity): the entries at `ranks` of an ascending sort along
-the last axis, rank axis first, shape (len(ranks),) + x.shape[:-1], and
-the sort's parity from _sort_parity on the values, shape x.shape[:-1].
-Plain arrays take _sort_parity's sorted values; a Dual or Var gathers whole
-entries by the stable argsort. The values are the same floats in every
-engine; zeros of both signs may come out in either order."""
+sort_parity = _dispatch(
+    "sort_parity", _sort_parity,
+    lambda x: (forward.take(x, _ranked_index(x.val)), _sort_parity(x.val)[1]),
+    lambda x: (reverse.take(x, _ranked_index(x.val)), _sort_parity(x.val)[1]))
+sort_parity.__doc__ = """(sorted, parity): the ascending sort along the last axis, rank axis
+first, shape (N,) + x.shape[:-1], and the sort's parity from _sort_parity
+on the values, shape x.shape[:-1]. Plain arrays take _sort_parity itself;
+a Dual or Var gathers each entry once by the stable argsort. The values
+are the same floats in every engine; zeros of both signs may come out in
+either order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)
 concat = _dispatch("concat", lambda xs, axis: np.concatenate(xs, axis=axis),
-                   forward.concat, reverse.concat, 0)
+                   forward.concat, None, 0)
 einsum = _dispatch(
     "einsum", lambda spec, a, b: contract(*parse_spec(spec), np.asarray(a), np.asarray(b)),
     forward.einsum, reverse.einsum, slice(1, 3))
@@ -322,8 +324,7 @@ def _norm(x, eps=0.0) -> np.ndarray:
 softmax = _dispatch("softmax", _softmax, lambda x: forward.softmax(x, _softmax(x.val)),
                     lambda x: reverse.softmax(x, _softmax(x.val)))
 softmax.__doc__ = "Softmax over the last axis, one op in every engine."
-norm = _dispatch("norm", _norm, lambda x, eps=0.0: forward.norm(x, _norm(x.val, eps)),
-                 lambda x, eps=0.0: reverse.norm(x, _norm(x.val, eps)))
+norm = _dispatch("norm", _norm, lambda x, eps=0.0: forward.norm(x, _norm(x.val, eps)), None)
 norm.__doc__ = "sqrt(sum_c x_c^2 + eps^2) over the last axis, one op in every engine."
 
 

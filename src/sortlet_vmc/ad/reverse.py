@@ -163,12 +163,6 @@ def softmax(x: Var, y: np.ndarray) -> Var:
     return x.tape._record(y, [(x, lambda g: y * (g - np.sum(g * y, axis=-1, keepdims=True)))])
 
 
-def norm(x: Var, f: np.ndarray) -> Var:
-    """sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f: g_x = g x / f."""
-    d = x.val / f[..., None]
-    return x.tape._record(f, [(x, lambda g: g[..., None] * d)])
-
-
 def where(mask, a, b) -> Var:
     mask = np.asarray(mask, dtype=bool)
     av = a.val if isinstance(a, Var) else np.asarray(a, dtype=np.float64)
@@ -211,21 +205,6 @@ def moveaxis(x: Var, src: int, dst: int) -> Var:
     dst = dst % x.val.ndim
     return x.tape._record(np.moveaxis(x.val, src, dst),
                           [(x, lambda g: np.moveaxis(g, dst, src))])
-
-
-def concat(xs, axis: int) -> Var:
-    tape = next(x.tape for x in xs if isinstance(x, Var))
-    vals = [x.val if isinstance(x, Var) else np.asarray(x, dtype=np.float64) for x in xs]
-    axis = axis % vals[0].ndim
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-    parents = []
-    for i, x in enumerate(xs):
-        if isinstance(x, Var):
-            lo, hi = offsets[i], offsets[i + 1]
-            sl = tuple(slice(None) for _ in range(axis)) + (slice(lo, hi),)
-            parents.append((x, lambda g, sl=sl: g[sl]))
-    return tape._record(np.concatenate(vals, axis=axis), parents)
 
 
 def einsum(spec: str, a, b) -> Var:

@@ -10,10 +10,12 @@ contributes its bare score). Swapping two electrons permutes the scores,
 which leaves every gap untouched and flips the sort parity, so psi_k is
 antisymmetric by construction; it vanishes exactly when two scores tie.
 Sorting is the only N-coupled step, so one head costs O(N log N) against
-the O(N^3) of a determinant. Up to ad.NETWORK_MAX = 16 electrons the sort
-and its parity come from one comparator network of O(N log^2 N) passes
-(ad.take_ranked); longer rows keep np.sort and score_parity, whose cycle
-path is O(N) per row, so the sortlet's cost still grows like a sort.
+the O(N^3) of a determinant. Each head is sorted once (ad.sort_parity)
+and its gaps are differences of neighbouring ranks. Up to
+ad.NETWORK_MAX = 16 electrons the sort and its parity come from one
+comparator network of O(N log^2 N) passes; longer rows keep np.sort and
+score_parity, whose cycle path is O(N) per row, so the sortlet's cost
+still grows like a sort.
 
 The full state multiplies in a symmetric pair factor (electron-electron
 cusps), per-head nucleus envelopes (decay and nuclear cusps), and mixes the
@@ -29,7 +31,6 @@ contributes zero to the mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,41 +81,26 @@ def sortlet_logs(scores) -> SignedLog:
     scores: (..., N) in any engine. Heads whose scores tie anywhere come
     back with sign 0 and their derivative lanes severed.
     """
-    vals = ad.detach(scores)
-    n = vals.shape[-1]
+    n = ad.detach(scores).shape[-1]
+    ranked, parity = ad.sort_parity(scores)  # (N, ...), (...)
     if n == 1:
-        return _single_score_logs(scores)
-    ends, parity = ad.take_ranked(scores, _gap_ends(n))  # (2N, ...), (...)
-    gaps = ends[:n] - ends[n:]
+        return _bare_score_logs(ranked[0])
+    gaps = ranked[1:] - ranked[:-1]
     zero = ad.detach(gaps) == 0.0
     tied = np.logical_or.reduce(zero, axis=0)
     logs = ad.log(ad.where(zero, 1.0, gaps))
     logmag = logs[0]
-    for j in range(1, n):  # a left fold in gap order, whatever the layout or batch
+    for j in range(1, n - 1):  # a left fold in gap order, whatever the layout or batch
         logmag = logmag + logs[j]
+    # the wrap gap is zero only where every adjacent gap is
+    logmag = logmag + ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
     logmag = ad.where(tied, BIG_NEG, logmag)
     sign = np.where(tied, 0, parity)
     return SignedLog(sign, logmag)
 
 
-@lru_cache
-def _gap_ends(n: int) -> np.ndarray:
-    """Ranks of the gap ends: the N upper ends, then the N lower ends. Gap
-    j is ranked[j + 1] - ranked[j]; the last is the wrap gap
-    ranked[N-1] - ranked[0]."""
-    ends = np.r_[1:n, n - 1, 0:n - 1, 0]
-    ends.flags.writeable = False
-    return ends
-
-
-def _all_but_last(ndim: int, last) -> tuple:
-    return tuple(slice(None) for _ in range(ndim - 1)) + (last,)
-
-
-def _single_score_logs(scores) -> SignedLog:
-    vals = ad.detach(scores)
-    s = scores[_all_but_last(vals.ndim, 0)]
-    sv = vals[..., 0]
+def _bare_score_logs(s) -> SignedLog:
+    sv = ad.detach(s)
     zero = sv == 0.0
     safe = ad.where(zero, 1.0, ad.absolute(s))
     logmag = ad.where(zero, BIG_NEG, ad.log(safe))

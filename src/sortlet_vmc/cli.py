@@ -27,11 +27,19 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 PROBE_KINDS = ("antisymmetry", "nodes", "smoothness", "variational", "gradcheck")
 
 
-def count(text: str) -> int:
-    """argparse type of a count flag: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _at_least(low: int, name: str):
+    """argparse type of an integer flag of at least `low`, called `name` in
+    argparse's message for text that is not an integer."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = name
+    return parse
+
+
+count = _at_least(1, "count")  # walkers, iterations, sortlets, trials
+natural = _at_least(0, "natural")  # seeds and step counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("config", type=Path, help="YAML system/run description")
     t.add_argument("--iters", type=count, default=1000)
     t.add_argument("--walkers", type=count, default=512)
-    t.add_argument("--sortlets", type=int, default=16)
-    t.add_argument("--seed", type=int, help="override the config seed")
+    t.add_argument("--sortlets", type=count, default=16)
+    t.add_argument("--seed", type=natural, help="override the config seed")
     t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--burn-in", type=int, default=500)
-    t.add_argument("--checkpoint-every", type=int, default=200)
+    t.add_argument("--burn-in", type=natural, default=500)
+    t.add_argument("--checkpoint-every", type=natural, default=200)
     t.add_argument("--out", type=Path, help="output root (else $%s)" % OUT_ENV)
     t.add_argument("--resume", type=Path, metavar="CKPT",
                    help="continue bitwise from a checkpoint")
@@ -59,19 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("config", type=Path)
     e.add_argument("checkpoint", type=Path)
     e.add_argument("--estimates", type=count, default=200)
-    e.add_argument("--equilibration", type=int, default=500)
+    e.add_argument("--equilibration", type=natural, default=500)
     e.add_argument("--walkers", type=count, default=256)
-    e.add_argument("--sortlets", type=int, default=16)
-    e.add_argument("--seed", type=int)
+    e.add_argument("--sortlets", type=count, default=16)
+    e.add_argument("--seed", type=natural)
     e.add_argument("--out", type=Path)
 
     r = sub.add_parser("probe", help="run one structural validation")
     r.add_argument("kind", choices=PROBE_KINDS)
     r.add_argument("config", type=Path)
-    r.add_argument("--seed", type=int)
+    r.add_argument("--seed", type=natural)
     r.add_argument("--trials", type=count, default=1000,
                    help="trials or paths, depending on the probe")
-    r.add_argument("--sortlets", type=int, default=16)
+    r.add_argument("--sortlets", type=count, default=16)
     group = r.add_mutually_exclusive_group()
     group.add_argument("--single-sortlet", action="store_true",
                        help="nodes: assert a crossing on every exchange path")
@@ -98,6 +106,19 @@ def _load_config(path: Path):
         raise SystemExit(f"error: bad config {path}: {err}")
 
 
+def _wavefunction(system, args, seed: int):
+    """The ansatz --sortlets asks for. A width past backbone.MAX_SORTLETS
+    is a one-line usage error; cli checks only the lower bound itself, so
+    that it stays numpy-free."""
+    from .ansatz import SortletWavefunction
+
+    try:
+        return SortletWavefunction(system, n_sortlets=args.sortlets, seed=seed)
+    except ValueError as err:
+        print(f"error: --sortlets {args.sortlets}: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _config_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
@@ -109,12 +130,11 @@ def _append_report(run_dir: Path, kind: str, record: dict):
 
 
 def cmd_train(args) -> int:
-    from .ansatz import SortletWavefunction
     from .optimizer import TrainSettings, config_fingerprint, format_energy, train
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    wf = SortletWavefunction(cfg.system, n_sortlets=args.sortlets, seed=seed)
+    wf = _wavefunction(cfg.system, args, seed)
     settings = TrainSettings(iters=args.iters, walkers=args.walkers, seed=seed,
                              lr=args.lr, burn_in=args.burn_in,
                              checkpoint_every=args.checkpoint_every,
@@ -138,12 +158,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .ansatz import SortletWavefunction
     from .optimizer import Checkpoint, config_fingerprint, evaluate_energy
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    wf = SortletWavefunction(cfg.system, n_sortlets=args.sortlets, seed=seed)
+    wf = _wavefunction(cfg.system, args, seed)
     try:
         state = Checkpoint.load(args.checkpoint, wf=wf,
                                 model_fingerprint=config_fingerprint(cfg.system, wf))
@@ -170,25 +189,28 @@ def cmd_evaluate(args) -> int:
 
 def cmd_probe(args) -> int:
     from . import probes
-    from .ansatz import SortletWavefunction
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    if args.kind == "antisymmetry":
-        wf = SortletWavefunction(cfg.system, n_sortlets=args.sortlets, seed=seed)
-        report = probes.antisymmetry_suite(wf, trials=args.trials, seed=seed)
-    elif args.kind == "nodes":
-        kind = ("sortlet" if args.single_sortlet
-                else "vandermonde" if args.vandermonde else "sum")
-        report = probes.node_crossing_suite(cfg.system, kind=kind,
-                                            n_paths=min(args.trials, 100), seed=seed)
-    elif args.kind == "smoothness":
-        report = probes.smoothness_probe(cfg.system, trials=min(args.trials, 10),
-                                         seed=seed)
-    elif args.kind == "variational":
-        report = probes.variational_floor_check(trials=args.trials, seed=seed)
-    else:
-        report = probes.toy_gradient_check()
+    try:
+        if args.kind == "antisymmetry":
+            report = probes.antisymmetry_suite(_wavefunction(cfg.system, args, seed),
+                                               trials=args.trials, seed=seed)
+        elif args.kind == "nodes":
+            kind = ("sortlet" if args.single_sortlet
+                    else "vandermonde" if args.vandermonde else "sum")
+            report = probes.node_crossing_suite(cfg.system, kind=kind,
+                                                n_paths=min(args.trials, 100), seed=seed)
+        elif args.kind == "smoothness":
+            report = probes.smoothness_probe(cfg.system, trials=min(args.trials, 10),
+                                             seed=seed)
+        elif args.kind == "variational":
+            report = probes.variational_floor_check(trials=args.trials, seed=seed)
+        else:
+            report = probes.toy_gradient_check()
+    except ValueError as err:  # e.g. an exchange probe on a system with no same-spin pair
+        print(f"error: probe {args.kind}: {err}", file=sys.stderr)
+        return 2
     _append_report(_out_root(args) / f"run-{_config_digest(args.config)}",
                    args.kind, report)
     passed = bool(report.get("passed", False))

@@ -152,6 +152,11 @@ class LoadedConfig:
     run: RunSettings = field(default_factory=RunSettings)
 
 
+def _is_int(v) -> bool:
+    # YAML true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _reject_unknown(mapping: dict, allowed: set, path: str):
     for key in mapping:
         if key not in allowed:
@@ -172,11 +177,11 @@ def _parse_nucleus(entry, idx: int):
         charge = ELEMENTS[symbol]
     else:
         charge = entry["charge"]
-        if not isinstance(charge, int) or charge < 1:
+        if not _is_int(charge) or charge < 1:
             raise ConfigError(f"{path}.charge", "charge must be a positive integer")
     xyz = entry.get("xyz")
     if not (isinstance(xyz, (list, tuple)) and len(xyz) == 3
-            and all(isinstance(v, (int, float)) for v in xyz)):
+            and all(_is_int(v) or isinstance(v, float) for v in xyz)):
         raise ConfigError(f"{path}.xyz", "xyz must be a list of 3 numbers (Bohr)")
     return charge, [float(v) for v in xyz]
 
@@ -209,7 +214,7 @@ def parse_config(config_text: str) -> LoadedConfig:
         raise ConfigError("electrons", "must be a mapping")
     _reject_unknown(electrons, _ELECTRON_KEYS, "electrons")
     for key in ("n_up", "n_down"):
-        if key in electrons and (not isinstance(electrons[key], int) or electrons[key] < 0):
+        if key in electrons and (not _is_int(electrons[key]) or electrons[key] < 0):
             raise ConfigError(f"electrons.{key}", "must be a non-negative integer")
     if "n_up" in electrons or "n_down" in electrons:
         if not ("n_up" in electrons and "n_down" in electrons):
@@ -226,7 +231,7 @@ def parse_config(config_text: str) -> LoadedConfig:
         raise ConfigError("run", "must be a mapping")
     _reject_unknown(run, _RUN_KEYS, "run")
     seed = run.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("run.seed", "must be a non-negative integer")
     potential = run.get("potential", "coulomb")
     if potential not in _POTENTIALS:

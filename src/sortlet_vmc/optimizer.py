@@ -238,11 +238,13 @@ class Checkpoint:
         if fingerprint is None and model_fingerprint is None:
             raise ValueError("a fingerprint to check against is required")
         try:
-            archive = np.load(path, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("a bare array, not an archive")
-            with archive:
-                z = {name: archive[name] for name in archive.files}
+            # our handle: np.load leaves its own open when the zip is broken
+            with open(path, "rb") as fh:
+                archive = np.load(fh, allow_pickle=False)
+                if not isinstance(archive, np.lib.npyio.NpzFile):
+                    raise ValueError("a bare array, not an archive")
+                with archive:
+                    z = {name: archive[name] for name in archive.files}
         except (zipfile.BadZipFile, EOFError, ValueError) as err:
             raise ValueError(f"not a readable checkpoint: {path} ({err})") from None
         try:

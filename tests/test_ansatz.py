@@ -376,7 +376,7 @@ def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
 
 @pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 2))
 def test_sortlet_logs_match_np_sort_and_score_parity(n):
-    """The plain sortlet from take_ranked's network (or its fallback) gives
+    """The plain sortlet from sort_parity's network (or its fallback) gives
     the bits of np.sort plus score_parity: on finite rows with ties and
     zeros of both signs, and with infinities of both signs or NaN in many
     rows or in one row of an otherwise finite batch."""

@@ -232,3 +232,50 @@ def test_count_flags_below_one_are_usage_errors(h_config, capsys, argv):
         main([a.format(cfg=h_config) for a in argv])
     assert exit_.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{cfg}", "--sortlets", "0"],
+    ["evaluate", "{cfg}", "ckpt.npz", "--sortlets", "0"],
+    ["probe", "antisymmetry", "{cfg}", "--sortlets", "0"],
+    ["train", "{cfg}", "--seed", "-1"],
+    ["evaluate", "{cfg}", "ckpt.npz", "--seed", "-1"],
+    ["probe", "variational", "{cfg}", "--seed", "-1"],
+    ["train", "{cfg}", "--burn-in", "-1"],
+    ["train", "{cfg}", "--checkpoint-every", "-1"],
+    ["evaluate", "{cfg}", "ckpt.npz", "--equilibration", "-1"],
+], ids=["train_sortlets", "evaluate_sortlets", "probe_sortlets", "train_seed",
+        "evaluate_seed", "probe_seed", "burn_in", "checkpoint_every", "equilibration"])
+def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, capsys, argv):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(cfg=h_config) for a in argv] + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{cfg}", "--iters", "1", "--walkers", "4"],
+    ["evaluate", "{cfg}", "ckpt.npz"],
+    ["probe", "antisymmetry", "{cfg}", "--trials", "4"],
+], ids=["train", "evaluate", "probe"])
+def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(cfg=h_config) for a in argv] + ["--sortlets", "40", "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sortlets 40") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["antisymmetry", "nodes", "smoothness"])
+def test_exchange_probes_refuse_a_system_without_a_same_spin_pair(h_config, tmp_path, capsys,
+                                                                 kind):
+    out = tmp_path / "runs"
+    assert main(["probe", kind, str(h_config), "--trials", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: probe {kind}:") and len(err.splitlines()) == 1
+    assert "same spin" in err or "spin sector" in err
+    assert not out.exists()

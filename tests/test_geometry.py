@@ -90,9 +90,15 @@ run:
     (H_CFG + "bogus: {}\n", "bogus"),
     ("system: {}\n", "nuclei"),
     ("[]", "<document>"),
+    ("system:\n  nuclei:\n    - charge: true\n      xyz: [0,0,0]\n", "charge"),
+    ("system:\n  nuclei:\n    - element: H\n      xyz: [true,0,0]\n", "xyz"),
+    (H_CFG + "run:\n  seed: true\n", "seed"),
+    (H_CFG + "electrons:\n  n_up: true\n  n_down: false\n", "n_up"),
+    (H_CFG + "electrons:\n  n_up: 1\n  n_down: false\n", "n_down"),
 ], ids=["bad-element", "short-xyz", "element-and-charge", "unknown-nucleus-key",
         "negative-seed", "unknown-potential", "half-override", "unknown-top-key",
-        "missing-nuclei", "non-mapping"])
+        "missing-nuclei", "non-mapping", "bool-charge", "bool-xyz", "bool-seed",
+        "bool-n_up", "bool-n_down"])
 def test_rejects_bad_configs(snippet, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(snippet)
