@@ -137,9 +137,9 @@ def plan(x_sub: str, y_sub: str, out: str):
 @lru_cache(maxsize=1024)
 def shaped_plan(x_sub: str, y_sub: str, out: str, x_shape: tuple, y_shape: tuple):
     """`plan` resolved at fixed operand shapes: (swap, left, right, shape,
-    perm, dot, size). left and right are each operand's (perm, matrix
-    shape, transposed); shape is the result's before perm; dot says M and
-    N are both 1; size maps every index to its length. The cache is
+    perm, dot). left and right are each operand's (perm, matrix shape,
+    transposed); shape is the result's before perm; dot says M and N are
+    both 1. The cache is
     bounded, since callers such as init_ensemble's redraws evaluate
     arbitrary batch sizes."""
     swap, (stack, m, _, n), lplan, rplan, perm = plan(x_sub, y_sub, out)
@@ -151,8 +151,7 @@ def shaped_plan(x_sub: str, y_sub: str, out: str, x_shape: tuple, y_shape: tuple
         return p, tuple(prod(size[i] for i in d) for d in dims), transposed
 
     dot = prod(size[i] for i in m) == 1 and prod(size[i] for i in n) == 1
-    return (swap, fold(lplan), fold(rplan), tuple(size[i] for i in stack + m + n), perm,
-            dot, size)
+    return swap, fold(lplan), fold(rplan), tuple(size[i] for i in stack + m + n), perm, dot
 
 
 def _arrange(x: np.ndarray, perm, shape, transposed) -> np.ndarray:
@@ -168,20 +167,13 @@ def _matrices(swap, lplan, rplan, x: np.ndarray, y: np.ndarray):
     return left, right
 
 
-def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
-    """The matrices (L, R) that `contract` hands to matmul, and the size of
-    every index."""
-    swap, lplan, rplan, _, _, _, size = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
-    return (*_matrices(swap, lplan, rplan, x, y), dict(size))
-
-
 def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """einsum(f"{x_sub},{y_sub}->{out}", x, y) as one np.matmul.
 
     Subscripts are trusted (see parse_spec), so internal specs may use the
     reserved lane index 't'. The result may be a transposed view.
     """
-    swap, lplan, rplan, shape, perm, dot, _ = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
+    swap, lplan, rplan, shape, perm, dot = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
     left, right = _matrices(swap, lplan, rplan, x, y)
     if dot:  # a dot product: keep it off BLAS
         res = np.sum(left * np.swapaxes(right, -1, -2), axis=-1, keepdims=True)

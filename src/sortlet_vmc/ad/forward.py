@@ -96,9 +96,6 @@ class Dual:
             return Dual(self.val - other.val, self.tan - other.tan, self.curv - other.curv)
         return self + (-np.asarray(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Dual):
             tan = self.tan * other.val[..., None]

@@ -95,17 +95,11 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self.tape._record(-self.val, [(self, lambda g: -g)])
-
     def __sub__(self, other):
         if isinstance(other, Var):
             return self.tape._record(self.val - other.val,
                                      [(self, lambda g: g), (other, lambda g: -g)])
         return self + (-np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Var):

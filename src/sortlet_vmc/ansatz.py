@@ -58,20 +58,19 @@ class SignedLog:
             return self.sign * np.exp(ad.detach(self.logmag))
 
 
-def canonical_order(spins: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     """Per-walker canonical electron order and its parity.
 
-    order (B, N) sorts each spin sector's electrons by (x, y, z) and keeps
-    them in that sector's slots, so gathering a batch into it gives the same
-    bits for every same-spin relabelling of the walker. parity (B,) is the
-    sign that permutation gives an antisymmetric function.
+    order (B, N) sorts the electrons of each sector (SystemSpec.sectors)
+    by (x, y, z) into that sector's slots, so gathering a batch into it
+    gives the same bits for every same-spin relabelling of the walker.
+    parity (B,) is the sign that permutation gives an antisymmetric function.
     """
     pos = ad.detach(positions)
-    sector = np.broadcast_to(spins, pos.shape[:2])
-    ranked = np.lexsort((pos[..., 2], pos[..., 1], pos[..., 0], sector), axis=-1)
-    # ranked lists the sectors in ascending spin; put each back in its slots
-    order = np.empty_like(ranked)
-    order[:, np.argsort(spins, kind="stable")] = ranked
+    order = np.empty(pos.shape[:2], dtype=np.int64)
+    for slots in sectors:
+        sub = pos[:, slots]
+        order[:, slots] = slots[np.lexsort((sub[..., 2], sub[..., 1], sub[..., 0]), axis=-1)]
     return order, score_parity(order)
 
 
@@ -104,7 +103,12 @@ def _bare_score_logs(s) -> SignedLog:
     zero = sv == 0.0
     safe = ad.where(zero, 1.0, ad.absolute(s))
     logmag = ad.where(zero, BIG_NEG, ad.log(safe))
-    return SignedLog(np.where(zero, 0, np.sign(sv)).astype(np.int64), logmag)
+    return SignedLog(_sign(sv), logmag)
+
+
+def _sign(v: np.ndarray) -> np.ndarray:
+    # np.sign as int64; a NaN gets 0, where a cast of np.sign's NaN would warn
+    return (v > 0).astype(np.int64) - (v < 0)
 
 
 def vandermonde_logs(scores: np.ndarray, block: int = 1024) -> SignedLog:
@@ -131,22 +135,20 @@ def vandermonde_logs(scores: np.ndarray, block: int = 1024) -> SignedLog:
                      np.where(tied, BIG_NEG, logmag))
 
 
-def pair_log_factor(positions, spins: np.ndarray, beta_raw):
+def pair_log_factor(system: SystemSpec, positions, b):
     """Symmetric log pair factor J(r).
 
     J = sum_{i<j par} -(1/4) b1/(b1^2 + r_ij) + sum_{i<j anti} -(1/2) b2/(b2^2 + r_ij)
-    with b = softplus(raw) so the strengths stay positive unconstrained.
+    with b = softplus(pair.beta) (SortletWavefunction.bind) so the
+    strengths stay positive unconstrained.
     """
-    n = len(spins)
-    if n < 2:
+    if system.n_electrons < 2:
         # no pairs: J is identically zero, with zero parameter gradient
         return np.zeros(ad.detach(positions).shape[0])
-    beta = ad.softplus(beta_raw)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju, same = system.pairs
     delta = positions[(slice(None), iu)] - positions[(slice(None), ju)]  # (B, P, 3)
     dist = ad.norm(delta)  # (B, P) exact: carries the cusp
-    same = (spins[iu] == spins[ju]).astype(np.float64)  # (P,)
-    b1, b2 = beta[0], beta[1]
+    b1, b2 = b[0], b[1]
     par = b1 / (ad.square(b1) + dist)
     anti = b2 / (ad.square(b2) + dist)
     terms = par * (-0.25 * same) + anti * (-0.5 * (1.0 - same))
@@ -179,15 +181,15 @@ def mix_signed_logs(signs: np.ndarray, logmags, weights) -> SignedLog:
     dead = tv == 0.0
     safe = ad.where(dead, 1.0, ad.absolute(total))
     logmag = ad.where(dead, BIG_NEG, ad.log(safe) + m[..., 0])
-    return SignedLog(np.sign(tv).astype(np.int64), logmag)
+    return SignedLog(_sign(tv), logmag)
 
 
 class SortletWavefunction:
     """System-bound ansatz: scores -> sorted-gap heads -> mixed signed log.
 
-    Parameters travel as one flat vector; pass a plain ndarray (sampling),
-    a reverse-mode Var of it (parameter gradients), or keep the vector
-    plain and wrap positions with ad.seed_positions (local energy).
+    Parameters travel as one flat vector θ: a plain ndarray (sampling), a
+    Var of it (parameter gradients), or bind(θ) to derive what depends on θ
+    alone once for many calls; ad.seed_positions gives the local energy.
     """
 
     def __init__(self, system: SystemSpec, n_sortlets: int = backbone.DEFAULT_SORTLETS,
@@ -200,28 +202,40 @@ class SortletWavefunction:
         self.store = backbone.build_param_store(system, n_sortlets, hidden, layers)
         self.theta0 = backbone.init_params(self.store, seed=seed)
 
+    def bind(self, theta) -> dict:
+        """θ's tensors (ParamStore.unpack), each layer's folded (QK, VO, bo)
+        in "attention" (see backbone), "pair.b" and "env.k", the softplus
+        of pair.beta and env.rate; every entry keeps θ's engine."""
+        params = self.store.unpack(theta)
+        scale = 1.0 / np.sqrt(self.hidden)
+        params["attention"] = tuple(
+            (ad.einsum("hg,kg->hk", params[f"att{i}.wq"], params[f"att{i}.wk"]) * scale,
+             ad.einsum("hg,gk->hk", params[f"att{i}.wv"], params[f"att{i}.wo"]),
+             params[f"att{i}.bo"]) for i in range(self.layers))
+        params["pair.b"] = ad.softplus(params["pair.beta"])
+        params["env.k"] = ad.softplus(params["env.rate"])
+        return params
+
     def signed_log(self, theta, positions) -> SignedLog:
         """Signed log of Psi for a batch: positions (B, N, 3) -> (B,).
 
-        Walkers are evaluated in canonical electron order, gathered into a
-        C-contiguous copy, so the bits do not depend on a same-spin
-        relabelling or on memory layout; the order's parity restores the
-        sign of the caller's labelling. Dual positions already in that order
-        (local_energy seeds them so) skip the gather of their 3N lanes;
-        seed_positions makes them C-contiguous.
+        theta is a flat vector, bound on entry, or bind's dict. Walkers are
+        evaluated in canonical electron order, gathered into a C-contiguous
+        copy, so the bits do not depend on a same-spin relabelling or on
+        memory layout; the order's parity restores the sign of the caller's
+        labelling. Dual positions already in that order, C-contiguous
+        (local_energy seeds them so), skip the gather of their 3N lanes.
         """
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
-        order, parity = canonical_order(self.system.spins, positions)
+        order, parity = canonical_order(self.system.sectors, positions)
         if not (isinstance(positions, ad.Dual) and np.all(order == np.arange(shape[1]))):
             positions = ad.take_along(positions, order[..., None], axis=1)
-        params = self.store.unpack(theta)
-        s = backbone.scores(self.system, params, positions)
-        core = sortlet_logs(s)
-        rate = ad.softplus(params["env.rate"])  # (K,)
+        params = theta if isinstance(theta, dict) else self.bind(theta)
+        core = sortlet_logs(backbone.scores(self.system, params, positions))
         reach = envelope_distance_sum(self.system, positions)  # (B,)
-        env = ad.einsum("b,k->bk", -reach, rate)
+        env = ad.einsum("b,k->bk", -reach, params["env.k"])
         mixed = mix_signed_logs(core.sign, core.logmag + env, params["mix.w"])
-        j = pair_log_factor(positions, self.system.spins, params["pair.beta"])
+        j = pair_log_factor(self.system, positions, params["pair.b"])
         return SignedLog(mixed.sign * parity, mixed.logmag + j)

@@ -9,7 +9,8 @@ invariance comes from the caller: `SortletWavefunction.signed_log` puts
 every walker's electrons in one canonical order before calling in.
 
 Each attention layer folds its four projections in pairs on the
-parameter side, once per call and with no walker axis:
+parameter side, once per bind (SortletWavefunction.bind) and with no
+walker axis:
 
     logits = (h Wq)(h Wk)^T / sqrt(H) = (h QK) h^T,   QK = Wq Wk^T / sqrt(H)
     update = attn (h Wv) Wo + bo      = attn (h VO) + bo,  VO = Wv Wo
@@ -173,14 +174,9 @@ def featurize(system: SystemSpec, positions):
     pos_i = ad.reshape(positions, (b, n, 1, 3))
     pos_j = ad.reshape(positions, (b, 1, n, 3))
     dist = ad.norm(pos_i - pos_j, FEATURE_EPS)  # (B, N, N)
-    same = (spins[:, None] == spins[None, :]) & ~np.eye(n, dtype=bool)
-    opp = spins[:, None] != spins[None, :]
-    for mask in (same, opp):
-        cnt = mask.sum(axis=1)
-        count = np.maximum(cnt, 1).astype(np.float64)[:, None]  # (N, 1)
-        pool = (np.diag(cnt) - mask) / count
+    for pool, weights in system.partner_means:
         parts.append(ad.einsum("nm,bmc->bnc", pool, positions))
-        parts.append(ad.reshape(ad.einsum("bnm,nm->bn", dist, mask / count), (b, n, 1)))
+        parts.append(ad.reshape(ad.einsum("bnm,nm->bn", dist, weights), (b, n, 1)))
     return ad.concat(parts, axis=-1)
 
 
@@ -189,18 +185,14 @@ def _affine(x, w, b):
 
 
 def scores(system: SystemSpec, params: dict, positions):
-    """Per-sortlet electron scores (B, K, N). The width and the number of
-    attention layers are those of `params`, as unpacked by a ParamStore."""
+    """Per-sortlet electron scores (B, K, N). params is
+    SortletWavefunction.bind's dict; its "attention" entry gives the
+    attention layers, each folded as (QK, VO, bo)."""
     h = ad.tanh(_affine(featurize(system, positions), params["feat.w"], params["feat.b"]))
-    scale = 1.0 / np.sqrt(params["feat.b"].shape[0])
-    for layer in range(sum(name.endswith(".wq") for name in params)):
-        att = f"att{layer}."
-        # folded on the parameter side, see the module docstring
-        qk = ad.einsum("hg,kg->hk", params[att + "wq"], params[att + "wk"]) * scale
-        vo = ad.einsum("hg,gk->hk", params[att + "wv"], params[att + "wo"])
+    for qk, vo, bo in params["attention"]:
         logits = ad.einsum("bnk,bmk->bnm", ad.einsum("bnh,hk->bnk", h, qk), h)
         attn = ad.softmax(logits)  # (B, N, M)
         update = ad.einsum("bnm,bmk->bnk", attn, ad.einsum("bnh,hk->bnk", h, vo))
-        h = ad.tanh(h + (update + params[att + "bo"]))
+        h = ad.tanh(h + (update + bo))
     raw = _affine(h, params["out.w"], params["out.b"])  # (B, N, K)
     return ad.moveaxis(raw, -1, -2)

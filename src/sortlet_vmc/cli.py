@@ -27,19 +27,20 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 PROBE_KINDS = ("antisymmetry", "nodes", "smoothness", "variational", "gradcheck")
 
 
-def _at_least(low: int, name: str):
-    """argparse type of an integer flag of at least `low`, called `name` in
-    argparse's message for text that is not an integer."""
-    def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+def _bounded(name: str, cast, ok, bound: str):
+    """argparse type: the text read by `cast`, refused unless ok(value) with
+    "must be <bound>"; argparse calls text `cast` cannot read an invalid `name`."""
+    def parse(text: str):
+        if not ok(cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return cast(text)
     parse.__name__ = name
     return parse
 
 
-count = _at_least(1, "count")  # walkers, iterations, sortlets, trials
-natural = _at_least(0, "natural")  # seeds and step counts
+count = _bounded("count", int, lambda v: v >= 1, "at least 1")  # walkers, iters, sortlets, trials
+natural = _bounded("natural", int, lambda v: v >= 0, "at least 0")  # seeds and step counts
+rate = _bounded("rate", float, lambda v: 0.0 < v < float("inf"), "finite and greater than 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--walkers", type=count, default=512)
     t.add_argument("--sortlets", type=count, default=16)
     t.add_argument("--seed", type=natural, help="override the config seed")
-    t.add_argument("--lr", type=float, default=1e-3)
+    t.add_argument("--lr", type=rate, default=1e-3)
     t.add_argument("--burn-in", type=natural, default=500)
     t.add_argument("--checkpoint-every", type=natural, default=200)
     t.add_argument("--out", type=Path, help="output root (else $%s)" % OUT_ENV)
@@ -79,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=natural)
     r.add_argument("--trials", type=count, default=1000,
                    help="trials or paths, depending on the probe")
-    r.add_argument("--sortlets", type=count, default=16)
+    r.add_argument("--sortlets", type=count,
+                   help="mixture heads of antisymmetry and plain nodes (default 16)")
     group = r.add_mutually_exclusive_group()
     group.add_argument("--single-sortlet", action="store_true",
                        help="nodes: assert a crossing on every exchange path")
@@ -107,16 +109,24 @@ def _load_config(path: Path):
 
 
 def _wavefunction(system, args, seed: int):
-    """The ansatz --sortlets asks for. A width past backbone.MAX_SORTLETS
-    is a one-line usage error; cli checks only the lower bound itself, so
-    that it stays numpy-free."""
     from .ansatz import SortletWavefunction
 
-    try:
-        return SortletWavefunction(system, n_sortlets=args.sortlets, seed=seed)
-    except ValueError as err:
-        print(f"error: --sortlets {args.sortlets}: {err}", file=sys.stderr)
-        raise SystemExit(2) from None
+    return SortletWavefunction(system, n_sortlets=_sortlets(args), seed=seed)
+
+
+def _sortlets(args, read: bool = True) -> int:
+    """The --sortlets a command reads. One past backbone.MAX_SORTLETS, or one
+    given to a probe that reads none, is a one-line usage error; the parser
+    checks only the lower bound, so that cli stays numpy-free."""
+    from .backbone import DEFAULT_SORTLETS, MAX_SORTLETS
+
+    if args.sortlets is None:
+        return DEFAULT_SORTLETS
+    if read and args.sortlets <= MAX_SORTLETS:
+        return args.sortlets
+    why = f"at most {MAX_SORTLETS} heads" if read else "this probe reads no sortlet mixture"
+    print(f"error: --sortlets {args.sortlets}: {why}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _config_digest(path: Path) -> str:
@@ -190,6 +200,8 @@ def cmd_evaluate(args) -> int:
 def cmd_probe(args) -> int:
     from . import probes
 
+    sortlets = _sortlets(args, read=args.kind == "antisymmetry" or (
+        args.kind == "nodes" and not (args.single_sortlet or args.vandermonde)))
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
     try:
@@ -200,7 +212,8 @@ def cmd_probe(args) -> int:
             kind = ("sortlet" if args.single_sortlet
                     else "vandermonde" if args.vandermonde else "sum")
             report = probes.node_crossing_suite(cfg.system, kind=kind,
-                                                n_paths=min(args.trials, 100), seed=seed)
+                                                n_paths=min(args.trials, 100), seed=seed,
+                                                n_sortlets=sortlets)
         elif args.kind == "smoothness":
             report = probes.smoothness_probe(cfg.system, trials=min(args.trials, 10),
                                              seed=seed)

@@ -8,6 +8,7 @@ their position rows, never their spin tags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -29,8 +30,8 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -40,6 +41,7 @@ class SystemSpec:
     """A fixed molecule: nuclei plus the electron spin split.
 
     nuclei_positions: (n_nuclei, 3) Bohr; charges: (n_nuclei,) positive ints.
+    The spin layout every evaluation reads is derived once, read-only.
     """
 
     nuclei_positions: np.ndarray
@@ -49,8 +51,7 @@ class SystemSpec:
 
     def __post_init__(self):
         pos = _frozen(np.atleast_2d(self.nuclei_positions))
-        charges = np.array(self.charges, dtype=np.int64)
-        charges.flags.writeable = False
+        charges = _frozen(self.charges, np.int64)
         object.__setattr__(self, "nuclei_positions", pos)
         object.__setattr__(self, "charges", charges)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -76,17 +77,36 @@ class SystemSpec:
     def n_nuclei(self) -> int:
         return len(self.charges)
 
-    @property
+    @cached_property
     def spins(self) -> np.ndarray:
         """Per-slot spin tags: first n_up are +1, the rest -1."""
-        s = np.concatenate([np.ones(self.n_up, dtype=np.int64),
-                            -np.ones(self.n_down, dtype=np.int64)])
-        s.flags.writeable = False
-        return s
+        return _frozen(np.repeat([1, -1], (self.n_up, self.n_down)), np.int64)
 
-    def configuration(self, positions) -> "ElectronConfiguration":
-        return ElectronConfiguration(positions=np.asarray(positions, dtype=np.float64),
-                                     spins=self.spins)
+    @cached_property
+    def sectors(self) -> tuple:
+        """The slots of each spin sector, up then down; either may be empty."""
+        up, n = self.n_up, self.n_electrons
+        return _frozen(np.arange(up), np.int64), _frozen(np.arange(up, n), np.int64)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(i, j, same) over the pairs i < j in np.triu_indices order;
+        same is 1.0 where the pair shares a spin, else 0.0."""
+        i, j = np.triu_indices(self.n_electrons, 1)
+        return _frozen(i, np.int64), _frozen(j, np.int64), _frozen(self.spins[i] == self.spins[j])
+
+    @cached_property
+    def partner_means(self) -> tuple:
+        """featurize's (pool, weights), (N, N) each, for the same-spin and then
+        the opposite-spin partners of each electron; see backbone.featurize."""
+        spins = self.spins
+        out = []
+        for mask in ((spins[:, None] == spins) & ~np.eye(len(spins), dtype=bool),
+                     spins[:, None] != spins):
+            cnt = mask.sum(axis=1)
+            count = np.maximum(cnt, 1).astype(np.float64)[:, None]  # (N, 1)
+            out.append((_frozen((np.diag(cnt) - mask) / count), _frozen(mask / count)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

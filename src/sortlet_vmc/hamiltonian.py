@@ -68,11 +68,10 @@ def electron_potentials(system: SystemSpec, positions: np.ndarray):
     the same walkers would otherwise round differently.
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
-    n = system.n_electrons
     # coincidences legitimately evaluate to +/- inf, not a warning
     with np.errstate(divide="ignore"):
-        if n >= 2:
-            iu, ju = np.triu_indices(n, 1)
+        if system.n_electrons >= 2:
+            iu, ju, _ = system.pairs
             rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
             # a left fold over pairs: np.sum's order would follow rij's layout
             ee = np.add.accumulate(1.0 / rij, axis=-1)[..., -1]
@@ -110,7 +109,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     The 3N-lane dual pass runs over chunks of `walker_chunk(N)` walkers.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    order, _ = canonical_order(system.spins, positions)
+    order, _ = canonical_order(system.sectors, positions)
     positions = ad.take_along(positions, order[..., None], axis=1)
     b = positions.shape[0]
     if potential == "coulomb":

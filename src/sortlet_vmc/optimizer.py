@@ -305,13 +305,13 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
     model_fp = config_fingerprint(system, wf)
-    holder = {"theta": wf.theta0.copy()}
-    fn = lambda p: wf.signed_log(holder["theta"], p)
-
     adam = Adam(wf.store.size, lr=settings.lr, decay=settings.lr_decay)
-    if resume_from is not None:
-        state = Checkpoint.load(Path(resume_from), wf=wf, fingerprint=fingerprint)
-        holder["theta"] = state["theta"]
+    state = (None if resume_from is None
+             else Checkpoint.load(Path(resume_from), wf=wf, fingerprint=fingerprint))
+    theta = wf.theta0.copy() if state is None else state["theta"]
+    bound = wf.bind(theta)
+    fn = lambda p: wf.signed_log(bound, p)
+    if state is not None:
         adam.load_state(state["adam"])
         ensemble = WalkerEnsemble(positions=state["positions"], logmag=state["logmag"],
                                   sign=state["sign"], key=stream_key(settings.seed),
@@ -345,9 +345,9 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
             raise RuntimeError(
                 f"training diverged at iteration {it}: "
                 f"{stats.n_valid}/{stats.n_total} finite local energies")
-        grad, _ = energy_gradient(wf, holder["theta"], ensemble.positions, eloc,
-                                  clip=settings.clip)
-        holder["theta"] = adam.step(holder["theta"], grad)
+        grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc, clip=settings.clip)
+        theta = adam.step(theta, grad)
+        bound = wf.bind(theta)
         energies.append(stats.mean)
 
         if metrics_path is not None:
@@ -365,10 +365,10 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         if out_dir is not None and (is_last or (settings.checkpoint_every
                                                 and (it + 1) % settings.checkpoint_every == 0)):
             Checkpoint.save(out_dir / "checkpoints" / f"step-{it + 1:08d}.npz",
-                            wf=wf, theta=holder["theta"], adam=adam, ensemble=ensemble,
+                            wf=wf, theta=theta, adam=adam, ensemble=ensemble,
                             next_iter=it + 1, fingerprint=fingerprint,
                             model_fingerprint=model_fp)
-    return TrainResult(theta=holder["theta"], energies=energies, stats=stats,
+    return TrainResult(theta=theta, energies=energies, stats=stats,
                        sigma=ensemble.sigma)
 
 
@@ -392,7 +392,8 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     gives an honest standard error even with within-chain autocorrelation.
     """
     system = wf.system
-    fn = lambda p: wf.signed_log(theta, p)
+    bound = wf.bind(theta)
+    fn = lambda p: wf.signed_log(bound, p)
     ensemble = init_ensemble(system, fn, n_walkers, seed, sigma=sigma)
     run_sweeps(ensemble, fn, burn_in, adapt=True)
     per_chain = np.zeros(n_walkers)

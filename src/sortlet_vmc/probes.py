@@ -14,32 +14,23 @@ import time
 
 import numpy as np
 
-from . import ad
+from . import ad, backbone
 from .ad.fd import derivative_one_sided, grad_central
 from .ansatz import SignedLog, SortletWavefunction, vandermonde_logs
-from .backbone import scores as backbone_scores
 from .geometry import ElectronConfiguration, SystemSpec, transpose_electrons
 from .optimizer import energy_gradient
 from .sampler import electron_homes
 
 
-class VandermondeComparator:
-    """Same score backbone, prod_{i<j}(s_j - s_i) antisymmetrizer.
-
-    Baseline for the nodal and complexity comparisons. Plain evaluation
-    only; the probes never differentiate through it.
-    """
-
-    def __init__(self, system: SystemSpec, hidden: int = 16, layers: int = 2,
-                 seed: int = 0):
-        self._wf = SortletWavefunction(system, n_sortlets=1, hidden=hidden,
-                                       layers=layers, seed=seed)
-        self.system = system
-        self.theta0 = self._wf.theta0
-
-    def signed_log(self, theta: np.ndarray, positions: np.ndarray) -> SignedLog:
-        s = backbone_scores(self.system, self._wf.store.unpack(theta), positions)
-        return vandermonde_logs(s[:, 0, :])
+def _initial_signed_log(system: SystemSpec, kind: str, seed: int, n_sortlets: int = 1):
+    """positions -> SignedLog of the probes' ansatz (width 16, two layers) at
+    its initial θ, bound once. kind "vandermonde" is the baseline: the one-head
+    backbone with prod_{i<j}(s_j - s_i) for antisymmetrizer, plain only."""
+    wf = SortletWavefunction(system, n_sortlets=n_sortlets, hidden=16, layers=2, seed=seed)
+    bound = wf.bind(wf.theta0)
+    if kind == "vandermonde":
+        return lambda p: vandermonde_logs(backbone.scores(system, bound, p)[:, 0, :])
+    return lambda p: wf.signed_log(bound, p)
 
 
 def _random_configs(system: SystemSpec, trials: int, rng, spread: float = 1.5):
@@ -48,8 +39,7 @@ def _random_configs(system: SystemSpec, trials: int, rng, spread: float = 1.5):
 
 
 def _random_same_spin_pairs(system: SystemSpec, trials: int, rng):
-    sectors = [np.flatnonzero(system.spins == s) for s in (+1, -1)]
-    sectors = [idx for idx in sectors if idx.size >= 2]
+    sectors = [idx for idx in system.sectors if idx.size >= 2]
     if not sectors:
         raise ValueError("system has no spin sector with two electrons")
     i = np.empty(trials, dtype=np.int64)
@@ -73,16 +63,16 @@ def antisymmetry_suite(wf, theta: np.ndarray | None = None, trials: int = 1000,
                        seed: int = 0) -> dict:
     """Exact sign flip under random same-spin transpositions, batched.
 
-    Also runs the Vandermonde comparator through the same protocol and an
+    Also runs the Vandermonde baseline through the same protocol and an
     opposite-spin control group for which no relation is asserted.
     """
     system = wf.system
-    theta = wf.theta0 if theta is None else theta
+    bound = wf.bind(wf.theta0 if theta is None else theta)
     rng = np.random.default_rng(seed)
     pos = _random_configs(system, trials, rng)
     i, j = _random_same_spin_pairs(system, trials, rng)
-    sl = wf.signed_log(theta, pos)
-    sw = wf.signed_log(theta, _swap_rows(pos, i, j))
+    sl = wf.signed_log(bound, pos)
+    sw = wf.signed_log(bound, _swap_rows(pos, i, j))
 
     live = (sl.sign != 0) & (sw.sign != 0)
     sign_bad = np.flatnonzero(sw.sign != -sl.sign)
@@ -102,20 +92,19 @@ def antisymmetry_suite(wf, theta: np.ndarray | None = None, trials: int = 1000,
         report["witness"] = {"positions": pos[k].tolist(),
                              "swap": [int(i[k]), int(j[k])]}
 
-    vdm = VandermondeComparator(system, seed=seed)
+    vdm = _initial_signed_log(system, "vandermonde", seed)
     n_v = min(trials, 100)
-    vs = vdm.signed_log(vdm.theta0, pos[:n_v])
-    vw = vdm.signed_log(vdm.theta0, _swap_rows(pos[:n_v], i[:n_v], j[:n_v]))
+    vs = vdm(pos[:n_v])
+    vw = vdm(_swap_rows(pos[:n_v], i[:n_v], j[:n_v]))
     report["vandermonde_sign_flips"] = bool(np.all(vw.sign == -vs.sign))
     report["passed"] = report["passed"] and report["vandermonde_sign_flips"]
 
     # control: opposite-spin swaps have no fixed sign relation
-    up = np.flatnonzero(system.spins == +1)
-    dn = np.flatnonzero(system.spins == -1)
+    up, dn = system.sectors
     if up.size and dn.size:
         io = np.full(n_v, up[0])
         jo = np.full(n_v, dn[0])
-        so = wf.signed_log(theta, _swap_rows(pos[:n_v], io, jo))
+        so = wf.signed_log(bound, _swap_rows(pos[:n_v], io, jo))
         report["opposite_spin_flip_fraction"] = float(
             np.mean(so.sign == -sl.sign[:n_v]))
     return report
@@ -213,26 +202,19 @@ def _exchange_paths(system: SystemSpec, fn, rng, attempts: int, resolution: int,
 
 def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: int = 100,
                         resolution: int = 200, tol: float = 1e-10, seed: int = 0,
-                        hidden: int = 16, layers: int = 2) -> dict:
+                        n_sortlets: int = backbone.DEFAULT_SORTLETS) -> dict:
     """Run the exchange-path crossing protocol over random paths.
 
     kind "sortlet" uses a single-sortlet wavefunction, "vandermonde" the
-    comparator; both are expected to show a crossing on every path. kind
-    "sum" runs the K=16 mixture in exploratory mode, recording crossing
-    counts on pair-exchange and three-cycle paths without asserting.
+    baseline; both are expected to show a crossing on every path. kind
+    "sum" runs the mixture of n_sortlets heads (only it reads n_sortlets)
+    in exploratory mode, recording crossing counts on pair-exchange and
+    three-cycle paths without asserting.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "sortlet":
-        model = SortletWavefunction(system, n_sortlets=1, hidden=hidden,
-                                    layers=layers, seed=seed)
-    elif kind == "vandermonde":
-        model = VandermondeComparator(system, hidden=hidden, layers=layers, seed=seed)
-    elif kind == "sum":
-        model = SortletWavefunction(system, n_sortlets=16, hidden=hidden,
-                                    layers=layers, seed=seed)
-    else:
+    if kind not in ("sortlet", "vandermonde", "sum"):
         raise ValueError(f"unknown ansatz kind {kind!r}")
-    fn = lambda p: model.signed_log(model.theta0, p)
+    rng = np.random.default_rng(seed)
+    fn = _initial_signed_log(system, kind, seed, n_sortlets if kind == "sum" else 1)
 
     t0 = time.perf_counter()
     results = [r for *_, r in itertools.islice(
@@ -254,8 +236,7 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
         # with even parity, so crossings are not forced; record what happens.
         report["passed"] = True
         cyc_counts = []
-        sectors = [np.flatnonzero(system.spins == s) for s in (+1, -1)]
-        sectors = [s for s in sectors if s.size >= 3]
+        sectors = [s for s in system.sectors if s.size >= 3]
         if sectors:
             ts = np.linspace(0.0, 1.0, resolution + 1)
             for _ in range(min(n_paths, 25)):
@@ -291,9 +272,8 @@ def _double_tie_config(system: SystemSpec, rng) -> np.ndarray | None:
     adjacent gaps; two separate pairs kill one gap each.
     """
     pos = _random_configs(system, 1, rng)[0].copy()
-    sectors = [np.flatnonzero(system.spins == s) for s in (+1, -1)]
-    triple = [s for s in sectors if s.size >= 3]
-    pairs = [s for s in sectors if s.size >= 2]
+    triple = [s for s in system.sectors if s.size >= 3]
+    pairs = [s for s in system.sectors if s.size >= 2]
     if triple:
         a, b, c = triple[0][:3]
         pos[b] = pos[a]
@@ -306,8 +286,7 @@ def _double_tie_config(system: SystemSpec, rng) -> np.ndarray | None:
     return None
 
 
-def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0,
-                     hidden: int = 16, layers: int = 2) -> dict:
+def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> dict:
     """First-derivative behavior of the signed value at score ties.
 
     Single tie: the value crosses zero along an exchange path; one-sided
@@ -317,10 +296,7 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0,
     Also cross-checks FD against the forward engine away from ties.
     """
     rng = np.random.default_rng(seed)
-    wf = SortletWavefunction(system, n_sortlets=1, hidden=hidden, layers=layers,
-                             seed=seed)
-    theta = wf.theta0
-    fn = lambda p: wf.signed_log(theta, p)
+    fn = _initial_signed_log(system, "sortlet", seed)
     flat_value = lambda p: float(fn(p.reshape(-1, 3)[None]).value()[0])
 
     single = []

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from sortlet_vmc import ad
+from sortlet_vmc.ad.contract import _matrices, shaped_plan
 from sortlet_vmc.ansatz import SignedLog, sortlet_logs, vandermonde_logs
 from sortlet_vmc.backbone import FEATURE_EPS
 from sortlet_vmc.geometry import (
@@ -17,6 +18,12 @@ from sortlet_vmc.geometry import (
     SystemSpec,
     transpose_electrons,
 )
+
+
+def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
+    """The matrices (L, R) that `contract` hands to matmul."""
+    swap, lplan, rplan = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)[:3]
+    return _matrices(swap, lplan, rplan, x, y)
 
 
 def hessian_diag_central(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

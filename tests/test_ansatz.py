@@ -89,7 +89,8 @@ def test_canonical_order():
     spins = np.array([-1, 1, 1, -1, 1, 1])  # sectors interleaved on purpose
     pos = rng.normal(size=(7, 6, 3))
     pos[:, 2, 0] = pos[:, 1, 0]  # a tie in x falls through to y and z
-    order, parity = canonical_order(spins, pos)
+    sectors = [np.flatnonzero(spins == s) for s in (1, -1)]
+    order, parity = canonical_order(sectors, pos)
     canonical = np.take_along_axis(pos, order[..., None], axis=1)
     assert np.all(spins[order] == spins)  # every slot keeps its spin
     for row, p in zip(order, parity):
@@ -97,16 +98,16 @@ def test_canonical_order():
 
     for perm in ([0, 2, 1, 3, 4, 5], [3, 1, 4, 0, 5, 2]):  # one and three transpositions
         relabelled = pos[:, perm]
-        order2, parity2 = canonical_order(spins, relabelled)
+        order2, parity2 = canonical_order(sectors, relabelled)
         assert np.array_equal(np.take_along_axis(relabelled, order2[..., None], axis=1),
                               canonical)
         assert np.array_equal(parity2, -parity)
 
-    again, parity3 = canonical_order(spins, canonical)
+    again, parity3 = canonical_order(sectors, canonical)
     assert np.array_equal(again, np.broadcast_to(np.arange(6), again.shape))
     assert np.all(parity3 == 1)
 
-    order4, parity4 = canonical_order(spins, np.asfortranarray(pos))
+    order4, parity4 = canonical_order(sectors, np.asfortranarray(pos))
     assert np.array_equal(order4, order) and np.array_equal(parity4, parity)
 
 
@@ -277,6 +278,16 @@ def test_mix_signed_logs_all_dead_heads():
     assert np.all(out.logmag == BIG_NEG)
 
 
+def test_a_nan_value_gets_sign_zero_without_a_warning():
+    """A NaN bare score (the N = 1 head) and a NaN mixture both get sign 0:
+    casting np.sign's NaN to int64 would warn and store INT64_MIN."""
+    bare = sortlet_logs(np.array([[np.nan], [2.0], [-3.0], [0.0]]))
+    assert bare.sign.dtype == np.int64 and bare.sign.tolist() == [0, 1, -1, 0]
+    mixed = mix_signed_logs(np.array([[1, 1], [1, -1], [-1, 1]]),
+                            np.array([[np.nan, 0.0], [0.3, 0.1], [0.3, 0.1]]), np.ones(2))
+    assert mixed.sign.dtype == np.int64 and mixed.sign.tolist() == [0, 1, -1]
+
+
 def test_mix_signed_logs_weight_gradient_survives_zero_weight():
     signs = np.array([[1, 1]])
     logmags = np.array([[0.3, 0.9]])
@@ -289,21 +300,28 @@ def test_mix_signed_logs_weight_gradient_survives_zero_weight():
     assert np.all(np.isfinite(g))
 
 
+def spin_split(n_up: int, n_down: int) -> SystemSpec:
+    """A one-nucleus system: what pair_log_factor reads is its spin layout."""
+    return SystemSpec(nuclei_positions=np.zeros((1, 3)), charges=np.array([1]),
+                      n_up=n_up, n_down=n_down)
+
+
 def test_pair_log_factor_hand_value():
-    spins = np.array([1, -1])
     pos = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
     raw = np.array([0.1, 0.4])
     b = np.logaddexp(0.0, raw)
     expect = -0.5 * b[1] / (b[1] ** 2 + 1.0)
-    np.testing.assert_allclose(pair_log_factor(pos, spins, raw), [expect], rtol=1e-12)
+    np.testing.assert_allclose(pair_log_factor(spin_split(1, 1), pos, ad.softplus(raw)),
+                               [expect], rtol=1e-12)
     # same-spin pair pulls in the parallel strength instead
-    spins2 = np.array([1, 1])
     expect2 = -0.25 * b[0] / (b[0] ** 2 + 1.0)
-    np.testing.assert_allclose(pair_log_factor(pos, spins2, raw), [expect2], rtol=1e-12)
+    np.testing.assert_allclose(pair_log_factor(spin_split(2, 0), pos, ad.softplus(raw)),
+                               [expect2], rtol=1e-12)
 
 
 def test_pair_log_factor_single_electron_is_zero():
-    out = pair_log_factor(np.zeros((4, 1, 3)), np.array([1]), np.array([0.1, 0.4]))
+    out = pair_log_factor(spin_split(1, 0), np.zeros((4, 1, 3)),
+                          ad.softplus(np.array([0.1, 0.4])))
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -311,27 +329,28 @@ def test_pair_log_factor_permutation_invariant_bitwise():
     # the pair sum runs in input order, so a raw relabelling agrees up to
     # rounding; in canonical order (what signed_log passes) it is bitwise
     rng = np.random.default_rng(5)
-    spins = np.array([1, 1, 1, -1, -1])
+    system = spin_split(3, 2)
     pos = rng.normal(size=(3, 5, 3))
-    raw = rng.normal(size=2)
-    base = pair_log_factor(pos, spins, raw)
+    b = ad.softplus(rng.normal(size=2))
+    base = pair_log_factor(system, pos, b)
     perm = np.array([2, 0, 1, 4, 3])  # preserves the spin pattern
-    np.testing.assert_allclose(pair_log_factor(pos[:, perm], spins, raw), base, rtol=1e-12)
-    canonical = [np.take_along_axis(p, canonical_order(spins, p)[0][..., None], axis=1)
+    np.testing.assert_allclose(pair_log_factor(system, pos[:, perm], b), base, rtol=1e-12)
+    canonical = [np.take_along_axis(p, canonical_order(system.sectors, p)[0][..., None], axis=1)
                  for p in (pos, pos[:, perm])]
-    assert np.array_equal(pair_log_factor(canonical[0], spins, raw),
-                          pair_log_factor(canonical[1], spins, raw))
+    assert np.array_equal(pair_log_factor(system, canonical[0], b),
+                          pair_log_factor(system, canonical[1], b))
 
 
 def test_pair_log_factor_beta_gradient_matches_fd():
     rng = np.random.default_rng(6)
-    spins = np.array([1, 1, -1])
+    system = spin_split(2, 1)
     pos = rng.normal(size=(2, 3, 3))
     raw = np.array([0.2, -0.3])
     tape = GradientTape()
     p = tape.leaf(raw)
-    g = tape.gradient(pair_log_factor(pos, spins, p), p)  # sum over batch
-    fd = grad_central(lambda z: float(np.sum(pair_log_factor(pos, spins, z))), raw, h=1e-6)
+    g = tape.gradient(pair_log_factor(system, pos, ad.softplus(p)), p)  # sum over batch
+    fd = grad_central(lambda z: float(np.sum(pair_log_factor(system, pos, ad.softplus(z)))),
+                      raw, h=1e-6)
     np.testing.assert_allclose(g, fd, rtol=1e-6)
 
 

@@ -11,10 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from sortlet_vmc import ad, backbone
 from sortlet_vmc.ad import Dual, GradientTape
-from oracles import hessian_diag_central, take_along_vjp_add_at
-from sortlet_vmc.ad.contract import contract, operands, plan
+from oracles import hessian_diag_central, operands, take_along_vjp_add_at
+from sortlet_vmc.ad.contract import contract, plan
 from sortlet_vmc.ad.forward import _axis_dot, _lane_dot
 from sortlet_vmc.ad.fd import grad_central
+from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import load_system
 
 W = np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])
@@ -594,7 +595,8 @@ LI = load_system("system:\n  nuclei:\n    - element: Li\n      xyz: [0.0, 0.0, 0
 
 
 def _scores_specs(monkeypatch) -> set:
-    """Every einsum spec backbone.scores runs, featurize included."""
+    """Every einsum spec backbone.scores runs, featurize and the
+    parameter-side folds of SortletWavefunction.bind included."""
     seen, einsum = set(), ad.einsum
 
     def spy(spec, a, b):
@@ -602,9 +604,8 @@ def _scores_specs(monkeypatch) -> set:
         return einsum(spec, a, b)
 
     monkeypatch.setattr(ad, "einsum", spy)
-    store = backbone.build_param_store(LI, n_sortlets=4, hidden=8, layers=1)
-    params = store.unpack(backbone.init_params(store))
-    backbone.scores(LI, params, np.ones((2, 3, 3)))
+    wf = SortletWavefunction(LI, n_sortlets=4, hidden=8, layers=1)
+    backbone.scores(LI, wf.bind(wf.theta0), np.ones((2, 3, 3)))
     return seen
 
 
@@ -660,7 +661,7 @@ def test_logit_tangent_stacks_the_key_electron_instead_of_copying():
     assert plan("bnk", "bmkt", "bnmt")[1] == ("bm", "n", "k", "t")
     rng = np.random.default_rng(59)
     x, y = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4, 5, 6))
-    left, right, _ = operands("bnk", "bmkt", "bnmt", x, y)
+    left, right = operands("bnk", "bmkt", "bnmt", x, y)
     assert np.shares_memory(left, x) and np.shares_memory(right, y)
     got = contract("bnk", "bmkt", "bnmt", x, y)
     np.testing.assert_allclose(got, np.einsum("bnk,bmkt->bnmt", x, y), rtol=1e-12, atol=1e-12)
@@ -684,7 +685,7 @@ def _draw(rng, sub, size=TRANSPOSED_SIZES):
 def test_transposed_operands_are_views_of_the_input(x_sub, y_sub, out, side):
     rng = np.random.default_rng(37)
     x, y = _draw(rng, x_sub), _draw(rng, y_sub)
-    left, right, _ = operands(x_sub, y_sub, out, x, y)
+    left, right = operands(x_sub, y_sub, out, x, y)
     view, other = (left, right) if side == "left" else (right, left)
     assert view.strides[-2] == view.itemsize  # a transposed matrix: its rows are adjacent
     assert np.shares_memory(view, x if side == "left" else y)

@@ -14,7 +14,12 @@ from sortlet_vmc.backbone import (
     init_params,
     scores,
 )
-from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
+from sortlet_vmc.geometry import (
+    ElectronConfiguration,
+    SystemSpec,
+    load_system,
+    transpose_electrons,
+)
 
 LI = load_system("""
 system:
@@ -80,10 +85,10 @@ def test_scores_equivariant_bitwise_under_same_spin_swap():
     wf = small_wf(BE)
     rng = np.random.default_rng(1)
     pos = rng.normal(size=(3, 4, 3))
-    params = wf.store.unpack(wf.theta0)
+    params = wf.bind(wf.theta0)
 
     def canonical(p):
-        return np.take_along_axis(p, canonical_order(BE.spins, p)[0][..., None], axis=1)
+        return np.take_along_axis(p, canonical_order(BE.sectors, p)[0][..., None], axis=1)
 
     base = scores(BE, params, pos)  # (B, K, N)
     base_canonical = scores(BE, params, canonical(pos))
@@ -135,10 +140,10 @@ def test_scores_match_the_unfolded_attention_oracle(system):
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
 
-    got, want = both(wf.store.unpack(theta), pos)
+    got, want = both(wf.bind(theta), pos)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    got, want = both(wf.store.unpack(theta), ad.seed_positions(pos))
+    got, want = both(wf.bind(theta), ad.seed_positions(pos))
     for part in ("val", "tan", "curv"):
         close(getattr(got, part), getattr(want, part))
 
@@ -147,7 +152,7 @@ def test_scores_match_the_unfolded_attention_oracle(system):
     for f in (folded, unfolded):
         tape = GradientTape()
         leaf = tape.leaf(theta)
-        out = f(wf.store.unpack(leaf), pos)
+        out = f(wf.bind(leaf), pos)
         grads.append((out.val, tape.gradient(out, leaf, seed=seed)))
     np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-12, atol=1e-14)
     close(grads[0][1], grads[1][1])
@@ -157,7 +162,7 @@ def test_scores_not_equivariant_across_spin_sectors():
     wf = small_wf(BE)
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(1, 4, 3))
-    params = wf.store.unpack(wf.theta0)
+    params = wf.bind(wf.theta0)
     base = scores(BE, params, pos)
     swapped = pos.copy()
     swapped[:, [0, 2]] = swapped[:, [2, 0]]  # up <-> down
@@ -172,9 +177,9 @@ def test_wavefunction_antisymmetry_exact():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(8, 4, 3))
     base = wf.signed_log(wf.theta0, pos)
-    c = BE.configuration(pos[0])
+    c = ElectronConfiguration(pos[0], BE.spins)
     for i, j in [(0, 1), (2, 3)]:
-        swapped = np.stack([transpose_electrons(BE.configuration(p), i, j).positions
+        swapped = np.stack([transpose_electrons(ElectronConfiguration(p, BE.spins), i, j).positions
                             for p in pos])
         out = wf.signed_log(wf.theta0, swapped)
         assert np.array_equal(out.logmag, base.logmag)

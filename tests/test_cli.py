@@ -244,14 +244,20 @@ def test_count_flags_below_one_are_usage_errors(h_config, capsys, argv):
     ["train", "{cfg}", "--burn-in", "-1"],
     ["train", "{cfg}", "--checkpoint-every", "-1"],
     ["evaluate", "{cfg}", "ckpt.npz", "--equilibration", "-1"],
+    ["train", "{cfg}", "--lr", "nan"],
+    ["train", "{cfg}", "--lr", "inf"],
+    ["train", "{cfg}", "--lr", "0"],
+    ["train", "{cfg}", "--lr", "-1"],
 ], ids=["train_sortlets", "evaluate_sortlets", "probe_sortlets", "train_seed",
-        "evaluate_seed", "probe_seed", "burn_in", "checkpoint_every", "equilibration"])
+        "evaluate_seed", "probe_seed", "burn_in", "checkpoint_every", "equilibration",
+        "lr_nan", "lr_inf", "lr_zero", "lr_negative"])
 def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, capsys, argv):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
         main([a.format(cfg=h_config) for a in argv] + ["--out", str(out)])
     assert exit_.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    bound = "must be finite and greater than 0" if "--lr" in argv else "must be at least"
+    assert bound in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -259,7 +265,14 @@ def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, ca
     ["train", "{cfg}", "--iters", "1", "--walkers", "4"],
     ["evaluate", "{cfg}", "ckpt.npz"],
     ["probe", "antisymmetry", "{cfg}", "--trials", "4"],
-], ids=["train", "evaluate", "probe"])
+    ["probe", "nodes", "{cfg}", "--trials", "1"],
+    ["probe", "nodes", "{cfg}", "--trials", "1", "--single-sortlet"],
+    ["probe", "nodes", "{cfg}", "--trials", "1", "--vandermonde"],
+    ["probe", "smoothness", "{cfg}", "--trials", "1"],
+    ["probe", "variational", "{cfg}", "--trials", "1"],
+    ["probe", "gradcheck", "{cfg}"],
+], ids=["train", "evaluate", "probe", "nodes", "nodes_single_sortlet", "nodes_vandermonde",
+        "smoothness", "variational", "gradcheck"])
 def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
@@ -267,6 +280,33 @@ def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsy
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --sortlets 40") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_probe_nodes_hands_sortlets_to_its_mixture(h_config, tmp_path, monkeypatch):
+    from sortlet_vmc import probes
+
+    seen = []
+    monkeypatch.setattr(probes, "node_crossing_suite",
+                        lambda system, **kw: seen.append(kw["n_sortlets"]) or {"passed": True})
+    argv = ["probe", "nodes", str(h_config), "--trials", "1", "--out", str(tmp_path / "runs")]
+    assert main(argv) == 0 and main(argv + ["--sortlets", "3"]) == 0
+    assert seen == [16, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--single-sortlet"], ["nodes", "--vandermonde"], ["smoothness"],
+    ["variational"], ["gradcheck"],
+], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness", "variational", "gradcheck"])
+def test_probes_without_a_mixture_refuse_sortlets(h_config, tmp_path, capsys, argv):
+    """A probe that evaluates one head, or no ansatz, refuses even an
+    in-range --sortlets instead of ignoring it."""
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exit_:
+        main(["probe", argv[0], str(h_config), *argv[1:], "--sortlets", "3", "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sortlets 3:") and len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -132,7 +132,7 @@ def test_h4_geometry_square():
 def test_transpose_swaps_positions_not_spins():
     sys = load_system(LI_CFG)
     pos = np.arange(9, dtype=float).reshape(3, 3)
-    c = sys.configuration(pos)
+    c = ElectronConfiguration(pos, sys.spins)
     c2 = transpose_electrons(c, 0, 2)
     assert c2.spins.tolist() == c.spins.tolist()
     np.testing.assert_array_equal(c2.positions[0], pos[2])
@@ -143,7 +143,7 @@ def test_transpose_swaps_positions_not_spins():
 def test_transpose_is_an_involution():
     sys = load_system(LI_CFG)
     rng = np.random.default_rng(0)
-    c = sys.configuration(rng.normal(size=(3, 3)))
+    c = ElectronConfiguration(rng.normal(size=(3, 3)), sys.spins)
     back = transpose_electrons(transpose_electrons(c, 0, 1), 0, 1)
     np.testing.assert_array_equal(back.positions, c.positions)
 
@@ -151,7 +151,7 @@ def test_transpose_is_an_involution():
 def test_exchange_path_endpoints_and_midpoint():
     sys = load_system(LI_CFG)
     rng = np.random.default_rng(1)
-    c = sys.configuration(rng.normal(size=(3, 3)))
+    c = ElectronConfiguration(rng.normal(size=(3, 3)), sys.spins)
     start = exchange_path(c, 0, 1, 0.0)
     end = exchange_path(c, 0, 1, 1.0)
     mid = exchange_path(c, 0, 1, 0.5)
@@ -162,7 +162,7 @@ def test_exchange_path_endpoints_and_midpoint():
 
 def test_exchange_path_rejects_mixed_spins():
     sys = load_system(LI_CFG)
-    c = sys.configuration(np.zeros((3, 3)) + np.arange(3)[:, None])
+    c = ElectronConfiguration(np.zeros((3, 3)) + np.arange(3)[:, None], sys.spins)
     with pytest.raises(ValueError):
         exchange_path(c, 0, 2, 0.3)  # electron 0 is up, 2 is down
 
@@ -187,9 +187,30 @@ def test_arrays_are_immutable():
     sys = load_system(LI_CFG)
     with pytest.raises(ValueError):
         sys.nuclei_positions[0, 0] = 1.0
-    c = sys.configuration(np.zeros((3, 3)))
+    c = ElectronConfiguration(np.zeros((3, 3)), sys.spins)
     with pytest.raises(ValueError):
         c.positions[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n_up,n_down", [(1, 0), (2, 1), (0, 3), (4, 4)])
+def test_spin_layout_is_derived_once_and_read_only(n_up, n_down):
+    """What every evaluation reads of the spin split is built on first use,
+    then the same read-only arrays, equal to the per-call formulas it replaced."""
+    sys = SystemSpec(nuclei_positions=np.zeros((1, 3)), charges=np.array([8]),
+                     n_up=n_up, n_down=n_down)
+    spins = np.concatenate([np.ones(n_up, dtype=np.int64), -np.ones(n_down, dtype=np.int64)])
+    iu, ju = np.triu_indices(n_up + n_down, 1)
+    assert sys.spins.dtype == np.int64 and np.array_equal(sys.spins, spins)
+    assert [s.tolist() for s in sys.sectors] == [np.flatnonzero(spins == s).tolist()
+                                                 for s in (1, -1)]
+    i, j, same = sys.pairs
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+    assert same.tobytes() == (spins[iu] == spins[ju]).astype(np.float64).tobytes()
+    def layout():
+        return sys.spins, *sys.sectors, *sys.pairs, *sum(sys.partner_means, ())
+
+    assert all(a is b for a, b in zip(layout(), layout()))
+    assert not any(a.flags.writeable for a in layout())
 
 
 @settings(max_examples=50, deadline=None)
@@ -198,7 +219,7 @@ def test_path_is_linear_in_t(i, j, t):
     sys = SystemSpec(nuclei_positions=np.zeros((1, 3)), charges=np.array([10]),
                      n_up=5, n_down=5)
     rng = np.random.default_rng(i * 7 + j)
-    c = sys.configuration(rng.normal(size=(10, 3)))
+    c = ElectronConfiguration(rng.normal(size=(10, 3)), sys.spins)
     p = exchange_path(c, i, j, t)
     expected = (1 - t) * c.positions + t * transpose_electrons(c, i, j).positions
     np.testing.assert_allclose(p.positions, expected, atol=1e-15)

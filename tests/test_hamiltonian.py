@@ -10,7 +10,12 @@ import sortlet_vmc
 from oracles import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
-from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
+from sortlet_vmc.geometry import (
+    ElectronConfiguration,
+    SystemSpec,
+    load_system,
+    transpose_electrons,
+)
 from sortlet_vmc.hamiltonian import (
     electron_potentials,
     harmonic_potential,
@@ -121,7 +126,7 @@ def test_local_energy_exchange_invariant():
     wf = SortletWavefunction(LI, n_sortlets=2, hidden=8, layers=1, seed=1)
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(6, 3, 3))
-    swapped = np.stack([transpose_electrons(LI.configuration(p), 0, 1).positions
+    swapped = np.stack([transpose_electrons(ElectronConfiguration(p, LI.spins), 0, 1).positions
                         for p in pos])
     base = local_energy(lambda p: wf.signed_log(wf.theta0, p), LI, pos)
     other = local_energy(lambda p: wf.signed_log(wf.theta0, p), LI, swapped)

@@ -189,6 +189,9 @@ class OracleAdapter:
         self._oracle = oracle
         self.theta0 = np.zeros(0)
 
+    def bind(self, theta):
+        return theta
+
     def signed_log(self, theta, positions):
         return self._oracle.signed_log(positions)
 
@@ -240,6 +243,26 @@ def test_train_is_deterministic():
     r2 = train(small_wf(), smoke_settings())
     assert r1.energies == r2.energies
     assert np.array_equal(r1.theta, r2.theta)
+
+
+def test_train_binds_each_theta_once(monkeypatch):
+    """The θ-side work (ParamStore.unpack and the rest of bind) runs once per
+    θ the run reaches, plain, and once per gradient pass on the tape; the
+    many sampling and local-energy calls at one θ share its bind."""
+    from sortlet_vmc.ad import Var
+    from sortlet_vmc.backbone import ParamStore
+
+    unpacked, calls = [], []
+    unpack, signed_log = ParamStore.unpack, SortletWavefunction.signed_log
+    monkeypatch.setattr(ParamStore, "unpack",
+                        lambda self, theta: unpacked.append(isinstance(theta, Var))
+                        or unpack(self, theta))
+    monkeypatch.setattr(SortletWavefunction, "signed_log",
+                        lambda self, theta, p: calls.append(1) or signed_log(self, theta, p))
+    train(small_wf(), smoke_settings(iters=2, walkers=8, burn_in=2))
+    # θ0, then one gradient pass and the next θ per iteration
+    assert unpacked == [False, True, False, True, False]
+    assert len(calls) >= 3 + 2 * (2 + 1 + 1)  # placement, burn-in, then sweeps, E_loc, tape
 
 
 def test_train_resume_is_bitwise(tmp_path):

@@ -1,12 +1,15 @@
 """perfbench's `--trace 1` patches ad ops by name: every name it lists must
-exist in `sortlet_vmc.ad`, get wrapped, and come back unchanged."""
+exist in `sortlet_vmc.ad`, get wrapped, and come back unchanged. Its layer
+spans must still see the evaluations a bound θ runs."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from sortlet_vmc import ad
+from sortlet_vmc import ad, optimizer
+from sortlet_vmc.ansatz import SortletWavefunction
+from sortlet_vmc.geometry import load_system
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +38,22 @@ def test_tracer_patches_and_restores_every_ad_name():
         tracer.uninstall()
     for name in names:
         assert getattr(ad, name) is original[name], name
+
+
+def test_tracer_sees_signed_log_in_every_engine_of_a_tiny_train():
+    """train passes the bound θ through SortletWavefunction.signed_log, so the
+    tracer's ansatz.signed_log span fires for sampling (np), the local
+    energy (dual) and the gradient (var), and backbone.scores on the tape."""
+    spans = _load_spans()
+    system = load_system("system:\n  nuclei:\n    - element: Li\n      xyz: [0.0, 0.0, 0.0]\n")
+    wf = SortletWavefunction(system, n_sortlets=2, hidden=8, layers=1)
+    tracer = spans.Tracer()
+    spans.install_layers(tracer)
+    try:
+        optimizer.train(wf, optimizer.TrainSettings(iters=1, walkers=8, burn_in=2,
+                                                    steps_per_iter=2, checkpoint_every=0))
+    finally:
+        tracer.uninstall()
+    seen = {(s[0], s[1]) for s in tracer.spans}
+    assert {("ansatz.signed_log", "np"), ("ansatz.signed_log", "dual"),
+            ("ansatz.signed_log", "var"), ("backbone.scores", "var")} <= seen
