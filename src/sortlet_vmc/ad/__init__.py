@@ -38,19 +38,23 @@ the stable argsort as take_along does. A Var takes basic indices only
 (integers, slices, None); every gather of a Var goes through take_along
 or sort_parity.
 
-Reductions run in the order of their input. Only exact, order-free ops
-(max, any, parity, and the sort behind sort_parity) run lane-leading:
-max through reduce_exact, and the sort as Batcher's odd-even merge
-network of elementwise minimum/maximum passes, which also counts the
-parity of its swaps. The network serves rows of up to NETWORK_MAX finite
-keys; longer rows, or any NaN or infinity, take np.sort and score_parity.
-Sums keep their input order. The sortlet's sum over gaps runs
-rank-leading as a left fold in gap order, written out in
-ansatz.sortlet_logs, so neither layout nor batch shape can pick its
-order. Invariance under electron relabeling is not an op's job: the
-model evaluates every walker with its electrons in one canonical order
-(`ansatz.canonical_order`), so each sum over electrons, pairs or seed
-lanes sees the same sequence for every relabeling.
+One rule reduces every model axis in every engine: reduce_exact moves
+the axis, or a tuple of axes in C order, first into a C-contiguous copy
+and reduces over that leading axis, so a sum is a left fold in index
+order whatever the batch, the row's place in it or the layout. sum (a
+Dual's value, lanes and Laplacian; a Var's value), softmax's denominator,
+amax, the sortlet's tie test and the parity take it. Five keep an order
+of their own, fixed by per-walker sizes or by the system: the lane and
+axis dots (forward._lane_dot, _axis_dot, _norm); contract's BLAS calls
+and dot path; the reverse engine's sums over the batch (_unbroadcast,
+the softmax VJP); nuclear_repulsion's sorted sum; the optimizer's
+statistics over walkers. A test scans the package for any other. The
+sort behind sort_parity is Batcher's odd-even merge network of
+elementwise minimum/maximum passes, which also counts the parity of its
+swaps, for rows of up to NETWORK_MAX finite keys; longer rows, or any
+NaN or infinity, take np.sort and score_parity. Invariance under
+electron relabeling is not an op's job: the model evaluates every walker
+with its electrons in one canonical order (`ansatz.canonical_order`).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
@@ -63,7 +67,7 @@ ansatz.sortlet_logs).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 import numpy as np
@@ -133,8 +137,6 @@ softplus = _elementwise("softplus")
 absolute = _elementwise("absolute")
 
 where = _dispatch("where", np.where, forward.where, reverse.where, slice(1, 3))
-sum = _dispatch("sum", lambda x, axis: np.sum(x, axis=axis),  # noqa: A001
-                forward.sum, reverse.sum)
 
 
 @lru_cache(maxsize=8)
@@ -195,12 +197,11 @@ def _network(n: int) -> tuple:
 
 
 def _parity_small(values: np.ndarray) -> np.ndarray:
-    # (..., N) -> (...,): the inversion count's parity, an exact XOR of the
-    # pair comparisons, reduced lane-leading as in reduce_exact; O(N^2)
-    # but N is tiny
+    # (..., N) -> (...,): the inversion count's parity, an XOR of the pair
+    # comparisons on a rank-first copy; O(N^2) but N is tiny
     i, j = np.triu_indices(values.shape[-1], 1)
     lanes = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    return np.where(np.logical_xor.reduce(lanes[i] > lanes[j], axis=0), -1, 1)
+    return np.where(reduce_exact(np.logical_xor, lanes[i] > lanes[j], 0), -1, 1)
 
 
 def _parity_cycles(order: np.ndarray) -> np.ndarray:
@@ -296,23 +297,38 @@ einsum = _dispatch(
     forward.einsum, reverse.einsum, slice(1, 3))
 
 
+@lru_cache
+def _axes_first(ndim: int, axis) -> tuple:
+    """(k, perm): reduce_exact folds k axes, put first in C order by perm."""
+    axes = sorted({a % ndim for a in (axis if isinstance(axis, tuple) else (axis,))})
+    return len(axes), tuple(axes) + tuple(a for a in range(ndim) if a not in axes)
+
+
 def reduce_exact(ufunc, x, axis=-1, keepdims=False) -> np.ndarray:
-    """ufunc.reduce(x, axis) with that short axis moved first: one
-    C-contiguous transposed copy, then one reduce across all other entries
-    at once instead of numpy's loop over short rows. Only for order-free
-    reductions (maximum, logical_or, logical_xor), so the values are the
-    reduce's own, NaN included. Of zeros of both signs a maximum may keep
-    either, as numpy's reduce does by layout; no caller's shift can see it.
-    Sums never run here: they keep their input order."""
-    out = ufunc.reduce(np.ascontiguousarray(np.moveaxis(np.asarray(x), axis, 0)), axis=0)
-    return np.expand_dims(out, axis) if keepdims else out
+    """ufunc.reduce(x, axis) as a left fold in index order, the model's one
+    reduction rule (module docstring). Of zeros of both signs a maximum may
+    keep either."""
+    x = np.asarray(x)
+    k, perm = _axes_first(x.ndim, axis)
+    rows = np.ascontiguousarray(x.transpose(perm))
+    rows = rows.reshape((-1,) + rows.shape[k:])
+    if rows.size == len(rows) > 0:  # one output entry: reduce would go pairwise
+        out = ufunc.accumulate(rows, axis=0)[-1]
+    else:
+        out = ufunc.reduce(rows, axis=0)
+    return np.expand_dims(out, perm[:k]) if keepdims else out
+
+
+sum = _dispatch("sum", lambda x, axis: reduce_exact(np.add, x, axis),  # noqa: A001
+                lambda x, axis: forward.sum(x, axis, partial(reduce_exact, np.add)),
+                lambda x, axis: reverse.sum(x, axis, reduce_exact(np.add, x.val, axis)))
 
 
 def _softmax(x) -> np.ndarray:
     """exp(x - max) / sum over the last axis, C-contiguous whatever x's layout."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     e = np.exp(x - reduce_exact(np.maximum, x, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / reduce_exact(np.add, e, keepdims=True)
 
 
 def _norm(x, eps=0.0) -> np.ndarray:

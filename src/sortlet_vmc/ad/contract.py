@@ -53,7 +53,8 @@ position in the batch and of the BLAS thread count. Three rules meet it:
   seed lanes, such as (16 x 16)(16 x 32 * 48) for an H16 chain at width
   32. A product whose M and N are both 1 is a dot product, which OpenBLAS
   would split inside its sum once it is longer than 10 000; it runs as a
-  numpy sum instead, which is never threaded.
+  numpy sum instead, which is never threaded. Every other sum follows the
+  one rule of the ad module docstring (reduce_exact, a left fold).
 
 Invariance under same-spin relabelling is not this module's job: the
 caller puts each walker's electrons in canonical order, so a contraction

@@ -195,16 +195,10 @@ def where(mask, a, b) -> Dual:
     return Dual(v, np.where(mask[..., None], at, bt), np.where(mask, ac, bc))
 
 
-def _norm_axis(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def sum(x: Dual, axis) -> Dual:  # noqa: A001 - mirrors the numpy name
-    axis = _norm_axis(axis, x.val.ndim)
-    return Dual(np.sum(x.val, axis=axis), np.sum(x.tan, axis=axis),
-                np.sum(x.curv, axis=axis))
+def sum(x: Dual, axis, total) -> Dual:  # noqa: A001 - mirrors the numpy name
+    """x summed over value axes by total(array, axes) on val, tan and curv alike."""
+    axis = tuple(a % x.val.ndim for a in (axis if isinstance(axis, tuple) else (axis,)))
+    return Dual(total(x.val, axis), total(x.tan, axis), total(x.curv, axis))
 
 
 def take(x: Dual, flat: np.ndarray) -> Dual:

@@ -171,10 +171,10 @@ def where(mask, a, b) -> Var:
     return tape._record(val, parents)
 
 
-def sum(x: Var, axis) -> Var:  # noqa: A001 - mirrors the numpy name
+def sum(x: Var, axis, y: np.ndarray) -> Var:  # noqa: A001 - mirrors the numpy name
+    """x summed over axis given its value y."""
     shape = x.val.shape
-    return x.tape._record(np.sum(x.val, axis=axis),
-                          [(x, lambda g: np.broadcast_to(np.expand_dims(g, axis), shape))])
+    return x.tape._record(y, [(x, lambda g: np.broadcast_to(np.expand_dims(g, axis), shape))])
 
 
 def take(x: Var, flat: np.ndarray) -> Var:

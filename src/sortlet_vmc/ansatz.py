@@ -86,11 +86,8 @@ def sortlet_logs(scores) -> SignedLog:
         return _bare_score_logs(ranked[0])
     gaps = ranked[1:] - ranked[:-1]
     zero = ad.detach(gaps) == 0.0
-    tied = np.logical_or.reduce(zero, axis=0)
-    logs = ad.log(ad.where(zero, 1.0, gaps))
-    logmag = logs[0]
-    for j in range(1, n - 1):  # a left fold in gap order, whatever the layout or batch
-        logmag = logmag + logs[j]
+    tied = ad.reduce_exact(np.logical_or, zero, axis=0)
+    logmag = ad.sum(ad.log(ad.where(zero, 1.0, gaps)), axis=0)
     # the wrap gap is zero only where every adjacent gap is
     logmag = logmag + ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
     logmag = ad.where(tied, BIG_NEG, logmag)
@@ -130,7 +127,7 @@ def vandermonde_logs(scores: np.ndarray, block: int = 1024) -> SignedLog:
         mag = np.where(upper, np.abs(diff), 1.0)
         tied |= np.any(upper & (diff == 0.0), axis=(-2, -1))
         with np.errstate(divide="ignore"):
-            logmag += np.sum(np.where(upper, np.log(mag), 0.0), axis=(-2, -1))
+            logmag += ad.sum(np.where(upper, np.log(mag), 0.0), axis=(-2, -1))
     return SignedLog(np.where(tied, 0, sign.astype(np.int64)),
                      np.where(tied, BIG_NEG, logmag))
 

@@ -200,6 +200,10 @@ def cmd_evaluate(args) -> int:
 def cmd_probe(args) -> int:
     from . import probes
 
+    if args.kind != "nodes" and (args.single_sortlet or args.vandermonde):
+        flag = "--single-sortlet" if args.single_sortlet else "--vandermonde"
+        print(f"error: {flag}: only the nodes probe reads it", file=sys.stderr)
+        raise SystemExit(2)
     sortlets = _sortlets(args, read=args.kind == "antisymmetry" or (
         args.kind == "nodes" and not (args.single_sortlet or args.vandermonde)))
     cfg = _load_config(args.config)

@@ -103,7 +103,7 @@ class SystemSpec:
         out = []
         for mask in ((spins[:, None] == spins) & ~np.eye(len(spins), dtype=bool),
                      spins[:, None] != spins):
-            cnt = mask.sum(axis=1)
+            cnt = np.count_nonzero(mask, axis=1)
             count = np.maximum(cnt, 1).astype(np.float64)[:, None]  # (N, 1)
             out.append((_frozen((np.diag(cnt) - mask) / count), _frozen(mask / count)))
         return tuple(out)

@@ -9,9 +9,8 @@ coordinates in one forward-Laplacian pass: every dual value carries its
 gradient as 3N seed lanes and its Laplacian as one number (ad/forward.py),
 so logmag.tan is grad L and logmag.curv is lap L. Each walker's electrons
 are put in canonical order (`ansatz.canonical_order`) before the
-potentials are summed and the dual lanes are seeded, so every sum over
-electrons, pairs and lanes runs in the same order for any same-spin
-relabeling, and E_loc is exactly invariant under it.
+potentials are summed and the dual lanes are seeded, so E_loc is exactly
+invariant under any same-spin relabeling.
 
 The dual pass runs over chunks of B walkers. Its largest arrays are the
 (B, N, width, 3N) tangents of the backbone, whose bytes grow as B N^2, so
@@ -61,35 +60,22 @@ def nuclear_repulsion(system: SystemSpec) -> float:
 
 
 def electron_potentials(system: SystemSpec, positions: np.ndarray):
-    """(ee, en) per walker for plain positions (B, N, 3).
-
-    The batch is made C-contiguous first: numpy's reductions pick their
-    summation order by stride, so an F-ordered or fancy-indexed copy of
-    the same walkers would otherwise round differently.
-    """
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    """(ee, en) per walker for plain positions (B, N, 3)."""
+    positions = np.asarray(positions, dtype=np.float64)
     # coincidences legitimately evaluate to +/- inf, not a warning
     with np.errstate(divide="ignore"):
-        if system.n_electrons >= 2:
-            iu, ju, _ = system.pairs
-            rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
-            # a left fold over pairs: np.sum's order would follow rij's layout
-            ee = np.add.accumulate(1.0 / rij, axis=-1)[..., -1]
-        else:
-            ee = np.zeros(positions.shape[0])
+        iu, ju, _ = system.pairs
+        rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
+        ee = ad.sum(1.0 / rij, axis=-1)  # 0 without a pair
         d = np.linalg.norm(positions[:, :, None, :] - system.nuclei_positions[None, None],
                            axis=-1)  # (B, N, I)
-        z = system.charges.astype(np.float64)
-        per_electron = np.sum(z / d, axis=-1)  # fixed nucleus order per electron row
-        en = -np.sum(per_electron, axis=-1)
+        en = -ad.sum(system.charges / d, axis=(1, 2))
     return ee, en
 
 
 def harmonic_potential(positions: np.ndarray) -> np.ndarray:
     """(1/2) sum_i |r_i|^2, the isotropic-well test hook."""
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    per_electron = 0.5 * np.sum(positions ** 2, axis=-1)
-    return np.sum(per_electron, axis=-1)
+    return 0.5 * ad.sum(np.asarray(positions, dtype=np.float64) ** 2, axis=(1, 2))
 
 
 CHUNK_MAX = 128
@@ -132,7 +118,7 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
             logmag = sl.logmag
             if not isinstance(logmag, ad.Dual):
                 raise TypeError("signed_log_fn must propagate dual positions")
-            grad2 = np.sum(logmag.tan ** 2, axis=-1)
+            grad2 = ad.sum(logmag.tan ** 2, axis=-1)
             lap = logmag.curv
             k = -0.5 * (lap + grad2)
             k = np.where(sl.sign == 0, np.nan, k)

@@ -109,12 +109,10 @@ def energy_gradient(wf, theta: np.ndarray, positions: np.ndarray, eloc: np.ndarr
 class Adam:
     """Flat-vector Adam with optional inverse-time learning-rate decay."""
 
-    def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, decay: float | None = 1000.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, lr: float = 1e-3, decay: float | None = 1000.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.decay = decay
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -123,11 +121,11 @@ class Adam:
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
         lr = self.lr if not self.decay else self.lr / (1.0 + self.t / self.decay)
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1 ** self.t)
-        vhat = self.v / (1.0 - self.beta2 ** self.t)
-        return theta - lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        mhat = self.m / (1.0 - self.BETA1 ** self.t)
+        vhat = self.v / (1.0 - self.BETA2 ** self.t)
+        return theta - lr * mhat / (np.sqrt(vhat) + self.EPS)
 
     def state(self) -> dict:
         return {"m": self.m, "v": self.v, "t": self.t}
@@ -162,10 +160,8 @@ class TrainSettings:
     steps_per_iter: int = 10
     lr: float = 1e-3
     lr_decay: float = 1000.0
-    clip: float = 5.0
     checkpoint_every: int = 200
     seed: int = 0
-    sigma: float = 1.0
     potential: str = "coulomb"
 
 
@@ -319,8 +315,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
                                   step=state["step"])
         start = state["next_iter"]
     else:
-        ensemble = init_ensemble(system, fn, settings.walkers, settings.seed,
-                                 sigma=settings.sigma)
+        ensemble = init_ensemble(system, fn, settings.walkers, settings.seed)
         run_sweeps(ensemble, fn, settings.burn_in, adapt=True)
         start = 0
 
@@ -345,7 +340,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
             raise RuntimeError(
                 f"training diverged at iteration {it}: "
                 f"{stats.n_valid}/{stats.n_total} finite local energies")
-        grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc, clip=settings.clip)
+        grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc)
         theta = adam.step(theta, grad)
         bound = wf.bind(theta)
         energies.append(stats.mean)
@@ -385,7 +380,7 @@ class EnergyReport:
 
 def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int = 500,
                     n_estimates: int = 200, steps_between: int = 10, seed: int = 1,
-                    potential: str = "coulomb", sigma: float = 1.0) -> EnergyReport:
+                    potential: str = "coulomb") -> EnergyReport:
     """Fixed-parameter energy with an uncertainty from per-chain means.
 
     Chains are independent, so the spread of their time-averaged energies
@@ -394,7 +389,7 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     system = wf.system
     bound = wf.bind(theta)
     fn = lambda p: wf.signed_log(bound, p)
-    ensemble = init_ensemble(system, fn, n_walkers, seed, sigma=sigma)
+    ensemble = init_ensemble(system, fn, n_walkers, seed)
     run_sweeps(ensemble, fn, burn_in, adapt=True)
     per_chain = np.zeros(n_walkers)
     per_chain_n = np.zeros(n_walkers)

@@ -84,7 +84,7 @@ def antisymmetry_suite(wf, theta: np.ndarray | None = None, trials: int = 1000,
         "probe": "antisymmetry", "seed": seed, "trials": trials,
         "violations": len(set(violations)),
         "max_logmag_diff": max_diff,
-        "dead_points": int(trials - live.sum()),
+        "dead_points": trials - np.count_nonzero(live),
         "passed": not violations,
     }
     if violations:
@@ -425,11 +425,11 @@ class ToyChain1D:
     def density_weights(self, theta: np.ndarray, xs: np.ndarray, w: np.ndarray):
         l = self.log_amplitude(theta, xs)
         rho = w * np.exp(2.0 * (l - np.max(l)))
-        return rho / rho.sum()
+        return rho / ad.sum(rho, axis=0)
 
     def quadrature_energy(self, theta: np.ndarray, xs: np.ndarray, w: np.ndarray) -> float:
         p = self.density_weights(theta, xs, w)
-        return float(np.sum(p * self.local_energies(theta, xs)))
+        return float(ad.sum(p * self.local_energies(theta, xs), axis=0))
 
 
 def toy_gradient_check(theta: np.ndarray | None = None, h: float = 1e-4,

@@ -10,6 +10,7 @@ from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import (
     BIG_NEG,
     SignedLog,
+    SortletWavefunction,
     canonical_order,
     envelope_distance_sum,
     mix_signed_logs,
@@ -391,6 +392,30 @@ def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
             np.testing.assert_array_equal(lone.tan[0, 0], dual.tan[i, j])
             alone = sortlet_logs(heads(GradientTape().leaf(raw[one]))).logmag
             assert alone.val[0, 0] == var.val[i, j]
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 32])
+def test_signed_log_of_a_lone_walker_matches_the_batch(k):
+    """Every reduction site gives a lone walker the bits of its row in a
+    batch of three, plain and Dual, on H_N chains for N = 1 to 17 at K heads:
+    the mixture over K, the gap fold over N - 1, the envelope over N, the
+    pair sum over N(N-1)/2 and the softmax over N all have one output entry
+    per walker here, where numpy's reduce would sum pairwise."""
+    rng = np.random.default_rng(k)
+    for n in range(1, 18):
+        chain = SystemSpec(nuclei_positions=np.array([[1.4 * i, 0.0, 0.0] for i in range(n)]),
+                           charges=np.ones(n, dtype=np.int64), n_up=(n + 1) // 2, n_down=n // 2)
+        wf = SortletWavefunction(chain, n_sortlets=k, hidden=4, layers=1, seed=n)
+        bound = wf.bind(wf.theta0)
+        pos = chain.nuclei_positions + rng.normal(size=(3, n, 3))
+        plain = wf.signed_log(bound, pos)
+        dual = wf.signed_log(bound, ad.seed_positions(pos)).logmag
+        for i in range(len(pos)):
+            alone = wf.signed_log(bound, pos[i:i + 1])
+            assert alone.sign[0] == plain.sign[i] and alone.logmag[0] == plain.logmag[i], n
+            lone = wf.signed_log(bound, ad.seed_positions(pos[i:i + 1])).logmag
+            assert lone.val[0] == dual.val[i] and lone.curv[0] == dual.curv[i], n
+            np.testing.assert_array_equal(lone.tan[0], dual.tan[i], err_msg=f"N = {n}")
 
 
 @pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 2))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -425,13 +426,19 @@ def test_amax_and_detach():
     assert np.array_equal(ad.detach(d), d.val)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 41))
 def test_reduce_exact_matches_numpy_over_short_last_axes(n):
     """reduce_exact gives np.max's and np.any's values over a last axis of
     length n, with -inf, NaN and zeros of both signs among the inputs, on a
     moveaxis view (as backbone.scores returns) and on a contiguous copy.
     Bits agree except the sign of a zero maximum in a row holding zeros of
-    both signs, which numpy's own reduce picks by layout."""
+    both signs, which numpy's own reduce picks by layout.
+
+    Its sum is a Python left fold in index order, bit for bit, on a lone
+    row (1, n) or (1, 1, n), a rank-leading (n, 1, 1), a moveaxis view, an
+    F-ordered copy and a tuple of axes. One output entry is where a bare
+    np.add.reduce of the rank-leading copy sums pairwise from n = 8 on;
+    tails of about a quarter ulp of the lead term make the two orders part."""
     rng = np.random.default_rng(n)
     pool = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, -1.5, 2.0, 1e-300])
     raw = rng.choice(pool, size=(64, n, 5), p=[0.1, 0.02, 0.03, 0.25, 0.25, 0.15, 0.1, 0.1])
@@ -449,6 +456,83 @@ def test_reduce_exact_matches_numpy_over_short_last_axes(n):
             assert np.array_equal(ad.reduce_exact(np.logical_or, mask), np.any(mask, axis=-1))
     finite = np.where(np.isfinite(raw), raw, 0.5)  # another axis, as amax allows
     assert np.array_equal(ad.amax(finite, axis=1, keepdims=True), np.max(finite, axis=1, keepdims=True))
+
+    terms = rng.uniform(1.0, 2.0, size=(n, 4, 3))
+    terms[1:] = 2.0 ** -54 * rng.integers(1, 4, size=(n - 1, 4, 3))
+
+    def fold(t):  # a left fold along the first axis
+        acc = t[0]
+        for row in t[1:]:
+            acc = acc + row
+        return acc
+
+    lane_last = np.moveaxis(terms, 0, -1)  # (4, 3, n)
+    pairs = np.moveaxis(terms, 1, 0)  # (4, n, 3), summed over (n, 3) in C order
+    pair_fold = fold(np.moveaxis(pairs.reshape(4, 3 * n), 1, 0))
+    cases = [
+        (terms[:, 0, 0].reshape(1, n), -1, fold(terms[:, :1, 0])),
+        (terms[:, 0, 0].reshape(1, 1, n), -1, fold(terms[:, :1, :1])),
+        (terms[:, :1, :1], 0, fold(terms[:, :1, :1])),
+        (lane_last, -1, fold(terms)),
+        (np.ascontiguousarray(lane_last), -1, fold(terms)),
+        (np.asfortranarray(lane_last), -1, fold(terms)),
+        (pairs, (1, 2), pair_fold),
+        (pairs, (-1, 1), pair_fold),
+        (pairs[:1], (1, 2), pair_fold[:1]),
+    ]
+    for x, axis, want in cases:
+        np.testing.assert_array_equal(ad.reduce_exact(np.add, x, axis), want)
+    assert ad.reduce_exact(np.add, pairs, (1, 2), keepdims=True).shape == (4, 1, 1)
+
+
+# the reductions that keep an order of their own, as the ad module
+# docstring names them: (file in the package, innermost function)
+OWN_ORDER = {
+    ("ad/__init__.py", "reduce_exact"),  # the one rule itself
+    ("ad/contract.py", "contract"),  # the dot path, kept off BLAS
+    ("ad/reverse.py", "_unbroadcast"),  # reverse-mode sums over the batch
+    ("ad/reverse.py", "softmax"),  # the softmax VJP
+    ("hamiltonian.py", "nuclear_repulsion"),  # sorted, a constant of the system
+    ("optimizer.py", "estimate_energy"),  # statistics over walkers
+    ("optimizer.py", "energy_gradient"),
+    ("optimizer.py", "evaluate_energy"),
+}
+REDUCING = {"sum", "nansum", "cumsum", "reduce", "accumulate", "reduceat"}
+
+
+def _reduction_calls(source: str) -> list:
+    """(innermost function, line) of each call to a reducing attribute,
+    np.sum, x.sum(), np.add.reduce or ufunc.accumulate alike; ad.sum, and
+    the engine halves it dispatches to, are the rule and not among them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in REDUCING
+                    and not (isinstance(child.func.value, ast.Name)
+                             and child.func.value.id in ("ad", "forward", "reverse"))):
+                found.append((scope, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_model_reduction_goes_through_reduce_exact():
+    """No module of the package reduces an axis with a rule of its own
+    beyond the exceptions the ad docstring names: each new np.sum, .sum(),
+    np.add.reduce, np.add.accumulate or ufunc.reduce site fails here."""
+    root = Path(ad.__file__).parent.parent
+    stray = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        stray += [f"{name}:{line} in {scope}" for scope, line in _reduction_calls(path.read_text())
+                  if (name, scope) not in OWN_ORDER]
+    assert not stray, "reductions outside reduce_exact: " + ", ".join(stray)
+    assert _reduction_calls("def f(x):\n    return np.add.reduce(x) + x.sum() + ad.sum(x, 0)\n") \
+        == [("f", 2), ("f", 2)]
 
 
 def test_long_dot_product_bits_do_not_depend_on_blas_threads():

@@ -294,19 +294,28 @@ def test_probe_nodes_hands_sortlets_to_its_mixture(h_config, tmp_path, monkeypat
     assert seen == [16, 3]
 
 
-@pytest.mark.parametrize("argv", [
-    ["nodes", "--single-sortlet"], ["nodes", "--vandermonde"], ["smoothness"],
-    ["variational"], ["gradcheck"],
-], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness", "variational", "gradcheck"])
-def test_probes_without_a_mixture_refuse_sortlets(h_config, tmp_path, capsys, argv):
+NODES_ONLY = [(kind, flag) for kind in ("antisymmetry", "smoothness", "variational", "gradcheck")
+              for flag in ("--single-sortlet", "--vandermonde")]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    *(((*argv, "--sortlets", "3"), "--sortlets 3") for argv in (
+        ("nodes", "--single-sortlet"), ("nodes", "--vandermonde"), ("smoothness",),
+        ("variational",), ("gradcheck",))),
+    *((argv, argv[1]) for argv in NODES_ONLY),
+], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness", "variational", "gradcheck",
+        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY)])
+def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, refused):
     """A probe that evaluates one head, or no ansatz, refuses even an
-    in-range --sortlets instead of ignoring it."""
+    in-range --sortlets instead of ignoring it, and every probe but nodes
+    refuses nodes' --single-sortlet and --vandermonde: one error line and
+    exit 2 before the config is read (it does not exist here), no report."""
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
-        main(["probe", argv[0], str(h_config), *argv[1:], "--sortlets", "3", "--out", str(out)])
+        main(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:], "--out", str(out)])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --sortlets 3:") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {refused}:") and len(err.splitlines()) == 1
     assert not out.exists()
 
 
