@@ -6,9 +6,10 @@ engines: plain ndarrays (Metropolis sampling), forward-mode Dual
 Laplacian per value, see forward.py; the local energy) and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters; the energy gradient).
 Every op picks its engine with one check over the operands it is handed
-(`_dispatch`); mixing Dual and Var in one call is an error. concat and
-norm have no Var engine: no parameter gradient passes through them, since
-positions are never a Var, and a Var operand raises TypeError.
+(`_dispatch`); mixing Dual and Var in one call is an error. concat, norm
+and displacements have no Var engine: no parameter gradient passes
+through them, since positions are never a Var, and a Var operand raises
+TypeError.
 
 Elementwise ops are the rows of one table, ELEMENTWISE, each
 `name: (f, f'(x, y), f''(x, y, f') or None)` at y = f(x). The plain engine
@@ -25,7 +26,9 @@ value for every engine the op has (so plain, Dual.val and Var.val agree
 bit for bit), and the Dual and Var ops add only their derivative rules.
 The Dual rules are written out in forward.py; each of their sums over the
 reduced axis or over the seed lanes runs in an order fixed by per-walker
-sizes.
+sizes. A tuple of eps gives norm's lengths of one block from one sum of
+squares (and, for a Dual, one set of lane numerators); displacements'
+Dual centers share each point's tangent, which norm reads uncopied.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul planned once per spec and operand shapes; contract.py states the
@@ -60,9 +63,9 @@ No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
 because perfbench's tracer (perfbench/spans.py) patches them by name;
 deleting them waits for a change that refreshes the benchmark's list of
-names. The tracer does not patch softmax, norm or sort_parity, so their
-time counts in the calling span's self time (sort_parity's in
-ansatz.sortlet_logs).
+names. The tracer does not patch softmax, norm, displacements or
+sort_parity, so their time counts in the calling span's self time
+(sort_parity's in ansatz.sortlet_logs, the geometry's in signed_log).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ __all__ = [
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
-    "norm", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
+    "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
@@ -331,17 +334,38 @@ def _softmax(x) -> np.ndarray:
     return e / reduce_exact(np.add, e, keepdims=True)
 
 
-def _norm(x, eps=0.0) -> np.ndarray:
-    """sqrt(sum_c x_c^2 + eps^2) over the last axis, summed in an order fixed by its length."""
+def _norm(x, eps=0.0):
+    """sqrt(sum_c x_c^2 + eps^2) over the last axis, summed in an order fixed
+    by its length; a tuple of eps gives one length per eps from one sum."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return np.sqrt(np.einsum("...c,...c->...", x, x) + eps * eps)
+    s = np.einsum("...c,...c->...", x, x)
+    if isinstance(eps, tuple):
+        return tuple(np.sqrt(s + e * e) for e in eps)
+    return np.sqrt(s + eps * eps)
 
 
 softmax = _dispatch("softmax", _softmax, lambda x: forward.softmax(x, _softmax(x.val)),
                     lambda x: reverse.softmax(x, _softmax(x.val)))
 softmax.__doc__ = "Softmax over the last axis, one op in every engine."
 norm = _dispatch("norm", _norm, lambda x, eps=0.0: forward.norm(x, _norm(x.val, eps)), None)
-norm.__doc__ = "sqrt(sum_c x_c^2 + eps^2) over the last axis, one op in every engine."
+norm.__doc__ = """sqrt(sum_c x_c^2 + eps^2) over the last axis, one op in every engine; a
+tuple of eps, e.g. (FEATURE_EPS, 0.0), gives a tuple of lengths."""
+
+
+def _displacements(x, centers) -> np.ndarray:
+    """x[..., :, None, :] - centers, (..., N, I, d), as one flat gather and one
+    subtraction: numpy would loop over the broadcast per row of length d."""
+    x = np.asarray(x, dtype=np.float64)
+    (n, d), i = x.shape[-2:], len(centers)
+    index = np.repeat(np.arange(n * d).reshape(n, 1, d), i, axis=1).ravel()
+    flat = x.reshape(x.shape[:-2] + (n * d,))[..., index] - np.tile(np.ravel(centers), n)
+    return flat.reshape(x.shape[:-2] + (n, i, d))
+
+
+# a Dual point's centers share its tangent and Laplacian, broadcast (Dual.__add__)
+displacements = _dispatch("displacements", _displacements, lambda x, centers: forward.reshape(
+    x, x.shape[:-1] + (1, x.shape[-1])) - np.asarray(centers, dtype=np.float64), None)
+displacements.__doc__ = "Each point of x (..., N, d) less each center (I, d): (..., N, I, d)."
 
 
 def detach(x) -> np.ndarray:

@@ -20,7 +20,8 @@ reduces a C-contiguous trailing lane axis, and every sum over the last
 value axis of a tangent (`_axis_dot`) runs in ascending index with the
 lane axis innermost, so both orders are fixed by per-walker sizes alone
 and each entry's bits do not depend on the batch size, the entry's
-position in it or the caller's memory layout.
+position in it or the caller's memory layout; a tangent broadcast over
+value axes is read through its view, with the same bits as a copy.
 
 Constants stay plain ndarrays; binary ops lift them with zero derivatives.
 An op may accumulate in place into a temporary it made itself, in the
@@ -45,11 +46,19 @@ def _lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...t,...t->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
 
 
+def _rows(tan: np.ndarray) -> np.ndarray:
+    """tan with each broadcast (stride-0) value axis but the last cut to
+    length 1, C-contiguous: copied at most once, a shared tangent never."""
+    cut = tuple(slice(0, 1) if s == 0 else slice(None) for s in tan.strides[:-2])
+    return np.ascontiguousarray(tan[cut])
+
+
 def _axis_dot(w: np.ndarray, tan: np.ndarray) -> np.ndarray:
     """sum_k w_k tan_kt over the last value axis. Each entry is a sum in
     ascending k: the lane axis stays innermost and is never folded into
     another, so the order is fixed by K and T alone."""
-    return np.einsum("...k,...kt->...t", np.ascontiguousarray(w), np.ascontiguousarray(tan))
+    return np.einsum("...k,...kt->...t", np.ascontiguousarray(w),
+                     np.broadcast_to(_rows(tan), tan.shape))
 
 
 class Dual:
@@ -172,15 +181,21 @@ def softmax(x: Dual, y: np.ndarray) -> Dual:
     return Dual(y, u, y * (w - _lane_dot(y, w)[..., None]))
 
 
-def norm(x: Dual, f: np.ndarray) -> Dual:
-    """f = sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f:
-    tan = sum_c x_c tan_c / f and curv = (sum_c,t tan_c,t^2 + sum_c x_c curv_c
-    - |tan|^2) / f."""
-    tan = _axis_dot(x.val, x.tan)
-    tan /= f[..., None]
-    lanes = np.ascontiguousarray(x.tan).reshape(f.shape + (-1,))  # (c, t) folded
-    curv = (_lane_dot(lanes, lanes) + _lane_dot(x.val, x.curv) - _lane_dot(tan, tan)) / f
-    return Dual(f, tan, curv)
+def norm(x: Dual, f):
+    """f = sqrt(sum_c x_c^2 + eps^2) over the last axis given its value f,
+    or a tuple of such values with one shared set of numerators: tan =
+    sum_c x_c tan_c / f, curv = (sum_c,t tan_c,t^2 + sum_c x_c curv_c -
+    |tan|^2) / f. A shared tangent's lane sum runs once per distinct row."""
+    rows = _rows(x.tan)
+    num = _axis_dot(x.val, np.broadcast_to(rows, x.tan.shape))
+    lanes = rows.reshape(rows.shape[:-2] + (rows.shape[-2] * rows.shape[-1],))  # (c, t) folded
+    base = _lane_dot(lanes, lanes) + _lane_dot(x.val, x.curv)
+
+    def one(fi):
+        tan = num / fi[..., None]
+        return Dual(fi, tan, (base - _lane_dot(tan, tan)) / fi)
+
+    return tuple(map(one, f)) if isinstance(f, tuple) else one(f)
 
 
 def where(mask, a, b) -> Dual:

@@ -25,7 +25,8 @@ heads with learnable weights:
 
 Everything is evaluated in signed log form. Vanishing factors are masked
 out before any log so derivative lanes stay finite; a masked head simply
-contributes zero to the mixture.
+contributes zero to the mixture. The envelope and the pair factor read
+the exact lengths of the pass's one geometry (backbone.electron_geometry).
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def vandermonde_logs(scores: np.ndarray, block: int = 1024) -> SignedLog:
                      np.where(tied, BIG_NEG, logmag))
 
 
-def pair_log_factor(system: SystemSpec, positions, b):
-    """Symmetric log pair factor J(r).
+def pair_log_factor(system: SystemSpec, dist, b):
+    """Symmetric log pair factor J(r) of the exact pair lengths dist (B, P)
+    over system.pairs (backbone.electron_geometry).
 
     J = sum_{i<j par} -(1/4) b1/(b1^2 + r_ij) + sum_{i<j anti} -(1/2) b2/(b2^2 + r_ij)
     with b = softplus(pair.beta) (SortletWavefunction.bind) so the
@@ -141,10 +143,8 @@ def pair_log_factor(system: SystemSpec, positions, b):
     """
     if system.n_electrons < 2:
         # no pairs: J is identically zero, with zero parameter gradient
-        return np.zeros(ad.detach(positions).shape[0])
-    iu, ju, same = system.pairs
-    delta = positions[(slice(None), iu)] - positions[(slice(None), ju)]  # (B, P, 3)
-    dist = ad.norm(delta)  # (B, P) exact: carries the cusp
+        return np.zeros(ad.detach(dist).shape[0])
+    same = system.pairs[2]
     b1, b2 = b[0], b[1]
     par = b1 / (ad.square(b1) + dist)
     anti = b2 / (ad.square(b2) + dist)
@@ -152,12 +152,10 @@ def pair_log_factor(system: SystemSpec, positions, b):
     return ad.sum(terms, axis=-1)
 
 
-def envelope_distance_sum(system: SystemSpec, positions):
-    """sum_j min_I |r_j - R_I|, shape (B,); exact distances for the cusp."""
-    b, n = ad.detach(positions).shape[:2]
-    pos = ad.reshape(positions, (b, n, 1, 3))
-    delta = pos - system.nuclei_positions[None, None]  # (B, N, I, 3)
-    dist = ad.norm(delta)  # (B, N, I)
+def envelope_distance_sum(dist):
+    """sum_j min_I |r_j - R_I|, shape (B,), of the exact electron-nucleus
+    lengths dist (B, N, I) (backbone.electron_geometry), for the cusp."""
+    b, n = ad.detach(dist).shape[:2]
     # argmin keeps the earlier nucleus of a tie
     nearest = ad.take_along(dist, np.argmin(ad.detach(dist), axis=-1)[..., None], axis=-1)
     return ad.sum(ad.reshape(nearest, (b, n)), axis=-1)
@@ -230,9 +228,11 @@ class SortletWavefunction:
         if not (isinstance(positions, ad.Dual) and np.all(order == np.arange(shape[1]))):
             positions = ad.take_along(positions, order[..., None], axis=1)
         params = theta if isinstance(theta, dict) else self.bind(theta)
-        core = sortlet_logs(backbone.scores(self.system, params, positions))
-        reach = envelope_distance_sum(self.system, positions)  # (B,)
+        geom, en_exact, ee_exact = backbone.electron_geometry(self.system, positions)
+        reach = envelope_distance_sum(en_exact)  # (B,)
+        j = pair_log_factor(self.system, ee_exact, params["pair.b"])
+        del en_exact, ee_exact  # their tangents would stay live through the attention layers
+        core = sortlet_logs(backbone.scores(self.system, params, geom))
         env = ad.einsum("b,k->bk", -reach, params["env.k"])
         mixed = mix_signed_logs(core.sign, core.logmag + env, params["mix.w"])
-        j = pair_log_factor(self.system, positions, params["pair.b"])
         return SignedLog(mixed.sign * parity, mixed.logmag + j)

@@ -8,6 +8,9 @@ up to rounding, since those sums run in the input's electron order. Exact
 invariance comes from the caller: `SortletWavefunction.signed_log` puts
 every walker's electrons in one canonical order before calling in.
 
+The network reads `electron_geometry`, which builds a pass's displacements
+and lengths once for the features, the envelope and the pair factor.
+
 Each attention layer folds its four projections in pairs on the
 parameter side, once per bind (SortletWavefunction.bind) and with no
 walker axis:
@@ -25,6 +28,8 @@ optimizer and checkpoints never deal with structure.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,29 +158,46 @@ def init_params(store: ParamStore, seed: int = 0) -> np.ndarray:
     return store.pack(tensors)
 
 
-def featurize(system: SystemSpec, positions):
-    """Electron features (B, N, F); equivariant row-for-row under relabeling."""
-    n = system.n_electrons
-    spins = system.spins.astype(np.float64)
-    nuc = system.nuclei_positions  # (I, 3)
+class Geometry(NamedTuple):
+    """What featurize reads of a pass's electron geometry, in the engine of
+    its positions; lengths softened by FEATURE_EPS."""
+
+    positions: object  # (B, N, 3)
+    en: object  # (B, N, I, 3): r_n - R_i
+    en_soft: object  # (B, N, I)
+    ee_soft: object  # (B, P): over the pairs i < j of system.pairs
+
+
+def electron_geometry(system: SystemSpec, positions) -> tuple:
+    """(Geometry, en_exact (B, N, I), ee_exact (B, P)): every electron-nucleus
+    and electron-pair displacement of a batch with a softened length for
+    featurize and an exact one for ansatz.envelope_distance_sum and
+    ansatz.pair_log_factor, both from one sum of squares per block. Each
+    pair is held once: r_m - r_n is exactly -(r_n - r_m)."""
+    iu, ju, _ = system.pairs
+    en = ad.displacements(positions, system.nuclei_positions)
+    en_soft, en_exact = ad.norm(en, (FEATURE_EPS, 0.0))
+    ee_soft, ee_exact = ad.norm(positions[:, iu] - positions[:, ju], (FEATURE_EPS, 0.0))
+    return Geometry(positions, en, en_soft, ee_soft), en_exact, ee_exact
+
+
+def featurize(system: SystemSpec, geom: Geometry):
+    """Electron features (B, N, F); equivariant row-for-row under relabeling.
+
+    Per nucleus, the displacement and its softened length; the spin tag;
+    then the mean displacement and softened distance to the same-spin and
+    to the opposite-spin partners. By linearity sum_m mask_nm (r_n - r_m) =
+    cnt_n r_n - (mask r)_n, one (N x N) matrix per walker; the distances
+    mirror the pair lengths, with the softening floor on the diagonal."""
+    b, n = ad.detach(geom.positions).shape[:2]
     parts = []
     for i in range(system.n_nuclei):
-        delta = positions - nuc[i]
-        parts.append(delta)
-        parts.append(ad.reshape(ad.norm(delta, FEATURE_EPS), ad.detach(delta).shape[:-1] + (1,)))
-    b = ad.detach(positions).shape[0]
-    spin_col = np.broadcast_to(spins[None, :, None], (b, n, 1))
-    parts.append(spin_col)
-
-    # pooled pair features: mean displacement and mean softened distance to
-    # the same-spin and opposite-spin partners of each electron. By
-    # linearity sum_m mask_nm (r_n - r_m) = cnt_n r_n - (mask r)_n, so the
-    # displacement is one (N x N) matrix applied to each walker's positions.
-    pos_i = ad.reshape(positions, (b, n, 1, 3))
-    pos_j = ad.reshape(positions, (b, 1, n, 3))
-    dist = ad.norm(pos_i - pos_j, FEATURE_EPS)  # (B, N, N)
+        parts += [geom.en[:, :, i], geom.en_soft[:, :, i:i + 1]]
+    parts.append(np.broadcast_to(system.spins.astype(np.float64)[None, :, None], (b, n, 1)))
+    floor = np.full((b, 1), np.sqrt(FEATURE_EPS * FEATURE_EPS))
+    dist = ad.concat([geom.ee_soft, floor], axis=-1)[:, system.pair_slots]  # (B, N, N)
     for pool, weights in system.partner_means:
-        parts.append(ad.einsum("nm,bmc->bnc", pool, positions))
+        parts.append(ad.einsum("nm,bmc->bnc", pool, geom.positions))
         parts.append(ad.reshape(ad.einsum("bnm,nm->bn", dist, weights), (b, n, 1)))
     return ad.concat(parts, axis=-1)
 
@@ -184,11 +206,11 @@ def _affine(x, w, b):
     return ad.einsum("bnf,fh->bnh", x, w) + b
 
 
-def scores(system: SystemSpec, params: dict, positions):
-    """Per-sortlet electron scores (B, K, N). params is
+def scores(system: SystemSpec, params: dict, geom: Geometry):
+    """Per-sortlet electron scores (B, K, N) of a pass's geometry. params is
     SortletWavefunction.bind's dict; its "attention" entry gives the
     attention layers, each folded as (QK, VO, bo)."""
-    h = ad.tanh(_affine(featurize(system, positions), params["feat.w"], params["feat.b"]))
+    h = ad.tanh(_affine(featurize(system, geom), params["feat.w"], params["feat.b"]))
     for qk, vo, bo in params["attention"]:
         logits = ad.einsum("bnk,bmk->bnm", ad.einsum("bnh,hk->bnk", h, qk), h)
         attn = ad.softmax(logits)  # (B, N, M)

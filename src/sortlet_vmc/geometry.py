@@ -96,6 +96,14 @@ class SystemSpec:
         return _frozen(i, np.int64), _frozen(j, np.int64), _frozen(self.spins[i] == self.spins[j])
 
     @cached_property
+    def pair_slots(self) -> np.ndarray:
+        """(N, N): the index in pairs of {n, m}, len(pairs) on the diagonal."""
+        i, j, _ = self.pairs
+        slots = np.full((self.n_electrons, self.n_electrons), len(i))
+        slots[i, j] = slots[j, i] = np.arange(len(i))
+        return _frozen(slots, np.int64)
+
+    @cached_property
     def partner_means(self) -> tuple:
         """featurize's (pool, weights), (N, N) each, for the same-spin and then
         the opposite-spin partners of each electron; see backbone.featurize."""

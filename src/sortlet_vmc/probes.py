@@ -29,7 +29,8 @@ def _initial_signed_log(system: SystemSpec, kind: str, seed: int, n_sortlets: in
     wf = SortletWavefunction(system, n_sortlets=n_sortlets, hidden=16, layers=2, seed=seed)
     bound = wf.bind(wf.theta0)
     if kind == "vandermonde":
-        return lambda p: vandermonde_logs(backbone.scores(system, bound, p)[:, 0, :])
+        return lambda p: vandermonde_logs(
+            backbone.scores(system, bound, backbone.electron_geometry(system, p)[0])[:, 0, :])
     return lambda p: wf.signed_log(bound, p)
 
 

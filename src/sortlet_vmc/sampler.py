@@ -2,11 +2,11 @@
 
 Every draw is a pure function of (run seed, chain id, step): counter-based
 Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11) in vectorized uint64 numpy. One call draws BLOCK_STEPS steps for
-every chain, and the ensemble caches that block. With the batch-independent
-evaluation paths, batched and serial runs are bit-for-bit identical (at a
-fixed step size: adaptation pools acceptance over the ensemble), and the
-sampler state is one integer step.
+3", SC'11), from numpy's Philox bit generator set to each counter. One call
+draws BLOCK_STEPS steps for every chain, and the ensemble caches that
+block. With the batch-independent evaluation paths, batched and serial runs
+are bit-for-bit identical (at a fixed step size: adaptation pools
+acceptance over the ensemble), and the sampler state is one integer step.
 
 Proposals move all electrons at once by a Gaussian step. A proposal whose
 wavefunction value is exactly zero or non-finite is rejected outright, so
@@ -24,12 +24,9 @@ from .geometry import SystemSpec
 
 ADAPT_TARGET = (0.45, 0.55)
 ADAPT_FACTOR = 1.1
-BLOCK_STEPS = 10  # Metropolis steps drawn per Philox call
+BLOCK_STEPS = 10  # Metropolis steps drawn per chain_draws call
 STEP, PLACEMENT = 0, 1  # counter purposes; a placement's step word is its attempt
-_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)  # key bumps
-_LO, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_M_LO, _M_HI = _M & _LO, _M >> _32
+_LAST = np.uint64(2**64 - 1)
 
 
 def stream_key(seed: int) -> np.ndarray:
@@ -37,33 +34,27 @@ def stream_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def philox4x64(counter, key) -> tuple:
-    """Philox4x64-10 of the counter words (c0, c1, c2, c3), uint64 arrays
-    that broadcast, under a two-word key: the block's four output words. The
-    128-bit products are built from 32-bit halves in buffers made once."""
-    c = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in counter))
-    mul, other = np.stack(c[0::2]).reshape(2, -1), np.stack(c[1::2]).reshape(2, -1)
-    lo, hi, t, carry = (np.empty_like(mul) for _ in range(4))
-    k = np.array(key, dtype=np.uint64).reshape(2, 1)
-    for _ in range(10):
-        np.bitwise_and(mul, _LO, out=lo)
-        np.right_shift(mul, _32, out=hi)
-        np.multiply(lo, _M_LO, out=carry)
-        carry >>= _32
-        np.multiply(hi, _M_LO, out=t)
-        t += carry
-        lo *= _M_HI
-        lo += np.bitwise_and(t, _LO, out=carry)
-        hi *= _M_HI
-        hi += np.right_shift(t, _32, out=t)
-        hi += np.right_shift(lo, _32, out=lo)
-        np.multiply(mul, _M, out=lo)
-        # (c0, c2) <- (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1); (c1, c3) <- (lo1, lo0)
-        np.bitwise_xor(hi[::-1], other, out=mul)
-        mul ^= k
-        k += _W
-        lo, other = other, lo[::-1]
-    return tuple(w.reshape(c[0].shape) for w in (mul[0], other[0], mul[1], other[1]))
+def _philox_words(key, chains, steps, n_blocks: int, purpose: int) -> np.ndarray:
+    """(4 n_blocks, S, M): word w % 4 of the Philox4x64-10 block at counter
+    (chains[m], steps[s], w // 4, purpose), lowest word first. numpy's
+    counter steps its lowest word first, so one call covers each run of
+    consecutive ids; it is set one below, as numpy increments first."""
+    ids = np.asarray(chains).astype(np.uint64)
+    cut = np.flatnonzero((ids[1:] != ids[:-1] + np.uint64(1)) | (ids[:-1] == _LAST)) + 1
+    runs = np.r_[0, cut, len(ids)]
+    steps = np.ravel(steps)
+    out = np.empty((n_blocks, len(steps), len(ids), 4), dtype=np.uint64)
+    gen = np.random.Philox(key=key)
+    state = gen.state
+    for block in range(n_blocks):
+        for s, step in enumerate(steps):
+            for lo, hi in zip(runs[:-1], runs[1:]):
+                value = (int(ids[lo]) | int(step) << 64 | block << 128 | purpose << 192) - 1
+                state["state"]["counter"] = np.array(
+                    [(value >> (64 * k)) & (2**64 - 1) for k in range(4)], dtype=np.uint64)
+                gen.state = state
+                out[block, s, lo:hi] = gen.random_raw(4 * (hi - lo)).reshape(hi - lo, 4)
+    return np.moveaxis(out, 3, 1).reshape(4 * n_blocks, len(steps), len(ids))
 
 
 def chain_draws(key, chains, steps, n_electrons: int, purpose: int = STEP) -> tuple:
@@ -72,9 +63,7 @@ def chain_draws(key, chains, steps, n_electrons: int, purpose: int = STEP) -> tu
     (chain, step) comes from block w // 4: words [0, h) and [h, 2h) pair up
     for Box-Muller, word 2h is the uniform."""
     h = (3 * n_electrons + 1) // 2
-    blocks = np.arange((2 * h + 4) // 4)
-    words = philox4x64((chains, np.reshape(steps, (-1, 1)), blocks[:, None, None], purpose), key)
-    raw = np.stack(words, axis=1).reshape((4 * len(blocks),) + words[0].shape[1:])
+    raw = _philox_words(key, chains, steps, (2 * h + 4) // 4, purpose)
     u = (raw[:2 * h + 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     radius, angle = np.sqrt(-2.0 * np.log1p(-u[:h])), 2.0 * np.pi * u[h:2 * h]
     normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:3 * n_electrons]

@@ -147,6 +147,17 @@ def unfolded_scores(system, params: dict, positions, hidden: int, layers: int):
     return ad.moveaxis(raw, -1, -2)
 
 
+def all_nuclei_envelope(system, positions):
+    """ansatz.envelope_distance_sum before the shared geometry: the exact
+    norm of the whole (B, N, I, 3) displacement block, plain or Dual, then
+    each electron's length at its argmin (the earlier nucleus of a tie)."""
+    b, n = ad.detach(positions).shape[:2]
+    delta = ad.reshape(positions, (b, n, 1, 3)) - system.nuclei_positions[None, None]
+    dist = ad.norm(delta)  # (B, N, I)
+    nearest = ad.take_along(dist, np.argmin(ad.detach(dist), axis=-1)[..., None], axis=-1)
+    return ad.sum(ad.reshape(nearest, (b, n)), axis=-1)
+
+
 def take_along_vjp_add_at(shape, idx, axis, g) -> np.ndarray:
     """The reverse of take_along_axis(x, idx, axis) for x of `shape` as an
     np.add.at scatter of g, which has the gathered shape."""

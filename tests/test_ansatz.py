@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sortlet_vmc import ad
+from oracles import all_nuclei_envelope
+from sortlet_vmc import ad, ansatz
 from sortlet_vmc.ad import Dual, GradientTape
 from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import (
@@ -19,6 +20,7 @@ from sortlet_vmc.ansatz import (
     sortlet_logs,
     vandermonde_logs,
 )
+from sortlet_vmc.backbone import electron_geometry
 from sortlet_vmc.geometry import SystemSpec
 
 
@@ -307,22 +309,26 @@ def spin_split(n_up: int, n_down: int) -> SystemSpec:
                       n_up=n_up, n_down=n_down)
 
 
+def pair_factor(system, pos, b):
+    return pair_log_factor(system, electron_geometry(system, pos)[2], b)
+
+
 def test_pair_log_factor_hand_value():
     pos = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
     raw = np.array([0.1, 0.4])
     b = np.logaddexp(0.0, raw)
     expect = -0.5 * b[1] / (b[1] ** 2 + 1.0)
-    np.testing.assert_allclose(pair_log_factor(spin_split(1, 1), pos, ad.softplus(raw)),
+    np.testing.assert_allclose(pair_factor(spin_split(1, 1), pos, ad.softplus(raw)),
                                [expect], rtol=1e-12)
     # same-spin pair pulls in the parallel strength instead
     expect2 = -0.25 * b[0] / (b[0] ** 2 + 1.0)
-    np.testing.assert_allclose(pair_log_factor(spin_split(2, 0), pos, ad.softplus(raw)),
+    np.testing.assert_allclose(pair_factor(spin_split(2, 0), pos, ad.softplus(raw)),
                                [expect2], rtol=1e-12)
 
 
 def test_pair_log_factor_single_electron_is_zero():
-    out = pair_log_factor(spin_split(1, 0), np.zeros((4, 1, 3)),
-                          ad.softplus(np.array([0.1, 0.4])))
+    out = pair_factor(spin_split(1, 0), np.zeros((4, 1, 3)),
+                      ad.softplus(np.array([0.1, 0.4])))
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -333,13 +339,13 @@ def test_pair_log_factor_permutation_invariant_bitwise():
     system = spin_split(3, 2)
     pos = rng.normal(size=(3, 5, 3))
     b = ad.softplus(rng.normal(size=2))
-    base = pair_log_factor(system, pos, b)
+    base = pair_factor(system, pos, b)
     perm = np.array([2, 0, 1, 4, 3])  # preserves the spin pattern
-    np.testing.assert_allclose(pair_log_factor(system, pos[:, perm], b), base, rtol=1e-12)
+    np.testing.assert_allclose(pair_factor(system, pos[:, perm], b), base, rtol=1e-12)
     canonical = [np.take_along_axis(p, canonical_order(system.sectors, p)[0][..., None], axis=1)
                  for p in (pos, pos[:, perm])]
-    assert np.array_equal(pair_log_factor(system, canonical[0], b),
-                          pair_log_factor(system, canonical[1], b))
+    assert np.array_equal(pair_factor(system, canonical[0], b),
+                          pair_factor(system, canonical[1], b))
 
 
 def test_pair_log_factor_beta_gradient_matches_fd():
@@ -349,8 +355,8 @@ def test_pair_log_factor_beta_gradient_matches_fd():
     raw = np.array([0.2, -0.3])
     tape = GradientTape()
     p = tape.leaf(raw)
-    g = tape.gradient(pair_log_factor(system, pos, ad.softplus(p)), p)  # sum over batch
-    fd = grad_central(lambda z: float(np.sum(pair_log_factor(system, pos, ad.softplus(z)))),
+    g = tape.gradient(pair_factor(system, pos, ad.softplus(p)), p)  # sum over batch
+    fd = grad_central(lambda z: float(np.sum(pair_factor(system, pos, ad.softplus(z)))),
                       raw, h=1e-6)
     np.testing.assert_allclose(g, fd, rtol=1e-6)
 
@@ -359,7 +365,57 @@ def test_envelope_distance_sum():
     sys = SystemSpec(nuclei_positions=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                      charges=np.array([1, 1]), n_up=1, n_down=1)
     pos = np.array([[[0.5, 0.0, 0.0], [1.8, 0.0, 0.0]]])
-    np.testing.assert_allclose(envelope_distance_sum(sys, pos), [0.5 + 0.2], rtol=1e-12)
+    np.testing.assert_allclose(envelope_distance_sum(electron_geometry(sys, pos)[1]), [0.5 + 0.2],
+                               rtol=1e-12)
+
+
+LIH = SystemSpec(nuclei_positions=np.array([[0.0, 0.0, 0.0], [3.015, 0.0, 0.0]]),
+                 charges=np.array([3, 1]), n_up=2, n_down=2)
+# spacing 1.5 Bohr: every nucleus and midpoint is exact, so a midplane ties exactly
+H8 = SystemSpec(nuclei_positions=np.array([[1.5 * i - 5.25, 0.0, 0.0] for i in range(8)]),
+                charges=np.ones(8, dtype=np.int64), n_up=4, n_down=4)
+
+
+def wf_order(system, pos):
+    """pos with each walker's electrons in signed_log's canonical order."""
+    return np.take_along_axis(pos, canonical_order(system.sectors, pos)[0][..., None], axis=1)
+
+
+@pytest.mark.parametrize("system", [LIH, H8], ids=["lih", "h8"])
+def test_envelope_matches_the_all_nuclei_oracle(system, monkeypatch):
+    """The envelope read from the shared geometry has the bits of the norm
+    over the whole (B, N, I, 3) block gathered at the argmin: plain, Dual
+    value, tangents and Laplacian, and in a parameter-gradient pass, which
+    evaluates it on plain positions. An electron on the midplane of the
+    first two nuclei is an exact tie, and the earlier nucleus wins."""
+    rng = np.random.default_rng(9)
+    pos = system.nuclei_positions[rng.integers(0, system.n_nuclei, size=(16, system.n_electrons))]
+    pos = pos + rng.normal(size=pos.shape)
+    mid = 0.5 * (system.nuclei_positions[0] + system.nuclei_positions[1])
+    pos[0, 0] = mid + [0.0, 0.3, -0.2]
+    dist = np.linalg.norm(pos[0, 0] - system.nuclei_positions[:2], axis=-1)
+    assert dist[0] == dist[1] and np.argmin(dist) == 0
+
+    got = envelope_distance_sum(electron_geometry(system, pos)[1])
+    assert got.tobytes() == all_nuclei_envelope(system, pos).tobytes()
+
+    seeded = ad.seed_positions(pos)
+    got = envelope_distance_sum(electron_geometry(system, seeded)[1])
+    want = all_nuclei_envelope(system, seeded)
+    for part in ("val", "tan", "curv"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+    # the tie went to nucleus 0: electron 0's x lane carries (x - X_0) / |r - R_0| > 0
+    assert got.tan[0, 0] > 0
+
+    seen = []
+    monkeypatch.setattr(ansatz, "envelope_distance_sum",
+                        lambda dist: seen.append(envelope_distance_sum(dist)) or seen[-1])
+    wf = SortletWavefunction(system, n_sortlets=2, hidden=4, layers=1)
+    tape = GradientTape()
+    wf.signed_log(tape.leaf(wf.theta0), pos)
+    (reach,) = seen
+    assert type(reach) is np.ndarray
+    assert reach.tobytes() == all_nuclei_envelope(system, wf_order(system, pos)).tobytes()
 
 
 def test_signed_log_value_roundtrip():

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -689,7 +690,8 @@ def _scores_specs(monkeypatch) -> set:
 
     monkeypatch.setattr(ad, "einsum", spy)
     wf = SortletWavefunction(LI, n_sortlets=4, hidden=8, layers=1)
-    backbone.scores(LI, wf.bind(wf.theta0), np.ones((2, 3, 3)))
+    geom = backbone.electron_geometry(LI, np.ones((2, 3, 3)))[0]
+    backbone.scores(LI, wf.bind(wf.theta0), geom)
     return seen
 
 
@@ -1015,6 +1017,30 @@ def test_dual_einsum_accumulates_in_place_without_writing_its_operands(spec):
         contract(at, b_sub, ot, a.tan, b.val) + contract(a_sub, bt, ot, a.val, b.tan),
         contract(a_sub, b_sub, out, a.curv, b.val) + contract(a_sub, b_sub, out, a.val, b.curv)
         + 2.0 * contract(at, bt, out, a.tan, b.tan))
+
+
+def test_norm_reads_a_shared_tangent_without_copying_it():
+    """ad.displacements gives every center the point's own tangent, broadcast.
+    ad.norm of that block has the bits of the same Dual with the tangent
+    copied out, for one eps and for a softened and an exact length, and
+    allocates less than one copy of the broadcast tangent."""
+    rng = np.random.default_rng(71)
+    r = ad.seed_positions(rng.normal(size=(16, 4, 3)))
+    block = ad.displacements(r, rng.normal(size=(64, 3)))
+    assert block.tan.strides[2] == 0
+    copied = Dual(block.val, np.ascontiguousarray(block.tan), np.ascontiguousarray(block.curv))
+    for eps in (0.1, (0.1, 0.0)):
+        got, want = ad.norm(block, eps), ad.norm(copied, eps)
+        for g, w in zip(*((got, want) if isinstance(eps, tuple) else ((got,), (want,)))):
+            for part in ("val", "tan", "curv"):
+                assert getattr(g, part).tobytes() == getattr(w, part).tobytes(), (eps, part)
+    tracemalloc.start()
+    try:
+        ad.norm(block, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.tan.size * block.tan.itemsize
 
 
 def test_fused_and_binary_dual_ops_do_not_write_their_operands():

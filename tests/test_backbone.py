@@ -9,6 +9,7 @@ from sortlet_vmc.ansatz import SortletWavefunction, canonical_order
 from sortlet_vmc.backbone import (
     ParamStore,
     build_param_store,
+    electron_geometry,
     feature_width,
     featurize,
     init_params,
@@ -72,7 +73,7 @@ def test_init_params_deterministic():
 def test_feature_shapes_and_spin_tag():
     rng = np.random.default_rng(0)
     pos = rng.normal(size=(5, 3, 3))
-    f = featurize(LI, pos)
+    f = featurize(LI, electron_geometry(LI, pos)[0])
     assert f.shape == (5, 3, feature_width(LI))
     spin_col = f[:, :, 4 * LI.n_nuclei]
     np.testing.assert_array_equal(spin_col, np.broadcast_to([1.0, 1.0, -1.0], (5, 3)))
@@ -90,16 +91,16 @@ def test_scores_equivariant_bitwise_under_same_spin_swap():
     def canonical(p):
         return np.take_along_axis(p, canonical_order(BE.sectors, p)[0][..., None], axis=1)
 
-    base = scores(BE, params, pos)  # (B, K, N)
-    base_canonical = scores(BE, params, canonical(pos))
+    base = scores(BE, params, electron_geometry(BE, pos)[0])  # (B, K, N)
+    base_canonical = scores(BE, params, electron_geometry(BE, canonical(pos))[0])
     for i, j in [(0, 1), (2, 3)]:  # same-spin pairs for Be
         swapped = pos.copy()
         swapped[:, [i, j]] = swapped[:, [j, i]]
-        out = scores(BE, params, swapped)
+        out = scores(BE, params, electron_geometry(BE, swapped)[0])
         expect = base.copy()
         expect[:, :, [i, j]] = expect[:, :, [j, i]]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
-        out_canonical = scores(BE, params, canonical(swapped))
+        out_canonical = scores(BE, params, electron_geometry(BE, canonical(swapped))[0])
         assert np.array_equal(out_canonical, base_canonical)
 
 
@@ -129,7 +130,7 @@ def test_scores_match_the_unfolded_attention_oracle(system):
     theta = wf.theta0 + 0.3 * rng.normal(size=wf.theta0.shape)  # biases off zero
 
     def folded(params, positions):
-        return scores(system, params, positions)
+        return scores(system, params, electron_geometry(system, positions)[0])
 
     def unfolded(params, positions):
         return unfolded_scores(system, params, positions, wf.hidden, wf.layers)
@@ -163,10 +164,10 @@ def test_scores_not_equivariant_across_spin_sectors():
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(1, 4, 3))
     params = wf.bind(wf.theta0)
-    base = scores(BE, params, pos)
+    base = scores(BE, params, electron_geometry(BE, pos)[0])
     swapped = pos.copy()
     swapped[:, [0, 2]] = swapped[:, [2, 0]]  # up <-> down
-    out = scores(BE, params, swapped)
+    out = scores(BE, params, electron_geometry(BE, swapped)[0])
     expect = base.copy()
     expect[:, :, [0, 2]] = expect[:, :, [2, 0]]
     assert not np.allclose(out, expect)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from oracles import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import load_system
 from sortlet_vmc.sampler import (
+    PLACEMENT,
+    STEP,
     WalkerEnsemble,
     chain_draws,
     electron_homes,
     init_ensemble,
     mh_step,
-    philox4x64,
     run_sweeps,
     stream_key,
 )
@@ -172,21 +175,42 @@ def test_toy_rejects_bad_weights():
         toy_three_state_frequencies([0.2, -0.1, 0.9], steps=10)
 
 
-def test_philox_words_match_numpy():
-    rng = np.random.default_rng(12)
-    top = 2**64 - 1
-    keys = rng.integers(0, top, size=(6, 2), dtype=np.uint64, endpoint=True)
-    keys[0] = [top, top - 1]
-    counters = rng.integers(0, top, size=(4, 40), dtype=np.uint64, endpoint=True)
-    counters[:, :8] = top - rng.integers(0, 3, size=(4, 8), dtype=np.uint64)
-    counters[:, 8] = 0
-    for key in keys:
-        words = np.stack(philox4x64(tuple(counters), key), axis=1)
-        for j in range(counters.shape[1]):
-            value = sum(int(w) << (64 * i) for i, w in enumerate(counters[:, j]))
-            # numpy's Philox advances its counter before it makes a block
-            ref = np.random.Philox(key=key, counter=(value - 1) % 2**256).random_raw(4)
-            np.testing.assert_array_equal(words[j], ref)
+# SHA-256 of the normals' and the uniforms' bytes, taken from the hand-written
+# vectorized Philox4x64-10 that chain_draws used before it called numpy's
+# generator: (key, chain ids, steps, electrons, purpose) -> (normals, uniforms)
+_TOP = 2**64 - 1
+GOLDEN_DRAWS = [
+    ((5, np.arange(512), np.arange(3, 9), 3, STEP),
+     "684ac35d8a7cf18d332b36100416d4d087ca17c7036ab1a2e3917b5a4224dbc5",
+     "9ec695d260e745fd37497ba8d4b8d811a0cbc5de34c2890536bac18084f77c8a"),
+    ((5, np.arange(0, 512, 3), np.arange(3, 9), 3, STEP),
+     "e264300f467232f26cb437995fd77936848ce7e40ff055f8a1cbf696d5e46e98",
+     "9dad8e392017210051f1bf9052cf2f7cc477ade1ee567a43e9ffad8c67d7bc44"),
+    (([_TOP, _TOP], np.array([7, 2, 3, 4, 0, 1, 1000]), np.arange(10), 4, STEP),
+     "1cfce0ab8a5bff634e4d7b6fe2b265b025ff45fcbcfea4e3135f1ac99196e8c6",
+     "57f4691f4507eefaa39d06b58921d078d34cb8f42c46d55951c8302336e74a86"),
+    ((11, np.array([300]), np.arange(20, 30), 8, STEP),
+     "e1ea49987e16ba5e5f3ba88180db9a3f049d7009c95ec0eeafe81def02b159d8",
+     "3c082332c015f2bc1bba39e70e6a5eeab2586b130d5da04828cfd72c1a924f60"),
+    ((11, np.arange(64), [2], 1, PLACEMENT),
+     "67a0a9a580a5ff3e1def9a97c8175386644bd0a0b82f58f310a281ccbe0f0809",
+     "b10122665c12dc77a13d0352613942e152eeafd342ae0efef522b61633f2a471"),
+    (([_TOP, _TOP - 1], np.arange(5, 21), np.arange(10), 8, PLACEMENT),
+     "e62ea3d3d7c3c17140f4fb479c0782436a3a2c7c63ec7e053dde97faeb8007fe",
+     "c0729525511dd807e3062cc7cfbd62e8960d2c9d24180c0b5a5c2121e71020e2"),
+]
+
+
+def test_chain_draws_match_golden_digests():
+    """Contiguous, strided, unordered and single chain ids, 1 to 8
+    electrons, both purposes, and keys that are a run seed, all ones or
+    all ones but the lowest bit: every draw keeps its bits."""
+    for (key, chains, steps, n, purpose), normals_sha, uniforms_sha in GOLDEN_DRAWS:
+        key = stream_key(key) if isinstance(key, int) else np.array(key, dtype=np.uint64)
+        normals, uniforms = chain_draws(key, chains, steps, n, purpose)
+        assert normals.shape == (len(steps), len(chains), n, 3)
+        assert hashlib.sha256(normals.tobytes()).hexdigest() == normals_sha
+        assert hashlib.sha256(uniforms.tobytes()).hexdigest() == uniforms_sha
 
 
 def test_chain_draws_do_not_depend_on_the_batch():

@@ -57,3 +57,24 @@ def test_tracer_sees_signed_log_in_every_engine_of_a_tiny_train():
     seen = {(s[0], s[1]) for s in tracer.spans}
     assert {("ansatz.signed_log", "np"), ("ansatz.signed_log", "dual"),
             ("ansatz.signed_log", "var"), ("backbone.scores", "var")} <= seen
+
+
+def test_tracer_keeps_the_layer_split_on_a_two_nucleus_train():
+    """featurize, the envelope and the pair factor read one shared geometry;
+    the tracer finds the engine among the arguments (a Dual, or a tuple or
+    dict holding one), so each of them still reports a dual span of its own
+    and a plain one."""
+    spans = _load_spans()
+    system = load_system("system:\n  nuclei:\n    - element: H\n      xyz: [0.0, 0.0, 0.0]\n"
+                         "    - element: H\n      xyz: [1.4, 0.0, 0.0]\n")
+    wf = SortletWavefunction(system, n_sortlets=2, hidden=8, layers=1)
+    tracer = spans.Tracer()
+    spans.install_layers(tracer)
+    try:
+        optimizer.train(wf, optimizer.TrainSettings(iters=1, walkers=8, burn_in=2,
+                                                    steps_per_iter=2, checkpoint_every=0))
+    finally:
+        tracer.uninstall()
+    seen = {(s[0], s[1]) for s in tracer.spans}
+    for name in ("backbone.featurize", "ansatz.envelope_distance_sum", "ansatz.pair_log_factor"):
+        assert {(name, "np"), (name, "dual")} <= seen, name
