@@ -215,17 +215,16 @@ class SortletWavefunction:
         """Signed log of Psi for a batch: positions (B, N, 3) -> (B,).
 
         theta is a flat vector, bound on entry, or bind's dict. Walkers are
-        evaluated in canonical electron order, gathered into a C-contiguous
-        copy, so the bits do not depend on a same-spin relabelling or on
-        memory layout; the order's parity restores the sign of the caller's
-        labelling. Dual positions already in that order, C-contiguous
-        (local_energy seeds them so), skip the gather of their 3N lanes.
+        evaluated in canonical electron order, so the bits do not depend on a
+        same-spin relabelling or on memory layout; the order's parity restores
+        the sign of the caller's labelling. A batch already in that order
+        (local_energy seeds its dual lanes so) is not gathered, in any engine.
         """
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
         order, parity = canonical_order(self.system.sectors, positions)
-        if not (isinstance(positions, ad.Dual) and np.all(order == np.arange(shape[1]))):
+        if not np.all(order == np.arange(shape[1])):
             positions = ad.take_along(positions, order[..., None], axis=1)
         params = theta if isinstance(theta, dict) else self.bind(theta)
         geom, en_exact, ee_exact = backbone.electron_geometry(self.system, positions)

@@ -9,7 +9,7 @@ invariance comes from the caller: `SortletWavefunction.signed_log` puts
 every walker's electrons in one canonical order before calling in.
 
 The network reads `electron_geometry`, which builds a pass's displacements
-and lengths once for the features, the envelope and the pair factor.
+and lengths once for the features, envelope, pair factor and potentials.
 
 Each attention layer folds its four projections in pairs on the
 parameter side, once per bind (SortletWavefunction.bind) and with no
@@ -171,9 +171,9 @@ class Geometry(NamedTuple):
 def electron_geometry(system: SystemSpec, positions) -> tuple:
     """(Geometry, en_exact (B, N, I), ee_exact (B, P)): every electron-nucleus
     and electron-pair displacement of a batch with a softened length for
-    featurize and an exact one for ansatz.envelope_distance_sum and
-    ansatz.pair_log_factor, both from one sum of squares per block. Each
-    pair is held once: r_m - r_n is exactly -(r_n - r_m)."""
+    featurize and an exact one for the envelope, the pair factor and
+    hamiltonian.electron_potentials, both from one sum of squares per block.
+    Each pair is held once: r_m - r_n is exactly -(r_n - r_m)."""
     iu, ju, _ = system.pairs
     en = ad.displacements(positions, system.nuclei_positions)
     en_soft, en_exact = ad.norm(en, (FEATURE_EPS, 0.0))
@@ -189,11 +189,10 @@ def featurize(system: SystemSpec, geom: Geometry):
     to the opposite-spin partners. By linearity sum_m mask_nm (r_n - r_m) =
     cnt_n r_n - (mask r)_n, one (N x N) matrix per walker; the distances
     mirror the pair lengths, with the softening floor on the diagonal."""
-    b, n = ad.detach(geom.positions).shape[:2]
-    parts = []
-    for i in range(system.n_nuclei):
-        parts += [geom.en[:, :, i], geom.en_soft[:, :, i:i + 1]]
-    parts.append(np.broadcast_to(system.spins.astype(np.float64)[None, :, None], (b, n, 1)))
+    b, n, i = ad.detach(geom.en).shape[:3]
+    per_nucleus = ad.concat([geom.en, ad.reshape(geom.en_soft, (b, n, i, 1))], axis=-1)
+    parts = [ad.reshape(per_nucleus, (b, n, 4 * i)),
+             np.broadcast_to(system.spins.astype(np.float64)[None, :, None], (b, n, 1))]
     floor = np.full((b, 1), np.sqrt(FEATURE_EPS * FEATURE_EPS))
     dist = ad.concat([geom.ee_soft, floor], axis=-1)[:, system.pair_slots]  # (B, N, N)
     for pool, weights in system.partner_means:

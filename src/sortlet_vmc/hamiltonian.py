@@ -7,10 +7,11 @@ The local energy of a state written as Psi = sign * exp(L) is
 evaluated per walker, where grad and lap are taken over all 3N electron
 coordinates in one forward-Laplacian pass: every dual value carries its
 gradient as 3N seed lanes and its Laplacian as one number (ad/forward.py),
-so logmag.tan is grad L and logmag.curv is lap L. Each walker's electrons
-are put in canonical order (`ansatz.canonical_order`) before the
-potentials are summed and the dual lanes are seeded, so E_loc is exactly
-invariant under any same-spin relabeling.
+so logmag.tan is grad L and logmag.curv is lap L; the potentials read the
+exact lengths of backbone.electron_geometry. Each walker's electrons are
+put in canonical order (`ansatz.canonical_order`) before the potentials are
+summed and the dual lanes are seeded, so E_loc is exactly invariant under
+any same-spin relabeling; signed_log gathers no batch already in order.
 
 The dual pass runs over chunks of B walkers. Its largest arrays are the
 (B, N, width, 3N) tangents of the backbone, whose bytes grow as B N^2, so
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ad
+from . import ad, backbone
 from .ansatz import canonical_order
 from .geometry import SystemSpec
 
@@ -60,15 +61,11 @@ def nuclear_repulsion(system: SystemSpec) -> float:
 
 
 def electron_potentials(system: SystemSpec, positions: np.ndarray):
-    """(ee, en) per walker for plain positions (B, N, 3)."""
-    positions = np.asarray(positions, dtype=np.float64)
+    """(ee, en) per walker for plain positions (B, N, 3), from electron_geometry."""
+    _, d, rij = backbone.electron_geometry(system, np.asarray(positions, dtype=np.float64))
     # coincidences legitimately evaluate to +/- inf, not a warning
     with np.errstate(divide="ignore"):
-        iu, ju, _ = system.pairs
-        rij = np.linalg.norm(positions[:, iu] - positions[:, ju], axis=-1)  # (B, P)
         ee = ad.sum(1.0 / rij, axis=-1)  # 0 without a pair
-        d = np.linalg.norm(positions[:, :, None, :] - system.nuclei_positions[None, None],
-                           axis=-1)  # (B, N, I)
         en = -ad.sum(system.charges / d, axis=(1, 2))
     return ee, en
 

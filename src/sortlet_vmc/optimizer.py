@@ -343,6 +343,9 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc)
         theta = adam.step(theta, grad)
         bound = wf.bind(theta)
+        # the chain samples |psi_theta|^2 only if its cached values are psi_theta's
+        sl = fn(ensemble.positions)
+        ensemble.logmag, ensemble.sign = sl.logmag, sl.sign
         energies.append(stats.mean)
 
         if metrics_path is not None:

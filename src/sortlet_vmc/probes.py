@@ -4,7 +4,8 @@ Each probe is deterministic given a seed and returns a plain dict with a
 "passed" flag plus whatever evidence it gathered, so reports serialize as
 one JSON line. The probes deliberately avoid the autodiff engines wherever
 the engines themselves are under test: sign flips are compared bitwise,
-derivatives come from finite differences of plain values.
+derivatives come from finite differences of plain values. The gradient
+check's toy takes its local energy from hamiltonian.local_energy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import ad, backbone
 from .ad.fd import derivative_one_sided, grad_central
 from .ansatz import SignedLog, SortletWavefunction, vandermonde_logs
 from .geometry import ElectronConfiguration, SystemSpec, transpose_electrons
+from .hamiltonian import local_energy
 from .optimizer import energy_gradient
 from .sampler import electron_homes
 
@@ -398,6 +400,7 @@ class ToyChain1D:
 
     def __init__(self):
         self.theta0 = np.array([np.log(np.expm1(1.0)), 0.3, -0.2])
+        self.system = SystemSpec(np.zeros((1, 3)), np.array([1]), n_up=1, n_down=0)
 
     def log_amplitude(self, theta, x):
         a = ad.softplus(theta[0])
@@ -409,11 +412,10 @@ class ToyChain1D:
         return SignedLog(np.ones(positions.shape[0]), logmag)
 
     def local_energies(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        d = ad.seed_positions(xs.reshape(-1, 1, 1))
-        l = self.log_amplitude(theta, d[:, 0, 0])
-        lap = l.curv
-        grad = l.tan[:, 0]
-        return -0.5 * (lap + grad * grad) + 0.5 * xs * xs
+        """hamiltonian.local_energy, harmonic, of the particle at (x, 0, 0)."""
+        positions = np.pad(xs.reshape(-1, 1, 1), ((0, 0), (0, 0), (0, 2)))
+        return local_energy(lambda p: self.signed_log(theta, p), self.system, positions,
+                            potential="harmonic").total
 
     @staticmethod
     def grid(lo: float = -8.0, hi: float = 8.0, n: int = 4001):

@@ -223,3 +223,12 @@ class HarmonicGroundState:
         shape = ad.detach(positions).shape
         logmag = -0.5 * ad.sum(ad.square(positions), axis=(1, 2))
         return SignedLog(np.ones(shape[0], dtype=np.int64), logmag)
+
+
+def toy_local_energies(toy, theta, xs: np.ndarray) -> np.ndarray:
+    """probes.ToyChain1D's local energy written out for its one coordinate:
+    -(1/2)(L'' + L'^2) + x^2/2 from a one-lane dual pass."""
+    d = ad.seed_positions(xs.reshape(-1, 1, 1))
+    l = toy.log_amplitude(theta, d[:, 0, 0])
+    grad = l.tan[:, 0]
+    return -0.5 * (l.curv + grad * grad) + 0.5 * xs * xs

@@ -536,6 +536,27 @@ def test_every_model_reduction_goes_through_reduce_exact():
         == [("f", 2), ("f", 2)]
 
 
+def _engine_tests(source: str) -> list:
+    """Lines of each isinstance call whose classes name Dual or Var."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and {getattr(n, "attr", getattr(n, "id", None))
+                 for n in ast.walk(node.args[1])} & {"Dual", "Var"}]
+
+
+def test_model_code_does_not_ask_which_engine_runs_it():
+    """ansatz.py and backbone.py are engine-generic: what they compute is
+    decided by values and shapes, never by an isinstance test on ad.Dual or
+    ad.Var; engine rules live in ad."""
+    root = Path(ad.__file__).parent.parent
+    found = [f"{name}:{line}" for name in ("ansatz.py", "backbone.py")
+             for line in _engine_tests((root / name).read_text())]
+    assert not found, "engine tests in model code: " + ", ".join(found)
+    assert _engine_tests("isinstance(x, ad.Dual)\nisinstance(t, dict)\n"
+                         "isinstance(t, (np.ndarray, Var))\n") == [1, 3]
+
+
 def test_long_dot_product_bits_do_not_depend_on_blas_threads():
     """A one-head envelope-rate gradient over 10 001 walkers contracts to a
     dot product long enough for OpenBLAS to split its sum over threads.

@@ -69,6 +69,16 @@ def test_electron_potentials_hand_values():
     assert en[0] == pytest.approx(-3.0 * (1 / 1.0 + 1 / 2.0 + 1 / 0.5), rel=1e-14)
 
 
+def test_electron_potentials_of_coincidences_are_infinite_without_a_warning():
+    # electron 0 sits on the nucleus and electrons 1 and 2 coincide; the
+    # lengths come from backbone.electron_geometry, 1/0 is +inf by design
+    pos = np.array([[[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.0, 0.5, 0.0]],
+                    [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]])
+    ee, en = electron_potentials(LI, pos)
+    assert ee[0] == np.inf and en[0] == -np.inf
+    assert np.isfinite(ee[1]) and np.isfinite(en[1])
+
+
 def test_harmonic_potential_hand_value():
     pos = np.array([[[1.0, 2.0, 2.0]]])
     assert harmonic_potential(pos)[0] == pytest.approx(4.5, rel=1e-15)

@@ -278,6 +278,22 @@ def test_train_resume_is_bitwise(tmp_path):
         assert la == lb
 
 
+def test_checkpoints_cache_the_walkers_values_under_their_theta(tmp_path):
+    """After each update the walkers are scored again under the new θ, so
+    the next Metropolis ratio compares two values of one wavefunction and
+    every checkpoint's cached logmag and sign are signed_log(θ, positions)."""
+    wf = SortletWavefunction(SystemSpec(np.zeros((1, 3)), np.array([3]), 2, 1),
+                             n_sortlets=4, hidden=8, layers=1, seed=0)
+    settings = smoke_settings(iters=3, checkpoint_every=1)
+    train(wf, settings, out_dir=tmp_path)
+    for step in (1, 2, 3):
+        state = Checkpoint.load(tmp_path / "checkpoints" / f"step-{step:08d}.npz", wf=wf,
+                                fingerprint=config_fingerprint(wf.system, wf, settings))
+        sl = wf.signed_log(state["theta"], state["positions"])
+        assert np.array_equal(state["logmag"], sl.logmag), step
+        assert np.array_equal(state["sign"], sl.sign), step
+
+
 def test_resume_into_the_same_directory_keeps_one_record_per_iteration(tmp_path):
     def records(path):
         lines = [json.loads(line) for line in path.read_text().splitlines()]

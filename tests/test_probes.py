@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import complexity_benchmark
+from oracles import complexity_benchmark, toy_local_energies
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import ElectronConfiguration, SystemSpec
@@ -187,6 +187,18 @@ def test_toy_exact_gaussian_has_constant_local_energy():
     eloc = toy.local_energies(theta, xs)
     assert np.allclose(eloc, 0.5, atol=1e-12)
     assert toy.quadrature_energy(theta, xs, w) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [None, (0.2, -0.5, 0.4)])
+def test_toy_local_energy_is_the_production_one(theta):
+    """ToyChain1D's E_L comes from hamiltonian.local_energy and equals the
+    toy's one-coordinate formula bit for bit on the whole quadrature grid,
+    so the gradient check runs the local energy that training runs."""
+    toy = probes.ToyChain1D()
+    theta = toy.theta0 if theta is None else np.array(theta)
+    xs, _ = toy.grid()
+    np.testing.assert_array_equal(toy.local_energies(theta, xs),
+                                  toy_local_energies(toy, theta, xs))
 
 
 def test_toy_gradient_check_confirms_covariance_form():
