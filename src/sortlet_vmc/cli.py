@@ -5,11 +5,12 @@ itself stays numpy-free so that --threads can pin the BLAS pools through
 the environment before the first array library loads.
 
 Output layout, stable: <out>/run-<hash>/metrics.ndjson, checkpoints/
-step-%08d.npz and report-<kind>.txt, where <hash> fingerprints the
-configuration actually run. `evaluate` appends its report to the run
-directory that holds the checkpoint. Reports and metrics are append-only,
-one JSON record per line. The output root comes from --out, else
-$SORTLET_VMC_OUT, else ./runs.
+step-%08d.npz and report-<kind>.txt; <hash> covers the system, ansatz,
+theta0 and every train flag but --iters and --checkpoint-every. A fresh
+`train` into a directory with a checkpoint is refused (use --resume); one
+killed before its first checkpoint is simply run again. `evaluate` reports
+into the run directory of its checkpoint. Reports and metrics hold one JSON
+record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./runs.
 """
 
 from __future__ import annotations
@@ -133,12 +134,6 @@ def _config_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
-def _append_report(run_dir: Path, kind: str, record: dict):
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with (run_dir / f"report-{kind}.txt").open("a") as fh:
-        fh.write(json.dumps(record) + "\n")
-
-
 def cmd_train(args) -> int:
     from .optimizer import TrainSettings, config_fingerprint, format_energy, train
 
@@ -150,17 +145,17 @@ def cmd_train(args) -> int:
                              checkpoint_every=args.checkpoint_every,
                              potential=cfg.run.potential)
     run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf, settings)}"
+    done = sorted(run_dir.glob("checkpoints/step-*.npz"))
+    if args.resume is None and done:
+        print(f"error: {run_dir} holds this run already; continue it with --resume {done[-1]}",
+              file=sys.stderr)
+        return 2
     print(f"writing to {run_dir}")
     try:
         result = train(wf, settings, out_dir=run_dir, resume_from=args.resume,
                        log=print)
-    except FileNotFoundError:
-        print(f"error: no such checkpoint: {args.resume}", file=sys.stderr)
-        return 1
     except (RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        if run_dir.exists():  # a refused --resume fails before anything is written
-            print(f"partial artifacts kept in {run_dir}", file=sys.stderr)
         return 1
     print(f"final energy {format_energy(result.stats.mean, result.stats.stderr)} Ha "
           f"({settings.iters} iterations)")
@@ -168,7 +163,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .optimizer import Checkpoint, config_fingerprint, evaluate_energy
+    from .optimizer import Checkpoint, append_record, config_fingerprint, evaluate_energy
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
@@ -176,9 +171,6 @@ def cmd_evaluate(args) -> int:
     try:
         state = Checkpoint.load(args.checkpoint, wf=wf,
                                 model_fingerprint=config_fingerprint(cfg.system, wf))
-    except FileNotFoundError:
-        print(f"error: no such checkpoint: {args.checkpoint}", file=sys.stderr)
-        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -191,14 +183,15 @@ def cmd_evaluate(args) -> int:
     ckpt_dir = args.checkpoint.resolve().parent
     run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
                else _out_root(args) / f"run-{_config_digest(args.config)}")
-    _append_report(run_dir, "evaluate",
-                   {"checkpoint": str(args.checkpoint), "energy": report.mean,
-                    "stderr": report.stderr, "formatted": report.formatted()})
+    append_record(run_dir / "report-evaluate.txt",
+                  {"checkpoint": str(args.checkpoint), "energy": report.mean,
+                   "stderr": report.stderr, "formatted": report.formatted()})
     return 0
 
 
 def cmd_probe(args) -> int:
     from . import probes
+    from .optimizer import append_record
 
     if args.kind != "nodes" and (args.single_sortlet or args.vandermonde):
         flag = "--single-sortlet" if args.single_sortlet else "--vandermonde"
@@ -228,8 +221,8 @@ def cmd_probe(args) -> int:
     except ValueError as err:  # e.g. an exchange probe on a system with no same-spin pair
         print(f"error: probe {args.kind}: {err}", file=sys.stderr)
         return 2
-    _append_report(_out_root(args) / f"run-{_config_digest(args.config)}",
-                   args.kind, report)
+    append_record(_out_root(args) / f"run-{_config_digest(args.config)}"
+                  / f"report-{args.kind}.txt", report)
     passed = bool(report.get("passed", False))
     summary = {k: v for k, v in report.items()
                if isinstance(v, (int, float, str, bool))}

@@ -169,9 +169,9 @@ def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
                        settings: TrainSettings | None = None) -> str:
     """Short hash of what a checkpoint must agree on.
 
-    With settings it pins the exact run (bitwise-resume contract); without,
-    only the model identity, which is what evaluation needs to accept a
-    checkpoint trained under any sampler schedule.
+    With settings it pins the exact run (bitwise-resume contract): theta0 and
+    every setting a resume may not change; without, only the model identity,
+    which evaluation needs to accept a checkpoint of any sampler schedule.
     """
     doc = {
         "system": {"nuclei": system.nuclei_positions.tolist(),
@@ -182,8 +182,8 @@ def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
         "layout": wf.store.layout(),
     }
     if settings is not None:
-        doc["run"] = {"walkers": settings.walkers, "seed": settings.seed,
-                      "potential": settings.potential}
+        run = {k: v for k, v in vars(settings).items() if k not in ("iters", "checkpoint_every")}
+        doc["run"] = dict(run, theta0=hashlib.sha256(wf.theta0.tobytes()).hexdigest())
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -229,8 +229,8 @@ class Checkpoint:
     @staticmethod
     def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None,
              model_fingerprint: str | None = None) -> dict:
-        """The run state saved at `path`. FileNotFoundError if it is missing;
-        ValueError if it is not a checkpoint or does not fit this run."""
+        """The run state saved at `path`. ValueError if it is missing, is not a
+        checkpoint, or does not fit this run."""
         if fingerprint is None and model_fingerprint is None:
             raise ValueError("a fingerprint to check against is required")
         try:
@@ -241,7 +241,7 @@ class Checkpoint:
                     raise ValueError("a bare array, not an archive")
                 with archive:
                     z = {name: archive[name] for name in archive.files}
-        except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        except (OSError, zipfile.BadZipFile, EOFError, ValueError) as err:
             raise ValueError(f"not a readable checkpoint: {path} ({err})") from None
         try:
             if int(z["format"]) != Checkpoint.FORMAT:
@@ -271,15 +271,19 @@ class Checkpoint:
             raise ValueError(f"not a readable checkpoint: {path} (no field {err})") from None
 
 
-def _truncate_metrics(path: Path, next_iter: int):
-    """Keep the records of iterations before `next_iter`, which a resumed run
-    does not write again, and drop a record a killed run left without its
-    newline; the file is rewritten beside itself and renamed into place."""
-    lines = path.read_text().splitlines(keepends=True)
-    kept = [line for line in lines if line.endswith("\n") and json.loads(line)["iter"] < next_iter]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(kept))
-    os.replace(tmp, path)
+def append_record(path: Path, record: dict):
+    """Append `record` to `path` as one JSON line, numpy scalars and arrays as
+    numbers and lists. The line is serialized before the file is opened, so
+    a record that cannot be raises and leaves no trace."""
+    def plain(value):
+        if isinstance(value, (np.generic, np.ndarray)):
+            return value.tolist()
+        raise TypeError(f"a {type(value).__name__} is not a JSON record value")
+
+    line = json.dumps(record, default=plain) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a") as fh:
+        fh.write(line)
 
 
 @dataclass
@@ -296,7 +300,8 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
 
     Writes metrics.ndjson and periodic checkpoints under out_dir when given.
     Resuming from a checkpoint continues the exact run: same walkers, same
-    random draws, same optimizer state, and no repeated metric records.
+    random draws, same optimizer state; a fresh run starts metrics.ndjson
+    over, so out_dir holds one record per iteration either way.
     """
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
@@ -319,13 +324,16 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         run_sweeps(ensemble, fn, settings.burn_in, adapt=True)
         start = 0
 
-    metrics_path = None
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.ndjson"
-        if resume_from is not None and metrics_path.exists():
-            _truncate_metrics(metrics_path, start)
+        metrics = out_dir / "metrics.ndjson"
+        if metrics.exists():  # keep the whole records of iterations before start; the
+            # file is rewritten beside itself and renamed, so a kill leaves it whole
+            kept = [line for line in metrics.read_text().splitlines(keepends=True)
+                    if line.endswith("\n") and json.loads(line)["iter"] < start]
+            tmp = metrics.with_name(metrics.name + ".tmp")
+            tmp.write_text("".join(kept))
+            os.replace(tmp, metrics)
 
     energies = []
     stats = EnergyStats(np.nan, np.nan, np.nan, 0, 0)
@@ -348,14 +356,12 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         ensemble.logmag, ensemble.sign = sl.logmag, sl.sign
         energies.append(stats.mean)
 
-        if metrics_path is not None:
-            line = {"iter": it, "energy": stats.mean, "stderr": stats.stderr,
-                    "variance": stats.variance, "acceptance": rate,
-                    "sigma": ensemble.sigma, "grad_norm": float(np.linalg.norm(grad)),
-                    "n_valid": stats.n_valid,
-                    "seconds": round(time.perf_counter() - t0, 4)}
-            with metrics_path.open("a") as fh:
-                fh.write(json.dumps(line) + "\n")
+        if out_dir is not None:
+            append_record(metrics, {
+                "iter": it, "energy": stats.mean, "stderr": stats.stderr,
+                "variance": stats.variance, "acceptance": rate, "sigma": ensemble.sigma,
+                "grad_norm": float(np.linalg.norm(grad)), "n_valid": stats.n_valid,
+                "seconds": round(time.perf_counter() - t0, 4)})
         if log is not None and (it % 50 == 0 or it == settings.iters - 1):
             log(f"iter {it:6d}  E = {format_energy(stats.mean, stats.stderr)}  "
                 f"acc = {rate:.2f}  sigma = {ensemble.sigma:.3f}")

@@ -87,7 +87,7 @@ def antisymmetry_suite(wf, theta: np.ndarray | None = None, trials: int = 1000,
         "probe": "antisymmetry", "seed": seed, "trials": trials,
         "violations": len(set(violations)),
         "max_logmag_diff": max_diff,
-        "dead_points": trials - np.count_nonzero(live),
+        "dead_points": int(trials - np.count_nonzero(live)),
         "passed": not violations,
     }
     if violations:

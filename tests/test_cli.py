@@ -1,7 +1,10 @@
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 
 from sortlet_vmc import cli
 from sortlet_vmc.cli import OUT_ENV, THREAD_VARS, build_parser, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 H_CFG = """
 system:
@@ -115,6 +120,26 @@ def test_threads_flag_pins_blas_pools(h_config, tmp_path, monkeypatch):
         assert os.environ[var] == "3"
 
 
+def cli_env():
+    """The environment of a `python -m sortlet_vmc.cli` child: this package first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def records(metrics: Path):
+    """The metric records of a run, less their wall-clock `seconds`."""
+    lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+    for line in lines:
+        line.pop("seconds")
+    return lines
+
+
+def tree(root: Path):
+    """Every path under `root`, with the bytes of each file."""
+    return {p: p.is_file() and p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
 def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
     """Training under --threads 1 and --threads 2 gives the same bits.
 
@@ -125,9 +150,7 @@ def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
     """
     config = tmp_path / "li.yaml"
     config.write_text(H_CFG.replace("element: H", "element: Li"))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = cli_env()
     runs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
@@ -136,12 +159,8 @@ def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
                         "--burn-in", "5", "--checkpoint-every", "3", "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         (run_dir,) = out.glob("run-*")
-        records = [json.loads(line) for line in
-                   (run_dir / "metrics.ndjson").read_text().splitlines()]
-        for rec in records:
-            rec.pop("seconds")
         with np.load(run_dir / "checkpoints" / "step-00000003.npz") as z:
-            runs.append((z["theta"], z["positions"], records))
+            runs.append((z["theta"], z["positions"], records(run_dir / "metrics.ndjson")))
     (theta1, pos1, rec1), (theta2, pos2, rec2) = runs
     assert np.array_equal(theta1, theta2)
     assert np.array_equal(pos1, pos2)
@@ -328,3 +347,122 @@ def test_exchange_probes_refuse_a_system_without_a_same_spin_pair(h_config, tmp_
     assert err.startswith(f"error: probe {kind}:") and len(err.splitlines()) == 1
     assert "same spin" in err or "spin sector" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["antisymmetry", "nodes", "smoothness", "variational",
+                                  "gradcheck"])
+def test_every_probe_kind_reports_one_json_line_on_a_shipped_config(tmp_path, capsys, kind):
+    out = tmp_path / "runs"
+    assert main(["probe", kind, str(CONFIGS / "li.yaml"), "--trials", "5",
+                 "--out", str(out)]) == 0
+    (report,) = out.glob(f"run-*/report-{kind}.txt")
+    (line,) = report.read_text().splitlines()
+    assert json.loads(line)["passed"] is True
+    summary = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert summary["passed"] is True
+    if kind == "antisymmetry":
+        assert summary["dead_points"] == 0
+
+
+def test_runs_that_differ_in_lr_get_their_own_run_directories(h_config, tmp_path):
+    out = tmp_path / "runs"
+    for lr in ("1e-3", "5e-2"):
+        assert main(train_args(h_config, out, extra=["--lr", lr])) == 0
+    run_dirs = sorted(out.glob("run-*"))
+    assert len(run_dirs) == 2
+    for run_dir in run_dirs:
+        assert [r["iter"] for r in records(run_dir / "metrics.ndjson")] == [0, 1, 2, 3]
+
+
+def test_a_fresh_run_into_a_directory_with_a_checkpoint_is_refused(h_config, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "runs"
+    assert main(train_args(h_config, out)) == 0
+    (run_dir,) = out.glob("run-*")
+    before = tree(run_dir)
+    capsys.readouterr()
+    assert main(train_args(h_config, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"--resume {run_dir / 'checkpoints' / 'step-00000004.npz'}" in err
+    assert tree(run_dir) == before
+
+
+@pytest.mark.parametrize("target", ["new", "existing"])
+def test_resume_under_another_lr_is_refused(h_config, tmp_path, capsys, target):
+    """Whether or not the run directory of the other --lr exists, the
+    refusal is one error line and writes nothing."""
+    out = tmp_path / "runs"
+    main(train_args(h_config, out))
+    (mid,) = out.glob("run-*/checkpoints/step-00000002.npz")
+    if target == "existing":
+        main(train_args(h_config, out, extra=["--lr", "5e-2"]))
+    before = tree(out)
+    capsys.readouterr()
+    assert main(train_args(h_config, out, extra=["--resume", str(mid), "--lr", "5e-2"])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "different configuration" in err
+    assert tree(out) == before
+
+
+def test_a_killed_run_ends_as_an_uninterrupted_one(tmp_path):
+    """A Li run is SIGKILLed after its first metric record but before its
+    first checkpoint and run again from scratch, and SIGKILLed after a
+    checkpoint and continued with --resume from the newest one. Either way
+    it ends with the final checkpoint of an uninterrupted run, and one
+    metric record per iteration equal to that run's but for `seconds`."""
+    argv = [sys.executable, "-m", "sortlet_vmc.cli", "--threads", "1", "train",
+            str(CONFIGS / "li.yaml"), "--iters", "6", "--walkers", "8", "--burn-in", "20",
+            "--checkpoint-every", "2"]
+    env = cli_env()
+
+    def run(out, *extra):
+        subprocess.run([*argv, "--out", str(out), *extra], env=env, check=True,
+                       capture_output=True, timeout=300)
+
+    run(tmp_path / "full")
+    (full,) = (tmp_path / "full").glob("run-*")
+
+    def killed(out, stage):
+        """Start the run under `out` and SIGKILL it as soon as stage(run_dir)
+        holds. A run that outpaced the poll is started again."""
+        run_dir = out / full.name
+        for _ in range(20):
+            shutil.rmtree(out, ignore_errors=True)
+            proc = subprocess.Popen([*argv, "--out", str(out)], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 300
+                while proc.poll() is None and not stage(run_dir) and time.monotonic() < deadline:
+                    time.sleep(0.0005)
+                proc.send_signal(signal.SIGKILL)
+            finally:
+                proc.wait(timeout=60)
+            if proc.returncode == -signal.SIGKILL and stage(run_dir):
+                return run_dir
+        pytest.fail(f"no run was caught at {stage.__name__}")
+
+    def checkpoints(run_dir):
+        return sorted(run_dir.glob("checkpoints/step-*.npz"))
+
+    def before_the_first_checkpoint(run_dir):
+        metrics = run_dir / "metrics.ndjson"
+        return (not checkpoints(run_dir) and metrics.exists()
+                and "\n" in metrics.read_text())
+
+    def between_checkpoints(run_dir):
+        done = checkpoints(run_dir)
+        return bool(done) and done[-1].name != "step-00000006.npz"
+
+    fresh = killed(tmp_path / "fresh", before_the_first_checkpoint)
+    run(tmp_path / "fresh")
+    resumed = killed(tmp_path / "resumed", between_checkpoints)
+    run(tmp_path / "resumed", "--resume", str(checkpoints(resumed)[-1]))
+    for rerun in (fresh, resumed):
+        assert records(rerun / "metrics.ndjson") == records(full / "metrics.ndjson")
+        final = "checkpoints/step-00000006.npz"
+        with np.load(full / final) as want, np.load(rerun / final) as got:
+            assert want.files == got.files
+            for name in want.files:
+                assert np.array_equal(want[name], got[name]), name

@@ -1,17 +1,20 @@
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import HydrogenGroundState
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
-from sortlet_vmc.geometry import SystemSpec
+from sortlet_vmc.backbone import DEFAULT_SORTLETS
+from sortlet_vmc.geometry import SystemSpec, parse_config
 from sortlet_vmc.optimizer import (
     Adam,
     Checkpoint,
     TrainSettings,
+    append_record,
     config_fingerprint,
     energy_gradient,
     estimate_energy,
@@ -329,7 +332,8 @@ def test_checkpoint_refuses_an_older_format(tmp_path):
         Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
 
 
-@pytest.mark.parametrize("damage", ["text", "bare_array", "object_array", "field_missing"])
+@pytest.mark.parametrize("damage", ["text", "bare_array", "object_array", "field_missing",
+                                    "file_missing"])
 def test_checkpoint_that_is_not_an_archive_of_its_fields_is_refused(tmp_path, damage):
     settings = smoke_settings(iters=3)
     train(small_wf(), settings, out_dir=tmp_path)
@@ -343,6 +347,8 @@ def test_checkpoint_that_is_not_an_archive_of_its_fields_is_refused(tmp_path, da
             np.save(fh, arrays["theta"])
     elif damage == "object_array":
         np.savez(ckpt, **dict(arrays, theta=np.array([None], dtype=object)))
+    elif damage == "file_missing":
+        ckpt.unlink()
     else:
         del arrays["theta"]
         np.savez(ckpt, **arrays)
@@ -387,3 +393,68 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     wf = small_wf()
     state = Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
     assert state["next_iter"] == 3
+
+
+@pytest.mark.parametrize("change", [
+    {"lr": 2e-3}, {"lr_decay": 500.0}, {"burn_in": 7}, {"steps_per_iter": 3},
+    {"walkers": 8}, {"seed": 1}, {"potential": "harmonic"}, "wavefunction_seed",
+], ids=lambda c: c if isinstance(c, str) else next(iter(c)))
+def test_run_fingerprint_reads_every_setting_a_resume_must_keep(change):
+    """Two runs that differ in any setting but the run length and the
+    checkpoint spacing, or only in theta0, get different run fingerprints
+    (and so different run directories); their model fingerprint is one."""
+    base = small_wf()
+    wf = small_wf(seed=1) if change == "wavefunction_seed" else base
+    settings = smoke_settings() if change == "wavefunction_seed" else smoke_settings(**change)
+    assert (config_fingerprint(wf.system, wf, settings)
+            != config_fingerprint(base.system, base, smoke_settings()))
+    assert config_fingerprint(wf.system, wf) == config_fingerprint(base.system, base)
+
+
+@pytest.mark.parametrize("change", [{"iters": 60}, {"checkpoint_every": 1}])
+def test_run_fingerprint_ignores_the_run_length_and_checkpoint_spacing(change):
+    wf = small_wf()
+    assert (config_fingerprint(wf.system, wf, smoke_settings(**change))
+            == config_fingerprint(wf.system, wf, smoke_settings()))
+
+
+# config_fingerprint(system, wf) of each shipped config with the default
+# --sortlets and the config's seed; a change here orphans every checkpoint
+# already trained, which `evaluate` would then refuse
+MODEL_FINGERPRINTS = {
+    "b": "4488d424e85c", "be": "d9d22982ae61", "h4_theta90": "891a51d1c810",
+    "h_atom": "ae341ac37c9e", "li": "a8645edfc2d5", "lih": "1fd9eeecca00",
+    "toy1d": "ae341ac37c9e",
+}
+
+
+def test_model_fingerprints_of_the_shipped_configs_are_pinned():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    found = {}
+    for path in sorted(configs.glob("*.yaml")):
+        cfg = parse_config(path.read_text())
+        wf = SortletWavefunction(cfg.system, n_sortlets=DEFAULT_SORTLETS, seed=cfg.run.seed)
+        found[path.stem] = config_fingerprint(cfg.system, wf)
+    assert found == MODEL_FINGERPRINTS
+
+
+def test_append_record_writes_numpy_values_as_json_numbers_and_lists(tmp_path):
+    path = tmp_path / "run" / "report.txt"
+    append_record(path, {"n": np.int64(3), "x": np.float32(0.5), "ok": np.bool_(True),
+                         "v": np.arange(3), "e": np.float64(-7.25), "s": "a"})
+    append_record(path, {"n": 4})
+    assert path.read_text() == ('{"n": 3, "x": 0.5, "ok": true, "v": [0, 1, 2], '
+                                '"e": -7.25, "s": "a"}\n{"n": 4}\n')
+
+
+def test_a_record_that_cannot_be_serialized_leaves_no_trace(tmp_path):
+    fresh = tmp_path / "run" / "report.txt"
+    with pytest.raises(TypeError, match="object"):
+        append_record(fresh, {"n": 1, "bad": object()})
+    assert not fresh.parent.exists()
+    kept = tmp_path / "report.txt"
+    append_record(kept, {"n": 1})
+    before = kept.read_bytes()
+    with pytest.raises(TypeError, match="complex"):
+        append_record(kept, {"n": 2, "bad": 1j})
+    assert kept.read_bytes() == before
