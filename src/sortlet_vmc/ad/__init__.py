@@ -6,8 +6,8 @@ engines: plain ndarrays (Metropolis sampling), forward-mode Dual
 Laplacian per value, see forward.py; the local energy) and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters; the energy gradient).
 Every op picks its engine with one check over the operands it is handed
-(`_dispatch`); mixing Dual and Var in one call is an error. concat, norm
-and displacements have no Var engine: no parameter gradient passes
+(`_dispatch`); mixing Dual and Var in one call is an error. concat, take,
+norm and displacements have no Var engine: no parameter gradient passes
 through them, since positions are never a Var, and a Var operand raises
 TypeError.
 
@@ -17,8 +17,22 @@ calls f; Var records g f'; Dual applies tan = f' tan_x and
 lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
 f' exists (absolute), and then no lane sum is computed. Only ops whose
 arithmetic differs per engine live in forward.py and reverse.py: where,
-sum, the gathers behind take_along and sort_parity, reshape, moveaxis,
-concat, einsum, softmax, norm and the operators.
+sum, the gathers behind take, take_along and sort_parity, reshape,
+moveaxis, concat, einsum, softmax, norm and the operators.
+
+No op writes into an array it was handed, in any engine; forward.py
+states the rule for a Dual. The plain engine has one exception, so that a
+pass reuses the buffers it has just allocated: an elementwise op called
+with overwrite=True writes f(x) into its plain operand x and returns it.
+Model code passes the flag, and writes `y += b`, only where y is an array
+the pass itself made and reads nowhere else: an einsum result (contract's
+results are fresh), a where or an elementwise result, or what was added
+into one of them. A Dual or Var defines no in-place operator, so there
+`y += b` makes a new value, and their elementwise ops ignore the flag.
+numpy refuses an in-place op on a plain array with a Dual or Var operand,
+so b is a constant or in y's engine. The same ufuncs meet the same
+operands in the same order either way, so every bit is kept. A test runs
+signed_log in all three engines on read-only inputs.
 
 softmax and norm reduce over the last axis and are single fused ops, not
 compositions of the elementwise rows: one plain function computes the
@@ -63,7 +77,7 @@ No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
 because perfbench's tracer (perfbench/spans.py) patches them by name;
 deleting them waits for a change that refreshes the benchmark's list of
-names. The tracer does not patch softmax, norm, displacements or
+names. The tracer does not patch softmax, norm, displacements, take or
 sort_parity, so their time counts in the calling span's self time
 (sort_parity's in ansatz.sortlet_logs, the geometry's in signed_log).
 """
@@ -84,11 +98,11 @@ __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
-    "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
+    "take", "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
     "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
 ]
 
-# name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x)
+# name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x); f takes out= as a ufunc does
 ELEMENTWISE = {
     "exp": (np.exp, lambda x, y: y, lambda x, y, d: y),
     "log": (np.log, lambda x, y: 1.0 / x, lambda x, y, d: -d * d),
@@ -96,8 +110,8 @@ ELEMENTWISE = {
     "sqrt": (np.sqrt, lambda x, y: 0.5 / y, lambda x, y, d: -0.25 / (y * x)),
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y, lambda x, y, d: -2.0 * y * d),
     "square": (np.square, lambda x, y: 2.0 * x, lambda x, y, d: 2.0),
-    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: 0.5 * (1.0 + np.tanh(0.5 * x)),
-                 lambda x, y, d: d * (1.0 - d)),
+    "softplus": (lambda x, out=None: np.logaddexp(0.0, x, out=out),
+                 lambda x, y: 0.5 * (1.0 + np.tanh(0.5 * x)), lambda x, y, d: d * (1.0 - d)),
     "absolute": (np.abs, lambda x, y: np.sign(x), None),
 }
 
@@ -105,12 +119,14 @@ ELEMENTWISE = {
 def _dispatch(name, plain, dual, var, operands=slice(0, 1)):
     """op(*args) runs plain, dual or var by the engine of args[operands]: a
     slice of the positional arguments, or the index of one that holds a
-    list of operands. An engine given as None raises TypeError."""
+    list of operands (concat's, a group's members among them). An engine
+    given as None raises TypeError."""
     impls = (plain, dual, var)
+    listed = isinstance(operands, int)
 
     def op(*args, **kwargs):
         engine = 0
-        for x in args[operands]:
+        for x in (_operands(args[operands]) if listed else args[operands]):
             if isinstance(x, Dual):
                 engine |= 1
             elif isinstance(x, Var):
@@ -125,9 +141,20 @@ def _dispatch(name, plain, dual, var, operands=slice(0, 1)):
     return op
 
 
+def _operands(xs) -> list:
+    # concat's operands with each group's members in line
+    if list not in map(type, xs):
+        return xs
+    return [m for x in xs for m in (x if isinstance(x, list) else (x,))]
+
+
 def _elementwise(name):
+    """op(x, overwrite=False); overwrite lets the plain engine write f(x)
+    into x itself (module docstring), and Dual and Var ignore it."""
     f, d1, d2 = ELEMENTWISE[name]
-    return _dispatch(name, f, forward.elementwise(f, d1, d2), reverse.elementwise(f, d1))
+    dual, var = forward.elementwise(f, d1, d2), reverse.elementwise(f, d1)
+    return _dispatch(name, lambda x, overwrite=False: f(x, out=x) if overwrite else f(x),
+                     lambda x, overwrite=False: dual(x), lambda x, overwrite=False: var(x))
 
 
 exp = _elementwise("exp")
@@ -293,8 +320,24 @@ either order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)
-concat = _dispatch("concat", lambda xs, axis: np.concatenate(xs, axis=axis),
-                   forward.concat, None, 0)
+
+
+def _concat(xs, axis) -> np.ndarray:
+    if list not in map(type, xs):
+        return np.concatenate(xs, axis=axis)
+    shape, axis = forward.concat_layout(xs, axis)
+    return forward.concat_into(np.empty(shape), xs, axis, lambda x: x)
+
+
+concat = _dispatch("concat", _concat, forward.concat, None, 0)
+concat.__doc__ = """np.concatenate(xs, axis), a Dual's value, lanes and Laplacian each into
+one new C-ordered array. An operand given as a list is a group of blocks
+(..., G, w_k) that fill G * sum_k w_k entries of one new C-ordered array:
+each G-row holds the blocks' rows side by side, as concat([concat(group,
+-1) reshaped to (..., G * sum_k w_k), ...]) would give from two copies."""
+take = _dispatch("take", lambda x, idx, axis: np.take(x, idx, axis),
+                 forward.take_axis, None)
+take.__doc__ = "np.take(x, idx, axis) in every engine but Var, C-ordered whatever idx's shape."
 einsum = _dispatch(
     "einsum", lambda spec, a, b: contract(*parse_spec(spec), np.asarray(a), np.asarray(b)),
     forward.einsum, reverse.einsum, slice(1, 3))
@@ -328,10 +371,18 @@ sum = _dispatch("sum", lambda x, axis: reduce_exact(np.add, x, axis),  # noqa: A
 
 
 def _softmax(x) -> np.ndarray:
-    """exp(x - max) / sum over the last axis, C-contiguous whatever x's layout."""
+    """exp(x - max) / sum over the last axis, C-contiguous whatever x's
+    layout; the exp and the divide run in place in the shifted copy."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    e = np.exp(x - reduce_exact(np.maximum, x, keepdims=True))
-    return e / reduce_exact(np.add, e, keepdims=True)
+    e = x - reduce_exact(np.maximum, x, keepdims=True)
+    np.exp(e, out=e)
+    e /= reduce_exact(np.add, e, keepdims=True)
+    return e
+
+
+def _length(s: np.ndarray, eps: float) -> np.ndarray:
+    # sqrt(s + eps^2); adding 0.0 to a sum of squares changes no bit, so eps 0 skips it
+    return np.sqrt(s + eps * eps) if eps else np.sqrt(s)
 
 
 def _norm(x, eps=0.0):
@@ -340,8 +391,8 @@ def _norm(x, eps=0.0):
     x = np.ascontiguousarray(x, dtype=np.float64)
     s = np.einsum("...c,...c->...", x, x)
     if isinstance(eps, tuple):
-        return tuple(np.sqrt(s + e * e) for e in eps)
-    return np.sqrt(s + eps * eps)
+        return tuple(_length(s, e) for e in eps)
+    return _length(s, eps)
 
 
 softmax = _dispatch("softmax", _softmax, lambda x: forward.softmax(x, _softmax(x.val)),

@@ -172,7 +172,9 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     """einsum(f"{x_sub},{y_sub}->{out}", x, y) as one np.matmul.
 
     Subscripts are trusted (see parse_spec), so internal specs may use the
-    reserved lane index 't'. The result may be a transposed view.
+    reserved lane index 't'. The result is a new array, or a transposed view
+    of one, that shares no memory with x or y: the plain engine's caller may
+    overwrite it (the in-place rule of the ad module docstring).
     """
     swap, lplan, rplan, shape, perm, dot = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
     left, right = _matrices(swap, lplan, rplan, x, y)

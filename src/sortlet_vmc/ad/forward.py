@@ -236,27 +236,81 @@ def moveaxis(x: Dual, src: int, dst: int) -> Dual:
                 np.moveaxis(x.curv, src, dst))
 
 
-def _lift(x, t) -> Dual:
-    if isinstance(x, Dual):
-        return x
-    v = np.asarray(x, dtype=np.float64)
-    return Dual(v, np.zeros(v.shape + (t,)), np.zeros(v.shape))
+def take_axis(x: Dual, idx: np.ndarray, axis: int) -> Dual:
+    """np.take(x, idx, axis): the value, each tangent lane and the Laplacian
+    gathered along one value axis into new C-ordered arrays."""
+    axis = axis % x.val.ndim
+    return Dual(np.take(x.val, idx, axis), np.take(x.tan, idx, axis), np.take(x.curv, idx, axis))
+
+
+def concat_layout(xs, axis: int) -> tuple:
+    """(shape, axis): the value shape of ad.concat(xs, axis) and its axis,
+    made non-negative. A list operand is a group of blocks shaped (..., G,
+    w_k); they are joined along their last axis and that axis is flattened
+    with the G axis at `axis`, so the group fills G * sum_k w_k entries."""
+    grouped = isinstance(xs[0], list)
+    head = (xs[0][0] if grouped else xs[0]).shape
+    axis = axis % (len(head) - grouped)
+    width = 0
+    for x in xs:
+        if isinstance(x, list):
+            for m in x:
+                width += m.shape[axis] * m.shape[axis + 1]
+        else:
+            width += x.shape[axis]
+    return head[:axis] + (width,) + head[axis + 1 + grouped:], axis
+
+
+def concat_into(out: np.ndarray, xs, axis: int, part) -> np.ndarray:
+    """Write part(x) of each operand of ad.concat(xs, axis) into its entries
+    of out along the non-negative value axis `axis`, in order; axes after
+    the value axes (a tangent's lanes) are carried through. part gives an
+    operand's value, tangent or Laplacian."""
+    if list not in map(type, xs):
+        return np.concatenate([part(x) for x in xs], axis, out=out)
+    at = (slice(None),) * axis
+    lo = 0
+    for x in xs:
+        if not isinstance(x, list):
+            hi = lo + x.shape[axis]
+            out[at + (slice(lo, hi),)] = part(x)
+            lo = hi
+            continue
+        g, span = x[0].shape[axis], 0
+        for m in x:
+            span += m.shape[axis + 1]
+        block = out[at + (slice(lo, lo + g * span),)]
+        # splitting one axis of a strided view is always a view: the writes land in out
+        block = block.reshape(block.shape[:axis] + (g, span) + block.shape[axis + 1:])
+        np.concatenate([part(m) for m in x], axis + 1, out=block)
+        lo += g * span
+    return out
 
 
 def _seed_count(xs):
     for x in xs:
+        if isinstance(x, list):
+            x = next((m for m in x if isinstance(m, Dual)), None)
         if isinstance(x, Dual):
             return x.n_seeds
     raise TypeError("need at least one Dual")
 
 
 def concat(xs, axis: int) -> Dual:
+    """ad.concat into one new C-ordered value, tangent and Laplacian; a
+    constant operand gets zero lanes."""
+    shape, axis = concat_layout(xs, axis)
     t = _seed_count(xs)
-    xs = [_lift(x, t) for x in xs]
-    axis = axis % xs[0].val.ndim
-    return Dual(np.concatenate([x.val for x in xs], axis=axis),
-                np.concatenate([x.tan for x in xs], axis=axis),
-                np.concatenate([x.curv for x in xs], axis=axis))
+
+    def zero(x, lanes=()):
+        return np.broadcast_to(0.0, x.shape + lanes)
+
+    return Dual(
+        concat_into(np.empty(shape), xs, axis, lambda x: x.val if isinstance(x, Dual) else x),
+        concat_into(np.empty(shape + (t,)), xs, axis,
+                    lambda x: x.tan if isinstance(x, Dual) else zero(x, (t,))),
+        concat_into(np.empty(shape), xs, axis,
+                    lambda x: x.curv if isinstance(x, Dual) else zero(x)))
 
 
 def einsum(spec: str, a, b) -> Dual:

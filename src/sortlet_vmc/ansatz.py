@@ -90,7 +90,7 @@ def sortlet_logs(scores) -> SignedLog:
     tied = ad.reduce_exact(np.logical_or, zero, axis=0)
     logmag = ad.sum(ad.log(ad.where(zero, 1.0, gaps)), axis=0)
     # the wrap gap is zero only where every adjacent gap is
-    logmag = logmag + ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
+    logmag += ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
     logmag = ad.where(tied, BIG_NEG, logmag)
     sign = np.where(tied, 0, parity)
     return SignedLog(sign, logmag)
@@ -170,12 +170,14 @@ def mix_signed_logs(signs: np.ndarray, logmags, weights) -> SignedLog:
     bit-for-bit.
     """
     m = ad.amax(logmags, axis=-1, keepdims=True)
-    mantissa = ad.exp(logmags - m) * signs.astype(np.float64) * weights
-    total = ad.sum(mantissa, axis=-1)
+    mantissa = ad.exp(logmags - m, overwrite=True)
+    mantissa *= signs.astype(np.float64)
+    total = ad.sum(mantissa * weights, axis=-1)  # weights may be a Var beside plain logmags
     tv = ad.detach(total)
     dead = tv == 0.0
-    safe = ad.where(dead, 1.0, ad.absolute(total))
-    logmag = ad.where(dead, BIG_NEG, ad.log(safe) + m[..., 0])
+    shifted = ad.log(ad.where(dead, 1.0, ad.absolute(total)), overwrite=True)
+    shifted += m[..., 0]
+    logmag = ad.where(dead, BIG_NEG, shifted)
     return SignedLog(_sign(tv), logmag)
 
 

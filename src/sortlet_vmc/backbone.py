@@ -177,7 +177,8 @@ def electron_geometry(system: SystemSpec, positions) -> tuple:
     iu, ju, _ = system.pairs
     en = ad.displacements(positions, system.nuclei_positions)
     en_soft, en_exact = ad.norm(en, (FEATURE_EPS, 0.0))
-    ee_soft, ee_exact = ad.norm(positions[:, iu] - positions[:, ju], (FEATURE_EPS, 0.0))
+    ee = ad.take(positions, iu, 1) - ad.take(positions, ju, 1)
+    ee_soft, ee_exact = ad.norm(ee, (FEATURE_EPS, 0.0))
     return Geometry(positions, en, en_soft, ee_soft), en_exact, ee_exact
 
 
@@ -190,11 +191,11 @@ def featurize(system: SystemSpec, geom: Geometry):
     cnt_n r_n - (mask r)_n, one (N x N) matrix per walker; the distances
     mirror the pair lengths, with the softening floor on the diagonal."""
     b, n, i = ad.detach(geom.en).shape[:3]
-    per_nucleus = ad.concat([geom.en, ad.reshape(geom.en_soft, (b, n, i, 1))], axis=-1)
-    parts = [ad.reshape(per_nucleus, (b, n, 4 * i)),
+    # a group: each nucleus's displacement and length side by side
+    parts = [[geom.en, ad.reshape(geom.en_soft, (b, n, i, 1))],
              np.broadcast_to(system.spins.astype(np.float64)[None, :, None], (b, n, 1))]
     floor = np.full((b, 1), np.sqrt(FEATURE_EPS * FEATURE_EPS))
-    dist = ad.concat([geom.ee_soft, floor], axis=-1)[:, system.pair_slots]  # (B, N, N)
+    dist = ad.take(ad.concat([geom.ee_soft, floor], axis=-1), system.pair_slots, 1)  # (B, N, N)
     for pool, weights in system.partner_means:
         parts.append(ad.einsum("nm,bmc->bnc", pool, geom.positions))
         parts.append(ad.reshape(ad.einsum("bnm,nm->bn", dist, weights), (b, n, 1)))
@@ -202,18 +203,23 @@ def featurize(system: SystemSpec, geom: Geometry):
 
 
 def _affine(x, w, b):
-    return ad.einsum("bnf,fh->bnh", x, w) + b
+    y = ad.einsum("bnf,fh->bnh", x, w)
+    y += b  # in place into the product a plain einsum made; a new value in Dual and Var
+    return y
 
 
 def scores(system: SystemSpec, params: dict, geom: Geometry):
     """Per-sortlet electron scores (B, K, N) of a pass's geometry. params is
     SortletWavefunction.bind's dict; its "attention" entry gives the
     attention layers, each folded as (QK, VO, bo)."""
-    h = ad.tanh(_affine(featurize(system, geom), params["feat.w"], params["feat.b"]))
+    h = ad.tanh(_affine(featurize(system, geom), params["feat.w"], params["feat.b"]),
+                overwrite=True)
     for qk, vo, bo in params["attention"]:
         logits = ad.einsum("bnk,bmk->bnm", ad.einsum("bnh,hk->bnk", h, qk), h)
         attn = ad.softmax(logits)  # (B, N, M)
         update = ad.einsum("bnm,bmk->bnk", attn, ad.einsum("bnh,hk->bnk", h, vo))
-        h = ad.tanh(h + (update + bo))
+        update += bo
+        update += h  # the bits of h + (update + bo): IEEE addition commutes
+        h = ad.tanh(update, overwrite=True)
     raw = _affine(h, params["out.w"], params["out.b"])  # (B, N, K)
     return ad.moveaxis(raw, -1, -2)

@@ -291,7 +291,6 @@ class TrainResult:
     theta: np.ndarray
     energies: list
     stats: EnergyStats
-    sigma: float
 
 
 def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None = None,
@@ -372,8 +371,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
                             wf=wf, theta=theta, adam=adam, ensemble=ensemble,
                             next_iter=it + 1, fingerprint=fingerprint,
                             model_fingerprint=model_fp)
-    return TrainResult(theta=theta, energies=energies, stats=stats,
-                       sigma=ensemble.sigma)
+    return TrainResult(theta=theta, energies=energies, stats=stats)
 
 
 @dataclass

@@ -1,0 +1,92 @@
+"""Print one SHA-256 per system over the bits the model computes.
+
+    PYTHONPATH=src python tests/bitdigest.py
+
+A change that claims to keep every bit prints the same lines before and
+after. Each digest covers, at a fixed perturbed θ and fixed walkers:
+
+- the plain signed_log sign and logmag;
+- the Dual logmag's value, tangent lanes and Laplacian (curv);
+- the Var gradient of a fixed weighted sum of logmags;
+- hamiltonian.local_energy's kinetic, ee and en terms and total.
+
+The walkers come from a fixed seed. The plain pass also runs on a lone
+walker, a Fortran-ordered copy and a strided view of a larger batch, so
+layout and batch effects show. LiH gets one electron on the midplane of
+its two nuclei, an exact tie of the envelope's nearest-nucleus choice.
+pytest does not collect this file (no test_ prefix). The digests depend
+on the numpy build and the BLAS kernel, so compare them on one host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from sortlet_vmc import ad, hamiltonian
+from sortlet_vmc.ansatz import SortletWavefunction
+from sortlet_vmc.geometry import load_system
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SYSTEMS = ("li", "lih", "b", "h4_theta90", "h_atom", "h8")
+WALKERS = 7
+
+
+def h_chain(n: int, spacing: float = 1.8) -> str:
+    lines = ["system:", "  nuclei:"]
+    for i in range(n):
+        lines += ["    - element: H", f"      xyz: [{(i - (n - 1) / 2.0) * spacing!r}, 0.0, 0.0]"]
+    return "\n".join(lines) + "\n"
+
+
+def _walkers(system, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(2 * WALKERS, system.n_electrons, 3)) * 1.5
+    if system.n_nuclei == 2:  # an electron on the midplane of the two nuclei
+        a, b = system.nuclei_positions
+        pos[0, 0] = 0.5 * (a + b) + np.array([0.0, 0.3, 0.0])
+    return pos
+
+
+def digest(name: str) -> str:
+    text = h_chain(8) if name == "h8" else (CONFIGS / f"{name}.yaml").read_text()
+    system = load_system(text)
+    wf = SortletWavefunction(system, seed=0)
+    theta = wf.theta0 + 0.05 * np.random.default_rng(11).normal(size=wf.theta0.shape)
+    params = wf.bind(theta)
+    big = _walkers(system, 17)
+    pos = big[:WALKERS].copy()
+    h = hashlib.sha256()
+
+    def feed(*arrays):
+        for a in arrays:
+            a = np.asarray(a)
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    for batch in (pos, pos[:1], np.asfortranarray(pos), big[::2]):
+        sl = wf.signed_log(params, batch)
+        feed(sl.sign, sl.logmag)
+    dual = wf.signed_log(params, ad.seed_positions(pos)).logmag
+    feed(dual.val, dual.tan, dual.curv)
+    tape = ad.GradientTape()
+    th = tape.leaf(theta)
+    weights = np.linspace(-1.0, 1.0, WALKERS)
+    feed(tape.gradient(wf.signed_log(th, pos).logmag, th, seed=weights))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = hamiltonian.local_energy(lambda p: wf.signed_log(params, p), system, big)
+    feed(terms.kinetic, terms.ee, terms.en, terms.total)
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    for name in argv or SYSTEMS:
+        print(f"{name:<11} {digest(name)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -450,6 +450,45 @@ def test_sortlet_logs_of_a_lone_row_match_the_batch(n):
             assert alone.val[0, 0] == var.val[i, j]
 
 
+def _frozen_arrays(tree) -> list:
+    """Every ndarray in a bound dict, tuple or engine value, made read-only."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [a for x in tree for a in _frozen_arrays(x)]
+    arrays = [tree] if isinstance(tree, np.ndarray) else [
+        getattr(tree, name) for name in ("val", "tan", "curv") if hasattr(tree, name)]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def test_signed_log_writes_into_none_of_its_inputs():
+    """The plain engine may overwrite only arrays the pass made itself. On
+    read-only positions, a read-only θ and read-only bound arrays, every
+    engine runs without raising and leaves each input's bits as they were,
+    for walkers in and out of canonical order (a canonical batch reaches
+    the geometry ungathered)."""
+    wf = SortletWavefunction(LIH, n_sortlets=4, hidden=8, layers=2, seed=3)
+    theta = wf.theta0 + 0.1 * np.random.default_rng(41).normal(size=wf.theta0.shape)
+    theta.flags.writeable = False
+    pos = LIH.nuclei_positions[[0, 1, 0, 1]] + np.random.default_rng(43).normal(size=(5, 4, 3))
+    for batch in (pos, wf_order(LIH, pos)):
+        batch.flags.writeable = False
+        bound = wf.bind(theta)
+        tape = GradientTape()
+        leaf = tape.leaf(theta)
+        var_bound = wf.bind(leaf)
+        dual = ad.seed_positions(batch)
+        inputs = [theta, batch] + [a for x in (bound, var_bound, dual) for a in _frozen_arrays(x)]
+        before = [a.copy() for a in inputs]
+        wf.signed_log(bound, batch)
+        wf.signed_log(theta, batch)
+        wf.signed_log(bound, dual)
+        tape.gradient(wf.signed_log(var_bound, batch).logmag, leaf, seed=np.ones(len(batch)))
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+
+
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 32])
 def test_signed_log_of_a_lone_walker_matches_the_batch(k):
     """Every reduction site gives a lone walker the bits of its row in a

@@ -615,6 +615,72 @@ def test_elementwise_table_rows_agree_across_engines(name):
     np.testing.assert_allclose(tape.gradient(v, p, seed=seed), d1 * seed, rtol=1e-7, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(ad.ELEMENTWISE))
+def test_overwrite_writes_only_a_plain_operand(name):
+    """overwrite=True: the plain engine returns its operand's buffer holding
+    the bits op(x) would allocate; a Dual or Var operand is left as it was
+    and gets the result of the call without the flag."""
+    op = getattr(ad, name)
+    x = np.abs(TABLE_POINTS) if name in POSITIVE_ONLY else TABLE_POINTS
+    mine = x.copy()
+    out = op(mine, overwrite=True)
+    assert out is mine and np.array_equal(out, op(x))
+    tan, lap = np.ones((5, 2)), np.ones(5)
+    d = Dual(x.copy(), tan.copy(), lap.copy())
+    got = op(d, overwrite=True)
+    want = op(Dual(x, tan, lap))
+    assert np.array_equal(d.val, x) and np.array_equal(d.tan, tan) and np.array_equal(d.curv, lap)
+    assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("val", "tan", "curv"))
+    v = GradientTape().leaf(x.copy())
+    assert np.array_equal(op(v, overwrite=True).val, op(x)) and np.array_equal(v.val, x)
+
+
+def test_concat_groups_match_two_concatenations():
+    """A list operand of concat fills its blocks side by side per G-row, as
+    a concat of the group reshaped and a second concat would; every output
+    is one new C-ordered array in both engines, a constant gets zero lanes,
+    and a Dual inside a group picks the Dual engine."""
+    rng = np.random.default_rng(29)
+    b, n, g, t = 3, 4, 2, 5
+    a = rng.normal(size=(b, n, g, 3))
+    c = rng.normal(size=(b, n, g, 1))
+    e = np.broadcast_to(rng.normal(size=(1, n, 2)), (b, n, 2))
+    group = np.concatenate([a, c], axis=-1).reshape(b, n, g * 4)
+    want = np.concatenate([group, e], axis=-1)
+    got = ad.concat([[a, c], e], axis=-1)
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    at = np.moveaxis(rng.normal(size=(t, b, n, g, 3)), 0, -1)  # lanes outermost in memory
+    ct = rng.normal(size=(b, n, g, 1, t))
+    da, dc = Dual(a, at, a * 2.0), Dual(c, ct, c * 3.0)
+    out = ad.concat([[da, dc], e], axis=-1)
+    assert out.val.flags.c_contiguous and out.tan.flags.c_contiguous
+    assert np.array_equal(out.val, want)
+    tan_group = np.concatenate([at, ct], axis=-2).reshape(b, n, g * 4, t)
+    np.testing.assert_array_equal(out.tan, np.concatenate([tan_group, np.zeros((b, n, 2, t))], -2))
+    np.testing.assert_array_equal(
+        out.curv, np.concatenate([np.concatenate([a * 2.0, c * 3.0], -1).reshape(b, n, -1),
+                                  np.zeros((b, n, 2))], -1))
+    flat = ad.concat([e, Dual(a[..., 0, :2], at[..., 0, :2, :], a[..., 0, :2])], axis=1)
+    assert flat.tan.flags.c_contiguous and flat.val.shape == (b, n + n, 2)
+
+
+def test_take_matches_np_take_in_both_engines():
+    """ad.take gathers along one axis into C-ordered arrays, a Dual's lanes
+    with its values, whatever the index's shape."""
+    rng = np.random.default_rng(31)
+    x, tan = rng.normal(size=(3, 6, 2)), rng.normal(size=(3, 6, 2, 4))
+    idx = np.array([[5, 0, 2], [1, 1, 4]])
+    np.testing.assert_array_equal(ad.take(x, idx, 1), np.take(x, idx, axis=1))
+    d = ad.take(Dual(x, tan, x * x), idx, -2)
+    assert d.tan.flags.c_contiguous and d.tan.shape == (3, 2, 3, 2, 4)
+    np.testing.assert_array_equal(d.val, np.take(x, idx, axis=1))
+    np.testing.assert_array_equal(d.tan, np.take(tan, idx, axis=1))
+    np.testing.assert_array_equal(d.curv, np.take(x * x, idx, axis=1))
+    with pytest.raises(TypeError, match="take has no reverse-mode engine"):
+        ad.take(GradientTape().leaf(x), idx, 1)
+
+
 def test_where_and_minimum_with_a_broadcasting_mask():
     rng = np.random.default_rng(19)
     b, n, t = 3, 4, 2

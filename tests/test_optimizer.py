@@ -134,6 +134,25 @@ def test_gradient_clipping_matches_preclipped_energies():
     assert np.array_equal(g_clip, g_pre)
 
 
+def test_the_default_clip_holds_far_outliers_and_passes_near_ones():
+    """What energy_gradient's default MAD clip does, not its constant. The
+    other eight energies fix the median at 0 and the MAD at 2 wherever the
+    last walker sits above them. Moved from 10 to 1000 MADs out, it is
+    clipped to the same value both times, so the gradient keeps every bit;
+    moved from 1 to 2 MADs, it is not clipped, so the gradient changes."""
+    model = PolyModel()
+    positions = np.random.default_rng(7).standard_normal((9, 1, 1))
+    others = np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+
+    def grad_with_last_at(mads):
+        eloc = np.append(others, 2.0 * mads)
+        assert np.median(eloc) == 0.0 and np.median(np.abs(eloc)) == 2.0
+        return energy_gradient(model, model.theta0, positions, eloc)[0]
+
+    assert np.array_equal(grad_with_last_at(10.0), grad_with_last_at(1000.0))
+    assert not np.allclose(grad_with_last_at(1.0), grad_with_last_at(2.0), rtol=1e-3, atol=0.0)
+
+
 def test_gradient_error_cases():
     model = PolyModel()
     with pytest.raises(ValueError):
