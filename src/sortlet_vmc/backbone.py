@@ -77,9 +77,6 @@ class ParamStore:
         return {"version": self.LAYOUT_VERSION,
                 "entries": [[n, list(self._shapes[n])] for n in self._names]}
 
-    def matches(self, layout: dict) -> bool:
-        return layout == self.layout()
-
     def unpack(self, theta):
         """Split a flat vector (ndarray or reverse-mode Var) into named
         tensors; slices keep their engine type."""

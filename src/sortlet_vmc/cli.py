@@ -9,15 +9,14 @@ step-%08d.npz and report-<kind>.txt; <hash> covers the system, ansatz,
 theta0 and every train flag but --iters and --checkpoint-every. A fresh
 `train` into a directory with a checkpoint is refused (use --resume); one
 killed before its first checkpoint is simply run again. `evaluate` reports
-into the run directory of its checkpoint. Reports and metrics hold one JSON
-record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./runs.
+into the run directory of its checkpoint. Reports and metrics hold one strict
+JSON record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -93,9 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_root(args) -> Path:
-    if args.out is not None:
-        return args.out
-    return Path(os.environ.get(OUT_ENV, "runs"))
+    """--out, else $SORTLET_VMC_OUT, else ./runs. Refused if it is, or lies under, a file."""
+    root = args.out if args.out is not None else Path(os.environ.get(OUT_ENV, "runs"))
+    if not next(p for p in (root, *root.parents) if p.exists()).is_dir():
+        print(f"error: output root {root} is not a directory", file=sys.stderr)
+        raise SystemExit(2)
+    return root
 
 
 def _load_config(path: Path):
@@ -163,14 +165,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .optimizer import Checkpoint, append_record, config_fingerprint, evaluate_energy
+    from .optimizer import Checkpoint, append_record, evaluate_energy
 
     cfg = _load_config(args.config)
+    # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the config
+    ckpt_dir = args.checkpoint.resolve().parent
+    run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
+               else _out_root(args) / f"run-{_config_digest(args.config)}")
     seed = cfg.run.seed if args.seed is None else args.seed
     wf = _wavefunction(cfg.system, args, seed)
     try:
-        state = Checkpoint.load(args.checkpoint, wf=wf,
-                                model_fingerprint=config_fingerprint(cfg.system, wf))
+        state = Checkpoint.load(args.checkpoint, wf=wf)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -179,10 +184,6 @@ def cmd_evaluate(args) -> int:
                              seed=seed + 1, potential=cfg.run.potential)
     print(f"energy {report.formatted()} Ha  "
           f"({report.n_chains} chains x {report.n_estimates} estimates)")
-    # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the config
-    ckpt_dir = args.checkpoint.resolve().parent
-    run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
-               else _out_root(args) / f"run-{_config_digest(args.config)}")
     append_record(run_dir / "report-evaluate.txt",
                   {"checkpoint": str(args.checkpoint), "energy": report.mean,
                    "stderr": report.stderr, "formatted": report.formatted()})
@@ -191,7 +192,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_probe(args) -> int:
     from . import probes
-    from .optimizer import append_record
+    from .optimizer import append_record, record_json
 
     if args.kind != "nodes" and (args.single_sortlet or args.vandermonde):
         flag = "--single-sortlet" if args.single_sortlet else "--vandermonde"
@@ -200,6 +201,7 @@ def cmd_probe(args) -> int:
     sortlets = _sortlets(args, read=args.kind == "antisymmetry" or (
         args.kind == "nodes" and not (args.single_sortlet or args.vandermonde)))
     cfg = _load_config(args.config)
+    run_dir = _out_root(args) / f"run-{_config_digest(args.config)}"
     seed = cfg.run.seed if args.seed is None else args.seed
     try:
         if args.kind == "antisymmetry":
@@ -221,12 +223,11 @@ def cmd_probe(args) -> int:
     except ValueError as err:  # e.g. an exchange probe on a system with no same-spin pair
         print(f"error: probe {args.kind}: {err}", file=sys.stderr)
         return 2
-    append_record(_out_root(args) / f"run-{_config_digest(args.config)}"
-                  / f"report-{args.kind}.txt", report)
+    append_record(run_dir / f"report-{args.kind}.txt", report)
     passed = bool(report.get("passed", False))
     summary = {k: v for k, v in report.items()
                if isinstance(v, (int, float, str, bool))}
-    print(json.dumps(summary))
+    print(record_json(summary))
     print(f"probe {args.kind}: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 

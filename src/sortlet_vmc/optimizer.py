@@ -136,11 +136,11 @@ class Adam:
         self.t = int(state["t"])
 
 
-def format_energy(mean: float, stderr: float, k: float = 3.0) -> str:
-    """Value with a k-sigma parenthesis uncertainty, e.g. -7.477(8)."""
+def format_energy(mean: float, stderr: float) -> str:
+    """Value with a three-sigma parenthesis uncertainty, e.g. -7.477(8)."""
     if not np.isfinite(mean):
         return "nan"
-    u = k * stderr
+    u = 3.0 * stderr
     if not np.isfinite(u) or u <= 0:
         return f"{mean:.6f}"
     exponent = int(np.floor(np.log10(u)))
@@ -189,14 +189,15 @@ def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
 
 
 class Checkpoint:
-    """One .npz holding everything needed to continue a run bit-for-bit."""
+    """One .npz holding everything needed to continue a run bit-for-bit, and
+    the one place that decides which fingerprint a checkpoint must match.
+    Archives that also hold a `layout_json` field (older ones) still load."""
 
     FORMAT = 2
 
     @staticmethod
     def save(path: Path, *, wf: SortletWavefunction, theta: np.ndarray, adam: Adam,
-             ensemble: WalkerEnsemble, next_iter: int, fingerprint: str,
-             model_fingerprint: str):
+             ensemble: WalkerEnsemble, next_iter: int, fingerprint: str):
         """Write the checkpoint beside `path` and rename it into place, so a
         run killed mid-write leaves any checkpoint already at `path` intact."""
         path = Path(path)
@@ -208,9 +209,8 @@ class Checkpoint:
                 np.savez(
                     f,
                     format=np.int64(Checkpoint.FORMAT),
-                    layout_json=np.str_(json.dumps(wf.store.layout())),
                     fingerprint=np.str_(fingerprint),
-                    model_fingerprint=np.str_(model_fingerprint),
+                    model_fingerprint=np.str_(config_fingerprint(wf.system, wf)),
                     next_iter=np.int64(next_iter),
                     theta=theta,
                     adam_m=adam_state["m"], adam_v=adam_state["v"],
@@ -227,12 +227,11 @@ class Checkpoint:
             raise
 
     @staticmethod
-    def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None,
-             model_fingerprint: str | None = None) -> dict:
+    def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None) -> dict:
         """The run state saved at `path`. ValueError if it is missing, is not a
-        checkpoint, or does not fit this run."""
-        if fingerprint is None and model_fingerprint is None:
-            raise ValueError("a fingerprint to check against is required")
+        checkpoint, or does not fit: with `fingerprint` (a resume) the stored
+        run fingerprint must equal it, without (an evaluation) the stored
+        model fingerprint must equal that of `wf`."""
         try:
             # our handle: np.load leaves its own open when the zip is broken
             with open(path, "rb") as fh:
@@ -246,16 +245,12 @@ class Checkpoint:
         try:
             if int(z["format"]) != Checkpoint.FORMAT:
                 raise ValueError(f"unsupported checkpoint format {int(z['format'])}")
-            if fingerprint is not None and str(z["fingerprint"]) != fingerprint:
-                raise ValueError("checkpoint belongs to a different configuration "
-                                 f"({z['fingerprint']} != {fingerprint})")
-            if (model_fingerprint is not None
-                    and str(z["model_fingerprint"]) != model_fingerprint):
-                raise ValueError("checkpoint belongs to a different model "
-                                 f"({z['model_fingerprint']} != {model_fingerprint})")
-            layout = json.loads(str(z["layout_json"]))
-            if not wf.store.matches(layout):
-                raise ValueError("checkpoint parameter layout does not match this build")
+            field, want, what = (("fingerprint", fingerprint, "configuration")
+                                 if fingerprint is not None else
+                                 ("model_fingerprint", config_fingerprint(wf.system, wf), "model"))
+            if str(z[field]) != want:
+                raise ValueError(f"checkpoint belongs to a different {what} "
+                                 f"({z[field]} != {want})")
             return {
                 "next_iter": int(z["next_iter"]),
                 "theta": z["theta"].copy(),
@@ -271,16 +266,25 @@ class Checkpoint:
             raise ValueError(f"not a readable checkpoint: {path} (no field {err})") from None
 
 
-def append_record(path: Path, record: dict):
-    """Append `record` to `path` as one JSON line, numpy scalars and arrays as
-    numbers and lists. The line is serialized before the file is opened, so
-    a record that cannot be raises and leaves no trace."""
+def record_json(record: dict) -> str:
+    """`record` as strict JSON: numpy values as Python ones, NaN and infinities as null."""
     def plain(value):
         if isinstance(value, (np.generic, np.ndarray)):
-            return value.tolist()
-        raise TypeError(f"a {type(value).__name__} is not a JSON record value")
+            value = value.tolist()
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return None if isinstance(value, float) and not np.isfinite(value) else value
 
-    line = json.dumps(record, default=plain) + "\n"
+    return json.dumps(plain(record), allow_nan=False)
+
+
+def append_record(path: Path, record: dict):
+    """Append `record` to `path` as one line of `record_json`. The line is
+    serialized before the file is opened, so a record that cannot be raises
+    and leaves no trace."""
+    line = record_json(record) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a") as fh:
         fh.write(line)
@@ -304,7 +308,6 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
     """
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
-    model_fp = config_fingerprint(system, wf)
     adam = Adam(wf.store.size, lr=settings.lr, decay=settings.lr_decay)
     state = (None if resume_from is None
              else Checkpoint.load(Path(resume_from), wf=wf, fingerprint=fingerprint))
@@ -369,8 +372,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
                                                 and (it + 1) % settings.checkpoint_every == 0)):
             Checkpoint.save(out_dir / "checkpoints" / f"step-{it + 1:08d}.npz",
                             wf=wf, theta=theta, adam=adam, ensemble=ensemble,
-                            next_iter=it + 1, fingerprint=fingerprint,
-                            model_fingerprint=model_fp)
+                            next_iter=it + 1, fingerprint=fingerprint)
     return TrainResult(theta=theta, energies=energies, stats=stats)
 
 

@@ -62,15 +62,14 @@ def _swap_rows(positions: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
     return out
 
 
-def antisymmetry_suite(wf, theta: np.ndarray | None = None, trials: int = 1000,
-                       seed: int = 0) -> dict:
-    """Exact sign flip under random same-spin transpositions, batched.
+def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
+    """Exact sign flip under random same-spin transpositions at wf.theta0, batched.
 
     Also runs the Vandermonde baseline through the same protocol and an
     opposite-spin control group for which no relation is asserted.
     """
     system = wf.system
-    bound = wf.bind(wf.theta0 if theta is None else theta)
+    bound = wf.bind(wf.theta0)
     rng = np.random.default_rng(seed)
     pos = _random_configs(system, trials, rng)
     i, j = _random_same_spin_pairs(system, trials, rng)
@@ -204,8 +203,7 @@ def _exchange_paths(system: SystemSpec, fn, rng, attempts: int, resolution: int,
 
 
 def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: int = 100,
-                        resolution: int = 200, tol: float = 1e-10, seed: int = 0,
-                        n_sortlets: int = backbone.DEFAULT_SORTLETS) -> dict:
+                        seed: int = 0, n_sortlets: int = backbone.DEFAULT_SORTLETS) -> dict:
     """Run the exchange-path crossing protocol over random paths.
 
     kind "sortlet" uses a single-sortlet wavefunction, "vandermonde" the
@@ -214,6 +212,7 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
     in exploratory mode, recording crossing counts on pair-exchange and
     three-cycle paths without asserting.
     """
+    resolution = 200  # path samples; crossings are bisected to width 1e-10
     if kind not in ("sortlet", "vandermonde", "sum"):
         raise ValueError(f"unknown ansatz kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -221,7 +220,7 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
 
     t0 = time.perf_counter()
     results = [r for *_, r in itertools.islice(
-        _exchange_paths(system, fn, rng, 20 * n_paths, resolution, tol), n_paths)]
+        _exchange_paths(system, fn, rng, 20 * n_paths, resolution, 1e-10), n_paths)]
     if len(results) < n_paths:
         raise RuntimeError("could not draw enough off-node paths")
     counts = [r["count"] for r in results]
@@ -418,8 +417,8 @@ class ToyChain1D:
                             potential="harmonic").total
 
     @staticmethod
-    def grid(lo: float = -8.0, hi: float = 8.0, n: int = 4001):
-        xs = np.linspace(lo, hi, n)
+    def grid(n: int = 4001):
+        xs = np.linspace(-8.0, 8.0, n)
         w = np.full(n, xs[1] - xs[0])
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -435,8 +434,7 @@ class ToyChain1D:
         return float(ad.sum(p * self.local_energies(theta, xs), axis=0))
 
 
-def toy_gradient_check(theta: np.ndarray | None = None, h: float = 1e-4,
-                       grid_points: int = 4001) -> dict:
+def toy_gradient_check(theta: np.ndarray | None = None) -> dict:
     """Estimator vs finite differences of the deterministic quadrature energy.
 
     Also evaluates the variant with a doubled baseline term, which must
@@ -445,13 +443,13 @@ def toy_gradient_check(theta: np.ndarray | None = None, h: float = 1e-4,
     """
     toy = ToyChain1D()
     theta = toy.theta0 if theta is None else np.asarray(theta, dtype=np.float64)
-    xs, w = toy.grid(n=grid_points)
+    xs, w = toy.grid()
     eloc = toy.local_energies(theta, xs)
     p = toy.density_weights(theta, xs, w)
     positions = xs.reshape(-1, 1, 1)
 
     g_est, ebar = energy_gradient(toy, theta, positions, eloc, weights=p, clip=None)
-    g_fd = grad_central(lambda th: toy.quadrature_energy(th, xs, w), theta, h)
+    g_fd = grad_central(lambda th: toy.quadrature_energy(th, xs, w), theta, 1e-4)
     scale = float(np.linalg.norm(g_fd))
     rel = float(np.linalg.norm(g_est - g_fd)) / scale
 

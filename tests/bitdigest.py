@@ -1,9 +1,12 @@
-"""Print one SHA-256 per system over the bits the model computes.
+"""Print one SHA-256 per system over the bits the model computes, and one
+per trained system over the state of a short training run.
 
-    PYTHONPATH=src python tests/bitdigest.py
+    PYTHONPATH=src python tests/bitdigest.py [NAME ...]
 
-A change that claims to keep every bit prints the same lines before and
-after. Each digest covers, at a fixed perturbed θ and fixed walkers:
+NAME is a system (li, lih, b, h4_theta90, h_atom, h8) or train-li or
+train-lih; with none, all eight lines are printed. A change that claims to
+keep every bit prints the same lines before and after. Each model digest
+covers, at a fixed perturbed θ and fixed walkers:
 
 - the plain signed_log sign and logmag;
 - the Dual logmag's value, tangent lanes and Laplacian (curv);
@@ -14,6 +17,14 @@ The walkers come from a fixed seed. The plain pass also runs on a lone
 walker, a Fortran-ordered copy and a strided view of a larger batch, so
 layout and batch effects show. LiH gets one electron on the midplane of
 its two nuclei, an exact tie of the envelope's nearest-nucleus choice.
+
+A train digest runs optimizer.train on the config's system and seed (64
+walkers, burn-in 20, 3 iterations) into a temporary directory. It covers
+every array of the state Checkpoint.load returns for the final checkpoint,
+by key, and the metric records without `seconds`; it reads the run state,
+not the archive's bytes, so a field the archive adds or drops does not
+move it.
+
 pytest does not collect this file (no test_ prefix). The digests depend
 on the numpy build and the BLAS kernel, so compare them on one host.
 """
@@ -21,17 +32,20 @@ on the numpy build and the BLAS kernel, so compare them on one host.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from sortlet_vmc import ad, hamiltonian
+from sortlet_vmc import ad, hamiltonian, optimizer
 from sortlet_vmc.ansatz import SortletWavefunction
-from sortlet_vmc.geometry import load_system
+from sortlet_vmc.geometry import load_system, parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SYSTEMS = ("li", "lih", "b", "h4_theta90", "h_atom", "h8")
+TRAINED = ("li", "lih")
 WALKERS = 7
 
 
@@ -51,6 +65,15 @@ def _walkers(system, seed: int) -> np.ndarray:
     return pos
 
 
+def _feeder(h):
+    def feed(*arrays):
+        for a in arrays:
+            a = np.asarray(a)
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return feed
+
+
 def digest(name: str) -> str:
     text = h_chain(8) if name == "h8" else (CONFIGS / f"{name}.yaml").read_text()
     system = load_system(text)
@@ -60,13 +83,7 @@ def digest(name: str) -> str:
     big = _walkers(system, 17)
     pos = big[:WALKERS].copy()
     h = hashlib.sha256()
-
-    def feed(*arrays):
-        for a in arrays:
-            a = np.asarray(a)
-            h.update(repr((a.dtype.str, a.shape)).encode())
-            h.update(np.ascontiguousarray(a).tobytes())
-
+    feed = _feeder(h)
     for batch in (pos, pos[:1], np.asfortranarray(pos), big[::2]):
         sl = wf.signed_log(params, batch)
         feed(sl.sign, sl.logmag)
@@ -82,9 +99,36 @@ def digest(name: str) -> str:
     return h.hexdigest()
 
 
+def train_digest(name: str) -> str:
+    cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
+    wf = SortletWavefunction(cfg.system, seed=cfg.run.seed)
+    settings = optimizer.TrainSettings(iters=3, walkers=64, burn_in=20, seed=cfg.run.seed,
+                                       potential=cfg.run.potential)
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        optimizer.train(wf, settings, out_dir=out)
+        state = optimizer.Checkpoint.load(
+            out / "checkpoints" / "step-00000003.npz", wf=wf,
+            fingerprint=optimizer.config_fingerprint(cfg.system, wf, settings))
+        metrics = (out / "metrics.ndjson").read_text().splitlines()
+    h = hashlib.sha256()
+    feed = _feeder(h)
+    adam = state.pop("adam")
+    arrays = dict(state, **{f"adam_{k}": v for k, v in adam.items()})
+    for key in sorted(arrays):
+        h.update(key.encode())
+        feed(arrays[key])
+    for line in metrics:
+        record = json.loads(line)
+        record.pop("seconds")
+        h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def main(argv) -> int:
-    for name in argv or SYSTEMS:
-        print(f"{name:<11} {digest(name)}")
+    for name in argv or [*SYSTEMS, *(f"train-{s}" for s in TRAINED)]:
+        value = train_digest(name[len("train-"):]) if name.startswith("train-") else digest(name)
+        print(f"{name:<11} {value}")
     return 0
 
 

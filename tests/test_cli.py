@@ -466,3 +466,106 @@ def test_a_killed_run_ends_as_an_uninterrupted_one(tmp_path):
             assert want.files == got.files
             for name in want.files:
                 assert np.array_equal(want[name], got[name]), name
+
+
+def strict_json(line: str):
+    """json.loads that refuses NaN and infinities, which JSON cannot hold."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_an_evaluate_of_one_walker_reports_its_stderr_as_null(h_config, tmp_path):
+    out = tmp_path / "runs"
+    assert main(train_args(h_config, out)) == 0
+    ckpt = next(out.glob("run-*/checkpoints/step-00000004.npz"))
+    assert main(["evaluate", str(h_config), str(ckpt), "--sortlets", "1", "--walkers", "1",
+                 "--estimates", "3", "--equilibration", "5", "--out", str(out)]) == 0
+    (line,) = (ckpt.parent.parent / "report-evaluate.txt").read_text().splitlines()
+    record = strict_json(line)
+    assert record["stderr"] is None and np.isfinite(record["energy"])
+
+
+def test_a_smoothness_probe_without_single_ties_reports_null(tmp_path, capsys, monkeypatch):
+    """With no exchange path found, worst_one_sided_rel is infinite; the
+    report line and the printed summary carry it as null."""
+    from sortlet_vmc import probes
+
+    monkeypatch.setattr(probes, "_exchange_paths", lambda *args, **kwargs: iter(()))
+    out = tmp_path / "runs"
+    assert main(["probe", "smoothness", str(CONFIGS / "li.yaml"), "--trials", "1",
+                 "--out", str(out)]) == 1
+    (report,) = out.glob("run-*/report-smoothness.txt")
+    (line,) = report.read_text().splitlines()
+    summary = capsys.readouterr().out.splitlines()[0]
+    for record in (strict_json(line), strict_json(summary)):
+        assert record["single_tie_trials"] == 0 and record["worst_one_sided_rel"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    train_args("{cfg}", "{out}"),
+    ["probe", "variational", "{cfg}", "--trials", "10", "--out", "{out}"],
+], ids=["train", "probe"])
+@pytest.mark.parametrize("where", ["flag", "environment", "under_a_file"])
+def test_an_output_root_that_is_a_file_is_a_usage_error(h_config, tmp_path, capsys,
+                                                        monkeypatch, argv, where):
+    """Refused before any work: one error line naming the root, exit 2,
+    nothing written."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    root = blocker / "runs" if where == "under_a_file" else blocker
+    argv = [a.format(cfg=h_config, out=root) for a in argv]
+    if where == "environment":
+        i = argv.index("--out")
+        del argv[i:i + 2]
+        monkeypatch.setenv(OUT_ENV, str(root))
+    before = tree(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output root {root} is not a directory\n"
+    assert captured.out == ""
+    assert tree(tmp_path) == before
+
+
+def test_a_checkpoint_holding_the_older_layout_field_still_loads(h_config, tmp_path, capsys):
+    """A checkpoint as older builds wrote it, with a layout_json field that
+    is no longer written or read, resumes to the same final arrays and
+    evaluates to the same energy line as the checkpoint without it, and a
+    mismatched model is still refused."""
+    from sortlet_vmc.ansatz import SortletWavefunction
+    from sortlet_vmc.geometry import parse_config
+
+    main(train_args(h_config, tmp_path / "a"))
+    (mid,) = (tmp_path / "a").glob("run-*/checkpoints/step-00000002.npz")
+    with np.load(mid) as z:
+        arrays = dict(z)
+    assert "layout_json" not in arrays
+    store = SortletWavefunction(parse_config(H_CFG).system, n_sortlets=1, seed=0).store
+    legacy = tmp_path / "legacy.npz"
+    with legacy.open("wb") as fh:
+        np.savez(fh, format=arrays.pop("format"),
+                 layout_json=np.str_(json.dumps(store.layout())), **arrays)
+
+    finals, lines = [], []
+    for name, ckpt in (("new", mid), ("old", legacy)):
+        assert main(train_args(h_config, tmp_path / name, extra=["--resume", str(ckpt)])) == 0
+        (final,) = (tmp_path / name).glob("run-*/checkpoints/step-00000004.npz")
+        with np.load(final) as z:
+            finals.append(dict(z))
+        capsys.readouterr()
+        assert main(["evaluate", str(h_config), str(ckpt), "--sortlets", "1", "--walkers", "8",
+                     "--estimates", "3", "--equilibration", "5",
+                     "--out", str(tmp_path / name)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert finals[0].keys() == finals[1].keys()
+    for key in finals[0]:
+        assert np.array_equal(finals[0][key], finals[1][key]), key
+    assert lines[0] == lines[1] and lines[0].startswith("energy ")
+
+    assert main(["evaluate", str(h_config), str(legacy), "--sortlets", "2",
+                 "--out", str(tmp_path / "old")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "different model" in err

@@ -466,6 +466,24 @@ def test_append_record_writes_numpy_values_as_json_numbers_and_lists(tmp_path):
                                 '"e": -7.25, "s": "a"}\n{"n": 4}\n')
 
 
+def test_records_hold_nan_and_infinities_as_null(tmp_path):
+    """Every line append_record writes is strict JSON, which has no NaN or
+    infinity: they become null, as Python floats, numpy scalars and entries
+    of arrays, lists and nested records."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    path = tmp_path / "report.txt"
+    append_record(path, {"nan": float("nan"), "inf": float("inf"), "ninf": np.float64(-np.inf),
+                         "f32": np.float32("nan"), "v": np.array([[1.0, np.nan], [np.inf, 2.0]]),
+                         "l": [0.5, float("-inf"), (np.nan,)], "r": {"x": np.nan, "y": 1.5},
+                         "n": 3})
+    (line,) = path.read_text().splitlines()
+    assert json.loads(line, parse_constant=refuse) == {
+        "nan": None, "inf": None, "ninf": None, "f32": None, "v": [[1.0, None], [None, 2.0]],
+        "l": [0.5, None, [None]], "r": {"x": None, "y": 1.5}, "n": 3}
+
+
 def test_a_record_that_cannot_be_serialized_leaves_no_trace(tmp_path):
     fresh = tmp_path / "run" / "report.txt"
     with pytest.raises(TypeError, match="object"):
