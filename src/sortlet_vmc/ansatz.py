@@ -109,27 +109,18 @@ def _sign(v: np.ndarray) -> np.ndarray:
     return (v > 0).astype(np.int64) - (v < 0)
 
 
-def vandermonde_logs(scores: np.ndarray, block: int = 1024) -> SignedLog:
+def vandermonde_logs(scores: np.ndarray) -> SignedLog:
     """Signed log of prod_{i<j}(s_j - s_i), the determinant baseline.
 
-    Plain ndarrays only; pair work is O(N^2), blocked to bound memory.
+    Plain ndarrays only; the N(N-1)/2 pair differences in np.triu_indices order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[-1]
-    sign = score_parity(scores).astype(np.float64)
-    logmag = np.zeros(scores.shape[:-1])
-    tied = np.zeros(scores.shape[:-1], dtype=bool)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diff = scores[..., None, lo:hi] - scores[..., :, None]  # (..., N, hi-lo)
-        i_idx = np.arange(n)[:, None]
-        j_idx = np.arange(lo, hi)[None, :]
-        upper = i_idx < j_idx
-        mag = np.where(upper, np.abs(diff), 1.0)
-        tied |= np.any(upper & (diff == 0.0), axis=(-2, -1))
-        with np.errstate(divide="ignore"):
-            logmag += ad.sum(np.where(upper, np.log(mag), 0.0), axis=(-2, -1))
-    return SignedLog(np.where(tied, 0, sign.astype(np.int64)),
+    i, j = np.triu_indices(scores.shape[-1], 1)
+    diff = scores[..., j] - scores[..., i]
+    tied = np.any(diff == 0.0, axis=-1)
+    with np.errstate(divide="ignore"):
+        logmag = ad.sum(np.log(np.abs(diff)), axis=-1)
+    return SignedLog(np.where(tied, 0, score_parity(scores).astype(np.int64)),
                      np.where(tied, BIG_NEG, logmag))
 
 

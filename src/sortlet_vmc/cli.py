@@ -11,6 +11,11 @@ theta0 and every train flag but --iters and --checkpoint-every. A fresh
 killed before its first checkpoint is simply run again. `evaluate` reports
 into the run directory of its checkpoint. Reports and metrics hold one strict
 JSON record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./runs.
+
+Every refusal of input raises UsageError, which `main` alone prints as one
+`error:` line before it exits 2, with nothing written; argparse's refusals
+exit 2 too. A run that fails (a checkpoint that cannot be loaded or does not
+fit, a diverged training) prints one `error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -25,6 +30,17 @@ OUT_ENV = "SORTLET_VMC_OUT"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 PROBE_KINDS = ("antisymmetry", "nodes", "smoothness", "variational", "gradcheck")
+# the optional flags each probe reads besides --out; a one-head nodes comparator reads no mixture
+PROBE_FLAGS = {"antisymmetry": ("--seed", "--trials", "--sortlets"),
+               "nodes": ("--seed", "--trials", "--sortlets"),
+               "nodes --single-sortlet": ("--seed", "--trials", "--single-sortlet"),
+               "nodes --vandermonde": ("--seed", "--trials", "--vandermonde"),
+               "smoothness": ("--seed", "--trials"), "variational": ("--seed", "--trials"),
+               "gradcheck": ()}
+
+
+class UsageError(Exception):
+    """Input refused; `main` prints it as one `error:` line and exits 2."""
 
 
 def _bounded(name: str, cast, ok, bound: str):
@@ -78,15 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("kind", choices=PROBE_KINDS)
     r.add_argument("config", type=Path)
     r.add_argument("--seed", type=natural)
-    r.add_argument("--trials", type=count, default=1000,
-                   help="trials or paths, depending on the probe")
+    r.add_argument("--trials", type=count,
+                   help="trials or paths, depending on the probe (default 1000)")
     r.add_argument("--sortlets", type=count,
                    help="mixture heads of antisymmetry and plain nodes (default 16)")
     group = r.add_mutually_exclusive_group()
-    group.add_argument("--single-sortlet", action="store_true",
-                       help="nodes: assert a crossing on every exchange path")
-    group.add_argument("--vandermonde", action="store_true",
-                       help="nodes: same protocol on the pairwise-product comparator")
+    for flag, what in (("--single-sortlet", "assert a crossing on every exchange path"),
+                       ("--vandermonde", "same protocol on the pairwise-product comparator")):
+        group.add_argument(flag, dest="comparator", action="store_const", const=flag,
+                           help=f"nodes: {what}")
     r.add_argument("--out", type=Path)
     return p
 
@@ -95,8 +111,7 @@ def _out_root(args) -> Path:
     """--out, else $SORTLET_VMC_OUT, else ./runs. Refused if it is, or lies under, a file."""
     root = args.out if args.out is not None else Path(os.environ.get(OUT_ENV, "runs"))
     if not next(p for p in (root, *root.parents) if p.exists()).is_dir():
-        print(f"error: output root {root} is not a directory", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"output root {root} is not a directory")
     return root
 
 
@@ -104,11 +119,9 @@ def _load_config(path: Path):
     from .geometry import ConfigError, parse_config
 
     try:
-        return parse_config(path.read_text())
-    except FileNotFoundError:
-        raise SystemExit(f"error: no such config: {path}")
-    except ConfigError as err:
-        raise SystemExit(f"error: bad config {path}: {err}")
+        return parse_config(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ConfigError) as err:  # OSError: missing, a directory
+        raise UsageError(f"bad config {path}: {err.strerror if isinstance(err, OSError) else err}")
 
 
 def _wavefunction(system, args, seed: int):
@@ -117,19 +130,14 @@ def _wavefunction(system, args, seed: int):
     return SortletWavefunction(system, n_sortlets=_sortlets(args), seed=seed)
 
 
-def _sortlets(args, read: bool = True) -> int:
-    """The --sortlets a command reads. One past backbone.MAX_SORTLETS, or one
-    given to a probe that reads none, is a one-line usage error; the parser
-    checks only the lower bound, so that cli stays numpy-free."""
+def _sortlets(args) -> int:
+    """The --sortlets a command reads, refused past backbone.MAX_SORTLETS; the
+    parser checks only the lower bound, so that cli stays numpy-free."""
     from .backbone import DEFAULT_SORTLETS, MAX_SORTLETS
 
-    if args.sortlets is None:
-        return DEFAULT_SORTLETS
-    if read and args.sortlets <= MAX_SORTLETS:
-        return args.sortlets
-    why = f"at most {MAX_SORTLETS} heads" if read else "this probe reads no sortlet mixture"
-    print(f"error: --sortlets {args.sortlets}: {why}", file=sys.stderr)
-    raise SystemExit(2)
+    if (args.sortlets or 0) > MAX_SORTLETS:
+        raise UsageError(f"--sortlets {args.sortlets}: at most {MAX_SORTLETS} heads")
+    return args.sortlets or DEFAULT_SORTLETS
 
 
 def _config_digest(path: Path) -> str:
@@ -149,9 +157,7 @@ def cmd_train(args) -> int:
     run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf, settings)}"
     done = sorted(run_dir.glob("checkpoints/step-*.npz"))
     if args.resume is None and done:
-        print(f"error: {run_dir} holds this run already; continue it with --resume {done[-1]}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"{run_dir} holds this run already; continue it with --resume {done[-1]}")
     print(f"writing to {run_dir}")
     try:
         result = train(wf, settings, out_dir=run_dir, resume_from=args.resume,
@@ -194,35 +200,36 @@ def cmd_probe(args) -> int:
     from . import probes
     from .optimizer import append_record, record_json
 
-    if args.kind != "nodes" and (args.single_sortlet or args.vandermonde):
-        flag = "--single-sortlet" if args.single_sortlet else "--vandermonde"
-        print(f"error: {flag}: only the nodes probe reads it", file=sys.stderr)
-        raise SystemExit(2)
-    sortlets = _sortlets(args, read=args.kind == "antisymmetry" or (
-        args.kind == "nodes" and not (args.single_sortlet or args.vandermonde)))
+    probe = f"nodes {args.comparator}" if args.kind == "nodes" and args.comparator else args.kind
+    for flag, value in (("--seed", args.seed), ("--trials", args.trials),
+                        ("--sortlets", args.sortlets), (args.comparator, True)):
+        if None not in (flag, value) and flag not in PROBE_FLAGS[probe]:
+            given = flag if value is True else f"{flag} {value}"
+            raise UsageError(f"{given}: probe {probe} does not read it")
+    sortlets = _sortlets(args)
+    trials = args.trials or 1000
     cfg = _load_config(args.config)
     run_dir = _out_root(args) / f"run-{_config_digest(args.config)}"
     seed = cfg.run.seed if args.seed is None else args.seed
     try:
         if args.kind == "antisymmetry":
             report = probes.antisymmetry_suite(_wavefunction(cfg.system, args, seed),
-                                               trials=args.trials, seed=seed)
+                                               trials=trials, seed=seed)
         elif args.kind == "nodes":
-            kind = ("sortlet" if args.single_sortlet
-                    else "vandermonde" if args.vandermonde else "sum")
+            kind = {None: "sum", "--single-sortlet": "sortlet",
+                    "--vandermonde": "vandermonde"}[args.comparator]
             report = probes.node_crossing_suite(cfg.system, kind=kind,
-                                                n_paths=min(args.trials, 100), seed=seed,
+                                                n_paths=min(trials, 100), seed=seed,
                                                 n_sortlets=sortlets)
         elif args.kind == "smoothness":
-            report = probes.smoothness_probe(cfg.system, trials=min(args.trials, 10),
+            report = probes.smoothness_probe(cfg.system, trials=min(trials, 10),
                                              seed=seed)
         elif args.kind == "variational":
-            report = probes.variational_floor_check(trials=args.trials, seed=seed)
+            report = probes.variational_floor_check(trials=trials, seed=seed)
         else:
             report = probes.toy_gradient_check()
-    except ValueError as err:  # e.g. an exchange probe on a system with no same-spin pair
-        print(f"error: probe {args.kind}: {err}", file=sys.stderr)
-        return 2
+    except ValueError as err:  # an exchange probe on a system with no same-spin pair
+        raise UsageError(f"probe {args.kind}: {err}")
     append_record(run_dir / f"report-{args.kind}.txt", report)
     passed = bool(report.get("passed", False))
     summary = {k: v for k, v in report.items()
@@ -234,15 +241,17 @@ def cmd_probe(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        for var in THREAD_VARS:
-            os.environ[var] = str(args.threads)
     handler = {"train": cmd_train, "evaluate": cmd_evaluate,
                "probe": cmd_probe}[args.command]
-    return handler(args)
+    try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise UsageError(f"--threads {args.threads}: must be at least 1")
+            os.environ.update(dict.fromkeys(THREAD_VARS, str(args.threads)))
+        return handler(args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -200,7 +200,7 @@ def _parse_nucleus(entry, idx: int):
         raise ConfigError(path, "give exactly one of 'element' or 'charge'")
     if "element" in entry:
         symbol = entry["element"]
-        if symbol not in ELEMENTS:
+        if not isinstance(symbol, str) or symbol not in ELEMENTS:
             raise ConfigError(f"{path}.element", f"unknown element {symbol!r}")
         charge = ELEMENTS[symbol]
     else:
@@ -237,7 +237,7 @@ def parse_config(config_text: str) -> LoadedConfig:
         positions.append(xyz)
 
     total = sum(charges)
-    electrons = doc.get("electrons") or {}
+    electrons = {} if doc.get("electrons") is None else doc["electrons"]  # blank: none
     if not isinstance(electrons, dict):
         raise ConfigError("electrons", "must be a mapping")
     _reject_unknown(electrons, _ELECTRON_KEYS, "electrons")
@@ -254,7 +254,7 @@ def parse_config(config_text: str) -> LoadedConfig:
     if n_up + n_down < 1:
         raise ConfigError("electrons", "need at least one electron")
 
-    run = doc.get("run") or {}
+    run = {} if doc.get("run") is None else doc["run"]
     if not isinstance(run, dict):
         raise ConfigError("run", "must be a mapping")
     _reject_unknown(run, _RUN_KEYS, "run")
@@ -262,13 +262,13 @@ def parse_config(config_text: str) -> LoadedConfig:
     if not _is_int(seed) or seed < 0:
         raise ConfigError("run.seed", "must be a non-negative integer")
     potential = run.get("potential", "coulomb")
-    if potential not in _POTENTIALS:
+    if not isinstance(potential, str) or potential not in _POTENTIALS:
         raise ConfigError("run.potential", f"must be one of {sorted(_POTENTIALS)}")
 
     try:
         system = SystemSpec(nuclei_positions=np.array(positions), charges=np.array(charges),
                             n_up=n_up, n_down=n_down)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: a charge past int64
         raise ConfigError("system", str(e)) from e
     return LoadedConfig(system=system, run=RunSettings(seed=seed, potential=potential))
 

@@ -51,14 +51,10 @@ def estimate_energy(eloc: np.ndarray) -> EnergyStats:
     aggregates per-chain means instead when it reports final numbers.
     """
     eloc = np.asarray(eloc, dtype=np.float64)
-    valid = np.isfinite(eloc)
-    n = int(valid.sum())
-    if n == 0:
-        return EnergyStats(np.nan, np.nan, np.nan, 0, eloc.size)
-    e = eloc[valid]
-    mean = float(np.mean(e))
-    var = float(np.var(e, ddof=1)) if n > 1 else 0.0
-    return EnergyStats(mean, float(np.sqrt(var / n)), var, n, eloc.size)
+    e = eloc[np.isfinite(eloc)]
+    mean = float(np.mean(e)) if e.size else np.nan
+    var = float(np.var(e, ddof=1)) if e.size > 1 else np.nan  # unknown below two samples
+    return EnergyStats(mean, float(np.sqrt(var / max(e.size, 1))), var, e.size, eloc.size)
 
 
 def mad_clip(eloc: np.ndarray, width: float = 5.0) -> np.ndarray:
@@ -137,12 +133,12 @@ class Adam:
 
 
 def format_energy(mean: float, stderr: float) -> str:
-    """Value with a three-sigma parenthesis uncertainty, e.g. -7.477(8)."""
+    """Value with a three-sigma parenthesis uncertainty, e.g. -7.477(8); (?) if unknown."""
     if not np.isfinite(mean):
         return "nan"
     u = 3.0 * stderr
-    if not np.isfinite(u) or u <= 0:
-        return f"{mean:.6f}"
+    if not 0 < u < np.inf:
+        return f"{mean:.6f}" + ("" if u == 0 else "(?)")
     exponent = int(np.floor(np.log10(u)))
     digit = int(round(u / 10.0 ** exponent))
     if digit == 10:
@@ -262,8 +258,8 @@ class Checkpoint:
                 "sigma": float(z["sigma"]),
                 "step": int(z["step"]),
             }
-        except KeyError as err:
-            raise ValueError(f"not a readable checkpoint: {path} (no field {err})") from None
+        except (KeyError, TypeError) as err:  # a field missing, or not a scalar where one is
+            raise ValueError(f"not a readable checkpoint: {path} ({err!r})") from None
 
 
 def record_json(record: dict) -> str:
@@ -339,40 +335,42 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
 
     energies = []
     stats = EnergyStats(np.nan, np.nan, np.nan, 0, 0)
-    for it in range(start, settings.iters):
-        t0 = time.perf_counter()
-        rate = run_sweeps(ensemble, fn, settings.steps_per_iter, adapt=False)
-        breakdown = local_energy(fn, system, ensemble.positions,
-                                 potential=settings.potential)
-        eloc = breakdown.total
-        stats = estimate_energy(eloc)
-        if not np.isfinite(stats.mean) or stats.n_valid < max(1, eloc.size // 2):
-            raise RuntimeError(
-                f"training diverged at iteration {it}: "
-                f"{stats.n_valid}/{stats.n_total} finite local energies")
-        grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc)
-        theta = adam.step(theta, grad)
-        bound = wf.bind(theta)
-        # the chain samples |psi_theta|^2 only if its cached values are psi_theta's
-        sl = fn(ensemble.positions)
-        ensemble.logmag, ensemble.sign = sl.logmag, sl.sign
-        energies.append(stats.mean)
+    # an update that overflows is caught by the next iteration's divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(start, settings.iters):
+            t0 = time.perf_counter()
+            rate = run_sweeps(ensemble, fn, settings.steps_per_iter, adapt=False)
+            breakdown = local_energy(fn, system, ensemble.positions,
+                                     potential=settings.potential)
+            eloc = breakdown.total
+            stats = estimate_energy(eloc)
+            if not np.isfinite(stats.mean) or stats.n_valid < max(1, eloc.size // 2):
+                raise RuntimeError(
+                    f"training diverged at iteration {it}: "
+                    f"{stats.n_valid}/{stats.n_total} finite local energies")
+            grad, _ = energy_gradient(wf, theta, ensemble.positions, eloc)
+            theta = adam.step(theta, grad)
+            bound = wf.bind(theta)
+            # the chain samples |psi_theta|^2 only if its cached values are psi_theta's
+            sl = fn(ensemble.positions)
+            ensemble.logmag, ensemble.sign = sl.logmag, sl.sign
+            energies.append(stats.mean)
 
-        if out_dir is not None:
-            append_record(metrics, {
-                "iter": it, "energy": stats.mean, "stderr": stats.stderr,
-                "variance": stats.variance, "acceptance": rate, "sigma": ensemble.sigma,
-                "grad_norm": float(np.linalg.norm(grad)), "n_valid": stats.n_valid,
-                "seconds": round(time.perf_counter() - t0, 4)})
-        if log is not None and (it % 50 == 0 or it == settings.iters - 1):
-            log(f"iter {it:6d}  E = {format_energy(stats.mean, stats.stderr)}  "
-                f"acc = {rate:.2f}  sigma = {ensemble.sigma:.3f}")
-        is_last = it == settings.iters - 1
-        if out_dir is not None and (is_last or (settings.checkpoint_every
-                                                and (it + 1) % settings.checkpoint_every == 0)):
-            Checkpoint.save(out_dir / "checkpoints" / f"step-{it + 1:08d}.npz",
-                            wf=wf, theta=theta, adam=adam, ensemble=ensemble,
-                            next_iter=it + 1, fingerprint=fingerprint)
+            if out_dir is not None:
+                append_record(metrics, {
+                    "iter": it, "energy": stats.mean, "stderr": stats.stderr,
+                    "variance": stats.variance, "acceptance": rate, "sigma": ensemble.sigma,
+                    "grad_norm": float(np.linalg.norm(grad)), "n_valid": stats.n_valid,
+                    "seconds": round(time.perf_counter() - t0, 4)})
+            if log is not None and (it % 50 == 0 or it == settings.iters - 1):
+                log(f"iter {it:6d}  E = {format_energy(stats.mean, stats.stderr)}  "
+                    f"acc = {rate:.2f}  sigma = {ensemble.sigma:.3f}")
+            is_last = it == settings.iters - 1
+            if out_dir is not None and (is_last or (settings.checkpoint_every
+                                                    and (it + 1) % settings.checkpoint_every == 0)):
+                Checkpoint.save(out_dir / "checkpoints" / f"step-{it + 1:08d}.npz",
+                                wf=wf, theta=theta, adam=adam, ensemble=ensemble,
+                                next_iter=it + 1, fingerprint=fingerprint)
     return TrainResult(theta=theta, energies=energies, stats=stats)
 
 

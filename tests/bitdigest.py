@@ -2,11 +2,16 @@
 per trained system over the state of a short training run.
 
     PYTHONPATH=src python tests/bitdigest.py [NAME ...]
+    PYTHONPATH=src python tests/bitdigest.py --write
 
 NAME is a system (li, lih, b, h4_theta90, h_atom, h8) or train-li or
 train-lih; with none, all eight lines are printed. A change that claims to
-keep every bit prints the same lines before and after. Each model digest
-covers, at a fixed perturbed θ and fixed walkers:
+keep every bit prints the same lines before and after. `--write` records
+all eight in the ledger, tests/bits.json, under the running host's key
+(numpy's version and the BLAS kernel, see `host`), keeping other hosts'
+entries; tests/test_bits.py compares a fresh run with that entry. A change
+that accepts new bits regenerates it with this one command. Each model
+digest covers, at a fixed perturbed θ and fixed walkers:
 
 - the plain signed_log sign and logmag;
 - the Dual logmag's value, tangent lanes and Laplacian (curv);
@@ -31,6 +36,7 @@ on the numpy build and the BLAS kernel, so compare them on one host.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -46,7 +52,24 @@ from sortlet_vmc.geometry import load_system, parse_config
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SYSTEMS = ("li", "lih", "b", "h4_theta90", "h_atom", "h8")
 TRAINED = ("li", "lih")
+NAMES = (*SYSTEMS, *(f"train-{s}" for s in TRAINED))
 WALKERS = 7
+LEDGER = Path(__file__).resolve().parent / "bits.json"
+
+
+def host() -> str | None:
+    """The ledger key of this process: numpy's version and the kernel its
+    bundled OpenBLAS picked at run time (the wheels build it DYNAMIC_ARCH,
+    so one wheel runs different kernels on different CPUs). None where
+    numpy links another BLAS, whose kernel this cannot read."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return f"numpy {np.__version__}, OpenBLAS {corename().decode()}"
+    return None
 
 
 def h_chain(n: int, spacing: float = 1.8) -> str:
@@ -125,10 +148,24 @@ def train_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def line_digest(name: str) -> str:
+    return train_digest(name[len("train-"):]) if name.startswith("train-") else digest(name)
+
+
 def main(argv) -> int:
-    for name in argv or [*SYSTEMS, *(f"train-{s}" for s in TRAINED)]:
-        value = train_digest(name[len("train-"):]) if name.startswith("train-") else digest(name)
-        print(f"{name:<11} {value}")
+    if argv == ["--write"]:
+        key = host()
+        if key is None:
+            print("error: numpy links no bundled OpenBLAS; this host has no ledger key",
+                  file=sys.stderr)
+            return 2
+        ledger = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+        ledger[key] = {name: line_digest(name) for name in NAMES}
+        LEDGER.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {key} to {LEDGER}")
+        return 0
+    for name in argv or NAMES:
+        print(f"{name:<11} {line_digest(name)}")
     return 0
 
 

@@ -243,15 +243,6 @@ def test_vandermonde_matches_brute_product(s):
         np.testing.assert_allclose(sl.logmag[0], np.log(np.abs(prod)), rtol=1e-10)
 
 
-def test_vandermonde_blocking_is_consistent():
-    rng = np.random.default_rng(2)
-    s = rng.normal(size=(3, 50))
-    a = vandermonde_logs(s, block=7)
-    b = vandermonde_logs(s, block=1024)
-    np.testing.assert_allclose(a.logmag, b.logmag, rtol=1e-12)
-    np.testing.assert_array_equal(a.sign, b.sign)
-
-
 def test_mix_signed_logs_hand_example():
     signs = np.array([[1, -1, 1]])
     logmags = np.array([[0.0, 1.0, 2.0]])

@@ -33,6 +33,17 @@ def h_config(tmp_path):
     return p
 
 
+def refused(argv, capsys) -> str:
+    """main(argv) refuses its input: SystemExit(2) and one stderr line,
+    starting `error:`, which is returned."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    return err
+
+
 def train_args(h_config, out, extra=()):
     return ["train", str(h_config), "--iters", "4", "--walkers", "8",
             "--burn-in", "10", "--sortlets", "1", "--checkpoint-every", "2",
@@ -167,21 +178,41 @@ def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
     assert len(rec1) == 3 and rec1 == rec2
 
 
-def test_threads_flag_rejects_nonpositive(h_config, tmp_path):
-    assert main(["--threads", "0", "probe", "variational", str(h_config),
-                 "--out", str(tmp_path / "runs")]) == 2
+def test_threads_flag_rejects_nonpositive(h_config, tmp_path, capsys):
+    out = tmp_path / "runs"
+    err = refused(["--threads", "0", "probe", "variational", str(h_config),
+                   "--out", str(out)], capsys)
+    assert err.startswith("error: --threads 0:")
+    assert not out.exists()
 
 
-def test_missing_config_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit, match="no such config"):
-        main(["probe", "variational", str(tmp_path / "absent.yaml")])
+def test_missing_config_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "absent.yaml"
+    err = refused(["probe", "variational", str(config), "--out", str(tmp_path / "runs")],
+                  capsys)
+    assert f"bad config {config}: No such file or directory" in err
+    assert not (tmp_path / "runs").exists()
 
 
-def test_malformed_config_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_a_config_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, kind):
+    config = tmp_path / "config.yaml"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(H_CFG.encode().replace(b"element: H", b"element: \xff"))
+    err = refused(["probe", "variational", str(config), "--out", str(tmp_path / "runs")],
+                  capsys)
+    assert str(config) in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_malformed_config_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("system:\n  nuclei: []\n")
-    with pytest.raises(SystemExit, match="bad config"):
-        main(["probe", "variational", str(p)])
+    err = refused(["probe", "variational", str(p), "--out", str(tmp_path / "runs")], capsys)
+    assert f"bad config {p}: system.nuclei:" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_probe_kind_rejected_by_parser(h_config):
@@ -317,24 +348,27 @@ NODES_ONLY = [(kind, flag) for kind in ("antisymmetry", "smoothness", "variation
               for flag in ("--single-sortlet", "--vandermonde")]
 
 
-@pytest.mark.parametrize("argv, refused", [
+@pytest.mark.parametrize("argv, flag", [
     *(((*argv, "--sortlets", "3"), "--sortlets 3") for argv in (
         ("nodes", "--single-sortlet"), ("nodes", "--vandermonde"), ("smoothness",),
         ("variational",), ("gradcheck",))),
     *((argv, argv[1]) for argv in NODES_ONLY),
+    (("gradcheck", "--seed", "1"), "--seed 1"),
+    (("gradcheck", "--trials", "2"), "--trials 2"),
 ], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness", "variational", "gradcheck",
-        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY)])
-def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, refused):
-    """A probe that evaluates one head, or no ansatz, refuses even an
-    in-range --sortlets instead of ignoring it, and every probe but nodes
-    refuses nodes' --single-sortlet and --vandermonde: one error line and
-    exit 2 before the config is read (it does not exist here), no report."""
+        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY),
+        "gradcheck_seed", "gradcheck_trials"])
+def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, flag):
+    """A probe refuses each flag it does not read instead of ignoring it
+    (cli.PROBE_FLAGS): one that evaluates one head, or no ansatz, refuses
+    even an in-range --sortlets, every probe but nodes refuses nodes'
+    --single-sortlet and --vandermonde, and gradcheck, which draws nothing
+    at random, refuses --seed and --trials. One error line and exit 2
+    before the config is read (it does not exist here), no report."""
     out = tmp_path / "runs"
-    with pytest.raises(SystemExit) as exit_:
-        main(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:], "--out", str(out)])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {refused}:") and len(err.splitlines()) == 1
+    err = refused(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:],
+                   "--out", str(out)], capsys)
+    assert err.startswith(f"error: {flag}:")
     assert not out.exists()
 
 
@@ -342,9 +376,8 @@ def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, refuse
 def test_exchange_probes_refuse_a_system_without_a_same_spin_pair(h_config, tmp_path, capsys,
                                                                  kind):
     out = tmp_path / "runs"
-    assert main(["probe", kind, str(h_config), "--trials", "4", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: probe {kind}:") and len(err.splitlines()) == 1
+    err = refused(["probe", kind, str(h_config), "--trials", "4", "--out", str(out)], capsys)
+    assert err.startswith(f"error: probe {kind}:")
     assert "same spin" in err or "spin sector" in err
     assert not out.exists()
 
@@ -353,8 +386,8 @@ def test_exchange_probes_refuse_a_system_without_a_same_spin_pair(h_config, tmp_
                                   "gradcheck"])
 def test_every_probe_kind_reports_one_json_line_on_a_shipped_config(tmp_path, capsys, kind):
     out = tmp_path / "runs"
-    assert main(["probe", kind, str(CONFIGS / "li.yaml"), "--trials", "5",
-                 "--out", str(out)]) == 0
+    trials = [] if kind == "gradcheck" else ["--trials", "5"]  # gradcheck reads no trials
+    assert main(["probe", kind, str(CONFIGS / "li.yaml"), *trials, "--out", str(out)]) == 0
     (report,) = out.glob(f"run-*/report-{kind}.txt")
     (line,) = report.read_text().splitlines()
     assert json.loads(line)["passed"] is True
@@ -381,9 +414,7 @@ def test_a_fresh_run_into_a_directory_with_a_checkpoint_is_refused(h_config, tmp
     (run_dir,) = out.glob("run-*")
     before = tree(run_dir)
     capsys.readouterr()
-    assert main(train_args(h_config, out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    err = refused(train_args(h_config, out), capsys)
     assert f"--resume {run_dir / 'checkpoints' / 'step-00000004.npz'}" in err
     assert tree(run_dir) == before
 
@@ -484,6 +515,38 @@ def test_an_evaluate_of_one_walker_reports_its_stderr_as_null(h_config, tmp_path
     (line,) = (ckpt.parent.parent / "report-evaluate.txt").read_text().splitlines()
     record = strict_json(line)
     assert record["stderr"] is None and np.isfinite(record["energy"])
+
+
+def test_one_walker_reports_its_uncertainty_as_unknown(h_config, tmp_path, capsys):
+    """One sample has no spread: a one-walker train records stderr and
+    variance as null and logs the energy with (?), and a one-chain evaluate
+    prints and records it with (?)."""
+    out = tmp_path / "runs"
+    assert main(train_args(h_config, out, extra=["--walkers", "1"])) == 0
+    (run_dir,) = out.glob("run-*")
+    for record in map(strict_json, (run_dir / "metrics.ndjson").read_text().splitlines()):
+        assert record["stderr"] is None and record["variance"] is None
+    assert "(?)  acc" in capsys.readouterr().out
+    ckpt = run_dir / "checkpoints" / "step-00000004.npz"
+    assert main(["evaluate", str(h_config), str(ckpt), "--sortlets", "1", "--walkers", "1",
+                 "--estimates", "3", "--equilibration", "5", "--out", str(out)]) == 0
+    assert "(?) Ha  (1 chains x 3 estimates)" in capsys.readouterr().out
+    (line,) = (run_dir / "report-evaluate.txt").read_text().splitlines()
+    assert strict_json(line)["formatted"].endswith("(?)")
+
+
+@pytest.mark.parametrize("iters, code", [(1, 0), (3, 1)])
+def test_an_overflowing_update_ends_without_a_warning(tmp_path, capsys, iters, code):
+    """At --lr 1e300 the first Adam step overflows θ. The run ends as it
+    would without the overflow (one iteration: exit 0; three: the second
+    diverges, one error line, exit 1), and numpy warns of nothing on the
+    way (warnings are errors under this suite)."""
+    argv = ["train", str(CONFIGS / "li.yaml"), "--lr", "1e300", "--iters", str(iters),
+            "--walkers", "4", "--burn-in", "1", "--out", str(tmp_path / "runs")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: training diverged at iteration 1: 0/4 finite local energies\n"
 
 
 def test_a_smoothness_probe_without_single_ties_reports_null(tmp_path, capsys, monkeypatch):

@@ -95,10 +95,17 @@ run:
     (H_CFG + "run:\n  seed: true\n", "seed"),
     (H_CFG + "electrons:\n  n_up: true\n  n_down: false\n", "n_up"),
     (H_CFG + "electrons:\n  n_up: 1\n  n_down: false\n", "n_down"),
+    ("system:\n  nuclei:\n    - element: [H]\n      xyz: [0,0,0]\n", "element"),
+    (H_CFG + "electrons: false\n", "electrons"),
+    (H_CFG + "run: []\n", "run"),
+    (H_CFG + "run:\n  potential: {coulomb: 1}\n", "potential"),
+    ("system:\n  nuclei:\n    - charge: 100000000000000000000\n      xyz: [0,0,0]\n"
+     "electrons:\n  n_up: 1\n  n_down: 0\n", "system"),
 ], ids=["bad-element", "short-xyz", "element-and-charge", "unknown-nucleus-key",
         "negative-seed", "unknown-potential", "half-override", "unknown-top-key",
         "missing-nuclei", "non-mapping", "bool-charge", "bool-xyz", "bool-seed",
-        "bool-n_up", "bool-n_down"])
+        "bool-n_up", "bool-n_down", "list-element", "bool-electrons", "list-run",
+        "mapping-potential", "charge-past-int64"])
 def test_rejects_bad_configs(snippet, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(snippet)

@@ -60,6 +60,13 @@ def test_estimate_energy_no_valid_entries():
     assert np.isnan(s.mean) and s.n_valid == 0
 
 
+def test_estimate_energy_of_one_sample_has_an_unknown_spread():
+    s = estimate_energy(np.array([1.5, np.nan]))
+    assert s.mean == 1.5 and s.n_valid == 1
+    assert np.isnan(s.stderr) and np.isnan(s.variance)
+    assert estimate_energy(np.array([1.5, 1.5])).stderr == 0.0
+
+
 def test_mad_clip_hand_case():
     e = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
     # median 3, MAD 1 -> window [-2, 8]
@@ -198,6 +205,7 @@ def test_adam_state_roundtrip_is_bitwise():
     (-0.5, 0.0, "-0.500000"),
     (-0.5, 0.0033, "-0.50(1)"),
     (float("nan"), 1.0, "nan"),
+    (1.859392, float("nan"), "1.859392(?)"),
 ])
 def test_format_energy(mean, stderr, expect):
     assert format_energy(mean, stderr) == expect
@@ -352,7 +360,7 @@ def test_checkpoint_refuses_an_older_format(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["text", "bare_array", "object_array", "field_missing",
-                                    "file_missing"])
+                                    "file_missing", "format_not_a_scalar"])
 def test_checkpoint_that_is_not_an_archive_of_its_fields_is_refused(tmp_path, damage):
     settings = smoke_settings(iters=3)
     train(small_wf(), settings, out_dir=tmp_path)
@@ -368,6 +376,8 @@ def test_checkpoint_that_is_not_an_archive_of_its_fields_is_refused(tmp_path, da
         np.savez(ckpt, **dict(arrays, theta=np.array([None], dtype=object)))
     elif damage == "file_missing":
         ckpt.unlink()
+    elif damage == "format_not_a_scalar":
+        np.savez(ckpt, **dict(arrays, format=np.arange(3)))
     else:
         del arrays["theta"]
         np.savez(ckpt, **arrays)
