@@ -1,7 +1,7 @@
 """Variational Monte Carlo with a sorting-based antisymmetric ansatz.
 
-Submodules load lazily so the command-line front end can pin BLAS thread
-counts through the environment before numpy comes in.
+Importing the package loads no submodule, so the command-line front end
+can pin BLAS thread counts through the environment before numpy comes in.
 
 Importing the package calls glibc's `mallopt` once (through ctypes, without
 numpy): M_MMAP_THRESHOLD = 32 MiB and M_TRIM_THRESHOLD = 128 MiB. Blocks up
@@ -12,19 +12,8 @@ glibc it is skipped.
 """
 
 import ctypes
-import importlib
 
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "ElectronConfiguration": "geometry",
-    "SystemSpec": "geometry",
-    "load_system": "geometry",
-    "transpose_electrons": "geometry",
-    "SortletWavefunction": "ansatz",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h>
 
@@ -41,15 +30,3 @@ def _keep_freed_memory() -> bool:
 
 HEAP_KEPT = _keep_freed_memory()
 
-
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

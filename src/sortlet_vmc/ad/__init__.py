@@ -69,9 +69,10 @@ statistics over walkers. A test scans the package for any other. The
 sort behind sort_parity is Batcher's odd-even merge network of
 elementwise minimum/maximum passes, which also counts the parity of its
 swaps, for rows of up to NETWORK_MAX finite keys; longer rows, or any
-NaN or infinity, take np.sort and score_parity. Invariance under
-electron relabeling is not an op's job: the model evaluates every walker
-with its electrons in one canonical order (`ansatz.canonical_order`).
+NaN or infinity, take a gather by the stable argsort and score_parity.
+Invariance under electron relabeling is not an op's job: the model
+evaluates every walker with its electrons in one canonical order
+(`ansatz.canonical_order`).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
@@ -199,9 +200,9 @@ take_along = _dispatch(
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 
 
-# rows of more keys take np.sort and score_parity. The network costs a few
+# rows of more keys take _sort_parity's fallback. The network costs a few
 # numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16 it
-# takes 215 against 338 us for np.sort plus the pair parity on 1024 rows,
+# took 215 against 338 us for np.sort plus the pair parity on 1024 rows,
 # but 133 against 40 us on 16 rows, a gap that widens with N
 NETWORK_MAX = 16
 
@@ -275,14 +276,15 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     signs in one row may trade places, and each row stays a permutation of
     its own bits. The parity is exact on every row without a tie; a finite
     tie leaves a zero gap, so the sortlet never reads its parity. Longer
-    rows take np.sort and score_parity, and so does any input holding a
-    NaN (which minimum and maximum would copy into both slots) or an
-    infinity (two equal ones leave a NaN gap, not a zero one, and the
-    sortlet then reads score_parity's sign of the tie)."""
+    rows take score_parity and the values gathered by the stable argsort,
+    each row's own bits as the Dual and Var engines gather them, and so
+    does any input holding a NaN (which minimum and maximum would copy into
+    both slots) or an infinity (two equal ones leave a NaN gap, not a zero
+    one, and the sortlet then reads score_parity's sign of the tie)."""
     n = vals.shape[-1]
     v = np.array(np.moveaxis(vals, -1, 0), order="C")  # a copy, never a view of vals
     if n > NETWORK_MAX or not np.isfinite(v).all():
-        return np.moveaxis(np.sort(vals, axis=-1), -1, 0), score_parity(vals)
+        return np.ravel(vals)[_ranked_index(vals)], score_parity(vals)
     rows = list(v)
     odd = np.zeros(v.shape[1:], dtype=bool)
     swap, spare = np.empty_like(odd), np.empty_like(rows[0])
@@ -315,8 +317,8 @@ sort_parity.__doc__ = """(sorted, parity): the ascending sort along the last axi
 first, shape (N,) + x.shape[:-1], and the sort's parity from _sort_parity
 on the values, shape x.shape[:-1]. Plain arrays take _sort_parity itself;
 a Dual or Var gathers each entry once by the stable argsort. The values
-are the same floats in every engine; zeros of both signs may come out in
-either order."""
+are the same floats in every engine, each row a permutation of its own
+bits; only the network may put zeros of both signs in another order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)

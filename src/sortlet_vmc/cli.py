@@ -15,7 +15,7 @@ JSON record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./ru
 Every refusal of input raises UsageError, which `main` alone prints as one
 `error:` line before it exits 2, with nothing written; argparse's refusals
 exit 2 too. A run that fails (a checkpoint that cannot be loaded or does not
-fit, a diverged training) prints one `error:` line and exits 1.
+fit, a diverged training, a probe short of paths) prints one `error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -230,6 +230,9 @@ def cmd_probe(args) -> int:
             report = probes.toy_gradient_check()
     except ValueError as err:  # an exchange probe on a system with no same-spin pair
         raise UsageError(f"probe {args.kind}: {err}")
+    except RuntimeError as err:  # a run failure: too few off-node paths
+        print(f"error: probe {args.kind}: {err}", file=sys.stderr)
+        return 1
     append_record(run_dir / f"report-{args.kind}.txt", report)
     passed = bool(report.get("passed", False))
     summary = {k: v for k, v in report.items()

@@ -1,12 +1,13 @@
-"""Molecular systems, electron configurations, and config-file ingestion.
+"""Molecular systems, the electron exchange, and config-file ingestion.
 
 All quantities are in Hartree atomic units (lengths in Bohr, energies in
-Hartree). Electron identity is positional: exchanging two electrons swaps
-their position rows, never their spin tags.
+Hartree). A configuration is a (..., N, 3) position array whose spins are
+its SystemSpec's: exchanging two electrons swaps position rows, never spins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,6 +67,10 @@ class SystemSpec:
             for j in range(i + 1, len(pos)):
                 if np.array_equal(pos[i], pos[j]):
                     raise ValueError(f"nuclei {i} and {j} coincide")
+                square = sum((a - b) * (a - b) for a, b in zip(*pos[[i, j]].tolist()))
+                if not math.isfinite(square):  # the model squares every distance
+                    raise ValueError(f"nuclei {i} and {j} are too far apart: "
+                                     "their squared distance overflows")
         if self.n_up < 0 or self.n_down < 0 or self.n_up + self.n_down < 1:
             raise ValueError("need n_up + n_down >= 1 electrons")
 
@@ -117,41 +122,18 @@ class SystemSpec:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ElectronConfiguration:
-    """One point in R^{3N} with per-electron spin tags."""
-
-    positions: np.ndarray
-    spins: np.ndarray
-
-    def __post_init__(self):
-        pos = _frozen(np.atleast_2d(self.positions))
-        spins = np.array(self.spins, dtype=np.int64)
-        spins.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "spins", spins)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions must be (N, 3)")
-        if len(spins) != len(pos):
-            raise ValueError("spins must have one entry per electron")
-        if not np.all(np.isin(spins, (-1, 1))):
-            raise ValueError("spins must be +1 or -1")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-
-    @property
-    def n_electrons(self) -> int:
-        return len(self.spins)
-
-
-def transpose_electrons(c: ElectronConfiguration, i: int, j: int) -> ElectronConfiguration:
-    """Swap the positions of electrons i and j; spin tags stay put."""
-    n = c.n_electrons
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"electron index out of range: ({i}, {j}) for N={n}")
-    pos = c.positions.copy()
-    pos[[i, j]] = pos[[j, i]]
-    return ElectronConfiguration(positions=pos, spins=c.spins)
+def transpose_electrons(positions, i, j) -> np.ndarray:
+    """A copy of positions, (..., N, 3), with electrons i and j exchanged;
+    spins belong to the slots, so they stay put. Integers i and j exchange
+    one pair in every configuration; index arrays of shape (B,) exchange the
+    pair (i[b], j[b]) in row b of a (B, N, 3) batch."""
+    out = np.array(positions, dtype=np.float64)
+    ij = np.stack(np.broadcast_arrays(i, j), axis=-1)
+    if np.any((ij < 0) | (ij >= out.shape[-2])):
+        raise IndexError(f"electron index out of range for N={out.shape[-2]}")
+    rows = np.arange(len(out))[:, None] if ij.ndim == 2 else Ellipsis
+    out[rows, ij, :] = out[rows, ij[..., ::-1], :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +193,10 @@ def _parse_nucleus(entry, idx: int):
     if not (isinstance(xyz, (list, tuple)) and len(xyz) == 3
             and all(_is_int(v) or isinstance(v, float) for v in xyz)):
         raise ConfigError(f"{path}.xyz", "xyz must be a list of 3 numbers (Bohr)")
-    return charge, [float(v) for v in xyz]
+    try:
+        return charge, [float(v) for v in xyz]
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{path}.xyz", "coordinates must fit a float (Bohr)") from None
 
 
 def parse_config(config_text: str) -> LoadedConfig:

@@ -18,7 +18,7 @@ import numpy as np
 from . import ad, backbone
 from .ad.fd import derivative_one_sided, grad_central
 from .ansatz import SignedLog, SortletWavefunction, vandermonde_logs
-from .geometry import ElectronConfiguration, SystemSpec, transpose_electrons
+from .geometry import SystemSpec, transpose_electrons
 from .hamiltonian import local_energy
 from .optimizer import energy_gradient
 from .sampler import electron_homes
@@ -54,14 +54,6 @@ def _random_same_spin_pairs(system: SystemSpec, trials: int, rng):
     return i, j
 
 
-def _swap_rows(positions: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    out = positions.copy()
-    t = np.arange(positions.shape[0])
-    out[t, i] = positions[t, j]
-    out[t, j] = positions[t, i]
-    return out
-
-
 def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
     """Exact sign flip under random same-spin transpositions at wf.theta0, batched.
 
@@ -74,7 +66,7 @@ def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
     pos = _random_configs(system, trials, rng)
     i, j = _random_same_spin_pairs(system, trials, rng)
     sl = wf.signed_log(bound, pos)
-    sw = wf.signed_log(bound, _swap_rows(pos, i, j))
+    sw = wf.signed_log(bound, transpose_electrons(pos, i, j))
 
     live = (sl.sign != 0) & (sw.sign != 0)
     sign_bad = np.flatnonzero(sw.sign != -sl.sign)
@@ -97,16 +89,14 @@ def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
     vdm = _initial_signed_log(system, "vandermonde", seed)
     n_v = min(trials, 100)
     vs = vdm(pos[:n_v])
-    vw = vdm(_swap_rows(pos[:n_v], i[:n_v], j[:n_v]))
+    vw = vdm(transpose_electrons(pos[:n_v], i[:n_v], j[:n_v]))
     report["vandermonde_sign_flips"] = bool(np.all(vw.sign == -vs.sign))
     report["passed"] = report["passed"] and report["vandermonde_sign_flips"]
 
     # control: opposite-spin swaps have no fixed sign relation
     up, dn = system.sectors
     if up.size and dn.size:
-        io = np.full(n_v, up[0])
-        jo = np.full(n_v, dn[0])
-        so = wf.signed_log(bound, _swap_rows(pos[:n_v], io, jo))
+        so = wf.signed_log(bound, transpose_electrons(pos[:n_v], up[0], dn[0]))
         report["opposite_spin_flip_fraction"] = float(
             np.mean(so.sign == -sl.sign[:n_v]))
     return report
@@ -150,30 +140,29 @@ def _sign_changes(signs: np.ndarray):
     return zeros, flips
 
 
-def node_crossing_probe(signed_log_fn, config: ElectronConfiguration, i: int, j: int,
-                        resolution: int = 200, tol: float = 1e-10) -> dict:
-    """Locate sign changes of the wavefunction along one exchange path.
+def node_crossing_probe(signed_log_fn, system: SystemSpec, positions: np.ndarray, i: int,
+                        j: int, resolution: int = 200, tol: float = 1e-10) -> dict:
+    """Locate sign changes of the wavefunction along the (i j) exchange path.
 
     The endpoints are each other's transposition, so an odd number of
     crossings must exist whenever the endpoints are off the node.
     """
     if i == j:
         raise ValueError("exchange pair must be two distinct electrons")
-    if config.spins[i] != config.spins[j]:
+    if system.spins[i] != system.spins[j]:
         raise ValueError("exchange pair must share spin")
     if resolution < 100:
         raise ValueError("resolution must be at least 100 path samples")
-    base = config.positions
-    target = transpose_electrons(config, i, j).positions
+    target = transpose_electrons(positions, i, j)
     ts = np.linspace(0.0, 1.0, resolution + 1)
-    signs = np.asarray(signed_log_fn(_path_positions(base, target, ts)).sign)
+    signs = np.asarray(signed_log_fn(_path_positions(positions, target, ts)).sign)
     if signs[0] == 0 or signs[-1] == 0:
         raise ValueError("path endpoint lies on a node")
 
     zeros, flips = _sign_changes(signs)
     locations = [(float(ts[k]), float(ts[k])) for k in zeros]
     if flips.size:
-        lo, hi = _bisect_sign_change(signed_log_fn, base, target,
+        lo, hi = _bisect_sign_change(signed_log_fn, positions, target,
                                      ts[flips - 1], ts[flips], signs[flips - 1], tol)
         locations.extend(zip(lo.tolist(), hi.tolist()))
     locations.sort()
@@ -181,25 +170,18 @@ def node_crossing_probe(signed_log_fn, config: ElectronConfiguration, i: int, j:
             "max_width": max((b - a for a, b in locations), default=0.0)}
 
 
-def _three_cycle_target(positions: np.ndarray, triple) -> np.ndarray:
-    i, j, k = triple
-    out = positions.copy()
-    out[i], out[j], out[k] = positions[j], positions[k], positions[i]
-    return out
-
-
 def _exchange_paths(system: SystemSpec, fn, rng, attempts: int, resolution: int,
                     tol: float):
-    """(config, i, j, crossings) along random same-spin exchange paths, from
+    """(positions, i, j, crossings) along random same-spin exchange paths, from
     at most `attempts` draws; a path with an endpoint on a node is skipped."""
     for _ in range(attempts):
-        config = ElectronConfiguration(_random_configs(system, 1, rng)[0], system.spins)
+        pos = _random_configs(system, 1, rng)[0]
         i, j = (int(k[0]) for k in _random_same_spin_pairs(system, 1, rng))
         try:
-            result = node_crossing_probe(fn, config, i, j, resolution=resolution, tol=tol)
+            result = node_crossing_probe(fn, system, pos, i, j, resolution=resolution, tol=tol)
         except ValueError:
             continue
-        yield config, i, j, result
+        yield pos, i, j, result
 
 
 def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: int = 100,
@@ -243,8 +225,9 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
             ts = np.linspace(0.0, 1.0, resolution + 1)
             for _ in range(min(n_paths, 25)):
                 pos = _random_configs(system, 1, rng)[0]
-                triple = rng.choice(sectors[0], size=3, replace=False)
-                path = _path_positions(pos, _three_cycle_target(pos, triple), ts)
+                a, b, c = rng.choice(sectors[0], size=3, replace=False)
+                target = transpose_electrons(transpose_electrons(pos, a, b), b, c)  # (a b c)
+                path = _path_positions(pos, target, ts)
                 cyc_counts.append(sum(k.size for k in _sign_changes(np.asarray(fn(path).sign))))
             report["three_cycle_crossing_counts"] = cyc_counts
     return report
@@ -303,8 +286,8 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> 
 
     single = []
     clearance_needed = 5.0 * max(_H_SWEEP)
-    for config, i, j, result in _exchange_paths(system, fn, rng, 50 * trials,
-                                                resolution=1000, tol=1e-12):
+    for pos, i, j, result in _exchange_paths(system, fn, rng, 50 * trials,
+                                             resolution=1000, tol=1e-12):
         # the widest stencil must not straddle a neighboring crossing; skip
         # the coincidence at t = 1/2, where the path is odd by symmetry and
         # one-sided derivatives agree vacuously
@@ -318,9 +301,9 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> 
                 best_t, best_clear = t, clear
         if best_t is None:
             continue
-        target = transpose_electrons(config, i, j).positions
+        target = transpose_electrons(pos, i, j)
         best = _one_sided_agreement(
-            lambda t: float(fn(_path_positions(config.positions, target, [t])).value()[0]),
+            lambda t: float(fn(_path_positions(pos, target, [t])).value()[0]),
             best_t)
         best["t"] = best_t
         single.append(best)

@@ -12,12 +12,7 @@ from sortlet_vmc import ad
 from sortlet_vmc.ad.contract import _matrices, shaped_plan
 from sortlet_vmc.ansatz import SignedLog, sortlet_logs, vandermonde_logs
 from sortlet_vmc.backbone import FEATURE_EPS
-from sortlet_vmc.geometry import (
-    BOHR_PER_ANGSTROM,
-    ElectronConfiguration,
-    SystemSpec,
-    transpose_electrons,
-)
+from sortlet_vmc.geometry import BOHR_PER_ANGSTROM, SystemSpec, transpose_electrons
 
 
 def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
@@ -168,19 +163,17 @@ def take_along_vjp_add_at(shape, idx, axis, g) -> np.ndarray:
     return z
 
 
-def exchange_path(c: ElectronConfiguration, i: int, j: int, t: float) -> ElectronConfiguration:
-    """Linear path from c at t=0 to the (i j)-transposed configuration at t=1.
+def exchange_path(system: SystemSpec, positions: np.ndarray, i: int, j: int,
+                  t: float) -> np.ndarray:
+    """Linear path from positions, (N, 3), at t=0 to the (i j)-transposed
+    configuration at t=1.
 
-    Only defined for same-spin pairs; at t=0.5 the two electrons coincide.
+    Only defined for same-spin pairs of the system; at t=0.5 the two
+    electrons coincide.
     """
-    n = c.n_electrons
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"electron index out of range: ({i}, {j}) for N={n}")
-    if c.spins[i] != c.spins[j]:
+    if system.spins[i] != system.spins[j]:
         raise ValueError(f"electrons {i} and {j} have different spins")
-    swapped = transpose_electrons(c, i, j)
-    pos = (1.0 - t) * c.positions + t * swapped.positions
-    return ElectronConfiguration(positions=pos, spins=c.spins)
+    return (1.0 - t) * positions + t * transpose_electrons(positions, i, j)
 
 
 def h4_rectangle(theta_deg: float, radius: float = 1.738 * BOHR_PER_ANGSTROM) -> SystemSpec:

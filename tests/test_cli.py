@@ -131,6 +131,15 @@ def test_threads_flag_pins_blas_pools(h_config, tmp_path, monkeypatch):
         assert os.environ[var] == "3"
 
 
+def test_importing_the_cli_loads_no_numpy():
+    """--threads pins BLAS through the environment, which works only if
+    numpy loads after it: importing the package and the CLI must not load it."""
+    code = "import sys, sortlet_vmc, sortlet_vmc.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=cli_env(), check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout == "False\n"
+
+
 def cli_env():
     """The environment of a `python -m sortlet_vmc.cli` child: this package first."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -213,6 +222,26 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys):
     err = refused(["probe", "variational", str(p), "--out", str(tmp_path / "runs")], capsys)
     assert f"bad config {p}: system.nuclei:" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("xyz, reason", [
+    ("[" + "9" * 401 + ", 0, 0]", "system.nuclei[1].xyz: coordinates must fit a float"),
+    ("[1.0e+200, 0, 0]", "system: nuclei 0 and 1 are too far apart"),
+], ids=["integer-past-the-float-range", "squared-distance-past-the-float-range"])
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_coordinates_past_the_float_range_are_a_bad_config(tmp_path, capsys, xyz, reason,
+                                                           command):
+    """A coordinate no float holds, or two nuclei whose squared distance
+    overflows, is refused as a bad config before any work: one error line,
+    exit 2, no run directory and no warning (warnings are errors here)."""
+    p = tmp_path / "far.yaml"
+    p.write_text(H_CFG.replace("run:", f"    - element: H\n      xyz: {xyz}\nrun:"))
+    out = tmp_path / "runs"
+    argv = (train_args(p, out) if command == "train"
+            else ["probe", "variational", str(p), "--trials", "10", "--out", str(out)])
+    err = refused(argv, capsys)
+    assert err.startswith(f"error: bad config {p}: {reason}")
+    assert not out.exists()
 
 
 def test_unknown_probe_kind_rejected_by_parser(h_config):
@@ -563,6 +592,20 @@ def test_a_smoothness_probe_without_single_ties_reports_null(tmp_path, capsys, m
     summary = capsys.readouterr().out.splitlines()[0]
     for record in (strict_json(line), strict_json(summary)):
         assert record["single_tie_trials"] == 0 and record["worst_one_sided_rel"] is None
+
+
+def test_a_nodes_probe_without_enough_paths_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    """With no off-node exchange path drawn, probe nodes prints one error
+    line and exits 1, and writes no report."""
+    from sortlet_vmc import probes
+
+    monkeypatch.setattr(probes, "_exchange_paths", lambda *args, **kwargs: iter(()))
+    out = tmp_path / "runs"
+    assert main(["probe", "nodes", str(CONFIGS / "li.yaml"), "--trials", "1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: probe nodes: could not draw enough off-node paths\n"
+    assert captured.out == "" and not list(out.glob("run-*/report-*"))
 
 
 @pytest.mark.parametrize("argv", [

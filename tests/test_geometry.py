@@ -9,7 +9,6 @@ from oracles import exchange_path, h4_rectangle
 from sortlet_vmc.geometry import (
     BOHR_PER_ANGSTROM,
     ConfigError,
-    ElectronConfiguration,
     SystemSpec,
     load_system,
     parse_config,
@@ -137,50 +136,55 @@ def test_h4_geometry_square():
 
 
 def test_transpose_swaps_positions_not_spins():
-    sys = load_system(LI_CFG)
+    """Spins belong to the slots, so only position rows move, in a copy."""
     pos = np.arange(9, dtype=float).reshape(3, 3)
-    c = ElectronConfiguration(pos, sys.spins)
-    c2 = transpose_electrons(c, 0, 2)
-    assert c2.spins.tolist() == c.spins.tolist()
-    np.testing.assert_array_equal(c2.positions[0], pos[2])
-    np.testing.assert_array_equal(c2.positions[2], pos[0])
-    np.testing.assert_array_equal(c2.positions[1], pos[1])
+    before = pos.copy()
+    swapped = transpose_electrons(pos, 0, 2)
+    np.testing.assert_array_equal(swapped[0], pos[2])
+    np.testing.assert_array_equal(swapped[2], pos[0])
+    np.testing.assert_array_equal(swapped[1], pos[1])
+    np.testing.assert_array_equal(pos, before)
+    with pytest.raises(IndexError):
+        transpose_electrons(pos, 0, 3)
 
 
 def test_transpose_is_an_involution():
-    sys = load_system(LI_CFG)
     rng = np.random.default_rng(0)
-    c = ElectronConfiguration(rng.normal(size=(3, 3)), sys.spins)
-    back = transpose_electrons(transpose_electrons(c, 0, 1), 0, 1)
-    np.testing.assert_array_equal(back.positions, c.positions)
+    pos = rng.normal(size=(3, 3))
+    back = transpose_electrons(transpose_electrons(pos, 0, 1), 0, 1)
+    np.testing.assert_array_equal(back, pos)
+
+
+def test_transpose_per_row_matches_one_configuration_at_a_time():
+    """Index arrays of shape (B,) exchange one pair per row of a batch, the
+    same bits as exchanging each row's pair alone; integers exchange the same
+    pair in every row."""
+    rng = np.random.default_rng(4)
+    pos = rng.normal(size=(20, 5, 3))
+    i, j = rng.integers(0, 5, size=(2, 20))
+    want = np.stack([transpose_electrons(p, a, b) for p, a, b in zip(pos, i, j)])
+    assert transpose_electrons(pos, i, j).tobytes() == want.tobytes()
+    want = np.stack([transpose_electrons(p, 1, 3) for p in pos])
+    assert transpose_electrons(pos, 1, 3).tobytes() == want.tobytes()
 
 
 def test_exchange_path_endpoints_and_midpoint():
     sys = load_system(LI_CFG)
     rng = np.random.default_rng(1)
-    c = ElectronConfiguration(rng.normal(size=(3, 3)), sys.spins)
-    start = exchange_path(c, 0, 1, 0.0)
-    end = exchange_path(c, 0, 1, 1.0)
-    mid = exchange_path(c, 0, 1, 0.5)
-    np.testing.assert_array_equal(start.positions, c.positions)
-    np.testing.assert_array_equal(end.positions, transpose_electrons(c, 0, 1).positions)
-    np.testing.assert_array_equal(mid.positions[0], mid.positions[1])
+    pos = rng.normal(size=(3, 3))
+    start = exchange_path(sys, pos, 0, 1, 0.0)
+    end = exchange_path(sys, pos, 0, 1, 1.0)
+    mid = exchange_path(sys, pos, 0, 1, 0.5)
+    np.testing.assert_array_equal(start, pos)
+    np.testing.assert_array_equal(end, transpose_electrons(pos, 0, 1))
+    np.testing.assert_array_equal(mid[0], mid[1])
 
 
 def test_exchange_path_rejects_mixed_spins():
     sys = load_system(LI_CFG)
-    c = ElectronConfiguration(np.zeros((3, 3)) + np.arange(3)[:, None], sys.spins)
+    pos = np.zeros((3, 3)) + np.arange(3)[:, None]
     with pytest.raises(ValueError):
-        exchange_path(c, 0, 2, 0.3)  # electron 0 is up, 2 is down
-
-
-def test_configuration_validation():
-    with pytest.raises(ValueError):
-        ElectronConfiguration(positions=np.zeros((2, 2)), spins=np.array([1, -1]))
-    with pytest.raises(ValueError):
-        ElectronConfiguration(positions=np.zeros((2, 3)), spins=np.array([1, 2]))
-    with pytest.raises(ValueError):
-        ElectronConfiguration(positions=np.full((2, 3), np.nan), spins=np.array([1, -1]))
+        exchange_path(sys, pos, 0, 2, 0.3)  # electron 0 is up, 2 is down
 
 
 def test_system_validation():
@@ -194,9 +198,6 @@ def test_arrays_are_immutable():
     sys = load_system(LI_CFG)
     with pytest.raises(ValueError):
         sys.nuclei_positions[0, 0] = 1.0
-    c = ElectronConfiguration(np.zeros((3, 3)), sys.spins)
-    with pytest.raises(ValueError):
-        c.positions[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n_up,n_down", [(1, 0), (2, 1), (0, 3), (4, 4)])
@@ -226,7 +227,7 @@ def test_path_is_linear_in_t(i, j, t):
     sys = SystemSpec(nuclei_positions=np.zeros((1, 3)), charges=np.array([10]),
                      n_up=5, n_down=5)
     rng = np.random.default_rng(i * 7 + j)
-    c = ElectronConfiguration(rng.normal(size=(10, 3)), sys.spins)
-    p = exchange_path(c, i, j, t)
-    expected = (1 - t) * c.positions + t * transpose_electrons(c, i, j).positions
-    np.testing.assert_allclose(p.positions, expected, atol=1e-15)
+    pos = rng.normal(size=(10, 3))
+    p = exchange_path(sys, pos, i, j, t)
+    expected = (1 - t) * pos + t * transpose_electrons(pos, i, j)
+    np.testing.assert_allclose(p, expected, atol=1e-15)

@@ -10,12 +10,7 @@ import sortlet_vmc
 from oracles import HarmonicGroundState, HydrogenGroundState
 from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
-from sortlet_vmc.geometry import (
-    ElectronConfiguration,
-    SystemSpec,
-    load_system,
-    transpose_electrons,
-)
+from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
 from sortlet_vmc.hamiltonian import (
     electron_potentials,
     harmonic_potential,
@@ -136,8 +131,7 @@ def test_local_energy_exchange_invariant():
     wf = SortletWavefunction(LI, n_sortlets=2, hidden=8, layers=1, seed=1)
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(6, 3, 3))
-    swapped = np.stack([transpose_electrons(ElectronConfiguration(p, LI.spins), 0, 1).positions
-                        for p in pos])
+    swapped = transpose_electrons(pos, 0, 1)
     base = local_energy(lambda p: wf.signed_log(wf.theta0, p), LI, pos)
     other = local_energy(lambda p: wf.signed_log(wf.theta0, p), LI, swapped)
     np.testing.assert_array_equal(base.total, other.total)
@@ -211,7 +205,9 @@ def test_repeated_local_energy_passes_reuse_their_memory():
     The package fixes glibc's mmap and trim thresholds at import, so the
     dual pass's freed temporaries stay in the heap for the next pass; with
     glibc's dynamic thresholds each pass faulted in about 8 000 pages.
-    Counted in a fresh interpreter, whose first passes set up the heap.
+    Counted in a fresh interpreter over six passes: the first ones set up
+    the heap, and where it settles depends on allocations unrelated to this
+    guarantee, so only the last two are bounded.
     """
     if not sortlet_vmc.HEAP_KEPT:
         pytest.skip("glibc mallopt is not available, so the heap thresholds are not set")
@@ -227,7 +223,7 @@ def test_repeated_local_energy_passes_reuse_their_memory():
         "wf = SortletWavefunction(h8, seed=0)\n"
         "pos = nuclei + np.random.default_rng(0).normal(size=(128, 8, 3))\n"
         "faults = []\n"
-        "for _ in range(4):\n"
+        "for _ in range(6):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    local_energy(lambda p: wf.signed_log(wf.theta0, p), h8, pos)\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
@@ -239,7 +235,7 @@ def test_repeated_local_energy_passes_reuse_their_memory():
     run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     faults = [int(f) for f in run.stdout.split()]
-    assert len(faults) == 4 and max(faults[2:]) < 200, faults
+    assert len(faults) == 6 and max(faults[4:]) < 200, faults
 
 
 def test_results_do_not_depend_on_positions_layout():

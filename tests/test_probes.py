@@ -4,7 +4,7 @@ import pytest
 from oracles import complexity_benchmark, toy_local_energies
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction
-from sortlet_vmc.geometry import ElectronConfiguration, SystemSpec
+from sortlet_vmc.geometry import SystemSpec
 
 
 def lithium():
@@ -34,14 +34,13 @@ def test_node_probe_rejects_bad_pairs():
     system = lithium()
     wf = SortletWavefunction(system, n_sortlets=1, hidden=8, layers=1, seed=0)
     fn = lambda p: wf.signed_log(wf.theta0, p)
-    config = ElectronConfiguration(np.random.default_rng(0).standard_normal((3, 3)),
-                                   system.spins)
+    pos = np.random.default_rng(0).standard_normal((3, 3))
     with pytest.raises(ValueError, match="distinct"):
-        probes.node_crossing_probe(fn, config, 1, 1)
+        probes.node_crossing_probe(fn, system, pos, 1, 1)
     with pytest.raises(ValueError, match="share spin"):
-        probes.node_crossing_probe(fn, config, 0, 2)
+        probes.node_crossing_probe(fn, system, pos, 0, 2)
     with pytest.raises(ValueError, match="resolution"):
-        probes.node_crossing_probe(fn, config, 0, 1, resolution=10)
+        probes.node_crossing_probe(fn, system, pos, 0, 1, resolution=10)
 
 
 def test_node_probe_brackets_are_tight_and_odd():
@@ -49,8 +48,8 @@ def test_node_probe_brackets_are_tight_and_odd():
     wf = SortletWavefunction(system, n_sortlets=1, hidden=16, layers=2, seed=2)
     fn = lambda p: wf.signed_log(wf.theta0, p)
     rng = np.random.default_rng(3)
-    config = ElectronConfiguration(rng.standard_normal((4, 3)), system.spins)
-    out = probes.node_crossing_probe(fn, config, 0, 1, resolution=400, tol=1e-10)
+    pos = rng.standard_normal((4, 3))
+    out = probes.node_crossing_probe(fn, system, pos, 0, 1, resolution=400, tol=1e-10)
     assert out["count"] >= 1
     assert out["count"] % 2 == 1  # endpoints have opposite sign
     assert out["max_width"] <= 1e-10
