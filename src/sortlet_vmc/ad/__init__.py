@@ -69,7 +69,9 @@ statistics over walkers. A test scans the package for any other. The
 sort behind sort_parity is Batcher's odd-even merge network of
 elementwise minimum/maximum passes, which also counts the parity of its
 swaps, for rows of up to NETWORK_MAX finite keys; longer rows, or any
-NaN or infinity, take a gather by the stable argsort and score_parity.
+NaN or infinity, take one stable argsort for both the gathered values
+and the parity. Every parity outside the network is permutation_parity's,
+which takes all rows at once by pointer doubling over flat indices.
 Invariance under electron relabeling is not an op's job: the model
 evaluates every walker with its electrons in one canonical order
 (`ansatz.canonical_order`).
@@ -100,7 +102,8 @@ __all__ = [
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "take", "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
-    "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity", "NETWORK_MAX",
+    "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity",
+    "permutation_parity", "NETWORK_MAX",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x); f takes out= as a ufunc does
@@ -200,10 +203,10 @@ take_along = _dispatch(
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 
 
-# rows of more keys take _sort_parity's fallback. The network costs a few
-# numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16 it
-# took 215 against 338 us for np.sort plus the pair parity on 1024 rows,
-# but 133 against 40 us on 16 rows, a gap that widens with N
+# rows of more keys take _sort_parity's argsort fallback. The network costs
+# a few numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16
+# on one 2-vCPU Xeon core it took 250-420 against 740 us for the fallback
+# on 1024 rows, but 140-310 against 55 us on 16 rows, a gap widening with N
 NETWORK_MAX = 16
 
 
@@ -227,40 +230,30 @@ def _network(n: int) -> tuple:
     return tuple(pairs)
 
 
-def _parity_small(values: np.ndarray) -> np.ndarray:
-    # (..., N) -> (...,): the inversion count's parity, an XOR of the pair
-    # comparisons on a rank-first copy; O(N^2) but N is tiny
-    i, j = np.triu_indices(values.shape[-1], 1)
-    lanes = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    return np.where(reduce_exact(np.logical_xor, lanes[i] > lanes[j], 0), -1, 1)
+_argsort = partial(np.argsort, axis=-1, kind="stable")  # every sort's order outside the network
 
 
-def _parity_cycles(order: np.ndarray) -> np.ndarray:
-    # parity via cycle decomposition of the sorting permutation, O(N) each
-    flat = order.reshape(-1, order.shape[-1])
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    for row, perm in enumerate(flat):
-        seen = np.zeros(len(perm), dtype=bool)
-        transpositions = 0
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = perm[node]
-                length += 1
-            transpositions += length - 1
-        out[row] = -1 if transpositions % 2 else 1
-    return out.reshape(order.shape[:-1])
+def permutation_parity(perm) -> np.ndarray:
+    """The sign, +1 or -1, of each permutation of 0..N-1 along the last
+    axis of perm. All rows at once, by pointer doubling over flat indices:
+    after ceil(log2 N) rounds of two gathers and one minimum each entry
+    holds the smallest index on its cycle; a row of C cycles is N - C
+    transpositions, one per entry not its cycle's smallest, XOR-folded by
+    reduce_exact."""
+    perm = np.asarray(perm)
+    nxt = np.ravel(_take_index(perm.shape, perm, -1))  # each entry's successor, row offset in
+    low = entry = np.arange(nxt.size)
+    for _ in range((perm.shape[-1] - 1).bit_length()):
+        low = np.minimum(low, low[nxt])
+        nxt = nxt[nxt]
+    return np.where(reduce_exact(np.logical_xor, (low != entry).reshape(perm.shape)), -1, 1)
 
 
 def score_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the permutation that sorts `values` along the last axis."""
-    if values.shape[-1] <= 64:
-        return _parity_small(values)
-    return _parity_cycles(np.argsort(values, axis=-1, kind="stable"))
+    """Parity of the permutation that sorts `values` along the last axis:
+    its stable argsort's, so a tie counts no inversion, and a NaN sorts
+    last, after every other key, with NaNs in index order (np.argsort's)."""
+    return permutation_parity(_argsort(values))
 
 
 def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
@@ -276,15 +269,17 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     signs in one row may trade places, and each row stays a permutation of
     its own bits. The parity is exact on every row without a tie; a finite
     tie leaves a zero gap, so the sortlet never reads its parity. Longer
-    rows take score_parity and the values gathered by the stable argsort,
-    each row's own bits as the Dual and Var engines gather them, and so
-    does any input holding a NaN (which minimum and maximum would copy into
-    both slots) or an infinity (two equal ones leave a NaN gap, not a zero
-    one, and the sortlet then reads score_parity's sign of the tie)."""
+    rows take one stable argsort, which gives both the values, each row's
+    own bits gathered as the Dual and Var engines gather them, and the
+    parity, permutation_parity of that order (score_parity's). So does any
+    input holding a NaN (which minimum and maximum would copy into both
+    slots) or an infinity (two equal ones leave a NaN gap, not a zero one,
+    and the sortlet then reads the argsort's sign of the tie)."""
     n = vals.shape[-1]
     v = np.array(np.moveaxis(vals, -1, 0), order="C")  # a copy, never a view of vals
     if n > NETWORK_MAX or not np.isfinite(v).all():
-        return np.ravel(vals)[_ranked_index(vals)], score_parity(vals)
+        order = _argsort(vals)
+        return np.ravel(vals)[_ranked_index(order)], permutation_parity(order)
     rows = list(v)
     odd = np.zeros(v.shape[1:], dtype=bool)
     swap, spare = np.empty_like(odd), np.empty_like(rows[0])
@@ -300,25 +295,25 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.where(odd, -1, 1)
 
 
-def _ranked_index(vals: np.ndarray) -> np.ndarray:
-    """The flat C-order positions in vals of each row's stable ascending
-    sort along the last axis, rank axis first and C-contiguous: a gather
-    keeps its index's layout, and the sortlet's gaps and fold read whole
-    ranks."""
-    order = np.argsort(vals, axis=-1, kind="stable")
-    return np.ascontiguousarray(np.moveaxis(_take_index(vals.shape, order, -1), -1, 0))
+def _ranked_index(order: np.ndarray) -> np.ndarray:
+    """The flat C-order positions, in an array of order's shape, of each
+    row's sort along the last axis by order (the values' stable argsort),
+    rank axis first and C-contiguous: a gather keeps its index's layout,
+    and the sortlet's gaps and fold read whole ranks."""
+    return np.ascontiguousarray(np.moveaxis(_take_index(order.shape, order, -1), -1, 0))
 
 
 sort_parity = _dispatch(
     "sort_parity", _sort_parity,
-    lambda x: (forward.take(x, _ranked_index(x.val)), _sort_parity(x.val)[1]),
-    lambda x: (reverse.take(x, _ranked_index(x.val)), _sort_parity(x.val)[1]))
+    lambda x: (forward.take(x, _ranked_index(_argsort(x.val))), _sort_parity(x.val)[1]),
+    lambda x: (reverse.take(x, _ranked_index(_argsort(x.val))), _sort_parity(x.val)[1]))
 sort_parity.__doc__ = """(sorted, parity): the ascending sort along the last axis, rank axis
 first, shape (N,) + x.shape[:-1], and the sort's parity from _sort_parity
-on the values, shape x.shape[:-1]. Plain arrays take _sort_parity itself;
-a Dual or Var gathers each entry once by the stable argsort. The values
-are the same floats in every engine, each row a permutation of its own
-bits; only the network may put zeros of both signs in another order."""
+on the values (the network's, or permutation_parity of the stable argsort
+past it), shape x.shape[:-1]. Plain arrays take _sort_parity itself; a
+Dual or Var gathers each entry once by the stable argsort. The values are
+the same floats in every engine, each row a permutation of its own bits;
+only the network may put zeros of both signs in another order."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)

@@ -13,9 +13,9 @@ Sorting is the only N-coupled step, so one head costs O(N log N) against
 the O(N^3) of a determinant. Each head is sorted once (ad.sort_parity)
 and its gaps are differences of neighbouring ranks. Up to
 ad.NETWORK_MAX = 16 electrons the sort and its parity come from one
-comparator network of O(N log^2 N) passes; longer rows keep np.sort and
-score_parity, whose cycle path is O(N) per row, so the sortlet's cost
-still grows like a sort.
+comparator network of O(N log^2 N) passes; longer rows take one stable
+argsort, and its parity from ad.permutation_parity in O(N log N) per row,
+so the sortlet's cost still grows like a sort.
 
 The full state multiplies in a symmetric pair factor (electron-electron
 cusps), per-head nucleus envelopes (decay and nuclear cusps), and mixes the
@@ -72,7 +72,7 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     for slots in sectors:
         sub = pos[:, slots]
         order[:, slots] = slots[np.lexsort((sub[..., 2], sub[..., 1], sub[..., 0]), axis=-1)]
-    return order, score_parity(order)
+    return order, ad.permutation_parity(order)
 
 
 def sortlet_logs(scores) -> SignedLog:

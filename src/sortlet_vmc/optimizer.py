@@ -300,7 +300,8 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
     Writes metrics.ndjson and periodic checkpoints under out_dir when given.
     Resuming from a checkpoint continues the exact run: same walkers, same
     random draws, same optimizer state; a fresh run starts metrics.ndjson
-    over, so out_dir holds one record per iteration either way.
+    over, so out_dir holds one record per iteration either way. A checkpoint
+    with no iteration left to run raises ValueError before out_dir is touched.
     """
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
@@ -317,6 +318,9 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
                                   chains=np.arange(settings.walkers), sigma=state["sigma"],
                                   step=state["step"])
         start = state["next_iter"]
+        if start >= settings.iters:
+            raise ValueError(f"{resume_from} has run {start} iterations, the run asks for "
+                             f"{settings.iters}: nothing left to run")
     else:
         ensemble = init_ensemble(system, fn, settings.walkers, settings.seed)
         run_sweeps(ensemble, fn, settings.burn_in, adapt=True)

@@ -115,8 +115,9 @@ def test_canonical_order():
 
 
 def test_score_parity_matches_brute_force_with_ties():
-    """The pair-comparison XOR path, N = 1..64, with ties (which count no
-    inversion) and on a moveaxis view."""
+    """score_parity, the permutation parity of the stable argsort, against
+    the inversion count for N = 1..64, with ties (which count no inversion)
+    and on a moveaxis view."""
     rng = np.random.default_rng(14)
     for n in range(1, 65):
         raw = rng.integers(0, max(2, n // 2), size=(3, n, 2)).astype(np.float64)
@@ -128,9 +129,63 @@ def test_score_parity_matches_brute_force_with_ties():
 
 
 def test_score_parity_large_n_uses_cycle_path():
+    """One row of 200 keys, past the sort network, against the inversion
+    count: permutation_parity's cycle count after eight doubling rounds."""
     rng = np.random.default_rng(0)
     v = rng.normal(size=200)  # > the small-N cutoff
     assert score_parity(v[None])[0] == brute_parity(list(v))
+
+
+MANY_ROWS_N = [1, 2, 3, 16, 17, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("n", MANY_ROWS_N)
+def test_score_parity_over_many_rows_matches_inversions(n):
+    """60 rows at once, with ties and zeros of both signs (equal keys, so no
+    inversion), as a non-contiguous view: every row's parity is its own
+    inversion count's, so no flat gather mixes rows, past N = 64 too."""
+    rng = np.random.default_rng(n)
+    raw = rng.integers(-3, 4, size=(n, 4, 30)).astype(np.float64)
+    raw[raw == 0] = rng.choice([0.0, -0.0], size=int((raw == 0).sum()))
+    raw[raw == 3] = rng.normal(size=int((raw == 3).sum()))
+    values = np.moveaxis(raw, 0, -1)[:, ::2]  # (4, 15, n), strided and key axis last
+    assert not values.flags.c_contiguous and np.signbit(values[values == 0]).any()
+    par = score_parity(values)
+    assert par.shape == (4, 15)
+    for row, p in zip(values.reshape(-1, n), par.ravel()):
+        assert p == brute_parity(row.tolist())
+
+
+@pytest.mark.parametrize("n", MANY_ROWS_N)
+def test_permutation_parity_of_random_identity_and_transposed_rows(n):
+    """Random permutations of 50 rows against their inversion count; the
+    identity is even, and one transposition of it per row is odd."""
+    rng = np.random.default_rng(100 + n)
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (50, n)), axis=-1)
+    got = ad.permutation_parity(perms)
+    assert got.shape == (50,)
+    assert [int(p) for p in got] == [brute_parity(row.tolist()) for row in perms]
+    identity = np.broadcast_to(np.arange(n), (5, 10, n))
+    assert np.all(ad.permutation_parity(identity) == 1)
+    if n > 1:
+        swapped = np.array(identity)
+        for row in swapped.reshape(-1, n):
+            i, j = rng.choice(n, size=2, replace=False)
+            row[[i, j]] = row[[j, i]]
+        assert np.all(ad.permutation_parity(swapped) == -1)
+
+
+def test_score_parity_sorts_nan_last():
+    """A row holding NaN has its stable argsort's parity: NaN after every
+    other key, infinity included, and NaNs in index order. The sortlet gives
+    such a head a NaN logmag, and the mixture's sign is then 0."""
+    rows = np.array([[np.nan, 1.0, 0.0, np.inf], [1.0, np.nan, np.nan, -0.0],
+                     [np.nan, np.nan, 2.0, 1.0], [0.0, 1.0, 2.0, np.nan]])
+    # ranks with NaN last: [3 1 0 2], [1 2 3 0], [2 3 1 0], [0 1 2 3]
+    np.testing.assert_array_equal(score_parity(rows), [1, -1, -1, 1])
+    heads = sortlet_logs(rows)
+    mixed = mix_signed_logs(heads.sign[None], heads.logmag[None], np.ones(len(rows)))
+    assert mixed.sign[0] == 0
 
 
 def test_sortlet_value_hand_example():

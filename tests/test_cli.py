@@ -466,6 +466,24 @@ def test_resume_under_another_lr_is_refused(h_config, tmp_path, capsys, target):
     assert tree(out) == before
 
 
+@pytest.mark.parametrize("iters", ["2", "1"])
+def test_resume_with_nothing_left_to_run_fails(h_config, tmp_path, capsys, iters):
+    """A checkpoint that has run every iteration asked for (--iters 2 from
+    step 2) or more (--iters 1) fails the run: exit 1, one error line, no
+    energy line, and the run directory as it was, every metric record kept."""
+    out = tmp_path / "runs"
+    main(train_args(h_config, out))
+    (mid,) = out.glob("run-*/checkpoints/step-00000002.npz")
+    before = tree(out)
+    capsys.readouterr()
+    assert main(train_args(h_config, out, extra=["--resume", str(mid), "--iters", iters])) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "nothing left to run" in captured.err and str(mid) in captured.err
+    assert "final energy" not in captured.out
+    assert tree(out) == before
+
+
 def test_a_killed_run_ends_as_an_uninterrupted_one(tmp_path):
     """A Li run is SIGKILLed after its first metric record but before its
     first checkpoint and run again from scratch, and SIGKILLed after a

@@ -7,8 +7,11 @@ a fresh temporary output root. Every example must end in one of three ways:
 - exit 2 (an input refused, by argparse or by cli.UsageError) with exactly
   one stderr line containing `error:` and no run directory;
 - exit 1 for a run failure (a checkpoint that cannot be loaded or does not
-  fit, a diverged training) with one stderr line containing `error:`, or
-  a probe that ran and printed FAIL.
+  fit, a resume with nothing left to run, a diverged training) with one
+  stderr line containing `error:`, or a probe that ran and printed FAIL.
+  The H-atom checkpoint has run the one iteration every train example
+  asks for, so a train resume that fits ends in the nothing-left failure;
+  test_cli.py covers resumes that run on.
 
 No example may raise anything else, and none may warn: the suite turns
 warnings into errors. An example holds at most one fault, so that valid
