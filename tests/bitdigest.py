@@ -4,10 +4,10 @@ per trained system over the state of a short training run.
     PYTHONPATH=src python tests/bitdigest.py [NAME ...]
     PYTHONPATH=src python tests/bitdigest.py --write
 
-NAME is a system (li, lih, b, h4_theta90, h_atom, h8) or train-li or
-train-lih; with none, all eight lines are printed. A change that claims to
-keep every bit prints the same lines before and after. `--write` records
-all eight in the ledger, tests/bits.json, under the running host's key
+NAME is a system (li, lih, b, h4_theta90, h_atom, h8), train-li,
+train-lih or evaluate-li; with none, all nine lines are printed. A change
+that claims to keep every bit prints the same lines before and after.
+`--write` records all nine in the ledger, tests/bits.json, under the running host's key
 (numpy's version and the BLAS kernel, see `host`), keeping other hosts'
 entries; tests/test_bits.py compares a fresh run with that entry. A change
 that accepts new bits regenerates it with this one command. Each model
@@ -29,6 +29,11 @@ every array of the state Checkpoint.load returns for the final checkpoint,
 by key, and the metric records without `seconds`; it reads the run state,
 not the archive's bytes, so a field the archive adds or drops does not
 move it.
+
+An evaluate digest runs optimizer.evaluate_energy on the config's system
+at the fixed perturbed θ (16 walkers, burn-in 10, 4 estimates 3 steps
+apart, seed one past the config's, as the CLI's evaluate takes it) and
+covers the reported mean, stderr and chain count.
 
 pytest does not collect this file (no test_ prefix). The digests depend
 on the numpy build and the BLAS kernel, so compare them on one host.
@@ -52,7 +57,8 @@ from sortlet_vmc.geometry import load_system, parse_config
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SYSTEMS = ("li", "lih", "b", "h4_theta90", "h_atom", "h8")
 TRAINED = ("li", "lih")
-NAMES = (*SYSTEMS, *(f"train-{s}" for s in TRAINED))
+EVALUATED = ("li",)
+NAMES = (*SYSTEMS, *(f"train-{s}" for s in TRAINED), *(f"evaluate-{s}" for s in EVALUATED))
 WALKERS = 7
 LEDGER = Path(__file__).resolve().parent / "bits.json"
 
@@ -97,11 +103,15 @@ def _feeder(h):
     return feed
 
 
+def _perturbed(wf) -> np.ndarray:
+    return wf.theta0 + 0.05 * np.random.default_rng(11).normal(size=wf.theta0.shape)
+
+
 def digest(name: str) -> str:
     text = h_chain(8) if name == "h8" else (CONFIGS / f"{name}.yaml").read_text()
     system = load_system(text)
     wf = SortletWavefunction(system, seed=0)
-    theta = wf.theta0 + 0.05 * np.random.default_rng(11).normal(size=wf.theta0.shape)
+    theta = _perturbed(wf)
     params = wf.bind(theta)
     big = _walkers(system, 17)
     pos = big[:WALKERS].copy()
@@ -148,8 +158,22 @@ def train_digest(name: str) -> str:
     return h.hexdigest()
 
 
+def evaluate_digest(name: str) -> str:
+    cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
+    wf = SortletWavefunction(cfg.system, seed=cfg.run.seed)
+    report = optimizer.evaluate_energy(wf, _perturbed(wf), n_walkers=16, burn_in=10,
+                                       n_estimates=4, steps_between=3, seed=cfg.run.seed + 1,
+                                       potential=cfg.run.potential)
+    h = hashlib.sha256()
+    _feeder(h)(np.float64(report.mean), np.float64(report.stderr), np.int64(report.n_chains))
+    return h.hexdigest()
+
+
 def line_digest(name: str) -> str:
-    return train_digest(name[len("train-"):]) if name.startswith("train-") else digest(name)
+    kind, _, system = name.partition("-")
+    if not system:
+        return digest(name)
+    return {"train": train_digest, "evaluate": evaluate_digest}[kind](system)
 
 
 def main(argv) -> int:
