@@ -12,7 +12,8 @@ variance injected by walkers that wander near a node.
 
 One reverse sweep with the weighted seed produces the whole sum, so the
 cost per step is one batched forward plus one backward, regardless of the
-number of walkers.
+number of walkers. train and evaluate_energy advance their walkers through
+one seam, `walker_phase`; train adds the gradient, Adam and the re-score.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import ad
 from .ansatz import SortletWavefunction
 from .geometry import SystemSpec
 from .hamiltonian import local_energy
-from .sampler import WalkerEnsemble, init_ensemble, run_sweeps, stream_key
+from .sampler import WalkerEnsemble, init_ensemble, run_sweeps, score, stream_key
 
 
 @dataclass
@@ -286,6 +287,13 @@ def append_record(path: Path, record: dict):
         fh.write(line)
 
 
+def walker_phase(signed_log_fn, system, ensemble: WalkerEnsemble, steps: int, potential: str):
+    """`steps` fixed-sigma sweeps at one bound theta, then the local energies
+    where the walkers stand: (mean acceptance, E_loc (M,))."""
+    rate = run_sweeps(ensemble, signed_log_fn, steps, adapt=False)
+    return rate, local_energy(signed_log_fn, system, ensemble.positions, potential=potential).total
+
+
 @dataclass
 class TrainResult:
     theta: np.ndarray
@@ -293,15 +301,15 @@ class TrainResult:
     stats: EnergyStats
 
 
-def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None = None,
+def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path,
           resume_from: Path | None = None, log=None) -> TrainResult:
     """Optimize the parameters by stochastic energy-gradient descent.
 
-    Writes metrics.ndjson and periodic checkpoints under out_dir when given.
-    Resuming from a checkpoint continues the exact run: same walkers, same
-    random draws, same optimizer state; a fresh run starts metrics.ndjson
-    over, so out_dir holds one record per iteration either way. A checkpoint
-    with no iteration left to run raises ValueError before out_dir is touched.
+    Writes metrics.ndjson and periodic checkpoints under out_dir. Resuming
+    from a checkpoint continues the exact run: same walkers, same random
+    draws, same optimizer state; a fresh run starts metrics.ndjson over, so
+    out_dir holds one record per iteration either way. A checkpoint with no
+    iteration left to run raises ValueError before out_dir is touched.
     """
     system = wf.system
     fingerprint = config_fingerprint(system, wf, settings)
@@ -326,16 +334,15 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
         run_sweeps(ensemble, fn, settings.burn_in, adapt=True)
         start = 0
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        metrics = out_dir / "metrics.ndjson"
-        if metrics.exists():  # keep the whole records of iterations before start; the
-            # file is rewritten beside itself and renamed, so a kill leaves it whole
-            kept = [line for line in metrics.read_text().splitlines(keepends=True)
-                    if line.endswith("\n") and json.loads(line)["iter"] < start]
-            tmp = metrics.with_name(metrics.name + ".tmp")
-            tmp.write_text("".join(kept))
-            os.replace(tmp, metrics)
+    out_dir = Path(out_dir)
+    metrics = out_dir / "metrics.ndjson"
+    if metrics.exists():  # keep the whole records of iterations before start; the
+        # file is rewritten beside itself and renamed, so a kill leaves it whole
+        kept = [line for line in metrics.read_text().splitlines(keepends=True)
+                if line.endswith("\n") and json.loads(line)["iter"] < start]
+        tmp = metrics.with_name(metrics.name + ".tmp")
+        tmp.write_text("".join(kept))
+        os.replace(tmp, metrics)
 
     energies = []
     stats = EnergyStats(np.nan, np.nan, np.nan, 0, 0)
@@ -343,10 +350,8 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(start, settings.iters):
             t0 = time.perf_counter()
-            rate = run_sweeps(ensemble, fn, settings.steps_per_iter, adapt=False)
-            breakdown = local_energy(fn, system, ensemble.positions,
-                                     potential=settings.potential)
-            eloc = breakdown.total
+            rate, eloc = walker_phase(fn, system, ensemble, settings.steps_per_iter,
+                                      settings.potential)
             stats = estimate_energy(eloc)
             if not np.isfinite(stats.mean) or stats.n_valid < max(1, eloc.size // 2):
                 raise RuntimeError(
@@ -356,22 +361,19 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path | None
             theta = adam.step(theta, grad)
             bound = wf.bind(theta)
             # the chain samples |psi_theta|^2 only if its cached values are psi_theta's
-            sl = fn(ensemble.positions)
-            ensemble.logmag, ensemble.sign = sl.logmag, sl.sign
+            ensemble.logmag, ensemble.sign = score(fn, ensemble.positions)
             energies.append(stats.mean)
 
-            if out_dir is not None:
-                append_record(metrics, {
-                    "iter": it, "energy": stats.mean, "stderr": stats.stderr,
-                    "variance": stats.variance, "acceptance": rate, "sigma": ensemble.sigma,
-                    "grad_norm": float(np.linalg.norm(grad)), "n_valid": stats.n_valid,
-                    "seconds": round(time.perf_counter() - t0, 4)})
+            append_record(metrics, {
+                "iter": it, "energy": stats.mean, "stderr": stats.stderr,
+                "variance": stats.variance, "acceptance": rate, "sigma": ensemble.sigma,
+                "grad_norm": float(np.linalg.norm(grad)), "n_valid": stats.n_valid,
+                "seconds": round(time.perf_counter() - t0, 4)})
             if log is not None and (it % 50 == 0 or it == settings.iters - 1):
                 log(f"iter {it:6d}  E = {format_energy(stats.mean, stats.stderr)}  "
                     f"acc = {rate:.2f}  sigma = {ensemble.sigma:.3f}")
-            is_last = it == settings.iters - 1
-            if out_dir is not None and (is_last or (settings.checkpoint_every
-                                                    and (it + 1) % settings.checkpoint_every == 0)):
+            if it == settings.iters - 1 or (settings.checkpoint_every
+                                            and (it + 1) % settings.checkpoint_every == 0):
                 Checkpoint.save(out_dir / "checkpoints" / f"step-{it + 1:08d}.npz",
                                 wf=wf, theta=theta, adam=adam, ensemble=ensemble,
                                 next_iter=it + 1, fingerprint=fingerprint)
@@ -405,8 +407,7 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     per_chain = np.zeros(n_walkers)
     per_chain_n = np.zeros(n_walkers)
     for _ in range(n_estimates):
-        run_sweeps(ensemble, fn, steps_between, adapt=False)
-        eloc = local_energy(fn, system, ensemble.positions, potential=potential).total
+        _, eloc = walker_phase(fn, system, ensemble, steps_between, potential)
         good = np.isfinite(eloc)
         per_chain[good] += eloc[good]
         per_chain_n[good] += 1

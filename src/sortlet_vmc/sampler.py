@@ -111,29 +111,30 @@ def electron_homes(system: SystemSpec) -> np.ndarray:
     return system.nuclei_positions[homes[np.arange(n) % len(homes)]]  # (N, 3)
 
 
+def score(signed_log_fn, positions) -> tuple:
+    """What the ensemble caches of psi at `positions`: (float64 logmag, sign)."""
+    sl = signed_log_fn(positions)
+    return np.asarray(ad.detach(sl.logmag), dtype=np.float64), np.asarray(sl.sign)
+
+
 def init_ensemble(system: SystemSpec, signed_log_fn, n_walkers: int, seed: int,
-                  sigma: float = 1.0, chains=None) -> WalkerEnsemble:
-    """Fresh walkers: each electron near its home nucleus plus a unit
-    Gaussian, redrawn (attempt 1, 2, ...) for any chain that lands exactly on
-    a node. `chains` are the walkers' global chain ids (default 0..M-1)."""
-    chains = np.arange(n_walkers) if chains is None else np.asarray(chains)
-    if chains.shape != (n_walkers,):
-        raise ValueError("need one chain id per walker")
-    key = stream_key(seed)
+                  chains=None) -> WalkerEnsemble:
+    """Fresh walkers at step size 1: each electron near its home nucleus plus a
+    unit Gaussian, redrawn (attempt 1, 2, ...) for any chain that lands exactly
+    on a node. `chains` are the walkers' global chain ids (default 0..M-1)."""
     n, centers = system.n_electrons, electron_homes(system)
-    positions, redo = np.empty((n_walkers, n, 3)), np.arange(n_walkers)
+    chains = np.arange(n_walkers) if chains is None else np.asarray(chains)
+    ensemble = WalkerEnsemble(positions=np.empty((n_walkers, n, 3)), logmag=None, sign=None,
+                              key=stream_key(seed), chains=chains, sigma=1.0)
+    redo = np.arange(n_walkers)
     for attempt in range(100):
-        positions[redo] = centers + chain_draws(key, chains[redo], [attempt], n, PLACEMENT)[0][0]
-        sl = signed_log_fn(positions)
-        logmag = np.asarray(ad.detach(sl.logmag), dtype=np.float64)
-        sign = np.asarray(sl.sign)
-        redo = np.flatnonzero((sign == 0) | ~np.isfinite(logmag))
+        draws = chain_draws(ensemble.key, chains[redo], [attempt], n, PLACEMENT)[0][0]
+        ensemble.positions[redo] = centers + draws
+        ensemble.logmag, ensemble.sign = score(signed_log_fn, ensemble.positions)
+        redo = np.flatnonzero((ensemble.sign == 0) | ~np.isfinite(ensemble.logmag))
         if not len(redo):
-            break
-    else:
-        raise RuntimeError("could not find nonzero wavefunction values to start from")
-    return WalkerEnsemble(positions=positions, logmag=logmag, sign=sign, key=key,
-                          chains=chains, sigma=float(sigma))
+            return ensemble
+    raise RuntimeError("could not find nonzero wavefunction values to start from")
 
 
 def mh_step(ensemble: WalkerEnsemble, signed_log_fn) -> float:
@@ -141,9 +142,7 @@ def mh_step(ensemble: WalkerEnsemble, signed_log_fn) -> float:
     acceptance fraction of this step."""
     noise, uniforms = ensemble.step_draws()
     proposal = ensemble.positions + ensemble.sigma * noise
-    sl = signed_log_fn(proposal)
-    new_logmag = np.asarray(ad.detach(sl.logmag), dtype=np.float64)
-    new_sign = np.asarray(sl.sign)
+    new_logmag, new_sign = score(signed_log_fn, proposal)
     with np.errstate(divide="ignore"):
         log_ratio = 2.0 * (new_logmag - ensemble.logmag)
         alive = (new_sign != 0) & np.isfinite(new_logmag)

@@ -1,5 +1,6 @@
-"""Print one SHA-256 per system over the bits the model computes, and one
-per trained system over the state of a short training run.
+"""Print one SHA-256 per system over the bits the model computes, one per
+trained system over the state of a short training run, and one per
+evaluated system over a short evaluation's report.
 
     PYTHONPATH=src python tests/bitdigest.py [NAME ...]
     PYTHONPATH=src python tests/bitdigest.py --write
@@ -7,11 +8,12 @@ per trained system over the state of a short training run.
 NAME is a system (li, lih, b, h4_theta90, h_atom, h8), train-li,
 train-lih or evaluate-li; with none, all nine lines are printed. A change
 that claims to keep every bit prints the same lines before and after.
-`--write` records all nine in the ledger, tests/bits.json, under the running host's key
-(numpy's version and the BLAS kernel, see `host`), keeping other hosts'
-entries; tests/test_bits.py compares a fresh run with that entry. A change
-that accepts new bits regenerates it with this one command. Each model
-digest covers, at a fixed perturbed θ and fixed walkers:
+`--write` records all nine in the ledger, tests/bits.json, under the
+running host's key (numpy's version and the BLAS kernel, see `host`),
+keeping other hosts' entries; tests/test_bits.py compares a fresh run with
+that entry. A change that accepts new bits regenerates it with this one
+command. Each model digest covers, at a fixed perturbed θ and fixed
+walkers:
 
 - the plain signed_log sign and logmag;
 - the Dual logmag's value, tangent lanes and Laplacian (curv);

@@ -97,7 +97,7 @@ def test_criterion_03_zero_variance_oracles():
     system = hydrogen()
     oracle = HydrogenGroundState()
     fn = lambda p: oracle.signed_log(p)
-    ensemble = init_ensemble(system, fn, 200, seed=30, sigma=1.0)
+    ensemble = init_ensemble(system, fn, 200, seed=30)
     run_sweeps(ensemble, fn, 100, adapt=True)
     chunks = []
     for _ in range(500):
@@ -126,7 +126,7 @@ def test_criterion_04_sampler_moment():
     fn = lambda p: oracle.signed_log(p)
     chains = 500
     kept = 2000
-    ensemble = init_ensemble(system, fn, chains, seed=40, sigma=1.0)
+    ensemble = init_ensemble(system, fn, chains, seed=40)
     run_sweeps(ensemble, fn, 200, adapt=True)
     per_chain = np.zeros(chains)
     for _ in range(kept):
@@ -152,13 +152,13 @@ def test_criterion_05_gradient_vs_quadrature():
              f"doubled-baseline variant off by {report['rel_err_doubled_baseline']:.2f}")
 
 
-def test_criterion_06_hydrogen_training():
+def test_criterion_06_hydrogen_training(tmp_path):
     """2000 iterations, 512 walkers: trained energy within 2 mHa of -0.5."""
     wf = SortletWavefunction(hydrogen(), n_sortlets=1, hidden=16, layers=1, seed=0)
     settings = TrainSettings(iters=2000, walkers=512, burn_in=300, steps_per_iter=5,
                              lr=1e-2, lr_decay=500.0, seed=0)
     t0 = time.perf_counter()
-    result = train(wf, settings)
+    result = train(wf, settings, out_dir=tmp_path)
     report = evaluate_energy(wf, result.theta, n_walkers=256, burn_in=300,
                              n_estimates=100, steps_between=5, seed=7)
     dev = abs(report.mean + 0.5)

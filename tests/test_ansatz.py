@@ -128,11 +128,11 @@ def test_score_parity_matches_brute_force_with_ties():
             assert p == brute_parity(list(row))
 
 
-def test_score_parity_large_n_uses_cycle_path():
+def test_score_parity_of_one_row_of_200_matches_inversions():
     """One row of 200 keys, past the sort network, against the inversion
     count: permutation_parity's cycle count after eight doubling rounds."""
     rng = np.random.default_rng(0)
-    v = rng.normal(size=200)  # > the small-N cutoff
+    v = rng.normal(size=200)
     assert score_parity(v[None])[0] == brute_parity(list(v))
 
 

@@ -268,14 +268,14 @@ def test_train_smoke_writes_metrics(tmp_path):
     assert (tmp_path / "checkpoints" / "step-00000006.npz").exists()
 
 
-def test_train_is_deterministic():
-    r1 = train(small_wf(), smoke_settings())
-    r2 = train(small_wf(), smoke_settings())
+def test_train_is_deterministic(tmp_path):
+    r1 = train(small_wf(), smoke_settings(), out_dir=tmp_path / "a")
+    r2 = train(small_wf(), smoke_settings(), out_dir=tmp_path / "b")
     assert r1.energies == r2.energies
     assert np.array_equal(r1.theta, r2.theta)
 
 
-def test_train_binds_each_theta_once(monkeypatch):
+def test_train_binds_each_theta_once(monkeypatch, tmp_path):
     """The θ-side work (ParamStore.unpack and the rest of bind) runs once per
     θ the run reaches, plain, and once per gradient pass on the tape; the
     many sampling and local-energy calls at one θ share its bind."""
@@ -289,7 +289,7 @@ def test_train_binds_each_theta_once(monkeypatch):
                         or unpack(self, theta))
     monkeypatch.setattr(SortletWavefunction, "signed_log",
                         lambda self, theta, p: calls.append(1) or signed_log(self, theta, p))
-    train(small_wf(), smoke_settings(iters=2, walkers=8, burn_in=2))
+    train(small_wf(), smoke_settings(iters=2, walkers=8, burn_in=2), out_dir=tmp_path)
     # θ0, then one gradient pass and the next θ per iteration
     assert unpacked == [False, True, False, True, False]
     assert len(calls) >= 3 + 2 * (2 + 1 + 1)  # placement, burn-in, then sweeps, E_loc, tape

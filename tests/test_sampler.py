@@ -102,20 +102,23 @@ def test_rejects_node_and_nonfinite_proposals():
 
 def test_sigma_adaptation_moves_toward_target_band():
     fn = HarmonicGroundState().signed_log
-    ens = init_ensemble(H, fn, n_walkers=64, seed=1, sigma=40.0)  # absurdly wide
+    ens = init_ensemble(H, fn, n_walkers=64, seed=1)
+    ens.sigma = 40.0  # absurdly wide
     run_sweeps(ens, fn, steps=200, adapt=True)
     assert ens.sigma < 40.0
     rate = run_sweeps(ens, fn, steps=100, adapt=False)
     assert 0.3 < rate < 0.7
 
-    ens2 = init_ensemble(H, fn, n_walkers=64, seed=2, sigma=1e-3)  # absurdly narrow
+    ens2 = init_ensemble(H, fn, n_walkers=64, seed=2)
+    ens2.sigma = 1e-3  # absurdly narrow
     run_sweeps(ens2, fn, steps=200, adapt=True)
     assert ens2.sigma > 1e-3
 
 
 def test_frozen_sigma_stays_put():
     fn = HarmonicGroundState().signed_log
-    ens = init_ensemble(H, fn, n_walkers=16, seed=5, sigma=0.7)
+    ens = init_ensemble(H, fn, n_walkers=16, seed=5)
+    ens.sigma = 0.7
     run_sweeps(ens, fn, steps=50, adapt=False)
     assert ens.sigma == 0.7
 
@@ -123,7 +126,7 @@ def test_frozen_sigma_stays_put():
 def test_harmonic_moments_match_stationary_density():
     # psi^2 = exp(-|r|^2) is a Gaussian with variance 1/2 per coordinate
     fn = HarmonicGroundState().signed_log
-    ens = init_ensemble(H, fn, n_walkers=1024, seed=7, sigma=1.0)
+    ens = init_ensemble(H, fn, n_walkers=1024, seed=7)
     run_sweeps(ens, fn, steps=300, adapt=True)
     samples = []
     for _ in range(400):
@@ -237,8 +240,9 @@ def test_sweeps_draw_the_same_steps_as_single_steps():
     # stepped ensemble is rebuilt at step 7, as a resume does, so its blocks
     # start elsewhere
     fn = HarmonicGroundState().signed_log
-    swept = init_ensemble(LI, fn, n_walkers=8, seed=3, sigma=0.6)
-    stepped = init_ensemble(LI, fn, n_walkers=8, seed=3, sigma=0.6)
+    swept = init_ensemble(LI, fn, n_walkers=8, seed=3)
+    stepped = init_ensemble(LI, fn, n_walkers=8, seed=3)
+    swept.sigma = stepped.sigma = 0.6
     rate = run_sweeps(swept, fn, 23)
     rates = [mh_step(stepped, fn) for _ in range(7)]
     stepped = WalkerEnsemble(positions=stepped.positions, logmag=stepped.logmag,
