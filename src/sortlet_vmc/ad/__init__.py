@@ -60,13 +60,14 @@ the axis, or a tuple of axes in C order, first into a C-contiguous copy
 and reduces over that leading axis, so a sum is a left fold in index
 order whatever the batch, the row's place in it or the layout. sum (a
 Dual's value, lanes and Laplacian; a Var's value), softmax's denominator,
-amax, the sortlet's tie test and the parity take it. Five keep an order
-of their own, fixed by per-walker sizes or by the system: the lane and
-axis dots (forward._lane_dot, _axis_dot, _norm); contract's BLAS calls
-and dot path; the reverse engine's sums over the batch (_unbroadcast,
-the softmax VJP); nuclear_repulsion's sorted sum; the optimizer's
-statistics over walkers. A test scans the package for any other. The
-sort behind sort_parity is Batcher's odd-even merge network of
+amax, the sortlet's tie test, the parity and contract's dot path take
+it. Four keep an order of their own, fixed by per-walker sizes or by the
+system: the lane and axis dots (forward._lane_dot, _axis_dot, _norm);
+the reverse engine's sums over the batch (_unbroadcast, the softmax
+VJP); nuclear_repulsion's sorted sum; the optimizer's statistics over
+walkers. A test scans the package for any other. contract's BLAS calls
+sum in BLAS's order, fixed by the matrix shapes (contract.py). The sort
+behind sort_parity is Batcher's odd-even merge network of
 elementwise minimum/maximum passes, which also counts the parity of its
 swaps, for rows of up to NETWORK_MAX finite keys; longer rows, or any
 NaN or infinity, take one stable argsort for both the gathered values
@@ -74,7 +75,8 @@ and the parity. Every parity outside the network is permutation_parity's,
 which takes all rows at once by pointer doubling over flat indices.
 Invariance under electron relabeling is not an op's job: the model
 evaluates every walker with its electrons in one canonical order
-(`ansatz.canonical_order`).
+(`ansatz.canonical_order`, which runs the same network on the x of each
+spin sector).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
@@ -203,7 +205,8 @@ take_along = _dispatch(
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 
 
-# rows of more keys take _sort_parity's argsort fallback. The network costs
+# rows of more keys take _sort_parity's argsort fallback, and longer spin
+# sectors ansatz.canonical_order's lexsort. The network costs
 # a few numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16
 # on one 2-vCPU Xeon core it took 250-420 against 740 us for the fallback
 # on 1024 rows, but 140-310 against 55 us on 16 rows, a gap widening with N

@@ -52,9 +52,10 @@ position in the batch and of the BLAS thread count. Three rules meet it:
   the parameter gradient and per-walker products whose N folds width and
   seed lanes, such as (16 x 16)(16 x 32 * 48) for an H16 chain at width
   32. A product whose M and N are both 1 is a dot product, which OpenBLAS
-  would split inside its sum once it is longer than 10 000; it runs as a
-  numpy sum instead, which is never threaded. Every other sum follows the
-  one rule of the ad module docstring (reduce_exact, a left fold).
+  would split inside its sum once it is longer than 10 000; it runs off
+  BLAS as reduce_exact's left fold in index order, the one rule of the ad
+  module docstring that every other sum outside BLAS follows, and that is
+  never threaded.
 
 Invariance under same-spin relabelling is not this module's job: the
 caller puts each walker's electrons in canonical order, so a contraction
@@ -178,8 +179,9 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     """
     swap, lplan, rplan, shape, perm, dot = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
     left, right = _matrices(swap, lplan, rplan, x, y)
-    if dot:  # a dot product: keep it off BLAS
-        res = np.sum(left * np.swapaxes(right, -1, -2), axis=-1, keepdims=True)
+    if dot:  # a dot product: keep it off BLAS (module docstring)
+        from . import reduce_exact  # the package imports this module before defining it
+        res = reduce_exact(np.add, left * np.swapaxes(right, -1, -2), axis=-1)
     else:
         res = np.matmul(left, right)
     res = res.reshape(shape)

@@ -27,6 +27,12 @@ Everything is evaluated in signed log form. Vanishing factors are masked
 out before any log so derivative lanes stay finite; a masked head simply
 contributes zero to the mixture. The envelope and the pair factor read
 the exact lengths of the pass's one geometry (backbone.electron_geometry).
+
+Each walker is evaluated with the electrons of each spin sector sorted by
+(x, y, z) (canonical_order), so its bits do not depend on a same-spin
+relabelling. That sort runs the sortlet's own comparator network on the
+electrons' x, all walkers at once; a batch already in order, as the local
+energy's dual chunks are, costs one comparison.
 """
 
 from __future__ import annotations
@@ -66,8 +72,47 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     by (x, y, z) into that sector's slots, so gathering a batch into it
     gives the same bits for every same-spin relabelling of the walker.
     parity (B,) is the sign that permutation gives an antisymmetric function.
+
+    A batch whose x rises strictly in every sector is already in that order
+    and returns the identity after one comparison. Otherwise each sector of
+    up to ad.NETWORK_MAX electrons runs the sortlet's compare-exchange
+    network (ad._network) on the x of all walkers at once, carrying the
+    electron index and XOR-folding the swaps into the parity as
+    ad._sort_parity does. A row whose sorted x holds an exact tie (zeros of
+    both signs among them) or a NaN, which fails every comparison, and every
+    row of a batch with a longer sector, is ordered by np.lexsort per sector
+    instead, its parity permutation_parity's. The order and parity are the
+    lexsort's on every row.
     """
     pos = ad.detach(positions)
+    b, n = pos.shape[:2]
+    x = [pos[:, slots, 0] for slots in sectors]
+    if all(np.all(s[:, 1:] > s[:, :-1]) for s in x):
+        return np.tile(np.arange(n), (b, 1)), np.ones(b, dtype=np.int64)
+    if max(map(len, sectors)) > ad.NETWORK_MAX:
+        return _lexsort_order(sectors, pos)
+    order = np.empty((b, n), dtype=np.int64)
+    odd, tied = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+    for slots, sub in zip(sectors, x):
+        keys, index = list(sub.T), list(slots)  # index entries become (B,) once swapped
+        for i, j in ad._network(len(slots)):
+            swap = keys[i] > keys[j]
+            odd ^= swap
+            keys[i], keys[j] = np.minimum(keys[i], keys[j]), np.maximum(keys[i], keys[j])
+            index[i], index[j] = (np.where(swap, index[j], index[i]),
+                                  np.where(swap, index[i], index[j]))
+        for lo, hi in zip(keys[:-1], keys[1:]):
+            tied |= ~(hi > lo)
+        for slot, column in zip(slots, index):
+            order[:, slot] = column
+    parity = np.where(odd, -1, 1)
+    if tied.any():
+        order[tied], parity[tied] = _lexsort_order(sectors, pos[tied])
+    return order, parity
+
+
+def _lexsort_order(sectors, pos) -> tuple[np.ndarray, np.ndarray]:
+    """canonical_order by one np.lexsort per sector and permutation_parity."""
     order = np.empty(pos.shape[:2], dtype=np.int64)
     for slots in sectors:
         sub = pos[:, slots]

@@ -11,7 +11,9 @@ so logmag.tan is grad L and logmag.curv is lap L; the potentials read the
 exact lengths of backbone.electron_geometry. Each walker's electrons are
 put in canonical order (`ansatz.canonical_order`) before the potentials are
 summed and the dual lanes are seeded, so E_loc is exactly invariant under
-any same-spin relabeling; signed_log gathers no batch already in order.
+any same-spin relabeling. Each chunk signed_log is handed is then already
+in order: finding that costs one comparison of the electrons' x, and
+signed_log gathers nothing.
 
 The dual pass runs over chunks of B walkers. Its largest arrays are the
 (B, N, width, 3N) tangents of the backbone, whose bytes grow as B N^2, so

@@ -147,9 +147,9 @@ def mh_step(ensemble: WalkerEnsemble, signed_log_fn) -> float:
         log_ratio = 2.0 * (new_logmag - ensemble.logmag)
         alive = (new_sign != 0) & np.isfinite(new_logmag)
         accept = alive & (np.log(uniforms) < log_ratio)
-    ensemble.positions[accept] = proposal[accept]
-    ensemble.logmag[accept] = new_logmag[accept]
-    ensemble.sign[accept] = new_sign[accept]
+    np.copyto(ensemble.positions, proposal, where=accept[:, None, None])
+    np.copyto(ensemble.logmag, new_logmag, where=accept)
+    np.copyto(ensemble.sign, new_sign, where=accept)
     ensemble.step += 1
     return float(np.mean(accept))
 

@@ -16,17 +16,26 @@ the median of each end-to-end metric per side, each side's range and the
 pairs in which B did better (by the metric's `better` in BENCHMARK.json),
 and names every run that failed or reported an incorrect result. It writes
 no BENCH file and nothing under perfbench/; each run makes and removes its
-own `.perfbench-run-*` directory inside its checkout. Not a pytest module.
+own `.perfbench-run-*` directory inside its checkout. A workload that A's
+BENCHMARK.json does not list is refused with exit 2 before any run.
+
+SIGTERM or Ctrl-C stops the comparison: the running child, in a session of
+its own, gets one SIGINT, so perfbench removes its run directory, and is
+killed if it is still alive STOP_GRACE_S seconds later; the script then
+names the stopped run and exits 1. Not a pytest module.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STOP_GRACE_S = 5  # a stopped run's time to remove its directory before it is killed
 
 
 def parse_args(argv=None):
@@ -45,18 +54,30 @@ def parse_args(argv=None):
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     """(metrics, problem): the run's end-to-end values by name, and None or
     why the run does not count."""
-    proc = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)  # a terminal's Ctrl-C reaches only this script
+    try:
+        stdout, stderr = child.communicate()
+    except KeyboardInterrupt:
+        try:
+            child.send_signal(signal.SIGINT)  # perfbench's TemporaryDirectory cleans up
+            child.communicate(timeout=STOP_GRACE_S)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        raise
+    lines = stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {}, f"exit {proc.returncode}: {tail}"
-    if proc.returncode or not report["correct"] or report["failed"]:
-        return {}, (f"exit {proc.returncode}, correct {report['correct']}, "
+        tail = (stderr.strip().splitlines() or ["no output"])[-1]
+        return {}, f"exit {child.returncode}: {tail}"
+    if child.returncode or not report["correct"] or report["failed"]:
+        return {}, (f"exit {child.returncode}, correct {report['correct']}, "
                     f"failed {report['failed']}/{report['attempted']}")
     return {name: m["value"] for name, m in report["metrics"].items()}, None
 
@@ -86,6 +107,10 @@ def summary(workload: str, metrics: list, pairs: list) -> str:
     return f"{workload} " + ", ".join(parts)
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signal.Signals(signum).name)  # SIGTERM stops as Ctrl-C does
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"a": args.a.resolve(), "b": args.b.resolve()}
@@ -94,22 +119,34 @@ def main(argv=None) -> int:
             print(f"error: {side} holds no perfbench/run.py", file=sys.stderr)
             return 2
     bench = json.loads((sides["a"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    problems = []
-    for workload in workloads:
-        pairs = []
-        for pair in range(args.pairs):
-            pairs.append({})
-            for key in ("ab" if pair % 2 == 0 else "ba"):
-                values, problem = run_once(sides[key], workload, args.seed, bench["run_seconds"])
-                print(f"# {workload} pair {pair + 1} {key.upper()}: "
-                      + (problem or " ".join(f"{k}={fmt(v)}" for k, v in values.items())),
-                      flush=True)
-                if problem is None:
-                    pairs[-1][key] = values
-                else:
-                    problems.append(f"{workload} pair {pair + 1} {key.upper()}: {problem}")
-        print(summary(workload, bench["end_to_end"], pairs), flush=True)
+    listed = [w["name"] for w in bench["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(listed))
+    if unknown:
+        print(f"error: BENCHMARK.json lists no workload {', '.join(unknown)}; "
+              f"it lists {', '.join(listed)}", file=sys.stderr)
+        return 2
+    signal.signal(signal.SIGTERM, _interrupt)
+    problems, run = [], None
+    try:
+        for workload in args.workload or listed:
+            pairs = []
+            for pair in range(args.pairs):
+                pairs.append({})
+                for key in ("ab" if pair % 2 == 0 else "ba"):
+                    run = f"{workload} pair {pair + 1} {key.upper()}"
+                    values, problem = run_once(sides[key], workload, args.seed,
+                                               bench["run_seconds"])
+                    print(f"# {run}: "
+                          + (problem or " ".join(f"{k}={fmt(v)}" for k, v in values.items())),
+                          flush=True)
+                    if problem is None:
+                        pairs[-1][key] = values
+                    else:
+                        problems.append(f"{run}: {problem}")
+            print(summary(workload, bench["end_to_end"], pairs), flush=True)
+    except KeyboardInterrupt:
+        print(f"stopped: {run}", file=sys.stderr)
+        return 1
     for problem in problems:
         print(f"not counted: {problem}")
     return 1 if problems else 0

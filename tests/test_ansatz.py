@@ -114,6 +114,75 @@ def test_canonical_order():
     assert np.array_equal(order4, order) and np.array_equal(parity4, parity)
 
 
+def lexsort_order(sectors, pos):
+    """The oracle: one np.lexsort by (x, y, z) per sector, and the parity of
+    the whole order by permutation_parity."""
+    order = np.empty(pos.shape[:2], dtype=np.int64)
+    for slots in sectors:
+        sub = pos[:, slots]
+        order[:, slots] = slots[np.lexsort((sub[..., 2], sub[..., 1], sub[..., 0]), axis=-1)]
+    return order, ad.permutation_parity(order)
+
+
+def awkward_walkers(rng, batch, sectors):
+    """(batch, N, 3) normals; row r % 6 > 0 plants, in each sector of two or
+    more: an exact x tie, a whole-position tie, x zeros of both signs (y
+    tied too), x at +inf and -inf, or a NaN x beside +inf (a tied pair of
+    them in a sector of three or more). A one-electron sector's x is NaN,
+    +inf, -inf or finite by r % 4."""
+    n = sum(map(len, sectors))
+    pos = rng.normal(size=(batch, n, 3))
+    for r in range(batch):
+        for slots in sectors:
+            if len(slots) < 2:
+                pos[r, slots, 0] = (np.nan, np.inf, -np.inf, 0.5)[r % 4]
+                continue
+            a, b, *rest = rng.permutation(slots)
+            kind = r % 6
+            if kind == 1:
+                pos[r, b, 0] = pos[r, a, 0]
+            elif kind == 2:
+                pos[r, b] = pos[r, a]
+            elif kind == 3:
+                pos[r, a, :2], pos[r, b, :2] = 0.0, -0.0
+            elif kind == 4:
+                pos[r, a, 0], pos[r, b, 0] = np.inf, -np.inf
+            elif kind == 5:
+                pos[r, a, 0] = np.nan
+                pos[r, [b] + rest[:1], 0] = np.inf
+    return pos
+
+
+@pytest.mark.parametrize("batch", [1, 7, 512])
+@pytest.mark.parametrize("n_up", range(1, 18))
+def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
+    """canonical_order against one np.lexsort per sector and
+    permutation_parity, bit for bit in order and parity: sectors of 1 to 17
+    electrons (past NETWORK_MAX, which takes the lexsort for the whole batch)
+    beside a shorter one, spins interleaved; exact x and whole-position
+    ties, zeros of both signs, infinities and NaNs (awkward_walkers); C,
+    Fortran-ordered and strided inputs; and a batch already in order, which
+    takes the identity path."""
+    rng = np.random.default_rng(100 * n_up + batch)
+    spins = rng.permutation(np.repeat([1, -1], (n_up, 1 + n_up // 3)))
+    sectors = [np.flatnonzero(spins == s) for s in (1, -1)]
+    pos = awkward_walkers(rng, batch, sectors)
+    want = lexsort_order(sectors, pos)
+    wide = np.full((2 * batch,) + pos.shape[1:], 7.0)
+    wide[::2] = pos
+    for view in (pos, np.asfortranarray(pos), wide[::2]):
+        order, parity = canonical_order(sectors, view)
+        assert order.dtype == parity.dtype == np.int64
+        assert np.array_equal(order, want[0]) and np.array_equal(parity, want[1])
+
+    plain = rng.normal(size=pos.shape)
+    in_order = np.take_along_axis(plain, lexsort_order(sectors, plain)[0][..., None], axis=1)
+    for batch_in_order in (in_order, np.take_along_axis(pos, want[0][..., None], axis=1)):
+        order, parity = canonical_order(sectors, batch_in_order)
+        assert np.array_equal(order, np.broadcast_to(np.arange(len(spins)), order.shape))
+        assert np.all(parity == 1)
+
+
 def test_score_parity_matches_brute_force_with_ties():
     """score_parity, the permutation parity of the stable argsort, against
     the inversion count for N = 1..64, with ties (which count no inversion)

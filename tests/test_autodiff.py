@@ -490,7 +490,6 @@ def test_reduce_exact_matches_numpy_over_short_last_axes(n):
 # docstring names them: (file in the package, innermost function)
 OWN_ORDER = {
     ("ad/__init__.py", "reduce_exact"),  # the one rule itself
-    ("ad/contract.py", "contract"),  # the dot path, kept off BLAS
     ("ad/reverse.py", "_unbroadcast"),  # reverse-mode sums over the batch
     ("ad/reverse.py", "softmax"),  # the softmax VJP
     ("hamiltonian.py", "nuclear_repulsion"),  # sorted, a constant of the system
@@ -818,6 +817,29 @@ def test_contract_matches_einsum_on_random_specs():
         got = contract(x_sub, y_sub, out, x, y)
         assert got.shape == want.shape, (x_sub, y_sub, out)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 20])
+def test_dot_path_is_a_left_fold(k):
+    """A contraction whose M and N are both 1 sums its K products as a
+    Python left fold in index order, bit for bit: featurize's bnm,nm->bn
+    partner means and a lone output entry, b,b->. The products are exact
+    (powers of two on one side), and tails of about a quarter ulp of the
+    lead term part a left fold from numpy's sum, pairwise from K = 8 on."""
+    rng = np.random.default_rng(k)
+    x = rng.uniform(1.0, 2.0, size=(6, 5, k))
+    x[..., 1:] = 2.0 ** -54 * rng.integers(1, 4, size=(6, 5, k - 1))
+    y = 2.0 ** rng.integers(-1, 2, size=(5, k)).astype(np.float64)
+
+    def fold(products):  # along the last axis
+        acc = products[..., 0]
+        for i in range(1, k):
+            acc = acc + products[..., i]
+        return acc
+
+    got = contract("bnm", "nm", "bn", x, y)
+    assert got.shape == (6, 5) and np.array_equal(got, fold(x * y))
+    assert np.array_equal(contract("b", "b", "", x[0, 0], y[0]), fold(x[0, 0] * y[0]))
 
 
 def test_attention_products_stack_only_the_walker():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import HarmonicGroundState, HydrogenGroundState
-from sortlet_vmc.ansatz import SortletWavefunction
+from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import load_system
 from sortlet_vmc.sampler import (
     PLACEMENT,
@@ -264,3 +264,36 @@ def test_ensemble_needs_one_chain_id_per_walker():
         with pytest.raises(ValueError, match="one chain id per walker"):
             WalkerEnsemble(chains=chains, **state)
     assert WalkerEnsemble(chains=np.arange(4), **state).n_walkers == 4
+
+
+@pytest.mark.parametrize("verdict", ["dead", "far_above", "alternate"])
+def test_mh_step_copies_only_accepted_walkers(verdict):
+    """After one mh_step every rejected walker's position, logmag and sign
+    are bitwise as before, and every accepted walker holds its proposal's:
+    proposals that all score sign 0 (none accepted), proposals that all
+    score far above the current walkers (all accepted), and the two
+    alternating walker by walker."""
+    rng = np.random.default_rng(29)
+    m = 9
+    before = dict(positions=rng.normal(size=(m, 3, 3)), logmag=rng.normal(size=m),
+                  sign=rng.choice(np.array([-1, 1]), size=m))
+    ens = WalkerEnsemble(**{k: v.copy() for k, v in before.items()}, key=stream_key(4),
+                         chains=np.arange(m), sigma=0.8)
+    alive = {"dead": np.zeros(m, dtype=bool), "far_above": np.ones(m, dtype=bool),
+             "alternate": np.arange(m) % 2 == 1}[verdict]
+    new_sign = np.where(alive, rng.choice(np.array([-1, 1]), size=m), 0)
+
+    def scored(positions):
+        # 1000 above every current walker: accepted wherever the sign lets it live
+        return SignedLog(new_sign.copy(), positions[:, 0, 0] + 1000.0)
+
+    noise, _ = ens.step_draws()
+    proposal = before["positions"] + 0.8 * noise
+    rate = mh_step(ens, scored)
+    assert rate == np.mean(alive)
+    want = dict(positions=np.where(alive[:, None, None], proposal, before["positions"]),
+                logmag=np.where(alive, proposal[:, 0, 0] + 1000.0, before["logmag"]),
+                sign=np.where(alive, new_sign, before["sign"]))
+    for name, value in want.items():
+        got = getattr(ens, name)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
