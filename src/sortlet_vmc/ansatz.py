@@ -28,11 +28,8 @@ out before any log so derivative lanes stay finite; a masked head simply
 contributes zero to the mixture. The envelope and the pair factor read
 the exact lengths of the pass's one geometry (backbone.electron_geometry).
 
-Each walker is evaluated with the electrons of each spin sector sorted by
-(x, y, z) (canonical_order), so its bits do not depend on a same-spin
-relabelling. That sort runs the sortlet's own comparator network on the
-electrons' x, all walkers at once; a batch already in order, as the local
-energy's dual chunks are, costs one comparison.
+Each walker is evaluated in canonical electron order (canonical_order),
+sorted per spin sector by the same comparator network on the electrons' x.
 """
 
 from __future__ import annotations

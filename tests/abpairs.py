@@ -21,8 +21,8 @@ BENCHMARK.json does not list is refused with exit 2 before any run.
 
 SIGTERM or Ctrl-C stops the comparison: the running child, in a session of
 its own, gets one SIGINT, so perfbench removes its run directory, and is
-killed if it is still alive STOP_GRACE_S seconds later; the script then
-names the stopped run and exits 1. Not a pytest module.
+killed if it is still alive 5 seconds later; the script then names the
+stopped run and exits 1. Not a pytest module.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-STOP_GRACE_S = 5  # a stopped run's time to remove its directory before it is killed
 
 
 def parse_args(argv=None):
@@ -64,7 +62,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     except KeyboardInterrupt:
         try:
             child.send_signal(signal.SIGINT)  # perfbench's TemporaryDirectory cleans up
-            child.communicate(timeout=STOP_GRACE_S)
+            child.communicate(timeout=5)
         finally:
             if child.poll() is None:
                 child.kill()
