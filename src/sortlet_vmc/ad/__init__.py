@@ -75,8 +75,8 @@ and the parity. Every parity outside the network is permutation_parity's,
 which takes all rows at once by pointer doubling over flat indices.
 Invariance under electron relabeling is not an op's job: the model
 evaluates every walker with its electrons in one canonical order
-(`ansatz.canonical_order`, which runs the same network on the x of each
-spin sector).
+(`ansatz.canonical_order`, which sorts the x of each spin sector of a
+large batch by the same network, network_sort carrying the index).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
@@ -105,7 +105,7 @@ __all__ = [
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
     "take", "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
     "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity",
-    "permutation_parity", "NETWORK_MAX",
+    "permutation_parity", "network_sort", "NETWORK_MAX",
 ]
 
 # name: (f, f'(x, y), f''(x, y, f') or None) with y = f(x); f takes out= as a ufunc does
@@ -205,8 +205,7 @@ take_along = _dispatch(
 take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
 
 
-# rows of more keys take _sort_parity's argsort fallback, and longer spin
-# sectors ansatz.canonical_order's lexsort. The network costs
+# rows of more keys take _sort_parity's argsort fallback. The network costs
 # a few numpy calls per comparator (63 at N = 16, 543 at N = 64): at N = 16
 # on one 2-vCPU Xeon core it took 250-420 against 740 us for the fallback
 # on 1024 rows, but 140-310 against 55 us on 16 rows, a gap widening with N
@@ -284,18 +283,38 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
         order = _argsort(vals)
         return np.ravel(vals)[_ranked_index(order)], permutation_parity(order)
     rows = list(v)
-    odd = np.zeros(v.shape[1:], dtype=bool)
+    odd = network_sort(rows)
+    return np.stack(rows), np.where(odd, -1, 1)
+
+
+def network_sort(rows: list, index: list | None = None) -> np.ndarray:
+    """Sort the ranks of rows, a list of N equal-shape float arrays, by the
+    compare-exchange network _network(N), elementwise over every entry at
+    once, and return where the sorting permutation is odd (a bool array of
+    a row's shape). rows[r] then holds each entry's r-th smallest key, in
+    the arrays it came in (which it overwrites). index, a list of N ints
+    or int arrays if given, has each entry moved as its key moved. A
+    comparator swaps on a strict greater-than and the parity counts the
+    swaps, so it is always the parity of the moves index records; that is
+    the one sorting permutation where an entry's keys are distinct, one of
+    several where two tie, and no sort at all where a NaN (which minimum
+    and maximum copy into both slots) fails every comparison. Callers that
+    need the unique order check that their sorted keys rise strictly.
+    _sort_parity and ansatz.canonical_order sort with it."""
+    odd = np.zeros(rows[0].shape, dtype=bool)
     swap, spare = np.empty_like(odd), np.empty_like(rows[0])
-    for i, j in _network(n):
+    for i, j in _network(len(rows)):
         a, b = rows[i], rows[j]
         np.greater(a, b, out=swap)
         odd ^= swap
+        if index is not None:
+            index[i], index[j] = np.where(swap, index[j], index[i]), np.where(swap, index[i], index[j])
         rows[i] = np.minimum(a, b, out=spare)
         # operands swapped against minimum: of two equal zeros, each returns
         # its second operand, so the pair stays a permutation of its bits
         np.maximum(b, a, out=b)
         spare = a  # a's buffer is free again
-    return np.stack(rows), np.where(odd, -1, 1)
+    return odd
 
 
 def _ranked_index(order: np.ndarray) -> np.ndarray:

@@ -28,8 +28,10 @@ out before any log so derivative lanes stay finite; a masked head simply
 contributes zero to the mixture. The envelope and the pair factor read
 the exact lengths of the pass's one geometry (backbone.electron_geometry).
 
-Each walker is evaluated in canonical electron order (canonical_order),
-sorted per spin sector by the same comparator network on the electrons' x.
+Each walker is evaluated in canonical electron order (canonical_order):
+a batch of at least NETWORK_MIN_WALKERS walkers sorts each spin sector by
+the same comparator network on the electrons' x (ad.network_sort), a
+smaller one by np.lexsort, and a batch already in order is not sorted.
 """
 
 from __future__ import annotations
@@ -62,7 +64,18 @@ class SignedLog:
             return self.sign * np.exp(ad.detach(self.logmag))
 
 
-def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
+# canonical_order's network costs a few numpy calls per comparator, nearly
+# flat in the batch up to a few hundred walkers, while np.lexsort's per-row
+# sorts grow with it. Two sectors of n electrons, random x, best of 15
+# alternating rounds of 20 calls on a 2-vCPU AMD EPYC host, network/lexsort
+# us at 32, 256 and 512 walkers: n = 2 21/14, 22/40, 25/71; n = 4 46/17,
+# 51/53, 60/98; n = 8 119/22, 138/92, 172/304; n = 16 335/34, 397/343,
+# 599/707. The network won at 512 walkers for every n from 2 to 16 and
+# lost at 256 for every n from 5, so smaller batches take the lexsort.
+NETWORK_MIN_WALKERS = 512
+
+
+def canonical_order(sectors, positions) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-walker canonical electron order and its parity.
 
     order (B, N) sorts the electrons of each sector (SystemSpec.sectors)
@@ -70,14 +83,14 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     gives the same bits for every same-spin relabelling of the walker.
     parity (B,) is the sign that permutation gives an antisymmetric function.
 
-    A batch whose x rises strictly in every sector is already in that order
-    and returns the identity after one comparison. Otherwise each sector of
-    up to ad.NETWORK_MAX electrons runs the sortlet's compare-exchange
-    network (ad._network) on the x of all walkers at once, carrying the
-    electron index and XOR-folding the swaps into the parity as
-    ad._sort_parity does. A row whose sorted x holds an exact tie (zeros of
-    both signs among them) or a NaN, which fails every comparison, and every
-    row of a batch with a longer sector, is ordered by np.lexsort per sector
+    A batch whose x rises strictly in every sector is already in that order:
+    after that one comparison order is None (the identity) and every parity
+    +1. Otherwise a batch of at least NETWORK_MIN_WALKERS walkers whose
+    sectors hold at most ad.NETWORK_MAX electrons sorts each sector's x by
+    ad.network_sort, all walkers at once, which carries the electron index
+    and the parity of its swaps. A row whose sorted x holds an exact tie
+    (zeros of both signs among them) or a NaN, which fails every comparison,
+    and every row of any other batch, is ordered by np.lexsort per sector
     instead, its parity permutation_parity's. The order and parity are the
     lexsort's on every row.
     """
@@ -85,19 +98,14 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     b, n = pos.shape[:2]
     x = [pos[:, slots, 0] for slots in sectors]
     if all(np.all(s[:, 1:] > s[:, :-1]) for s in x):
-        return np.tile(np.arange(n), (b, 1)), np.ones(b, dtype=np.int64)
-    if max(map(len, sectors)) > ad.NETWORK_MAX:
+        return None, np.ones(b, dtype=np.int64)
+    if b < NETWORK_MIN_WALKERS or max(map(len, sectors)) > ad.NETWORK_MAX:
         return _lexsort_order(sectors, pos)
     order = np.empty((b, n), dtype=np.int64)
     odd, tied = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
     for slots, sub in zip(sectors, x):
-        keys, index = list(sub.T), list(slots)  # index entries become (B,) once swapped
-        for i, j in ad._network(len(slots)):
-            swap = keys[i] > keys[j]
-            odd ^= swap
-            keys[i], keys[j] = np.minimum(keys[i], keys[j]), np.maximum(keys[i], keys[j])
-            index[i], index[j] = (np.where(swap, index[j], index[i]),
-                                  np.where(swap, index[i], index[j]))
+        keys, index = list(np.array(sub.T, order="C")), list(slots)
+        odd ^= ad.network_sort(keys, index)
         for lo, hi in zip(keys[:-1], keys[1:]):
             tied |= ~(hi > lo)
         for slot, column in zip(slots, index):
@@ -106,6 +114,15 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray, np.ndarray]:
     if tied.any():
         order[tied], parity[tied] = _lexsort_order(sectors, pos[tied])
     return order, parity
+
+
+def canonical_positions(sectors, positions) -> tuple[object, np.ndarray]:
+    """(positions gathered into canonical_order, its parity), in any engine;
+    a batch already in that order comes back as it is, not gathered."""
+    order, parity = canonical_order(sectors, positions)
+    if order is not None:
+        positions = ad.take_along(positions, order[..., None], axis=1)
+    return positions, parity
 
 
 def _lexsort_order(sectors, pos) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +275,7 @@ class SortletWavefunction:
         shape = ad.detach(positions).shape
         if len(shape) != 3 or shape[1:] != (self.system.n_electrons, 3):
             raise ValueError(f"positions must be (B, {self.system.n_electrons}, 3), got {shape}")
-        order, parity = canonical_order(self.system.sectors, positions)
-        if not np.all(order == np.arange(shape[1])):
-            positions = ad.take_along(positions, order[..., None], axis=1)
+        positions, parity = canonical_positions(self.system.sectors, positions)
         params = theta if isinstance(theta, dict) else self.bind(theta)
         geom, en_exact, ee_exact = backbone.electron_geometry(self.system, positions)
         reach = envelope_distance_sum(en_exact)  # (B,)

@@ -9,11 +9,11 @@ coordinates in one forward-Laplacian pass: every dual value carries its
 gradient as 3N seed lanes and its Laplacian as one number (ad/forward.py),
 so logmag.tan is grad L and logmag.curv is lap L; the potentials read the
 exact lengths of backbone.electron_geometry. Each walker's electrons are
-put in canonical order (`ansatz.canonical_order`) before the potentials are
-summed and the dual lanes are seeded, so E_loc is exactly invariant under
-any same-spin relabeling. Each chunk signed_log is handed is then already
-in order: finding that costs one comparison of the electrons' x, and
-signed_log gathers nothing.
+put in canonical order (`ansatz.canonical_positions`) before the
+potentials are summed and the dual lanes are seeded, so E_loc is exactly
+invariant under any same-spin relabeling. Each chunk signed_log is handed
+is then already in order: finding that costs one comparison of the
+electrons' x, and signed_log gathers nothing.
 
 The dual pass runs over chunks of B walkers. Its largest arrays are the
 (B, N, width, 3N) tangents of the backbone, whose bytes grow as B N^2, so
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad, backbone
-from .ansatz import canonical_order
+from .ansatz import canonical_positions
 from .geometry import SystemSpec
 
 
@@ -93,9 +93,8 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     signed_log_fn maps a positions batch (plain or dual) to a SignedLog.
     The 3N-lane dual pass runs over chunks of `walker_chunk(N)` walkers.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    order, _ = canonical_order(system.sectors, positions)
-    positions = ad.take_along(positions, order[..., None], axis=1)
+    positions, _ = canonical_positions(system.sectors,
+                                       np.ascontiguousarray(positions, dtype=np.float64))
     b = positions.shape[0]
     if potential == "coulomb":
         ee, en = electron_potentials(system, positions)

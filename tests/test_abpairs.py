@@ -17,7 +17,8 @@ STUB_RUN = """\
 import os, pathlib, tempfile, time
 root = pathlib.Path(__file__).resolve().parent.parent
 with tempfile.TemporaryDirectory(prefix=".perfbench-run-", dir=root):
-    (root / "pid").write_text(str(os.getpid()))
+    (root / "pid.part").write_text(str(os.getpid()))
+    os.replace(root / "pid.part", root / "pid")  # the test never reads a half-written pid
     time.sleep({seconds})
 """
 

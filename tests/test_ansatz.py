@@ -13,6 +13,7 @@ from sortlet_vmc.ansatz import (
     SignedLog,
     SortletWavefunction,
     canonical_order,
+    canonical_positions,
     envelope_distance_sum,
     mix_signed_logs,
     pair_log_factor,
@@ -159,10 +160,11 @@ def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
     """canonical_order against one np.lexsort per sector and
     permutation_parity, bit for bit in order and parity: sectors of 1 to 17
     electrons (past NETWORK_MAX, which takes the lexsort for the whole batch)
-    beside a shorter one, spins interleaved; exact x and whole-position
-    ties, zeros of both signs, infinities and NaNs (awkward_walkers); C,
-    Fortran-ordered and strided inputs; and a batch already in order, which
-    takes the identity path."""
+    beside a shorter one, spins interleaved; batches of 1 and 7 (below
+    NETWORK_MIN_WALKERS, the lexsort) and 512 (the network); exact x and
+    whole-position ties, zeros of both signs, infinities and NaNs
+    (awkward_walkers); C, Fortran-ordered and strided inputs; and batches
+    already in order, the identity (order None where x rises strictly)."""
     rng = np.random.default_rng(100 * n_up + batch)
     spins = rng.permutation(np.repeat([1, -1], (n_up, 1 + n_up // 3)))
     sectors = [np.flatnonzero(spins == s) for s in (1, -1)]
@@ -170,8 +172,11 @@ def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
     want = lexsort_order(sectors, pos)
     wide = np.full((2 * batch,) + pos.shape[1:], 7.0)
     wide[::2] = pos
+    identity = np.broadcast_to(np.arange(len(spins)), want[0].shape)
     for view in (pos, np.asfortranarray(pos), wide[::2]):
         order, parity = canonical_order(sectors, view)
+        if order is None:  # the identity, when every row is already in order
+            order = identity
         assert order.dtype == parity.dtype == np.int64
         assert np.array_equal(order, want[0]) and np.array_equal(parity, want[1])
 
@@ -179,8 +184,9 @@ def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
     in_order = np.take_along_axis(plain, lexsort_order(sectors, plain)[0][..., None], axis=1)
     for batch_in_order in (in_order, np.take_along_axis(pos, want[0][..., None], axis=1)):
         order, parity = canonical_order(sectors, batch_in_order)
-        assert np.array_equal(order, np.broadcast_to(np.arange(len(spins)), order.shape))
-        assert np.all(parity == 1)
+        assert np.array_equal(identity if order is None else order, identity)
+        assert parity.dtype == np.int64 and np.array_equal(parity, np.ones(batch))
+    assert canonical_order(sectors, in_order)[0] is None  # x rises strictly: no sort
 
 
 def test_score_parity_matches_brute_force_with_ties():
@@ -457,8 +463,7 @@ def test_pair_log_factor_permutation_invariant_bitwise():
     base = pair_factor(system, pos, b)
     perm = np.array([2, 0, 1, 4, 3])  # preserves the spin pattern
     np.testing.assert_allclose(pair_factor(system, pos[:, perm], b), base, rtol=1e-12)
-    canonical = [np.take_along_axis(p, canonical_order(system.sectors, p)[0][..., None], axis=1)
-                 for p in (pos, pos[:, perm])]
+    canonical = [canonical_positions(system.sectors, p)[0] for p in (pos, pos[:, perm])]
     assert np.array_equal(pair_factor(system, canonical[0], b),
                           pair_factor(system, canonical[1], b))
 
@@ -493,7 +498,7 @@ H8 = SystemSpec(nuclei_positions=np.array([[1.5 * i - 5.25, 0.0, 0.0] for i in r
 
 def wf_order(system, pos):
     """pos with each walker's electrons in signed_log's canonical order."""
-    return np.take_along_axis(pos, canonical_order(system.sectors, pos)[0][..., None], axis=1)
+    return canonical_positions(system.sectors, pos)[0]
 
 
 @pytest.mark.parametrize("system", [LIH, H8], ids=["lih", "h8"])

@@ -5,7 +5,7 @@ from sortlet_vmc import ad
 from sortlet_vmc.ad import GradientTape
 from oracles import hessian_diag_central, unfolded_scores
 from sortlet_vmc.ad.fd import grad_central
-from sortlet_vmc.ansatz import SortletWavefunction, canonical_order
+from sortlet_vmc.ansatz import SortletWavefunction, canonical_positions
 from sortlet_vmc.backbone import (
     ParamStore,
     build_param_store,
@@ -84,7 +84,7 @@ def test_scores_equivariant_bitwise_under_same_spin_swap():
     params = wf.bind(wf.theta0)
 
     def canonical(p):
-        return np.take_along_axis(p, canonical_order(BE.sectors, p)[0][..., None], axis=1)
+        return canonical_positions(BE.sectors, p)[0]
 
     base = scores(BE, params, electron_geometry(BE, pos)[0])  # (B, K, N)
     base_canonical = scores(BE, params, electron_geometry(BE, canonical(pos))[0])
