@@ -288,19 +288,16 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
 
 
 def network_sort(rows: list, index: list | None = None) -> np.ndarray:
-    """Sort the ranks of rows, a list of N equal-shape float arrays, by the
-    compare-exchange network _network(N), elementwise over every entry at
-    once, and return where the sorting permutation is odd (a bool array of
-    a row's shape). rows[r] then holds each entry's r-th smallest key, in
-    the arrays it came in (which it overwrites). index, a list of N ints
-    or int arrays if given, has each entry moved as its key moved. A
-    comparator swaps on a strict greater-than and the parity counts the
-    swaps, so it is always the parity of the moves index records; that is
-    the one sorting permutation where an entry's keys are distinct, one of
-    several where two tie, and no sort at all where a NaN (which minimum
-    and maximum copy into both slots) fails every comparison. Callers that
-    need the unique order check that their sorted keys rise strictly.
-    _sort_parity and ansatz.canonical_order sort with it."""
+    """Sort rows, a list of N equal-shape float arrays, rank by rank with
+    the compare-exchange network _network(N), elementwise over all entries
+    at once: the list is updated in place, rows[r] then holding each
+    entry's r-th smallest key, and the arrays it held are overwritten.
+    Returns where the count of swaps is odd, the parity of the moves that
+    index, a list of N ints or int arrays if given, records as each entry's
+    keys move. That is the sorting permutation's where an entry's keys are
+    distinct; a tie or a NaN (which minimum and maximum copy into both
+    slots) leaves neighbouring ranks not strictly rising, which callers
+    that need the unique order check."""
     odd = np.zeros(rows[0].shape, dtype=bool)
     swap, spare = np.empty_like(odd), np.empty_like(rows[0])
     for i, j in _network(len(rows)):
@@ -308,7 +305,8 @@ def network_sort(rows: list, index: list | None = None) -> np.ndarray:
         np.greater(a, b, out=swap)
         odd ^= swap
         if index is not None:
-            index[i], index[j] = np.where(swap, index[j], index[i]), np.where(swap, index[i], index[j])
+            index[i], index[j] = (np.where(swap, index[j], index[i]),
+                                  np.where(swap, index[i], index[j]))
         rows[i] = np.minimum(a, b, out=spare)
         # operands swapped against minimum: of two equal zeros, each returns
         # its second operand, so the pair stays a permutation of its bits

@@ -189,6 +189,27 @@ def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
     assert canonical_order(sectors, in_order)[0] is None  # x rises strictly: no sort
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_network_sort_carries_the_index_and_its_parity(n):
+    """ad.network_sort on 40 entries of n keys, some with an exact tie: the
+    keys come out in np.sort's order, index is a permutation that sorts
+    them, the stable argsort wherever the keys are distinct, and the parity
+    is that permutation's on every entry, tied or not."""
+    rng = np.random.default_rng(n)
+    keys = rng.normal(size=(n, 40))
+    if n > 1:
+        keys[1, ::3] = keys[0, ::3]
+    rows, index = list(keys.copy()), list(range(n))
+    odd = ad.network_sort(rows, index)
+    index = np.stack(np.broadcast_arrays(*index, np.zeros(40, dtype=np.int64))[:n])
+    assert np.array_equal(np.stack(rows), np.sort(keys, axis=0))
+    assert np.array_equal(np.take_along_axis(keys, index, axis=0), np.stack(rows))
+    distinct = np.all(np.diff(np.sort(keys, axis=0), axis=0) > 0, axis=0)
+    stable = np.argsort(keys, axis=0, kind="stable")
+    assert np.array_equal(index[:, distinct], stable[:, distinct])
+    assert np.array_equal(np.where(odd, -1, 1), ad.permutation_parity(index.T))
+
+
 def test_score_parity_matches_brute_force_with_ties():
     """score_parity, the permutation parity of the stable argsort, against
     the inversion count for N = 1..64, with ties (which count no inversion)
