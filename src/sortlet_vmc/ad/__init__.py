@@ -17,8 +17,8 @@ calls f; Var records g f'; Dual applies tan = f' tan_x and
 lap = f' lap_x + f'' sum_t tan_x^2. f'' is None where it vanishes wherever
 f' exists (absolute), and then no lane sum is computed. Only ops whose
 arithmetic differs per engine live in forward.py and reverse.py: where,
-sum, the gathers behind take, take_along and sort_parity, reshape,
-moveaxis, concat, einsum, softmax, norm and the operators.
+sum, the gathers behind take and take_along, reshape, moveaxis, concat,
+einsum, softmax, norm, gap_logs and the operators.
 
 No op writes into an array it was handed, in any engine; forward.py
 states the rule for a Dual. The plain engine has one exception, so that a
@@ -34,46 +34,51 @@ so b is a constant or in y's engine. The same ufuncs meet the same
 operands in the same order either way, so every bit is kept. A test runs
 signed_log in all three engines on read-only inputs.
 
-softmax and norm reduce over the last axis and are single fused ops, not
-compositions of the elementwise rows: one plain function computes the
-value for every engine the op has (so plain, Dual.val and Var.val agree
-bit for bit), and the Dual and Var ops add only their derivative rules.
-The Dual rules are written out in forward.py; each of their sums over the
-reduced axis or over the seed lanes runs in an order fixed by per-walker
-sizes. A tuple of eps gives norm's lengths of one block from one sum of
-squares (and, for a Dual, one set of lane numerators); displacements'
-Dual centers share each point's tangent, which norm reads uncopied.
+softmax, norm and gap_logs reduce over the last axis and are single fused
+ops, not compositions of the elementwise rows: one plain function
+computes the value for every engine the op has (so plain, Dual.val and
+Var.val agree bit for bit), and the Dual and Var ops add only their
+derivative rules. The Dual rules are written out in forward.py; each of
+their sums over the reduced axis or over the seed lanes runs in an order
+fixed by per-walker sizes. A tuple of eps gives norm's lengths of one
+block from one sum of squares (and, for a Dual, one set of lane
+numerators); displacements' Dual centers share each point's tangent,
+which norm reads uncopied. gap_logs is the sortlet's head: it sorts each
+row once, takes its N gaps (the N-1 adjacent ones and the wrap gap) into
+one buffer, reads a zero gap as 1 and folds their logs with
+reduce_exact. Its Dual applies the log row's rule to the gap lanes, and
+its Var is one tape node; both gather, or scatter, each entry once by
+the position the sort carries beside its key, with no second sort.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
-matmul planned once per spec and operand shapes; contract.py states the
-determinism contract it keeps. take_along is one flat gather in every
-engine: a Dual takes whole rows of T lanes, and the Var VJP scatters with
-one bincount. sort_parity returns the whole ascending sort along the
-last axis with the rank axis first, and the sort's parity; the plain
-engine only sorts values, and a Dual or Var gathers each entry once by
-the stable argsort as take_along does. A Var takes basic indices only
-(integers, slices, None); every gather of a Var goes through take_along
-or sort_parity.
+matmul by a kernel cached per spec and operand shapes; contract.py
+states the determinism contract it keeps. take_along is one flat gather
+in every engine: a Dual takes whole rows of T lanes, and the Var VJP
+scatters with one bincount. A Var takes basic indices only (integers,
+slices, None); every other gather of a Var goes through take_along or
+gap_logs.
 
 One rule reduces every model axis in every engine: reduce_exact moves
 the axis, or a tuple of axes in C order, first into a C-contiguous copy
-and reduces over that leading axis, so a sum is a left fold in index
-order whatever the batch, the row's place in it or the layout. sum (a
-Dual's value, lanes and Laplacian; a Var's value), softmax's denominator,
-amax, the sortlet's tie test, the parity and contract's dot path take
-it. Four keep an order of their own, fixed by per-walker sizes or by the
-system: the lane and axis dots (forward._lane_dot, _axis_dot, _norm);
-the reverse engine's sums over the batch (_unbroadcast, the softmax
-VJP); nuclear_repulsion's sorted sum; the optimizer's statistics over
-walkers. A test scans the package for any other. contract's BLAS calls
-sum in BLAS's order, fixed by the matrix shapes (contract.py). The sort
-behind sort_parity is Batcher's odd-even merge network of
+(only the copy where they already lead) and reduces over that leading
+axis, so a sum is a left fold in index order whatever the batch, the
+row's place in it or the layout. sum (a Dual's value, lanes and
+Laplacian; a Var's value), softmax's denominator, amax, gap_logs' fold
+and tie test, the parity and contract's dot path take it. Four keep an
+order of their own, fixed by per-walker sizes or by the system: the lane
+and axis dots (forward._lane_dot, _axis_dot, _norm); the reverse
+engine's sums over the batch (_unbroadcast, the softmax VJP);
+nuclear_repulsion's sorted sum; the optimizer's statistics over walkers.
+A test scans the package for any other. contract's BLAS calls sum in
+BLAS's order, fixed by the matrix shapes (contract.py). The sort behind
+gap_logs (_sort_parity) is Batcher's odd-even merge network of
 elementwise minimum/maximum passes, which also counts the parity of its
-swaps, for rows of up to NETWORK_MAX finite keys; longer rows, or any
-NaN or infinity, take one stable argsort for both the gathered values
-and the parity. Every parity outside the network is permutation_parity's,
-which takes all rows at once by pointer doubling over flat indices.
-Invariance under electron relabeling is not an op's job: the model
+swaps and, for a Dual or Var, carries each entry's position beside its
+key, for rows of up to NETWORK_MAX finite keys; longer rows, or any NaN
+or infinity, take one stable argsort for the gathered values, the
+positions and the parity. Every parity outside the network is
+permutation_parity's, which takes all rows at once by pointer doubling
+over flat indices. Invariance under electron relabeling is not an op's job: the model
 evaluates every walker with its electrons in one canonical order
 (`ansatz.canonical_order`, which sorts the x of each spin sector of a
 large batch by the same network, network_sort carrying the index).
@@ -83,8 +88,12 @@ minimum. They stay, each an engine-generic composite or table row, only
 because perfbench's tracer (perfbench/spans.py) patches them by name;
 deleting them waits for a change that refreshes the benchmark's list of
 names. The tracer does not patch softmax, norm, displacements, take or
-sort_parity, so their time counts in the calling span's self time
-(sort_parity's in ansatz.sortlet_logs, the geometry's in signed_log).
+gap_logs, so their time counts in the calling span's self time
+(gap_logs' in ansatz.sortlet_logs, the geometry's in signed_log). The
+sortlet's where, log, sum and gap arithmetic were patched ops before
+gap_logs fused them, so a trace reads more ansatz.sortlet_logs self time
+and less ad.other self time and ad.forward.bytes_computed than before:
+a shift in attribution, not a regression.
 """
 
 from __future__ import annotations
@@ -103,7 +112,7 @@ __all__ = [
     "Dual", "GradientTape", "Var", "seed_positions",
     "exp", "log", "log1p", "sqrt", "tanh", "square", "absolute", "softplus",
     "where", "maximum", "minimum", "sum", "symsum", "symsum_abs", "take_along",
-    "take", "sort_parity", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
+    "take", "gap_logs", "reshape", "moveaxis", "concat", "stack", "einsum", "softmax",
     "norm", "displacements", "detach", "amax", "reduce_exact", "score_parity",
     "permutation_parity", "network_sort", "NETWORK_MAX",
 ]
@@ -258,10 +267,12 @@ def score_parity(values: np.ndarray) -> np.ndarray:
     return permutation_parity(_argsort(values))
 
 
-def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted, parity): an ascending sort along the last axis with that
-    axis first, shape (N,) + vals.shape[:-1], and the sign of the sorting
-    permutation, shape vals.shape[:-1]. Never writes to vals.
+def _sort_parity(vals, carry=False) -> tuple:
+    """(sorted, parity, index): an ascending sort along the last axis with
+    that axis first, shape (N,) + vals.shape[:-1], the sign of the sorting
+    permutation, shape vals.shape[:-1], and, given carry or on the
+    fallback (None otherwise), the flat C-order position in vals of each
+    sorted entry, shaped as sorted. Never writes to vals.
 
     Up to NETWORK_MAX keys, all finite, one compare-exchange network runs
     lane-leading on a rank-first copy: each comparator is elementwise (a
@@ -269,10 +280,10 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     np.maximum), so a row's bits cannot depend on its batch or layout. The
     values are np.sort's floats, bit for bit except that zeros of both
     signs in one row may trade places, and each row stays a permutation of
-    its own bits. The parity is exact on every row without a tie; a finite
-    tie leaves a zero gap, so the sortlet never reads its parity. Longer
-    rows take one stable argsort, which gives both the values, each row's
-    own bits gathered as the Dual and Var engines gather them, and the
+    its own bits. The parity, and the carried index, are exact on every
+    row without a tie; a finite tie leaves a zero gap, so the sortlet
+    never reads them there. Longer rows take one stable argsort, which
+    gives the values, each row's own bits gathered, the index and the
     parity, permutation_parity of that order (score_parity's). So does any
     input holding a NaN (which minimum and maximum would copy into both
     slots) or an infinity (two equal ones leave a NaN gap, not a zero one,
@@ -281,10 +292,13 @@ def _sort_parity(vals) -> tuple[np.ndarray, np.ndarray]:
     v = np.array(np.moveaxis(vals, -1, 0), order="C")  # a copy, never a view of vals
     if n > NETWORK_MAX or not np.isfinite(v).all():
         order = _argsort(vals)
-        return np.ravel(vals)[_ranked_index(order)], permutation_parity(order)
-    rows = list(v)
-    odd = network_sort(rows)
-    return np.stack(rows), np.where(odd, -1, 1)
+        index = _ranked_index(order)
+        return np.ravel(vals)[index], permutation_parity(order), index
+    rows, index = list(v), list(range(n)) if carry else None
+    odd = network_sort(rows, index)
+    if carry:  # each entry's key index plus its row's flat start
+        index = np.stack(index) + _take_offsets(vals.shape, vals.ndim - 1)[0][..., 0]
+    return np.stack(rows), np.where(odd, -1, 1), index
 
 
 def network_sort(rows: list, index: list | None = None) -> np.ndarray:
@@ -305,8 +319,10 @@ def network_sort(rows: list, index: list | None = None) -> np.ndarray:
         np.greater(a, b, out=swap)
         odd ^= swap
         if index is not None:
-            index[i], index[j] = (np.where(swap, index[j], index[i]),
-                                  np.where(swap, index[i], index[j]))
+            # integer moves are exact; a pair of np.where took 2.5x as long over
+            # 4096 entries of 8 keys (2-vCPU AMD EPYC, timing loop)
+            step = (index[j] - index[i]) * swap
+            index[i], index[j] = index[i] + step, index[j] - step
         rows[i] = np.minimum(a, b, out=spare)
         # operands swapped against minimum: of two equal zeros, each returns
         # its second operand, so the pair stays a permutation of its bits
@@ -323,17 +339,46 @@ def _ranked_index(order: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(_take_index(order.shape, order, -1), -1, 0))
 
 
-sort_parity = _dispatch(
-    "sort_parity", _sort_parity,
-    lambda x: (forward.take(x, _ranked_index(_argsort(x.val))), _sort_parity(x.val)[1]),
-    lambda x: (reverse.take(x, _ranked_index(_argsort(x.val))), _sort_parity(x.val)[1]))
-sort_parity.__doc__ = """(sorted, parity): the ascending sort along the last axis, rank axis
-first, shape (N,) + x.shape[:-1], and the sort's parity from _sort_parity
-on the values (the network's, or permutation_parity of the stable argsort
-past it), shape x.shape[:-1]. Plain arrays take _sort_parity itself; a
-Dual or Var gathers each entry once by the stable argsort. The values are
-the same floats in every engine, each row a permutation of its own bits;
-only the network may put zeros of both signs in another order."""
+def _gap_logs(vals, carry=False) -> tuple:
+    """(logmag, parity, tied, gaps, zero, index) of gap_logs on plain
+    values, N >= 2: the value every engine returns, and what the Dual and
+    Var rules read. gaps (N, ...) holds the N-1 adjacent gaps of the sorted
+    row and then the wrap gap, each 1 where zero says: where it is zero,
+    and the wrap gap of a tied head (it is zero only where every adjacent
+    gap is). index is _sort_parity's, carried given carry."""
+    ranked, parity, index = _sort_parity(vals, carry)
+    gaps = forward.cyclic_gaps(ranked)
+    zero = gaps == 0.0
+    tied = reduce_exact(np.logical_or, zero[:-1], axis=0)
+    zero[-1] = tied
+    np.copyto(gaps, 1.0, where=zero)
+    return reduce_exact(np.add, np.log(gaps), axis=0), parity, tied, gaps, zero, index
+
+
+def _gap_logs_dual(x):
+    logmag, parity, tied, gaps, zero, index = _gap_logs(x.val, carry=True)
+    tan, curv = forward.gap_log_lanes(x, index, gaps, zero)
+    return Dual(logmag, reduce_exact(np.add, tan, 0), reduce_exact(np.add, curv, 0)), parity, tied
+
+
+def _gap_logs_var(x):
+    logmag, parity, tied, gaps, zero, index = _gap_logs(x.val, carry=True)
+    return reverse.gap_logs(x, index, gaps, zero, logmag), parity, tied
+
+
+gap_logs = _dispatch("gap_logs", lambda x: _gap_logs(np.asarray(x))[:3], _gap_logs_dual,
+                     _gap_logs_var)
+gap_logs.__doc__ = """(logmag, parity, tied) of the sortlet's gap product over the last
+axis of x, N >= 2 keys, one op in every engine. Each row sorted
+ascending gives N gaps: the N-1 between neighbouring ranks and the wrap
+gap, largest less smallest. logmag is the left fold in gap order of the
+log of each gap, a zero gap read as 1, and on a tied head (an adjacent
+gap is zero: tied) the wrap gap read as 1 too; parity is the sort's sign
+(_sort_parity's). One plain function gives the value, so plain, Dual.val
+and Var.val agree bit for bit. A Dual or Var sorts once, carrying each
+entry's position beside its key: the Dual gathers each entry's lanes and
+Laplacian once by it and applies the log row's rule to the gap lanes; the
+Var records one tape node whose VJP scatters by it with one bincount."""
 reshape = _dispatch("reshape", lambda x, shape: np.reshape(x, shape),
                     forward.reshape, reverse.reshape)
 moveaxis = _dispatch("moveaxis", np.moveaxis, forward.moveaxis, reverse.moveaxis)
@@ -373,13 +418,17 @@ def reduce_exact(ufunc, x, axis=-1, keepdims=False) -> np.ndarray:
     keep either."""
     x = np.asarray(x)
     k, perm = _axes_first(x.ndim, axis)
-    rows = np.ascontiguousarray(x.transpose(perm))
-    rows = rows.reshape((-1,) + rows.shape[k:])
+    lead = perm[k - 1] == k - 1  # the reduced axes lead already: no transpose
+    rows = np.ascontiguousarray(x if lead else x.transpose(perm))
+    if k > 1:
+        rows = rows.reshape((-1,) + rows.shape[k:])
     if rows.size == len(rows) > 0:  # one output entry: reduce would go pairwise
         out = ufunc.accumulate(rows, axis=0)[-1]
     else:
         out = ufunc.reduce(rows, axis=0)
-    return np.expand_dims(out, perm[:k]) if keepdims else out
+    if keepdims:
+        return out.reshape(tuple(1 if a in perm[:k] else s for a, s in enumerate(x.shape)))
+    return out
 
 
 sum = _dispatch("sum", lambda x, axis: reduce_exact(np.add, x, axis),  # noqa: A001

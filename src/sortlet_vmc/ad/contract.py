@@ -27,9 +27,11 @@ Each operand is made C-contiguous in its own index order. If that order is
 (stack, rows, cols) it reshapes into its matrices; if it is (stack, cols,
 rows) it is handed to matmul as a transposed view and BLAS gets a
 transpose flag instead of a copy. Only an operand holding its indices in
-neither order is copied into (stack, rows, cols). `shaped_plan` caches
-the matrix shapes, result shape and permutation per spec and operand
-shapes, so a call only checks contiguity, reshapes and runs one matmul.
+neither order is copied into (stack, rows, cols). `shaped_plan` resolves
+all of this once per spec and operand shapes into a cached kernel, so a
+call makes each operand C-contiguous (no copy for one that already is),
+reshapes it, takes the transposed view where the plan has one, checks
+for an alias only then, and runs one matmul.
 
 Determinism contract: a walker's value, tangents, Laplacian and local
 energy are bitwise independent of the batch or chunk size, of the walker's
@@ -138,35 +140,42 @@ def plan(x_sub: str, y_sub: str, out: str):
 
 @lru_cache(maxsize=1024)
 def shaped_plan(x_sub: str, y_sub: str, out: str, x_shape: tuple, y_shape: tuple):
-    """`plan` resolved at fixed operand shapes: (swap, left, right, shape,
-    perm, dot). left and right are each operand's (perm, matrix shape,
-    transposed); shape is the result's before perm; dot says M and N are
-    both 1. The cache is
-    bounded, since callers such as init_ensemble's redraws evaluate
-    arbitrary batch sizes."""
+    """`plan` resolved at fixed operand shapes into a kernel(x, y) that
+    returns the contraction: each operand made C-contiguous in its own
+    order (or permuted where that order gives neither matrix layout) and
+    reshaped into its matrices, a transposed view where the plan transposes
+    one, an alias check only then, and one matmul, or the dot path's fold
+    where M and N are both 1. The cache is bounded, since callers such as
+    init_ensemble's redraws evaluate arbitrary batch sizes."""
+    from . import reduce_exact  # the package imports this module before defining it
+
     swap, (stack, m, _, n), lplan, rplan, perm = plan(x_sub, y_sub, out)
     size = dict(zip(x_sub, x_shape))
     size.update(zip(y_sub, y_shape))
-
-    def fold(arrangement):
-        p, dims, transposed = arrangement
-        return p, tuple(prod(size[i] for i in d) for d in dims), transposed
-
+    (lperm, ldims, ltrans), (rperm, rdims, rtrans) = lplan, rplan
+    lshape = tuple(prod(size[i] for i in d) for d in ldims)
+    rshape = tuple(prod(size[i] for i in d) for d in rdims)
+    shape = tuple(size[i] for i in stack + m + n)
+    alias = ltrans or rtrans
     dot = prod(size[i] for i in m) == 1 and prod(size[i] for i in n) == 1
-    return swap, fold(lplan), fold(rplan), tuple(size[i] for i in stack + m + n), perm, dot
 
+    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        lhs, rhs = (y, x) if swap else (x, y)
+        left = np.ascontiguousarray(lhs if lperm is None else lhs.transpose(lperm)).reshape(lshape)
+        right = np.ascontiguousarray(rhs if rperm is None else rhs.transpose(rperm)).reshape(rshape)
+        if ltrans:
+            left = left.swapaxes(-1, -2)
+        if rtrans:
+            right = right.swapaxes(-1, -2)
+        if alias and np.may_share_memory(left, right):
+            right = right.copy(order="K")  # same layout, no alias: GEMM, not SYRK
+        if dot:  # a dot product: keep it off BLAS (module docstring)
+            res = reduce_exact(np.add, left * right.swapaxes(-1, -2), axis=-1).reshape(shape)
+        else:
+            res = np.matmul(left, right).reshape(shape)
+        return res if perm is None else res.transpose(perm)
 
-def _arrange(x: np.ndarray, perm, shape, transposed) -> np.ndarray:
-    x = np.ascontiguousarray(x if perm is None else np.transpose(x, perm)).reshape(shape)
-    return np.swapaxes(x, -1, -2) if transposed else x
-
-
-def _matrices(swap, lplan, rplan, x: np.ndarray, y: np.ndarray):
-    lhs, rhs = (y, x) if swap else (x, y)
-    left, right = _arrange(lhs, *lplan), _arrange(rhs, *rplan)
-    if (lplan[2] or rplan[2]) and np.may_share_memory(left, right):
-        right = right.copy(order="K")  # same layout, no alias: GEMM, not SYRK
-    return left, right
+    return kernel
 
 
 def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,12 +186,4 @@ def contract(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray) -> 
     of one, that shares no memory with x or y: the plain engine's caller may
     overwrite it (the in-place rule of the ad module docstring).
     """
-    swap, lplan, rplan, shape, perm, dot = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
-    left, right = _matrices(swap, lplan, rplan, x, y)
-    if dot:  # a dot product: keep it off BLAS (module docstring)
-        from . import reduce_exact  # the package imports this module before defining it
-        res = reduce_exact(np.add, left * np.swapaxes(right, -1, -2), axis=-1)
-    else:
-        res = np.matmul(left, right)
-    res = res.reshape(shape)
-    return res if perm is None else res.transpose(perm)
+    return shaped_plan(x_sub, y_sub, out, x.shape, y.shape)(x, y)

@@ -13,9 +13,10 @@ so each op carries their sum instead of a lane per seed. The rules are
     product:  curv = curv_x y + 2 sum_t tan_x tan_y + x curv_y
 
 and quotients follow from the product rule; `elementwise` applies the
-unary rule to each row of the op table in ad/__init__.py. softmax and norm
-reduce over the last value axis and carry their own rules, one pass each
-where the composed ops took five or more. Every lane sum (`_lane_dot`)
+unary rule to each row of the op table in ad/__init__.py. softmax, norm
+and the sortlet's gap logs (gap_log_lanes) reduce over the last value
+axis and carry their own rules, one pass each where the composed ops took
+five or more. Every lane sum (`_lane_dot`)
 reduces a C-contiguous trailing lane axis, and every sum over the last
 value axis of a tangent (`_axis_dot`) runs in ascending index with the
 lane axis innermost, so both orders are fixed by per-walker sizes alone
@@ -196,6 +197,32 @@ def norm(x: Dual, f):
         return Dual(fi, tan, (base - _lane_dot(tan, tan)) / fi)
 
     return tuple(map(one, f)) if isinstance(f, tuple) else one(f)
+
+
+def cyclic_gaps(ranked: np.ndarray) -> np.ndarray:
+    """The N gaps of rank-first rows (N, ...) into one new array: rank r + 1
+    less rank r for r < N - 1, then the wrap gap, rank N - 1 less rank 0."""
+    gaps = np.empty_like(ranked)
+    np.subtract(ranked[1:], ranked[:-1], out=gaps[:-1])
+    np.subtract(ranked[-1], ranked[0], out=gaps[-1])
+    return gaps
+
+
+def gap_log_lanes(x: Dual, index: np.ndarray, gaps: np.ndarray, zero: np.ndarray):
+    """(tan, curv) of the log of each of ad.gap_logs' N gaps, (N, ..., T)
+    and (N, ...), for the fold over N: each sorted entry's lanes and
+    Laplacian gathered once by index, its flat C-order position in x, the
+    gap lanes as cyclic_gaps, severed where zero (a gap read as the constant
+    1), then the log row's rule at the gaps as read."""
+    tan = cyclic_gaps(np.take(x.tan.reshape(-1, x.n_seeds), index, axis=0))
+    curv = cyclic_gaps(x.curv.ravel()[index])
+    if zero.any():  # ties are rare, and this masked copy took 22-27 us of a dual chunk
+        np.copyto(tan, 0.0, where=zero[..., None])
+        np.copyto(curv, 0.0, where=zero)
+    d = 1.0 / gaps
+    curv = d * curv + (-d * d) * _lane_dot(tan, tan)
+    tan *= d[..., None]
+    return tan, curv
 
 
 def where(mask, a, b) -> Dual:

@@ -188,6 +188,28 @@ def take(x: Var, flat: np.ndarray) -> Var:
     return x.tape._record(x.val.ravel()[flat], [(x, vjp)])
 
 
+def gap_logs(x: Var, index: np.ndarray, gaps: np.ndarray, zero: np.ndarray,
+             y: np.ndarray) -> Var:
+    """ad.gap_logs given its value y, as one node (forward.gap_log_lanes
+    names the arguments). The VJP gives each gap g / gap, 0 where zero.
+    Each rank sums the two gap ends it is in the order the composed ops'
+    tape summed them: rank 0 the wrap gap's then its own gap's, an inner
+    rank r its own then gap r - 1's, rank N - 1 the wrap gap's then gap
+    N - 2's. One bincount scatters the ranks back by index, adding each
+    into 0.0 as the tape's scatters into zeros did."""
+    shape, size = x.val.shape, x.val.size
+
+    def vjp(g):
+        h = np.where(zero, 0.0, g * (1.0 / gaps))
+        first, then = -h, np.empty_like(h)
+        first[0], first[-1] = -h[-1], h[-1]
+        then[0], then[1:] = -h[0], h[:-1]
+        first += then
+        return np.bincount(index.ravel(), weights=first.ravel(), minlength=size).reshape(shape)
+
+    return x.tape._record(y, [(x, vjp)])
+
+
 def reshape(x: Var, shape) -> Var:
     shape = tuple(shape)
     old = x.val.shape

@@ -10,12 +10,15 @@ contributes its bare score). Swapping two electrons permutes the scores,
 which leaves every gap untouched and flips the sort parity, so psi_k is
 antisymmetric by construction; it vanishes exactly when two scores tie.
 Sorting is the only N-coupled step, so one head costs O(N log N) against
-the O(N^3) of a determinant. Each head is sorted once (ad.sort_parity)
-and its gaps are differences of neighbouring ranks. Up to
-ad.NETWORK_MAX = 16 electrons the sort and its parity come from one
-comparator network of O(N log^2 N) passes; longer rows take one stable
-argsort, and its parity from ad.permutation_parity in O(N log N) per row,
-so the sortlet's cost still grows like a sort.
+the O(N^3) of a determinant. The head is one op in every engine,
+ad.gap_logs: it sorts each head once and folds the logs of its N gaps,
+differences of neighbouring ranks and the wrap gap; sortlet_logs adds
+the sign rule, BIG_NEG for a tied head and the bare score of N = 1. Up
+to ad.NETWORK_MAX = 16 electrons the sort, its parity and (for the
+derivative engines) each entry's position come from one comparator
+network of O(N log^2 N) passes; longer rows take one stable argsort, and
+its parity from ad.permutation_parity in O(N log N) per row, so the
+sortlet's cost still grows like a sort.
 
 The full state multiplies in a symmetric pair factor (electron-electron
 cusps), per-head nucleus envelopes (decay and nuclear cusps), and mixes the
@@ -140,19 +143,11 @@ def sortlet_logs(scores) -> SignedLog:
     scores: (..., N) in any engine. Heads whose scores tie anywhere come
     back with sign 0 and their derivative lanes severed.
     """
-    n = ad.detach(scores).shape[-1]
-    ranked, parity = ad.sort_parity(scores)  # (N, ...), (...)
-    if n == 1:
-        return _bare_score_logs(ranked[0])
-    gaps = ranked[1:] - ranked[:-1]
-    zero = ad.detach(gaps) == 0.0
-    tied = ad.reduce_exact(np.logical_or, zero, axis=0)
-    logmag = ad.sum(ad.log(ad.where(zero, 1.0, gaps)), axis=0)
-    # the wrap gap is zero only where every adjacent gap is
-    logmag += ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
-    logmag = ad.where(tied, BIG_NEG, logmag)
-    sign = np.where(tied, 0, parity)
-    return SignedLog(sign, logmag)
+    shape = ad.detach(scores).shape
+    if shape[-1] == 1:  # a basic index: its VJP adds g into zeros, as the gather's did
+        return _bare_score_logs(scores[(slice(None),) * (len(shape) - 1) + (0,)])
+    logmag, parity, tied = ad.gap_logs(scores)
+    return SignedLog(np.where(tied, 0, parity), ad.where(tied, BIG_NEG, logmag))
 
 
 def _bare_score_logs(s) -> SignedLog:

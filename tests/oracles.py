@@ -9,16 +9,82 @@ import time
 import numpy as np
 
 from sortlet_vmc import ad
-from sortlet_vmc.ad.contract import _matrices, shaped_plan
-from sortlet_vmc.ansatz import SignedLog, sortlet_logs, vandermonde_logs
+from sortlet_vmc.ad import forward, reverse
+from sortlet_vmc.ad.contract import contract, plan
+from sortlet_vmc.ansatz import (BIG_NEG, SignedLog, _bare_score_logs, sortlet_logs,
+                               vandermonde_logs)
 from sortlet_vmc.backbone import FEATURE_EPS
 from sortlet_vmc.geometry import BOHR_PER_ANGSTROM, SystemSpec, transpose_electrons
 
 
 def operands(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
-    """The matrices (L, R) that `contract` hands to matmul."""
-    swap, lplan, rplan = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)[:3]
-    return _matrices(swap, lplan, rplan, x, y)
+    """The matrices (L, R) that `contract` hands to np.matmul, caught by a
+    spy in its place for one call."""
+    seen, matmul = [], np.matmul
+
+    def spy(left, right):
+        seen.append((left, right))
+        return matmul(left, right)
+
+    np.matmul = spy
+    try:
+        contract(x_sub, y_sub, out, x, y)
+    finally:
+        np.matmul = matmul
+    (pair,) = seen
+    return pair
+
+
+def contract_uncached(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.ndarray):
+    """contract resolved from the spec's plan at every call, as one generic
+    arrangement per operand: the reference for its cached shaped kernels."""
+    swap, (stack, m, _, n), lplan, rplan, perm = plan(x_sub, y_sub, out)
+    size = dict(zip(x_sub, x.shape))
+    size.update(zip(y_sub, y.shape))
+
+    def arrange(z, arrangement):
+        p, dims, transposed = arrangement
+        z = np.ascontiguousarray(z if p is None else np.transpose(z, p))
+        z = z.reshape(tuple(math.prod(size[i] for i in d) for d in dims))
+        return np.swapaxes(z, -1, -2) if transposed else z
+
+    left, right = arrange(y if swap else x, lplan), arrange(x if swap else y, rplan)
+    if (lplan[2] or rplan[2]) and np.may_share_memory(left, right):
+        right = right.copy(order="K")
+    if math.prod(size[i] for i in m) == 1 and math.prod(size[i] for i in n) == 1:
+        res = ad.reduce_exact(np.add, left * np.swapaxes(right, -1, -2), axis=-1)
+    else:
+        res = np.matmul(left, right)
+    res = res.reshape(tuple(size[i] for i in stack + m + n))
+    return res if perm is None else res.transpose(perm)
+
+
+def _composed_sort_parity(x):
+    """The sort ad.gap_logs fuses, in every engine, by numpy's sorts alone:
+    np.sort's values, rank axis first, and score_parity's sign; a Dual or
+    Var gathers each entry once by the stable argsort."""
+    if isinstance(x, np.ndarray):
+        return np.ascontiguousarray(np.moveaxis(np.sort(x, axis=-1), -1, 0)), ad.score_parity(x)
+    flat = ad._ranked_index(ad._argsort(x.val))
+    take = forward.take if isinstance(x, ad.Dual) else reverse.take
+    return take(x, flat), ad.score_parity(x.val)
+
+
+def composed_sortlet_logs(scores) -> SignedLog:
+    """ansatz.sortlet_logs written as the ops ad.gap_logs fuses: the sort,
+    the adjacent gaps, where, log, sum, the wrap gap and the final where."""
+    n = ad.detach(scores).shape[-1]
+    ranked, parity = _composed_sort_parity(scores)  # (N, ...), (...)
+    if n == 1:
+        return _bare_score_logs(ranked[0])
+    gaps = ranked[1:] - ranked[:-1]
+    zero = ad.detach(gaps) == 0.0
+    tied = ad.reduce_exact(np.logical_or, zero, axis=0)
+    logmag = ad.sum(ad.log(ad.where(zero, 1.0, gaps)), axis=0)
+    # the wrap gap is zero only where every adjacent gap is
+    logmag += ad.log(ad.where(tied, 1.0, ranked[n - 1] - ranked[0]))
+    logmag = ad.where(tied, BIG_NEG, logmag)
+    return SignedLog(np.where(tied, 0, parity), logmag)
 
 
 def hessian_diag_central(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

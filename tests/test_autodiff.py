@@ -13,11 +13,12 @@ from hypothesis.extra import numpy as hnp
 
 from sortlet_vmc import ad, backbone
 from sortlet_vmc.ad import Dual, GradientTape
-from oracles import hessian_diag_central, operands, take_along_vjp_add_at
-from sortlet_vmc.ad.contract import contract, plan
+from oracles import (composed_sortlet_logs, contract_uncached, hessian_diag_central, operands,
+                     take_along_vjp_add_at)
+from sortlet_vmc.ad.contract import contract, plan, shaped_plan
 from sortlet_vmc.ad.forward import _axis_dot, _lane_dot
 from sortlet_vmc.ad.fd import grad_central
-from sortlet_vmc.ansatz import SortletWavefunction
+from sortlet_vmc.ansatz import SortletWavefunction, sortlet_logs
 from sortlet_vmc.geometry import load_system
 
 W = np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])
@@ -486,6 +487,48 @@ def test_reduce_exact_matches_numpy_over_short_last_axes(n):
     assert ad.reduce_exact(np.add, pairs, (1, 2), keepdims=True).shape == (4, 1, 1)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_reduce_exact_over_leading_axes_is_a_left_fold(layout):
+    """Where the reduced axes already lead, reduce_exact skips the transpose
+    (and, for one axis, the reshape) and must still give a Python left
+    fold in C index order over them: on C-ordered, Fortran-ordered and
+    strided inputs, for axis 0, (0, 1) and (1, 0), with keepdims (the
+    reshape that replaces np.expand_dims), and with one output entry (the
+    accumulate branch). Tails of a quarter ulp of the lead term make any
+    other order show."""
+    rng = np.random.default_rng(len(layout))
+    terms = 2.0 ** -54 * rng.integers(1, 4, size=(9, 3, 4, 2))
+    terms[0, 0] = rng.uniform(1.0, 2.0, size=(4, 2))
+
+    def fold(t, k):  # left fold over the first k axes in C order
+        rows = t.reshape((-1,) + t.shape[k:])
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = acc + row
+        return acc
+
+    def arrange(t):
+        if layout == "F":
+            return np.asfortranarray(t)
+        if layout == "strided":
+            wide = np.zeros(t.shape[:-1] + (2 * t.shape[-1],))
+            wide[..., ::2] = t
+            return wide[..., ::2]
+        return np.ascontiguousarray(t)
+
+    for x, axis, k in ((terms, 0, 1), (terms, (0, 1), 2), (terms, (1, 0), 2),
+                       (terms[..., :1, :1], 0, 1), (terms[..., :1, :1], (0, 1), 2)):
+        x = arrange(x)
+        want = fold(np.ascontiguousarray(x), k)
+        got = ad.reduce_exact(np.add, x, axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (axis, x.shape)
+        kept = ad.reduce_exact(np.add, x, axis, keepdims=True)
+        expanded = np.expand_dims(want, tuple(range(k)))
+        assert kept.shape == expanded.shape and kept.tobytes() == expanded.tobytes()
+    lone = arrange(terms[:, 0, 0, 0].reshape(9, 1))  # one output entry
+    assert ad.reduce_exact(np.add, lone, 0).tobytes() == fold(terms[:, :1, 0, 0], 1).tobytes()
+
+
 # the reductions that keep an order of their own, as the ad module
 # docstring names them: (file in the package, innermost function)
 OWN_ORDER = {
@@ -902,10 +945,42 @@ def test_transposed_view_plans_do_not_depend_on_batch_or_layout(x_sub, y_sub, ou
 
 
 def test_an_operand_aliasing_its_transposed_partner_gives_the_same_bits():
-    # numpy would run x @ x.T on one buffer as a SYRK
+    """numpy would run x @ x.T on one buffer as a SYRK. The cached kernel
+    copies the transposed side, so matmul gets two buffers (a GEMM) and
+    the bits of two distinct copies and of the uncached path."""
     x = np.random.default_rng(43).normal(size=(3, 8, 32))
-    np.testing.assert_array_equal(ad.einsum("bnk,bmk->bnm", x, x),
-                                  ad.einsum("bnk,bmk->bnm", x, x.copy()))
+    left, right = operands("bnk", "bmk", "bnm", x, x)
+    assert not np.shares_memory(left, right)
+    got = ad.einsum("bnk,bmk->bnm", x, x)
+    assert got.tobytes() == ad.einsum("bnk,bmk->bnm", x, x.copy()).tobytes()
+    assert got.tobytes() == contract_uncached("bnk", "bmk", "bnm", x, x).tobytes()
+
+
+# specs whose kernels reach matmul in each way the plan allows: a copied
+# operand (the cross term bnmt,bmkt->bnk), folded runs, transposed views on
+# either side, a stacked key electron with a transposed result, the dot path
+KERNEL_SPECS = (("bnmt", "bmkt", "bnk"), ("bnm", "bmkt", "bnkt"), ("bnkt", "bmkt", "bnm"),
+                ("bnk", "hk", "bnh"), ("bnm", "bnk", "bmk"), ("bnk", "bmkt", "bnmt"),
+                ("bnm", "nm", "bn"), ("bnh", "bnk", "hk"))
+
+
+@pytest.mark.parametrize("x_sub,y_sub,out", KERNEL_SPECS)
+def test_cached_kernels_give_the_uncached_bits(x_sub, y_sub, out):
+    """shaped_plan caches one kernel per spec and shapes. Each gives the
+    bits of oracles.contract_uncached, which resolves the spec's plan and
+    arranges each operand generically at every call: at two shapes of one
+    spec, on C- and Fortran-ordered operands."""
+    rng = np.random.default_rng(len(x_sub + y_sub + out))
+    for b in (5, 2):
+        size = dict(TRANSPOSED_SIZES, b=b)
+        x, y = _draw(rng, x_sub, size), _draw(rng, y_sub, size)
+        kernel = shaped_plan(x_sub, y_sub, out, x.shape, y.shape)
+        assert shaped_plan(x_sub, y_sub, out, x.shape, y.shape) is kernel
+        want = contract_uncached(x_sub, y_sub, out, x, y)
+        for xs, ys in ((x, y), (np.asfortranarray(x), np.asfortranarray(y))):
+            got = kernel(xs, ys)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), b
+            assert contract(x_sub, y_sub, out, xs, ys).tobytes() == want.tobytes()
 
 
 def test_transposed_view_plans_do_not_depend_on_blas_threads():
@@ -975,39 +1050,38 @@ def test_take_along_matches_numpy_in_every_engine(case):
 
 
 def test_take_ranked_matches_a_sort_in_every_engine():
-    """sort_parity against np.sort, rank axis first: plain, Dual and Var
-    values bitwise; a Dual takes each entry's lanes and Laplacian by the
-    stable argsort (ties in index order), and the Var VJP matches the
-    np.add.at scatter. Every engine returns the same parity, score_parity's
-    on every untied row."""
+    """_sort_parity against np.sort, rank axis first, on a moveaxis view
+    with a tie, by the network and by the argsort fallback (a NaN row):
+    the parity is score_parity's on every untied row, and the index it
+    carries, or the fallback's, gathers the sorted values from the input
+    and is the stable argsort's on every untied row. gap_logs, which sorts
+    by it, returns that parity and the plain value in every engine."""
     rng = np.random.default_rng(59)
     x = np.moveaxis(rng.normal(size=(3, 6, 4)), -1, -2)  # (3, 4, 6), a view
     x[0, 1, 4] = x[0, 1, 2]
-    want = np.moveaxis(np.sort(x, axis=-1), -1, 0)
-    assert want.shape == (6, 3, 4)
-    vals, parity = ad.sort_parity(x)
-    np.testing.assert_array_equal(vals, want)
     untied = np.ones(x.shape[:-1], dtype=bool)
     untied[0, 1] = False
-    np.testing.assert_array_equal(parity[untied], ad.score_parity(x)[untied])
-
-    order = np.argsort(x, axis=-1, kind="stable")
-    tan, curv = rng.normal(size=x.shape + (5,)), rng.normal(size=x.shape)
-    d, d_parity = ad.sort_parity(Dual(x, tan, curv))
-    np.testing.assert_array_equal(d.val, want)
-    np.testing.assert_array_equal(
-        d.tan, np.moveaxis(np.take_along_axis(tan, order[..., None], axis=-2), -2, 0))
-    np.testing.assert_array_equal(d.curv, np.moveaxis(np.take_along_axis(curv, order, -1), -1, 0))
-    np.testing.assert_array_equal(d_parity, parity)
-
-    tape = GradientTape()
-    p = tape.leaf(x)
-    v, v_parity = ad.sort_parity(p)
-    np.testing.assert_array_equal(v.val, want)
-    np.testing.assert_array_equal(v_parity, parity)
-    g = rng.normal(size=want.shape)
-    np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
-                                  take_along_vjp_add_at(x.shape, order, -1, np.moveaxis(g, 0, -1)))
+    with_nan = x.copy()
+    with_nan[2, 3, 0] = np.nan
+    for keys in (x, with_nan):
+        want = np.moveaxis(np.sort(keys, axis=-1), -1, 0)
+        assert want.shape == (6, 3, 4)
+        stable = ad._ranked_index(np.argsort(keys, axis=-1, kind="stable"))
+        vals, parity, index = ad._sort_parity(keys, carry=True)
+        if keys is x:  # the network carries an index only when asked
+            assert ad._sort_parity(keys)[2] is None
+        np.testing.assert_array_equal(vals, want)
+        np.testing.assert_array_equal(ad._sort_parity(keys)[0], vals)
+        np.testing.assert_array_equal(parity[untied], ad.score_parity(keys)[untied])
+        np.testing.assert_array_equal(np.ravel(keys)[index], vals)
+        np.testing.assert_array_equal(index[:, untied], stable[:, untied])
+        logmag, gap_parity, _ = ad.gap_logs(keys)
+        np.testing.assert_array_equal(gap_parity, parity)
+        tan, curv = rng.normal(size=keys.shape + (5,)), rng.normal(size=keys.shape)
+        for engine in (Dual(keys, tan, curv), GradientTape().leaf(keys)):
+            other, other_parity, _ = ad.gap_logs(engine)
+            assert other.val.tobytes() == logmag.tobytes()
+            np.testing.assert_array_equal(other_parity, parity)
 
 
 SPECIALS = {"zeros": [0.0, -0.0, 1.0], "inf": [0.0, -0.0, 1.0, np.inf, -np.inf],
@@ -1037,12 +1111,12 @@ def test_take_ranked_network_matches_sort_and_score_parity(n, special):
     argsort fallback against np.sort and score_parity. Values are np.sort's
     as floats, bit for bit on every row without zeros of both signs, and a
     permutation of each row's own bits on every row; the parity is
-    score_parity's on every untied row; plain, Dual and Var agree on both,
-    and bit for bit on every fallback row."""
+    score_parity's on every untied row. gap_logs, which sorts by it, gives
+    plain, Dual.val and Var.val the same bits, parity and ties."""
     rng = np.random.default_rng(n)
     x = np.moveaxis(_special_rows(rng, n, 600, special).reshape(30, 20, n), -1, 0)
     x = np.moveaxis(np.ascontiguousarray(x), 0, -1)  # the layout backbone.scores returns
-    vals, parity = ad.sort_parity(x)
+    vals, parity, _ = ad._sort_parity(x)
     want = np.moveaxis(np.sort(x, axis=-1), -1, 0)
     np.testing.assert_array_equal(vals, want)  # as floats, NaN equal to NaN
     mixed_zeros = ((x == 0) & np.signbit(x)).any(-1) & ((x == 0) & ~np.signbit(x)).any(-1)
@@ -1055,17 +1129,17 @@ def test_take_ranked_network_matches_sort_and_score_parity(n, special):
     untied = ~(srt[..., 1:] == srt[..., :-1]).any(-1) & ~np.isnan(x).any(-1)
     assert untied.any()
     np.testing.assert_array_equal(parity[untied], ad.score_parity(x)[untied])
-
+    if n == 1:
+        return
     tan, curv = rng.normal(size=x.shape + (2,)), rng.normal(size=x.shape)
-    d, d_parity = ad.sort_parity(Dual(x, tan, curv))
-    v, v_parity = ad.sort_parity(GradientTape().leaf(x))
-    fallback = n > ad.NETWORK_MAX or not np.isfinite(x).all()
-    exact = slice(None) if fallback else ~mixed_zeros  # the network may swap unlike zeros
-    for other, other_parity in ((d.val, d_parity), (v.val, v_parity)):
-        np.testing.assert_array_equal(other_parity, parity)
-        np.testing.assert_array_equal(other.view(np.int64)[:, exact],
-                                      vals.view(np.int64)[:, exact])
-        np.testing.assert_array_equal(other, vals)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        plain = ad.gap_logs(x)
+        dual = ad.gap_logs(Dual(x, tan, curv))
+        var = ad.gap_logs(GradientTape().leaf(x))
+    for logmag, other_parity, tied in (dual, var):
+        assert logmag.val.tobytes() == plain[0].tobytes()
+        np.testing.assert_array_equal(other_parity, plain[1])
+        np.testing.assert_array_equal(tied, plain[2])
 
 
 @pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 1))
@@ -1073,7 +1147,7 @@ def test_take_ranked_sorts_every_zero_one_row(n):
     """By the 0-1 principle, a comparator network that sorts all 2^N rows of
     zeros and ones sorts every input of N keys."""
     rows = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    vals, _ = ad.sort_parity(rows.astype(np.float64))
+    vals = ad._sort_parity(rows.astype(np.float64))[0]
     np.testing.assert_array_equal(vals, np.sort(rows, axis=-1).T)
 
 
@@ -1081,18 +1155,69 @@ def test_take_ranked_sorts_every_zero_one_row(n):
 def test_take_ranked_never_writes_its_input(n):
     """The sort runs on a copy, also where moving the key axis first would
     give a view of the caller's array: a C-contiguous (1, N) or (1, 1, N)
-    row, and the rank-first view backbone.scores returns."""
+    row, and the rank-first view backbone.scores returns, in every engine."""
     rng = np.random.default_rng(n)
     rank_first = rng.normal(size=(n, 2, 3))
     for x in (rng.normal(size=(1, n)), rng.normal(size=(1, 1, n)), rng.normal(size=(4, n)),
               np.moveaxis(rank_first, 0, -1)):
         before = x.copy()
-        want = np.moveaxis(np.sort(x, axis=-1), -1, 0)
+        np.testing.assert_array_equal(ad._sort_parity(x)[0], np.moveaxis(np.sort(x, -1), -1, 0))
+        assert x.tobytes() == before.tobytes()
         for arg in (x, Dual(x, np.zeros(x.shape + (1,)), np.zeros(x.shape)),
                     GradientTape().leaf(x)):
-            vals, _ = ad.sort_parity(arg)
-            np.testing.assert_array_equal(ad.detach(vals), want)
+            ad.gap_logs(arg)
             assert x.tobytes() == before.tobytes()
+
+
+def _sortlet_bits(sortlet, raw, tan, curv, seed) -> list:
+    """The bytes of sign and logmag in every engine, the Dual lanes and
+    Laplacian and the Var gradient of sum(seed * logmag), for scores given
+    as the (B, K, N) moveaxis view of raw (B, N, K) that backbone.scores
+    returns."""
+    def heads(x):
+        return ad.moveaxis(x, -1, -2)
+
+    plain = sortlet(heads(raw))
+    dual = sortlet(heads(Dual(raw, tan, curv)))
+    tape = GradientTape()
+    leaf = tape.leaf(raw)
+    var = sortlet(heads(leaf))
+    grad = tape.gradient(var.logmag, leaf, seed=seed)
+    return [a.tobytes() for a in (plain.sign, plain.logmag, dual.sign, dual.logmag.val,
+                                  dual.logmag.tan, dual.logmag.curv, var.sign, var.logmag.val,
+                                  grad)]
+
+
+@pytest.mark.parametrize("n", range(1, ad.NETWORK_MAX + 2))
+@pytest.mark.parametrize("special", sorted(SPECIALS))
+def test_sortlet_logs_match_the_composed_ops_bitwise(n, special):
+    """sortlet_logs over ad.gap_logs against the composition it fuses
+    (oracles.composed_sortlet_logs): sign, value, Dual lanes and
+    Laplacian and the Var gradient, bit for bit, on rows with exact ties,
+    zeros of both signs and SPECIALS[special], seeded by normals and zeros
+    of both signs, on the moveaxis view backbone.scores returns, and on
+    lone rows. The plain value is the composed Dual.val's, NaN payloads
+    included."""
+    rng = np.random.default_rng(100 + n)
+    b, k, t = 6, 5, 3
+    raw = np.ascontiguousarray(np.moveaxis(
+        _special_rows(rng, n, b * k, special).reshape(b, k, n), -1, -2))  # (b, n, k)
+    tan, curv = rng.normal(size=raw.shape + (t,)), rng.normal(size=raw.shape)
+    seed = rng.normal(size=(b, k))
+    seed[rng.random(size=seed.shape) < 0.2] = 0.0
+    seed[rng.random(size=seed.shape) < 0.2] = -0.0
+    runs = [(raw, tan, curv, seed)]
+    for i, j in ((0, 0), (2, 3), (5, 4)):
+        one = (slice(i, i + 1), slice(None), slice(j, j + 1))
+        runs.append((raw[one], tan[one], curv[one], seed[i:i + 1, j:j + 1]))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for args in runs:
+            got, want = _sortlet_bits(sortlet_logs, *args), _sortlet_bits(composed_sortlet_logs, *args)
+            # the composition's plain engine added the wrap gap's log in place, and on
+            # a lone row numpy's one-entry add may keep the other operand's NaN; its
+            # Dual.val and Var.val, which the fused value matches, did not
+            want[1] = want[3]
+            assert got == want
 
 
 def _dual_and_bytes(rng, shape, t=4):
