@@ -80,8 +80,9 @@ positions and the parity. Every parity outside the network is
 permutation_parity's, which takes all rows at once by pointer doubling
 over flat indices. Invariance under electron relabeling is not an op's job: the model
 evaluates every walker with its electrons in one canonical order
-(`ansatz.canonical_order`, which sorts the x of each spin sector of a
-large batch by the same network, network_sort carrying the index).
+(`ansatz.canonical_order`, which sorts the x of each spin sector by the
+same network at any batch size and sector length, network_sort carrying
+the index).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
 minimum. They stay, each an engine-generic composite or table row, only
@@ -89,11 +90,7 @@ because perfbench's tracer (perfbench/spans.py) patches them by name;
 deleting them waits for a change that refreshes the benchmark's list of
 names. The tracer does not patch softmax, norm, displacements, take or
 gap_logs, so their time counts in the calling span's self time
-(gap_logs' in ansatz.sortlet_logs, the geometry's in signed_log). The
-sortlet's where, log, sum and gap arithmetic were patched ops before
-gap_logs fused them, so a trace reads more ansatz.sortlet_logs self time
-and less ad.other self time and ad.forward.bytes_computed than before:
-a shift in attribution, not a regression.
+(gap_logs' in ansatz.sortlet_logs, the geometry's in signed_log).
 """
 
 from __future__ import annotations

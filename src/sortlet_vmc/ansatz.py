@@ -32,9 +32,10 @@ contributes zero to the mixture. The envelope and the pair factor read
 the exact lengths of the pass's one geometry (backbone.electron_geometry).
 
 Each walker is evaluated in canonical electron order (canonical_order):
-a batch of at least NETWORK_MIN_WALKERS walkers sorts each spin sector by
-the same comparator network on the electrons' x (ad.network_sort), a
-smaller one by np.lexsort, and a batch already in order is not sorted.
+each spin sector of two or more electrons is sorted by the same
+comparator network on the electrons' x (ad.network_sort), all walkers at
+once; only rows with an x tie or a NaN take np.lexsort, and a batch
+already in order is not sorted.
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ class SignedLog:
             return self.sign * np.exp(ad.detach(self.logmag))
 
 
-# canonical_order's network costs a few numpy calls per comparator, nearly
-# flat in the batch up to a few hundred walkers, while np.lexsort's per-row
-# sorts grow with it. Two sectors of n electrons, random x, best of 15
-# alternating rounds of 20 calls on a 2-vCPU AMD EPYC host, network/lexsort
-# us at 32, 256 and 512 walkers: n = 2 21/14, 22/40, 25/71; n = 4 46/17,
-# 51/53, 60/98; n = 8 119/22, 138/92, 172/304; n = 16 335/34, 397/343,
-# 599/707. The network won at 512 walkers for every n from 2 to 16 and
-# lost at 256 for every n from 5, so smaller batches take the lexsort.
-NETWORK_MIN_WALKERS = 512
-
-
 def canonical_order(sectors, positions) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-walker canonical electron order and its parity.
 
@@ -88,25 +78,26 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray | None, np.ndarray]:
 
     A batch whose x rises strictly in every sector is already in that order:
     after that one comparison order is None (the identity) and every parity
-    +1. Otherwise a batch of at least NETWORK_MIN_WALKERS walkers whose
-    sectors hold at most ad.NETWORK_MAX electrons sorts each sector's x by
-    ad.network_sort, all walkers at once, which carries the electron index
-    and the parity of its swaps. A row whose sorted x holds an exact tie
-    (zeros of both signs among them) or a NaN, which fails every comparison,
-    and every row of any other batch, is ordered by np.lexsort per sector
-    instead, its parity permutation_parity's. The order and parity are the
-    lexsort's on every row.
+    +1. Otherwise ad.network_sort sorts the x of each sector of two or
+    more electrons, all walkers at once, carrying the electron index and
+    the parity of its swaps; a sector of 0 or 1 electrons keeps its slots.
+    A row whose sorted x is not strictly rising, an exact tie (zeros of
+    both signs among them) or a NaN, which fails every comparison, is
+    ordered by np.lexsort per sector instead, its parity
+    permutation_parity's. The order and parity are the lexsort's on every
+    row.
     """
     pos = ad.detach(positions)
     b, n = pos.shape[:2]
     x = [pos[:, slots, 0] for slots in sectors]
     if all(np.all(s[:, 1:] > s[:, :-1]) for s in x):
         return None, np.ones(b, dtype=np.int64)
-    if b < NETWORK_MIN_WALKERS or max(map(len, sectors)) > ad.NETWORK_MAX:
-        return _lexsort_order(sectors, pos)
     order = np.empty((b, n), dtype=np.int64)
     odd, tied = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
     for slots, sub in zip(sectors, x):
+        if len(slots) < 2:  # nothing to sort, and network_sort needs a key
+            order[:, slots] = slots
+            continue
         keys, index = list(np.array(sub.T, order="C")), list(slots)
         odd ^= ad.network_sort(keys, index)
         for lo, hi in zip(keys[:-1], keys[1:]):

@@ -10,11 +10,15 @@ time, in N pairs; the side that runs first swaps every pair (A B, B A,
 A B, ...), so a host that drifts during a pair favours neither side. It
 then prints one line per workload in the form CHANGES.md uses,
 
-    train-li `iter_s` 0.0725 -> 0.0720 s (A 0.0718-0.0731, B 0.0712-0.0726; B better 6/10), ...
+    train-li `iter_s` 0.0725 -> 0.0720 s (A 0.0718-0.0731, B 0.0712-0.0726; B better 6/10;
+    A IQR 0.0006, gap within it), ...
 
-the median of each end-to-end metric per side, each side's range and the
+the median of each end-to-end metric per side, each side's range, the
 pairs in which B did better (by the metric's `better` in BENCHMARK.json),
-and names every run that failed or reported an incorrect result. It writes
+A's interquartile range (statistics.quantiles, exclusive, as the BENCH
+files give quartiles) and whether the gap between the medians is beyond
+it: the two numbers ROADMAP's gain rule and its "beyond noise" read. It
+also names every run that failed or reported an incorrect result. It writes
 no BENCH file and nothing under perfbench/; each run makes and removes its
 own `.perfbench-run-*` directory inside its checkout. A workload that A's
 BENCHMARK.json does not list is refused with exit 2 before any run.
@@ -85,8 +89,17 @@ def fmt(value: float) -> str:
     return f"{value:,.0f}".replace(",", " ") if abs(value) >= 1000 else f"{value:.4g}"
 
 
+def iqr(values: list) -> float | None:
+    """Q3 - Q1 by statistics.quantiles (exclusive); None below two values."""
+    if len(values) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(values, n=4, method="exclusive")
+    return q3 - q1
+
+
 def summary(workload: str, metrics: list, pairs: list) -> str:
-    """One line: each metric's medians A -> B, ranges and pairs B won."""
+    """One line: each metric's medians A -> B, ranges, pairs B won, A's IQR
+    and whether the medians differ by more than it."""
     parts = []
     for m in metrics:
         name = m["name"]
@@ -99,9 +112,12 @@ def summary(workload: str, metrics: list, pairs: list) -> str:
             continue
         lower = m["better"] == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in both)
-        parts.append(f"`{name}` {fmt(statistics.median(a))} -> {fmt(statistics.median(b))} "
+        mid_a, mid_b, spread = statistics.median(a), statistics.median(b), iqr(a)
+        noise = "A IQR n/a" if spread is None else (
+            f"A IQR {fmt(spread)}, gap {'beyond' if abs(mid_b - mid_a) > spread else 'within'} it")
+        parts.append(f"`{name}` {fmt(mid_a)} -> {fmt(mid_b)} "
                      f"{m['unit']} (A {fmt(min(a))}-{fmt(max(a))}, B {fmt(min(b))}-{fmt(max(b))}; "
-                     f"B better {wins}/{len(both)})")
+                     f"B better {wins}/{len(both)}; {noise})")
     return f"{workload} " + ", ".join(parts)
 
 

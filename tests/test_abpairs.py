@@ -1,6 +1,7 @@
 """tests/abpairs.py stops what it started: a SIGTERM while a benchmark run
 is going ends that run, lets it remove its `.perfbench-run-*` directory,
-and exits 1 naming it. A stub checkout stands in for the benchmark."""
+and exits 1 naming it. A stub checkout stands in for the benchmark. Its
+summary line is checked on fixed pair data."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from abpairs import summary
 
 ABPAIRS = Path(__file__).resolve().parent / "abpairs.py"
 
@@ -71,3 +74,23 @@ def test_an_unlisted_workload_is_refused_before_any_run(tmp_path):
     assert done.returncode == 2
     assert "no workload nope" in done.stderr
     assert not (stub / "pid").exists()
+
+
+def test_summary_gives_the_medians_the_parent_iqr_and_the_claim_rule():
+    """summary on fixed pairs: A's interquartile range is statistics.quantiles'
+    (exclusive), and the gap between the medians is beyond it or within it."""
+    metrics = [{"name": "iter_s", "unit": "s", "better": "lower"},
+               {"name": "rate", "unit": "1/s", "better": "higher"},
+               {"name": "rss", "unit": "MB", "better": "lower"}]
+    a_iter, b_iter = [0.10, 0.11, 0.12, 0.13], [0.09, 0.095, 0.085, 0.08]
+    a_rate, b_rate = [1000, 1100, 1200, 1300], [1150, 1050, 1250, 1100]
+    pairs = [{"a": {"iter_s": ai, "rate": ar, "rss": 50.0}, "b": {"iter_s": bi, "rate": br}}
+             for ai, bi, ar, br in zip(a_iter, b_iter, a_rate, b_rate)]
+    line = summary("w", metrics, pairs)
+    # exclusive quartiles of 0.10..0.13: 0.1025 and 0.1275
+    assert line == ("w `iter_s` 0.115 -> 0.0875 s (A 0.1-0.13, B 0.08-0.095; B better 4/4; "
+                    "A IQR 0.025, gap beyond it), "
+                    "`rate` 1 150 -> 1 125 1/s (A 1 000-1 300, B 1 050-1 250; B better 2/4; "
+                    "A IQR 250, gap within it), `rss` missing")
+    one = summary("w", metrics[:1], pairs[:1])
+    assert one.endswith("B better 1/1; A IQR n/a)")

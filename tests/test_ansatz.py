@@ -158,35 +158,36 @@ def awkward_walkers(rng, batch, sectors):
 @pytest.mark.parametrize("n_up", range(1, 18))
 def test_canonical_order_matches_lexsort_per_sector(n_up, batch):
     """canonical_order against one np.lexsort per sector and
-    permutation_parity, bit for bit in order and parity: sectors of 1 to 17
-    electrons (past NETWORK_MAX, which takes the lexsort for the whole batch)
-    beside a shorter one, spins interleaved; batches of 1 and 7 (below
-    NETWORK_MIN_WALKERS, the lexsort) and 512 (the network); exact x and
-    whole-position ties, zeros of both signs, infinities and NaNs
+    permutation_parity, bit for bit in order and parity, at every batch
+    size (1, 7 and 512 walkers all take the network): sectors of 1 to 17
+    electrons (past NETWORK_MAX too) beside a shorter one, spins
+    interleaved, and beside an empty sector, up only and down only; exact
+    x and whole-position ties, zeros of both signs, infinities and NaNs
     (awkward_walkers); C, Fortran-ordered and strided inputs; and batches
     already in order, the identity (order None where x rises strictly)."""
     rng = np.random.default_rng(100 * n_up + batch)
-    spins = rng.permutation(np.repeat([1, -1], (n_up, 1 + n_up // 3)))
-    sectors = [np.flatnonzero(spins == s) for s in (1, -1)]
-    pos = awkward_walkers(rng, batch, sectors)
-    want = lexsort_order(sectors, pos)
-    wide = np.full((2 * batch,) + pos.shape[1:], 7.0)
-    wide[::2] = pos
-    identity = np.broadcast_to(np.arange(len(spins)), want[0].shape)
-    for view in (pos, np.asfortranarray(pos), wide[::2]):
-        order, parity = canonical_order(sectors, view)
-        if order is None:  # the identity, when every row is already in order
-            order = identity
-        assert order.dtype == parity.dtype == np.int64
-        assert np.array_equal(order, want[0]) and np.array_equal(parity, want[1])
+    mixed = rng.permutation(np.repeat([1, -1], (n_up, 1 + n_up // 3)))
+    for spins in (mixed, np.ones(n_up, dtype=np.int64), -np.ones(n_up, dtype=np.int64)):
+        sectors = [np.flatnonzero(spins == s) for s in (1, -1)]
+        pos = awkward_walkers(rng, batch, sectors)
+        want = lexsort_order(sectors, pos)
+        wide = np.full((2 * batch,) + pos.shape[1:], 7.0)
+        wide[::2] = pos
+        identity = np.broadcast_to(np.arange(len(spins)), want[0].shape)
+        for view in (pos, np.asfortranarray(pos), wide[::2]):
+            order, parity = canonical_order(sectors, view)
+            if order is None:  # the identity, when every row is already in order
+                order = identity
+            assert order.dtype == parity.dtype == np.int64
+            assert np.array_equal(order, want[0]) and np.array_equal(parity, want[1])
 
-    plain = rng.normal(size=pos.shape)
-    in_order = np.take_along_axis(plain, lexsort_order(sectors, plain)[0][..., None], axis=1)
-    for batch_in_order in (in_order, np.take_along_axis(pos, want[0][..., None], axis=1)):
-        order, parity = canonical_order(sectors, batch_in_order)
-        assert np.array_equal(identity if order is None else order, identity)
-        assert parity.dtype == np.int64 and np.array_equal(parity, np.ones(batch))
-    assert canonical_order(sectors, in_order)[0] is None  # x rises strictly: no sort
+        plain = rng.normal(size=pos.shape)
+        in_order = np.take_along_axis(plain, lexsort_order(sectors, plain)[0][..., None], axis=1)
+        for batch_in_order in (in_order, np.take_along_axis(pos, want[0][..., None], axis=1)):
+            order, parity = canonical_order(sectors, batch_in_order)
+            assert np.array_equal(identity if order is None else order, identity)
+            assert parity.dtype == np.int64 and np.array_equal(parity, np.ones(batch))
+        assert canonical_order(sectors, in_order)[0] is None  # x rises strictly: no sort
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
@@ -656,7 +657,7 @@ def test_signed_log_of_a_lone_walker_matches_the_batch(k):
 
 @pytest.mark.parametrize("n", range(2, ad.NETWORK_MAX + 2))
 def test_sortlet_logs_match_np_sort_and_score_parity(n):
-    """The plain sortlet from sort_parity's network (or its fallback) gives
+    """The plain sortlet from ad._sort_parity's network (or its fallback) gives
     the bits of np.sort plus score_parity: on finite rows with ties and
     zeros of both signs, and with infinities of both signs or NaN in many
     rows or in one row of an otherwise finite batch."""

@@ -61,6 +61,17 @@ def test_train_writes_run_directory(h_config, tmp_path, capsys):
     assert "final energy" in capsys.readouterr().out
 
 
+def test_train_with_an_empty_spin_sector_at_the_default_walkers(tmp_path):
+    """He with both electrons up trains at the default 512 walkers: the
+    empty down sector is never handed to canonical_order's network."""
+    config = tmp_path / "he.yaml"
+    config.write_text(H_CFG.replace("element: H", "element: He")
+                      + "electrons: {n_up: 2, n_down: 0}\n")
+    out = tmp_path / "runs"
+    assert main(["train", str(config), "--iters", "1", "--burn-in", "1", "--out", str(out)]) == 0
+    assert len(list(out.glob("run-*/checkpoints/step-00000001.npz"))) == 1
+
+
 def test_evaluate_roundtrip_and_hash_refusal(h_config, tmp_path, capsys):
     out = tmp_path / "runs"
     main(train_args(h_config, out))
