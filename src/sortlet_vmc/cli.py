@@ -15,7 +15,8 @@ JSON record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./ru
 Every refusal of input raises UsageError, which `main` alone prints as one
 `error:` line before it exits 2, with nothing written; argparse's refusals
 exit 2 too. A run that fails (a checkpoint that cannot be loaded or does not
-fit, a diverged training, a probe short of paths) prints one `error:` line and exits 1.
+fit, a diverged training, an evaluation with no walker of nonzero ψ to start
+from, a probe short of paths) prints one `error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from pathlib import Path
 OUT_ENV = "SORTLET_VMC_OUT"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-PROBE_KINDS = ("antisymmetry", "nodes", "smoothness", "variational", "gradcheck")
+PROBE_KINDS = ("antisymmetry", "nodes", "smoothness")
 # the optional flags each probe reads besides --out; a one-head nodes comparator reads no mixture
 PROBE_FLAGS = {"antisymmetry": ("--seed", "--trials", "--sortlets"),
                "nodes": ("--seed", "--trials", "--sortlets"),
                "nodes --single-sortlet": ("--seed", "--trials", "--single-sortlet"),
                "nodes --vandermonde": ("--seed", "--trials", "--vandermonde"),
-               "smoothness": ("--seed", "--trials"), "variational": ("--seed", "--trials"),
-               "gradcheck": ()}
+               "smoothness": ("--seed", "--trials")}
 
 
 class UsageError(Exception):
@@ -182,12 +182,12 @@ def cmd_evaluate(args) -> int:
     wf = _wavefunction(cfg.system, args, seed)
     try:
         state = Checkpoint.load(args.checkpoint, wf=wf)
-    except ValueError as err:
+        report = evaluate_energy(wf, state["theta"], n_walkers=args.walkers,
+                                 burn_in=args.equilibration, n_estimates=args.estimates,
+                                 seed=seed + 1, potential=cfg.run.potential)
+    except (RuntimeError, ValueError) as err:  # RuntimeError: no walker to start from
         print(f"error: {err}", file=sys.stderr)
         return 1
-    report = evaluate_energy(wf, state["theta"], n_walkers=args.walkers,
-                             burn_in=args.equilibration, n_estimates=args.estimates,
-                             seed=seed + 1, potential=cfg.run.potential)
     print(f"energy {report.formatted()} Ha  "
           f"({report.n_chains} chains x {report.n_estimates} estimates)")
     append_record(run_dir / "report-evaluate.txt",
@@ -221,13 +221,9 @@ def cmd_probe(args) -> int:
             report = probes.node_crossing_suite(cfg.system, kind=kind,
                                                 n_paths=min(trials, 100), seed=seed,
                                                 n_sortlets=sortlets)
-        elif args.kind == "smoothness":
+        else:
             report = probes.smoothness_probe(cfg.system, trials=min(trials, 10),
                                              seed=seed)
-        elif args.kind == "variational":
-            report = probes.variational_floor_check(trials=trials, seed=seed)
-        else:
-            report = probes.toy_gradient_check()
     except ValueError as err:  # an exchange probe on a system with no same-spin pair
         raise UsageError(f"probe {args.kind}: {err}")
     except RuntimeError as err:  # a run failure: too few off-node paths

@@ -400,9 +400,11 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     gives an honest standard error even with within-chain autocorrelation.
     """
     system = wf.system
-    bound = wf.bind(theta)
     fn = lambda p: wf.signed_log(bound, p)
-    ensemble = init_ensemble(system, fn, n_walkers, seed)
+    # a θ with no finite ψ, as a NaN one, ends in init_ensemble's RuntimeError
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = wf.bind(theta)
+        ensemble = init_ensemble(system, fn, n_walkers, seed)
     run_sweeps(ensemble, fn, burn_in, adapt=True)
     per_chain = np.zeros(n_walkers)
     per_chain_n = np.zeros(n_walkers)

@@ -4,8 +4,7 @@ Each probe is deterministic given a seed and returns a plain dict with a
 "passed" flag plus whatever evidence it gathered, so reports serialize as
 one JSON line. The probes deliberately avoid the autodiff engines wherever
 the engines themselves are under test: sign flips are compared bitwise,
-derivatives come from finite differences of plain values. The gradient
-check's toy takes its local energy from hamiltonian.local_energy.
+derivatives come from finite differences of plain values.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import numpy as np
 
 from . import ad, backbone
 from .ad.fd import derivative_one_sided, grad_central
-from .ansatz import SignedLog, SortletWavefunction, vandermonde_logs
+from .ansatz import SortletWavefunction, vandermonde_logs
 from .geometry import SystemSpec, transpose_electrons
-from .hamiltonian import local_energy
-from .optimizer import energy_gradient
 from .sampler import electron_homes
 
 
@@ -339,112 +336,3 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> 
             "double_tie": double_report,
             "control_fd_rel": control_rel,
             "passed": passed}
-
-
-def variational_floor_check(dim: int = 50, trials: int = 10_000, seed: int = 0) -> dict:
-    """Rayleigh quotients of a random symmetric matrix never undercut its
-    smallest eigenvalue; the eigenvector attains it. The discrete analog of
-    the bound the whole energy minimization leans on.
-    """
-    if dim > 200:
-        raise ValueError("dim capped at 200")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    h = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(h)
-    lam = float(w[0])
-
-    draws = rng.standard_normal((trials, dim))
-    num = np.einsum("td,de,te->t", draws, h, draws)
-    den = np.einsum("td,td->t", draws, draws)
-    quotients = num / den
-    floor_gap = float(np.min(quotients) - lam)
-
-    vmin = v[:, 0]
-    attained = float(vmin @ h @ vmin / (vmin @ vmin))
-    residual = abs(attained - lam)
-    return {"probe": "variational", "seed": seed, "dim": dim, "trials": trials,
-            "lambda_min": lam, "min_quotient_gap": floor_gap,
-            "eigvec_residual": residual,
-            "passed": floor_gap >= -1e-10 and residual < 1e-10}
-
-
-class ToyChain1D:
-    """One particle on a line in a harmonic well, three parameters.
-
-    log amplitude: -softplus(a) x^2 / 2 + b tanh(x) + c tanh(x/2). The
-    Gaussian core keeps quadrature on [-8, 8] effectively exact; the
-    bounded bumps make the distribution lopsided enough that a wrong
-    baseline term in the gradient cannot hide.
-    """
-
-    n_params = 3
-
-    def __init__(self):
-        self.theta0 = np.array([np.log(np.expm1(1.0)), 0.3, -0.2])
-        self.system = SystemSpec(np.zeros((1, 3)), np.array([1]), n_up=1, n_down=0)
-
-    def log_amplitude(self, theta, x):
-        a = ad.softplus(theta[0])
-        return (x * x) * a * (-0.5) + theta[1] * ad.tanh(x) + theta[2] * ad.tanh(0.5 * x)
-
-    def signed_log(self, theta, positions) -> SignedLog:
-        x = positions[:, 0, 0]
-        logmag = self.log_amplitude(theta, x)
-        return SignedLog(np.ones(positions.shape[0]), logmag)
-
-    def local_energies(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """hamiltonian.local_energy, harmonic, of the particle at (x, 0, 0)."""
-        positions = np.pad(xs.reshape(-1, 1, 1), ((0, 0), (0, 0), (0, 2)))
-        return local_energy(lambda p: self.signed_log(theta, p), self.system, positions,
-                            potential="harmonic").total
-
-    @staticmethod
-    def grid(n: int = 4001):
-        xs = np.linspace(-8.0, 8.0, n)
-        w = np.full(n, xs[1] - xs[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return xs, w
-
-    def density_weights(self, theta: np.ndarray, xs: np.ndarray, w: np.ndarray):
-        l = self.log_amplitude(theta, xs)
-        rho = w * np.exp(2.0 * (l - np.max(l)))
-        return rho / ad.sum(rho, axis=0)
-
-    def quadrature_energy(self, theta: np.ndarray, xs: np.ndarray, w: np.ndarray) -> float:
-        p = self.density_weights(theta, xs, w)
-        return float(ad.sum(p * self.local_energies(theta, xs), axis=0))
-
-
-def toy_gradient_check(theta: np.ndarray | None = None) -> dict:
-    """Estimator vs finite differences of the deterministic quadrature energy.
-
-    Also evaluates the variant with a doubled baseline term, which must
-    disagree: the two candidate formulas differ by 2 Ebar E[grad logpsi],
-    nonzero away from stationarity.
-    """
-    toy = ToyChain1D()
-    theta = toy.theta0 if theta is None else np.asarray(theta, dtype=np.float64)
-    xs, w = toy.grid()
-    eloc = toy.local_energies(theta, xs)
-    p = toy.density_weights(theta, xs, w)
-    positions = xs.reshape(-1, 1, 1)
-
-    g_est, ebar = energy_gradient(toy, theta, positions, eloc, weights=p, clip=None)
-    g_fd = grad_central(lambda th: toy.quadrature_energy(th, xs, w), theta, 1e-4)
-    scale = float(np.linalg.norm(g_fd))
-    rel = float(np.linalg.norm(g_est - g_fd)) / scale
-
-    tape = ad.GradientTape()
-    th = tape.leaf(theta)
-    mean_score = tape.gradient(toy.signed_log(th, positions).logmag, th, seed=p)
-    g_doubled = g_est - 2.0 * ebar * mean_score
-    rel_doubled = float(np.linalg.norm(g_doubled - g_fd)) / scale
-
-    return {"probe": "gradcheck", "rel_err": rel,
-            "rel_err_doubled_baseline": rel_doubled,
-            "energy": ebar, "gradient": g_est.tolist(),
-            "passed": rel < 1e-3 and rel_doubled > 1e-2}
-
-

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import HarmonicGroundState, HydrogenGroundState, complexity_benchmark
+from oracles import (HarmonicGroundState, HydrogenGroundState, complexity_benchmark,
+                     toy_gradient_check)
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction, score_parity
 from sortlet_vmc.geometry import SystemSpec
@@ -145,7 +146,7 @@ def test_criterion_04_sampler_moment():
 def test_criterion_05_gradient_vs_quadrature():
     """Estimator matches FD of the quadrature energy to 1e-3 relative; the
     doubled-baseline variant does not."""
-    report = probes.toy_gradient_check()
+    report = toy_gradient_check()
     _verdict("criterion 5 (gradient correctness)",
              report["rel_err"] < 1e-3 and report["rel_err_doubled_baseline"] > 1e-2,
              f"covariance form rel err {report['rel_err']:.2e} (limit 1e-3); "

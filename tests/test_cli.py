@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sortlet_vmc import cli
-from sortlet_vmc.cli import OUT_ENV, THREAD_VARS, build_parser, main
+from sortlet_vmc.cli import OUT_ENV, THREAD_VARS, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -103,41 +103,47 @@ def test_evaluate_reports_into_the_run_directory_of_its_checkpoint(h_config, tmp
     assert [p.parent for p in out.glob("run-*/report-evaluate.txt")] == [run_dir]
 
 
-def test_probe_variational_report(h_config, tmp_path, capsys):
+def test_evaluate_of_a_checkpoint_with_a_nan_theta_is_a_one_line_error(h_config, tmp_path,
+                                                                       capsys):
+    """No walker has a nonzero ψ at a NaN θ, so the evaluation cannot start:
+    one error line, exit 1, no energy line and no report."""
     out = tmp_path / "runs"
-    assert main(["probe", "variational", str(h_config), "--trials", "500",
-                 "--out", str(out)]) == 0
-    report_files = list(out.glob("run-*/report-variational.txt"))
-    assert len(report_files) == 1
-    record = json.loads(report_files[0].read_text().splitlines()[0])
-    assert record["passed"] is True
-    assert "pass" in capsys.readouterr().out
+    assert main(train_args(h_config, out)) == 0
+    with np.load(next(out.glob("run-*/checkpoints/step-00000004.npz"))) as z:
+        arrays = dict(z)
+    arrays["theta"] = np.full_like(arrays["theta"], np.nan)
+    ckpt = tmp_path / "nan.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    assert main(["evaluate", str(h_config), str(ckpt), "--sortlets", "1", "--walkers", "8",
+                 "--estimates", "3", "--equilibration", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: could not find nonzero wavefunction values to start from\n"
+    assert captured.out == ""
+    assert not list(tmp_path.rglob("report-evaluate.txt"))
 
 
-def test_probe_reports_append(h_config, tmp_path):
+# a probe run that passes
+PROBE_LI = ["probe", "antisymmetry", str(CONFIGS / "li.yaml"), "--trials", "5"]
+
+
+def test_probe_reports_append(tmp_path):
     out = tmp_path / "runs"
     for _ in range(2):
-        main(["probe", "variational", str(h_config), "--trials", "200",
-              "--out", str(out)])
-    report = next(out.glob("run-*/report-variational.txt"))
+        assert main([*PROBE_LI, "--out", str(out)]) == 0
+    report = next(out.glob("run-*/report-antisymmetry.txt"))
     assert len(report.read_text().splitlines()) == 2
 
 
-def test_probe_gradcheck_ignores_system_details(h_config, tmp_path):
-    assert main(["probe", "gradcheck", str(h_config),
-                 "--out", str(tmp_path / "runs")]) == 0
-
-
-def test_output_root_from_environment(h_config, tmp_path, monkeypatch):
+def test_output_root_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(OUT_ENV, str(tmp_path / "envruns"))
-    assert main(["probe", "variational", str(h_config), "--trials", "200"]) == 0
-    assert list((tmp_path / "envruns").glob("run-*/report-variational.txt"))
+    assert main(PROBE_LI) == 0
+    assert list((tmp_path / "envruns").glob("run-*/report-antisymmetry.txt"))
 
 
-def test_threads_flag_pins_blas_pools(h_config, tmp_path, monkeypatch):
+def test_threads_flag_pins_blas_pools(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "environ", os.environ.copy())
-    main(["--threads", "3", "probe", "variational", str(h_config),
-          "--trials", "200", "--out", str(tmp_path / "runs")])
+    main(["--threads", "3", *PROBE_LI, "--out", str(tmp_path / "runs")])
     for var in THREAD_VARS:
         assert os.environ[var] == "3"
 
@@ -200,7 +206,7 @@ def test_training_is_bitwise_independent_of_blas_threads(tmp_path):
 
 def test_threads_flag_rejects_nonpositive(h_config, tmp_path, capsys):
     out = tmp_path / "runs"
-    err = refused(["--threads", "0", "probe", "variational", str(h_config),
+    err = refused(["--threads", "0", "probe", "antisymmetry", str(h_config),
                    "--out", str(out)], capsys)
     assert err.startswith("error: --threads 0:")
     assert not out.exists()
@@ -208,7 +214,7 @@ def test_threads_flag_rejects_nonpositive(h_config, tmp_path, capsys):
 
 def test_missing_config_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "absent.yaml"
-    err = refused(["probe", "variational", str(config), "--out", str(tmp_path / "runs")],
+    err = refused(["probe", "antisymmetry", str(config), "--out", str(tmp_path / "runs")],
                   capsys)
     assert f"bad config {config}: No such file or directory" in err
     assert not (tmp_path / "runs").exists()
@@ -221,7 +227,7 @@ def test_a_config_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, kind):
         config.mkdir()
     else:
         config.write_bytes(H_CFG.encode().replace(b"element: H", b"element: \xff"))
-    err = refused(["probe", "variational", str(config), "--out", str(tmp_path / "runs")],
+    err = refused(["probe", "antisymmetry", str(config), "--out", str(tmp_path / "runs")],
                   capsys)
     assert str(config) in err
     assert not (tmp_path / "runs").exists()
@@ -230,7 +236,7 @@ def test_a_config_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, kind):
 def test_malformed_config_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("system:\n  nuclei: []\n")
-    err = refused(["probe", "variational", str(p), "--out", str(tmp_path / "runs")], capsys)
+    err = refused(["probe", "antisymmetry", str(p), "--out", str(tmp_path / "runs")], capsys)
     assert f"bad config {p}: system.nuclei:" in err
     assert not (tmp_path / "runs").exists()
 
@@ -249,15 +255,22 @@ def test_coordinates_past_the_float_range_are_a_bad_config(tmp_path, capsys, xyz
     p.write_text(H_CFG.replace("run:", f"    - element: H\n      xyz: {xyz}\nrun:"))
     out = tmp_path / "runs"
     argv = (train_args(p, out) if command == "train"
-            else ["probe", "variational", str(p), "--trials", "10", "--out", str(out)])
+            else ["probe", "antisymmetry", str(p), "--trials", "10", "--out", str(out)])
     err = refused(argv, capsys)
     assert err.startswith(f"error: bad config {p}: {reason}")
     assert not out.exists()
 
 
-def test_unknown_probe_kind_rejected_by_parser(h_config):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["probe", "slater", str(h_config)])
+def test_unknown_probe_kind_rejected_by_parser(h_config, tmp_path, capsys):
+    """An unknown kind, or one of the config-blind kinds the CLI once had,
+    is argparse's invalid choice: exit 2, nothing written."""
+    out = tmp_path / "runs"
+    for kind in ("slater", "variational", "gradcheck"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["probe", kind, str(h_config), "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"argument kind: invalid choice: '{kind}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_resume_from_cli_checkpoint(h_config, tmp_path):
@@ -330,7 +343,7 @@ def test_count_flags_below_one_are_usage_errors(h_config, capsys, argv):
     ["probe", "antisymmetry", "{cfg}", "--sortlets", "0"],
     ["train", "{cfg}", "--seed", "-1"],
     ["evaluate", "{cfg}", "ckpt.npz", "--seed", "-1"],
-    ["probe", "variational", "{cfg}", "--seed", "-1"],
+    ["probe", "antisymmetry", "{cfg}", "--seed", "-1"],
     ["train", "{cfg}", "--burn-in", "-1"],
     ["train", "{cfg}", "--checkpoint-every", "-1"],
     ["evaluate", "{cfg}", "ckpt.npz", "--equilibration", "-1"],
@@ -359,10 +372,8 @@ def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, ca
     ["probe", "nodes", "{cfg}", "--trials", "1", "--single-sortlet"],
     ["probe", "nodes", "{cfg}", "--trials", "1", "--vandermonde"],
     ["probe", "smoothness", "{cfg}", "--trials", "1"],
-    ["probe", "variational", "{cfg}", "--trials", "1"],
-    ["probe", "gradcheck", "{cfg}"],
 ], ids=["train", "evaluate", "probe", "nodes", "nodes_single_sortlet", "nodes_vandermonde",
-        "smoothness", "variational", "gradcheck"])
+        "smoothness"])
 def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
@@ -384,27 +395,22 @@ def test_probe_nodes_hands_sortlets_to_its_mixture(h_config, tmp_path, monkeypat
     assert seen == [16, 3]
 
 
-NODES_ONLY = [(kind, flag) for kind in ("antisymmetry", "smoothness", "variational", "gradcheck")
+NODES_ONLY = [(kind, flag) for kind in cli.PROBE_KINDS if kind != "nodes"
               for flag in ("--single-sortlet", "--vandermonde")]
 
 
 @pytest.mark.parametrize("argv, flag", [
     *(((*argv, "--sortlets", "3"), "--sortlets 3") for argv in (
-        ("nodes", "--single-sortlet"), ("nodes", "--vandermonde"), ("smoothness",),
-        ("variational",), ("gradcheck",))),
+        ("nodes", "--single-sortlet"), ("nodes", "--vandermonde"), ("smoothness",))),
     *((argv, argv[1]) for argv in NODES_ONLY),
-    (("gradcheck", "--seed", "1"), "--seed 1"),
-    (("gradcheck", "--trials", "2"), "--trials 2"),
-], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness", "variational", "gradcheck",
-        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY),
-        "gradcheck_seed", "gradcheck_trials"])
+], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness",
+        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY)])
 def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, flag):
     """A probe refuses each flag it does not read instead of ignoring it
-    (cli.PROBE_FLAGS): one that evaluates one head, or no ansatz, refuses
-    even an in-range --sortlets, every probe but nodes refuses nodes'
-    --single-sortlet and --vandermonde, and gradcheck, which draws nothing
-    at random, refuses --seed and --trials. One error line and exit 2
-    before the config is read (it does not exist here), no report."""
+    (cli.PROBE_FLAGS): one that evaluates one head refuses even an in-range
+    --sortlets, and every probe but nodes refuses nodes' --single-sortlet
+    and --vandermonde. One error line and exit 2 before the config is read
+    (it does not exist here), no report."""
     out = tmp_path / "runs"
     err = refused(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:],
                    "--out", str(out)], capsys)
@@ -422,12 +428,10 @@ def test_exchange_probes_refuse_a_system_without_a_same_spin_pair(h_config, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["antisymmetry", "nodes", "smoothness", "variational",
-                                  "gradcheck"])
+@pytest.mark.parametrize("kind", cli.PROBE_KINDS)
 def test_every_probe_kind_reports_one_json_line_on_a_shipped_config(tmp_path, capsys, kind):
     out = tmp_path / "runs"
-    trials = [] if kind == "gradcheck" else ["--trials", "5"]  # gradcheck reads no trials
-    assert main(["probe", kind, str(CONFIGS / "li.yaml"), *trials, "--out", str(out)]) == 0
+    assert main(["probe", kind, str(CONFIGS / "li.yaml"), "--trials", "5", "--out", str(out)]) == 0
     (report,) = out.glob(f"run-*/report-{kind}.txt")
     (line,) = report.read_text().splitlines()
     assert json.loads(line)["passed"] is True
@@ -639,7 +643,7 @@ def test_a_nodes_probe_without_enough_paths_is_a_run_failure(tmp_path, capsys, m
 
 @pytest.mark.parametrize("argv", [
     train_args("{cfg}", "{out}"),
-    ["probe", "variational", "{cfg}", "--trials", "10", "--out", "{out}"],
+    ["probe", "antisymmetry", "{cfg}", "--trials", "10", "--out", "{out}"],
 ], ids=["train", "probe"])
 @pytest.mark.parametrize("where", ["flag", "environment", "under_a_file"])
 def test_an_output_root_that_is_a_file_is_a_usage_error(h_config, tmp_path, capsys,

@@ -200,8 +200,6 @@ def invocations(draw):
             argv += [flag] if flag in comparators else [flag, "1"]
         elif fault == "probe_flag":
             fault = None
-    if counted is not None and counted not in argv:  # gradcheck reads no count
-        fault = None
     if fault == "threads":
         argv = ["--threads", draw(st.sampled_from(["0", "-1"])), *argv]
     elif draw(st.booleans()):

@@ -453,7 +453,6 @@ def test_run_fingerprint_ignores_the_run_length_and_checkpoint_spacing(change):
 MODEL_FINGERPRINTS = {
     "b": "4488d424e85c", "be": "d9d22982ae61", "h4_theta90": "891a51d1c810",
     "h_atom": "ae341ac37c9e", "li": "a8645edfc2d5", "lih": "1fd9eeecca00",
-    "toy1d": "ae341ac37c9e",
 }
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import complexity_benchmark, toy_local_energies
+from oracles import (ToyChain1D, complexity_benchmark, toy_gradient_check,
+                     toy_local_energies, variational_floor_check)
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec
@@ -157,7 +158,7 @@ def test_smoothness_probe_triple_coincidence_on_boron():
 
 
 def test_variational_floor_probe():
-    report = probes.variational_floor_check(dim=50, trials=5000, seed=8)
+    report = variational_floor_check(dim=50, trials=5000, seed=8)
     assert report["passed"]
     assert report["min_quotient_gap"] >= -1e-10
     assert report["eigvec_residual"] < 1e-10
@@ -176,11 +177,11 @@ def test_variational_floor_small_diagonal_case():
 
 def test_variational_floor_rejects_huge_dim():
     with pytest.raises(ValueError):
-        probes.variational_floor_check(dim=500)
+        variational_floor_check(dim=500)
 
 
 def test_toy_exact_gaussian_has_constant_local_energy():
-    toy = probes.ToyChain1D()
+    toy = ToyChain1D()
     theta = np.array([np.log(np.expm1(1.0)), 0.0, 0.0])
     xs, w = toy.grid(n=801)
     eloc = toy.local_energies(theta, xs)
@@ -193,7 +194,7 @@ def test_toy_local_energy_is_the_production_one(theta):
     """ToyChain1D's E_L comes from hamiltonian.local_energy and equals the
     toy's one-coordinate formula bit for bit on the whole quadrature grid,
     so the gradient check runs the local energy that training runs."""
-    toy = probes.ToyChain1D()
+    toy = ToyChain1D()
     theta = toy.theta0 if theta is None else np.array(theta)
     xs, _ = toy.grid()
     np.testing.assert_array_equal(toy.local_energies(theta, xs),
@@ -201,7 +202,7 @@ def test_toy_local_energy_is_the_production_one(theta):
 
 
 def test_toy_gradient_check_confirms_covariance_form():
-    report = probes.toy_gradient_check()
+    report = toy_gradient_check()
     assert report["passed"]
     assert report["rel_err"] < 1e-3
     # the variant with the doubled baseline misses by orders of magnitude
@@ -209,7 +210,7 @@ def test_toy_gradient_check_confirms_covariance_form():
 
 
 def test_toy_gradient_check_other_parameter_point():
-    report = probes.toy_gradient_check(theta=np.array([0.2, -0.5, 0.4]))
+    report = toy_gradient_check(theta=np.array([0.2, -0.5, 0.4]))
     assert report["rel_err"] < 1e-3
 
 
