@@ -7,9 +7,9 @@ Laplacian per value, see forward.py; the local energy) and reverse-mode Var
 on a GradientTape (derivatives w.r.t. parameters; the energy gradient).
 Every op picks its engine with one check over the operands it is handed
 (`_dispatch`); mixing Dual and Var in one call is an error. concat, take,
-norm and displacements have no Var engine: no parameter gradient passes
-through them, since positions are never a Var, and a Var operand raises
-TypeError.
+take_along, norm and displacements have no Var engine: no parameter
+gradient passes through them, since positions are never a Var, and a Var
+operand raises TypeError.
 
 Elementwise ops are the rows of one table, ELEMENTWISE, each
 `name: (f, f'(x, y), f''(x, y, f') or None)` at y = f(x). The plain engine
@@ -52,11 +52,9 @@ the position the sort carries beside its key, with no second sort.
 
 einsum takes two operands and, in every engine, runs as one stacked BLAS
 matmul by a kernel cached per spec and operand shapes; contract.py
-states the determinism contract it keeps. take_along is one flat gather
-in every engine: a Dual takes whole rows of T lanes, and the Var VJP
-scatters with one bincount. A Var takes basic indices only (integers,
-slices, None); every other gather of a Var goes through take_along or
-gap_logs.
+states the determinism contract it keeps. take_along is one flat gather;
+a Dual's takes whole rows of T lanes. A Var takes basic indices only
+(integers, slices, None); its one other gather is gap_logs' tape node.
 
 One rule reduces every model axis in every engine: reduce_exact moves
 the axis, or a tuple of axes in C order, first into a C-contiguous copy
@@ -85,12 +83,13 @@ same network at any batch size and sector length, network_sort carrying
 the index).
 
 No model code calls symsum, symsum_abs, log1p, sqrt, stack, maximum or
-minimum. They stay, each an engine-generic composite or table row, only
-because perfbench's tracer (perfbench/spans.py) patches them by name;
-deleting them waits for a change that refreshes the benchmark's list of
-names. The tracer does not patch softmax, norm, displacements, take or
-gap_logs, so their time counts in the calling span's self time
-(gap_logs' in ansatz.sortlet_logs, the geometry's in signed_log).
+minimum. They stay, each a composite or table row (symsum and symsum_abs
+gather by take_along, so refuse a Var), only because perfbench's tracer
+(perfbench/spans.py) patches them by name; deleting them waits for a
+change that refreshes the benchmark's list of names. The tracer does not
+patch softmax, norm, displacements, take or gap_logs, so their time
+counts in the calling span's self time (gap_logs' in ansatz.sortlet_logs,
+the geometry's in signed_log).
 """
 
 from __future__ import annotations
@@ -206,9 +205,8 @@ def _take_index(shape, idx, axis) -> np.ndarray:
 
 take_along = _dispatch(
     "take_along", lambda x, idx, axis: np.ravel(x)[_take_index(np.shape(x), idx, axis)],
-    lambda x, idx, axis: forward.take(x, _take_index(x.shape, idx, axis)),
-    lambda x, idx, axis: reverse.take(x, _take_index(x.shape, idx, axis)))
-take_along.__doc__ = "np.take_along_axis in every engine, as one flat gather."
+    lambda x, idx, axis: forward.take(x, _take_index(x.shape, idx, axis)), None)
+take_along.__doc__ = "np.take_along_axis in every engine but Var, as one flat gather."
 
 
 # rows of more keys take _sort_parity's argsort fallback. The network costs

@@ -130,7 +130,7 @@ class Var:
         if not isinstance(idx, tuple):
             idx = (idx,)
         if any(ix is Ellipsis or isinstance(ix, (list, tuple, np.ndarray)) for ix in idx):
-            raise IndexError("Var takes basic indices only; gather with ad.take_along")
+            raise IndexError("Var takes basic indices only; its one other gather is gap_logs")
         shape = self.val.shape
 
         def vjp(g):
@@ -175,17 +175,6 @@ def sum(x: Var, axis, y: np.ndarray) -> Var:  # noqa: A001 - mirrors the numpy n
     """x summed over axis given its value y."""
     shape = x.val.shape
     return x.tape._record(y, [(x, lambda g: np.broadcast_to(np.expand_dims(g, axis), shape))])
-
-
-def take(x: Var, flat: np.ndarray) -> Var:
-    """Gather the values at C-order positions `flat`; the VJP sums g into
-    them in C order of the gathered shape, one bincount."""
-    shape, size = x.val.shape, x.val.size
-
-    def vjp(g):
-        return np.bincount(flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape)
-
-    return x.tape._record(x.val.ravel()[flat], [(x, vjp)])
 
 
 def gap_logs(x: Var, index: np.ndarray, gaps: np.ndarray, zero: np.ndarray,

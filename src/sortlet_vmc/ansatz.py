@@ -111,7 +111,7 @@ def canonical_order(sectors, positions) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def canonical_positions(sectors, positions) -> tuple[object, np.ndarray]:
-    """(positions gathered into canonical_order, its parity), in any engine;
+    """(positions gathered into canonical_order, its parity), plain or Dual;
     a batch already in that order comes back as it is, not gathered."""
     order, parity = canonical_order(sectors, positions)
     if order is not None:

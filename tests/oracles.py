@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from sortlet_vmc import ad
-from sortlet_vmc.ad import forward, reverse
+from sortlet_vmc.ad import forward
 from sortlet_vmc.ad.contract import contract, plan
 from sortlet_vmc.ad.fd import grad_central
 from sortlet_vmc.ansatz import (BIG_NEG, SignedLog, _bare_score_logs, sortlet_logs,
@@ -62,6 +62,17 @@ def contract_uncached(x_sub: str, y_sub: str, out: str, x: np.ndarray, y: np.nda
     return res if perm is None else res.transpose(perm)
 
 
+def _var_take(x, flat):
+    """A Var gathered at C-order positions `flat`, as one tape node whose VJP
+    sums g into them in C order of the gathered shape, one bincount."""
+    shape, size = x.val.shape, x.val.size
+
+    def vjp(g):
+        return np.bincount(flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape)
+
+    return x.tape._record(x.val.ravel()[flat], [(x, vjp)])
+
+
 def _composed_sort_parity(x):
     """The sort ad.gap_logs fuses, in every engine, by numpy's sorts alone:
     np.sort's values, rank axis first, and score_parity's sign; a Dual or
@@ -69,7 +80,7 @@ def _composed_sort_parity(x):
     if isinstance(x, np.ndarray):
         return np.ascontiguousarray(np.moveaxis(np.sort(x, axis=-1), -1, 0)), ad.score_parity(x)
     flat = ad._ranked_index(ad._argsort(x.val))
-    take = forward.take if isinstance(x, ad.Dual) else reverse.take
+    take = forward.take if isinstance(x, ad.Dual) else _var_take
     return take(x, flat), ad.score_parity(x.val)
 
 
@@ -220,16 +231,6 @@ def all_nuclei_envelope(system, positions):
     dist = ad.norm(delta)  # (B, N, I)
     nearest = ad.take_along(dist, np.argmin(ad.detach(dist), axis=-1)[..., None], axis=-1)
     return ad.sum(ad.reshape(nearest, (b, n)), axis=-1)
-
-
-def take_along_vjp_add_at(shape, idx, axis, g) -> np.ndarray:
-    """The reverse of take_along_axis(x, idx, axis) for x of `shape` as an
-    np.add.at scatter of g, which has the gathered shape."""
-    z = np.zeros(shape)
-    ix = list(np.indices(g.shape, sparse=True))
-    ix[axis % len(shape)] = idx
-    np.add.at(z, tuple(ix), g)
-    return z
 
 
 def exchange_path(system: SystemSpec, positions: np.ndarray, i: int, j: int,

@@ -7,7 +7,8 @@ The commands run through `cli.main` in this one process, under
 `sys.settrace`, at tiny sizes and one BLAS thread, each into its own
 output root under a temporary directory:
 
-- `train` on every config in configs/ (2 iterations of 4 walkers);
+- `train` on every config in configs/ (2 iterations of 4 walkers; lih's
+  at `--lr 2e-3`, so the rate parser runs);
 - one `train --resume` of the Li run from its first checkpoint, and one
   `evaluate` of its last;
 - every kind in `cli.PROBE_KINDS`, and both `nodes` comparators, on li,
@@ -45,14 +46,23 @@ PROBE_CONFIGS = ("li", "b", "h4_theta90")
 
 # what stays in src/ although no command runs it, and why
 KEEP = (
-    ("ad._sort_parity's argsort fallback", "NaN, infinite and longer-than-16 rows need it"),
-    ("input refusals and error paths", "they answer inputs and failures no command here makes"),
-    ("Dual / Dual, Var - Var, Var.__rtruediv__ and both branches of where",
+    ("ad._sort_parity's argsort fallback and _ranked_index",
+     "NaN, infinite and longer-than-16 rows need it"),
+    ("input refusals and error paths, ConfigError and Dual and Var __array__ among them",
+     "they answer inputs and failures no command here makes"),
+    ("Dual.__truediv__ (Dual / Dual), Var - Var, Var.__rtruediv__ and both branches of where",
      "they keep Dual and Var arithmetic complete"),
+    ("Dual.__mul__'s Dual x Dual branch", "it keeps Dual arithmetic complete, like Dual / Dual"),
+    ("Dual and Var __repr__, Var.shape", "a Dual or Var prints, and tells its shape, as an array does"),
     ("norm's single-eps form", "two lines, and seven test and oracle sites call it"),
     ("the harmonic potential", "a config may select it"),
-    ("reverse.take, take_along's Var engine",
-     "ad.symsum on a Var and oracles._composed_sort_parity use it; it goes with symsum"),
+    ("energy_gradient's weights=", "criterion 5 checks the covariance estimator against exact "
+     "quadrature through it (oracles.toy_gradient_check)"),
+    ("symsum, symsum_abs, stack, the Dual and Var engines of maximum and minimum (_select's "
+     "pick), the log1p and sqrt rows", "only perfbench/spans.py's lists of patched names hold "
+     "them; they go with a change to the benchmark that refreshes those lists"),
+    ("geometry.load_system", "perfbench's workloads, tests/bitdigest.py and the tests load "
+     "their systems through it"),
 )
 
 
@@ -61,7 +71,8 @@ def commands(out: Path, probe_kinds):
     resume and the evaluate name a checkpoint an earlier train wrote."""
     tiny = ["--walkers", "4", "--burn-in", "2", "--checkpoint-every", "1"]
     for config in sorted(CONFIGS.glob("*.yaml")):
-        yield ["train", str(config), "--iters", "2", *tiny, "--out", str(out / config.stem)]
+        rate = ["--lr", "2e-3"] if config.stem == "lih" else []
+        yield ["train", str(config), "--iters", "2", *tiny, *rate, "--out", str(out / config.stem)]
     li = str(CONFIGS / "li.yaml")
     checkpoints = sorted((out / "li").glob("run-*/checkpoints/step-*.npz"))
     yield ["train", li, "--iters", "3", *tiny, "--resume", str(checkpoints[0]),

@@ -13,8 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from sortlet_vmc import ad, backbone
 from sortlet_vmc.ad import Dual, GradientTape
-from oracles import (composed_sortlet_logs, contract_uncached, hessian_diag_central, operands,
-                     take_along_vjp_add_at)
+from oracles import composed_sortlet_logs, contract_uncached, hessian_diag_central, operands
 from sortlet_vmc.ad.contract import contract, plan, shaped_plan
 from sortlet_vmc.ad.forward import _axis_dot, _lane_dot
 from sortlet_vmc.ad.fd import grad_central
@@ -37,7 +36,7 @@ def smooth(x):
     gram = ad.einsum("ij,kj->ik", b, b)
     d = ad.exp(c * 0.3) / (ad.square(c) + 1.5)
     e = d + 1.0 / (gram + 3.0)
-    s = ad.symsum(ad.reshape(e, (4,)), axis=0)
+    s = ad.sum(ad.reshape(e, (4,)), axis=0)
     q = ad.sqrt(ad.square(x[0]) + 1.0) + ad.log1p(ad.square(s)) + x[2] * x[2] * x[2] * 0.01
     return (ad.log(ad.absolute(q) + 2.0) + ad.log(ad.absolute(s * 0.5) + 2.0)
             + ad.log(ad.absolute(ad.softplus(x[1])) + 2.0))
@@ -144,12 +143,8 @@ def test_symsum_is_permutation_invariant_bitwise():
     assert np.array_equal(a.val, b.val)
     assert np.array_equal(a.tan, b.tan)
     assert np.array_equal(a.curv, b.curv)
-
-    tape = GradientTape()
-    p = tape.leaf(x)
-    v1 = ad.symsum(p, axis=1)
-    v2 = ad.symsum(ad.take_along(p, np.broadcast_to(perm, x.shape), axis=1), axis=1)
-    assert np.array_equal(v1.val, v2.val)
+    with pytest.raises(TypeError, match="take_along has no reverse-mode engine"):
+        ad.symsum(GradientTape().leaf(x), axis=1)
 
 
 def test_plain_sum_is_not_permutation_invariant_here():
@@ -163,38 +158,6 @@ def test_plain_sum_is_not_permutation_invariant_here():
             found = True
             break
     assert found
-
-
-def test_take_along_reverse_scatter_with_repeats():
-    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    idx = np.array([[0, 0, 2], [1, 1, 1]])
-    w = np.array([[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]])
-
-    def f(z):
-        return ad.sum(ad.take_along(z, idx, axis=1) * w, axis=(0, 1))
-
-    tape = GradientTape()
-    p = tape.leaf(x)
-    g = tape.gradient(f(p), p)
-    np.testing.assert_allclose(g, [[11.0, 0.0, 100.0], [0.0, 222.0, 0.0]])
-
-    d = f(Dual(x, np.eye(6).reshape(2, 3, 6), np.zeros((2, 3))))
-    np.testing.assert_allclose(d.tan, g.ravel())
-
-
-def test_take_along_reverse_broadcasts_the_index():
-    # the (B, N, 1) electron order signed_log gathers a (B, N, 3) batch with
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(2, 4, 3))
-    order = np.argsort(rng.normal(size=(2, 4)), axis=1)
-    w = rng.normal(size=(2, 4, 3))
-    tape = GradientTape()
-    p = tape.leaf(x)
-    g = tape.gradient(ad.take_along(p, order[..., None], axis=1), p, seed=w)
-    expect = np.zeros_like(x)
-    for b in range(2):
-        expect[b, order[b]] = w[b]
-    np.testing.assert_array_equal(g, expect)
 
 
 def test_weighted_seed_equals_weighted_sum_of_gradients():
@@ -414,9 +377,10 @@ def test_var_getitem_vjp_matches_add_at(idx):
 @pytest.mark.parametrize("idx", [(np.array([0, 0, 2]),), (slice(None), [1, 1]), (Ellipsis, 0)],
                          ids=["repeated_rows", "repeated_cols", "ellipsis"])
 def test_var_getitem_rejects_fancy_indices(idx):
-    """A Var takes basic indices only; gathers go through ad.take_along."""
+    """A Var takes basic indices only; positions are never a Var, so no
+    gather but gap_logs' own tape node has a reverse-mode engine."""
     leaf = GradientTape().leaf(np.zeros((4, 3)))
-    with pytest.raises(IndexError, match="take_along"):
+    with pytest.raises(IndexError, match="basic indices only; its one other gather is gap_logs"):
         leaf[idx]
 
 
@@ -1026,8 +990,8 @@ def _take_cases():
 
 @pytest.mark.parametrize("case", [c[0] for c in _take_cases()])
 def test_take_along_matches_numpy_in_every_engine(case):
-    """Plain, Dual and Var take_along against np.take_along_axis, bitwise,
-    and the Var VJP against the np.add.at scatter."""
+    """Plain and Dual take_along against np.take_along_axis, bitwise; a Var
+    has no engine, since positions are never one."""
     _, x, idx, axis = next(c for c in _take_cases() if c[0] == case)
     rng = np.random.default_rng(53)
     want = np.take_along_axis(x, idx, axis=axis)
@@ -1039,13 +1003,8 @@ def test_take_along_matches_numpy_in_every_engine(case):
     np.testing.assert_array_equal(d.tan, np.take_along_axis(tan, idx[..., None], axis=axis % x.ndim))
     np.testing.assert_array_equal(d.curv, np.take_along_axis(curv, idx, axis=axis))
 
-    tape = GradientTape()
-    p = tape.leaf(x)
-    v = ad.take_along(p, idx, axis)
-    np.testing.assert_array_equal(v.val, want)
-    g = rng.normal(size=want.shape)
-    np.testing.assert_array_equal(tape.gradient(v, p, seed=g),
-                                  take_along_vjp_add_at(x.shape, idx, axis, g))
+    with pytest.raises(TypeError, match="take_along has no reverse-mode engine"):
+        ad.take_along(GradientTape().leaf(x), idx, axis)
 
 
 
