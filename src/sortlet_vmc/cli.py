@@ -5,8 +5,9 @@ itself stays numpy-free so that --threads can pin the BLAS pools through
 the environment before the first array library loads.
 
 Output layout, stable: <out>/run-<hash>/metrics.ndjson, checkpoints/
-step-%08d.npz and report-<kind>.txt; <hash> covers the system, ansatz,
-theta0 and every train flag but --iters and --checkpoint-every. A fresh
+step-%08d.npz and report-<kind>.txt. <hash> is `optimizer.config_fingerprint`:
+for `train` the run's (system, ansatz, theta0 and every flag but --iters and
+--checkpoint-every), else the model's (system and ansatz). A fresh
 `train` into a directory with a checkpoint is refused (use --resume); one
 killed before its first checkpoint is simply run again. `evaluate` reports
 into the run directory of its checkpoint. Reports and metrics hold one strict
@@ -22,7 +23,6 @@ from, a probe short of paths) prints one `error:` line and exits 1.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sortlet-vmc",
         description="variational Monte Carlo with a sorting-based ansatz")
-    p.add_argument("--threads", type=int, metavar="N",
+    p.add_argument("--threads", type=count, metavar="N",
                    help="pin BLAS/OpenMP pools to N threads (default: machine)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -140,10 +140,6 @@ def _sortlets(args) -> int:
     return args.sortlets or DEFAULT_SORTLETS
 
 
-def _config_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
-
-
 def cmd_train(args) -> int:
     from .optimizer import TrainSettings, config_fingerprint, format_energy, train
 
@@ -152,8 +148,7 @@ def cmd_train(args) -> int:
     wf = _wavefunction(cfg.system, args, seed)
     settings = TrainSettings(iters=args.iters, walkers=args.walkers, seed=seed,
                              lr=args.lr, burn_in=args.burn_in,
-                             checkpoint_every=args.checkpoint_every,
-                             potential=cfg.run.potential)
+                             checkpoint_every=args.checkpoint_every)
     run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf, settings)}"
     done = sorted(run_dir.glob("checkpoints/step-*.npz"))
     if args.resume is None and done:
@@ -171,20 +166,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .optimizer import Checkpoint, append_record, evaluate_energy
+    from .optimizer import Checkpoint, append_record, config_fingerprint, evaluate_energy
 
     cfg = _load_config(args.config)
-    # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the config
-    ckpt_dir = args.checkpoint.resolve().parent
-    run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
-               else _out_root(args) / f"run-{_config_digest(args.config)}")
     seed = cfg.run.seed if args.seed is None else args.seed
     wf = _wavefunction(cfg.system, args, seed)
+    # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the model
+    ckpt_dir = args.checkpoint.resolve().parent
+    run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
+               else _out_root(args) / f"run-{config_fingerprint(cfg.system, wf)}")
     try:
         state = Checkpoint.load(args.checkpoint, wf=wf)
         report = evaluate_energy(wf, state["theta"], n_walkers=args.walkers,
                                  burn_in=args.equilibration, n_estimates=args.estimates,
-                                 seed=seed + 1, potential=cfg.run.potential)
+                                 seed=seed + 1)
     except (RuntimeError, ValueError) as err:  # RuntimeError: no walker to start from
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -198,7 +193,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_probe(args) -> int:
     from . import probes
-    from .optimizer import append_record, record_json
+    from .optimizer import append_record, config_fingerprint, record_json
 
     probe = f"nodes {args.comparator}" if args.kind == "nodes" and args.comparator else args.kind
     for flag, value in (("--seed", args.seed), ("--trials", args.trials),
@@ -209,12 +204,12 @@ def cmd_probe(args) -> int:
     sortlets = _sortlets(args)
     trials = args.trials or 1000
     cfg = _load_config(args.config)
-    run_dir = _out_root(args) / f"run-{_config_digest(args.config)}"
     seed = cfg.run.seed if args.seed is None else args.seed
+    wf = _wavefunction(cfg.system, args, seed)
+    run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf)}"
     try:
         if args.kind == "antisymmetry":
-            report = probes.antisymmetry_suite(_wavefunction(cfg.system, args, seed),
-                                               trials=trials, seed=seed)
+            report = probes.antisymmetry_suite(wf, trials=trials, seed=seed)
         elif args.kind == "nodes":
             kind = {None: "sum", "--single-sortlet": "sortlet",
                     "--vandermonde": "vandermonde"}[args.comparator]
@@ -244,8 +239,6 @@ def main(argv=None) -> int:
                "probe": cmd_probe}[args.command]
     try:
         if args.threads is not None:
-            if args.threads < 1:
-                raise UsageError(f"--threads {args.threads}: must be at least 1")
             os.environ.update(dict.fromkeys(THREAD_VARS, str(args.threads)))
         return handler(args)
     except UsageError as err:

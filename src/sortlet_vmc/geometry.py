@@ -144,8 +144,7 @@ _TOP_KEYS = {"system", "electrons", "run"}
 _SYSTEM_KEYS = {"nuclei"}
 _NUCLEUS_KEYS = {"element", "charge", "xyz"}
 _ELECTRON_KEYS = {"n_up", "n_down"}
-_RUN_KEYS = {"seed", "potential"}
-_POTENTIALS = {"coulomb", "harmonic"}
+_RUN_KEYS = {"seed"}
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,6 @@ class RunSettings:
     """Per-run settings from the [run] section."""
 
     seed: int = 0
-    potential: str = "coulomb"
 
 
 @dataclass(frozen=True)
@@ -246,16 +244,13 @@ def parse_config(config_text: str) -> LoadedConfig:
     seed = run.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError("run.seed", "must be a non-negative integer")
-    potential = run.get("potential", "coulomb")
-    if not isinstance(potential, str) or potential not in _POTENTIALS:
-        raise ConfigError("run.potential", f"must be one of {sorted(_POTENTIALS)}")
 
     try:
         system = SystemSpec(nuclei_positions=np.array(positions), charges=np.array(charges),
                             n_up=n_up, n_down=n_down)
     except (ValueError, OverflowError) as e:  # OverflowError: a charge past int64
         raise ConfigError("system", str(e)) from e
-    return LoadedConfig(system=system, run=RunSettings(seed=seed, potential=potential))
+    return LoadedConfig(system=system, run=RunSettings(seed=seed))
 
 
 def load_system(config_text: str) -> SystemSpec:

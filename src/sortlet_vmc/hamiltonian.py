@@ -72,11 +72,6 @@ def electron_potentials(system: SystemSpec, positions: np.ndarray):
     return ee, en
 
 
-def harmonic_potential(positions: np.ndarray) -> np.ndarray:
-    """(1/2) sum_i |r_i|^2, the isotropic-well test hook."""
-    return 0.5 * ad.sum(np.asarray(positions, dtype=np.float64) ** 2, axis=(1, 2))
-
-
 CHUNK_MAX = 128
 LANE_BUDGET = 2048
 
@@ -86,8 +81,7 @@ def walker_chunk(n_electrons: int) -> int:
     return max(1, min(CHUNK_MAX, LANE_BUDGET // n_electrons ** 2))
 
 
-def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
-                 potential: str = "coulomb") -> LocalEnergyBreakdown:
+def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray) -> LocalEnergyBreakdown:
     """Per-walker local energy for any SignedLog-producing callable.
 
     signed_log_fn maps a positions batch (plain or dual) to a SignedLog.
@@ -96,14 +90,8 @@ def local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray,
     positions, _ = canonical_positions(system.sectors,
                                        np.ascontiguousarray(positions, dtype=np.float64))
     b = positions.shape[0]
-    if potential == "coulomb":
-        ee, en = electron_potentials(system, positions)
-        nn = nuclear_repulsion(system)
-    elif potential == "harmonic":
-        ee, en = harmonic_potential(positions), np.zeros(b)
-        nn = 0.0
-    else:
-        raise ValueError(f"unknown potential {potential!r}")
+    ee, en = electron_potentials(system, positions)
+    nn = nuclear_repulsion(system)
 
     kinetic = np.empty(b)
     step = walker_chunk(system.n_electrons)

@@ -159,7 +159,6 @@ class TrainSettings:
     lr_decay: float = 1000.0
     checkpoint_every: int = 200
     seed: int = 0
-    potential: str = "coulomb"
 
 
 def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
@@ -287,11 +286,11 @@ def append_record(path: Path, record: dict):
         fh.write(line)
 
 
-def walker_phase(signed_log_fn, system, ensemble: WalkerEnsemble, steps: int, potential: str):
+def walker_phase(signed_log_fn, system, ensemble: WalkerEnsemble, steps: int):
     """`steps` fixed-sigma sweeps at one bound theta, then the local energies
     where the walkers stand: (mean acceptance, E_loc (M,))."""
     rate = run_sweeps(ensemble, signed_log_fn, steps, adapt=False)
-    return rate, local_energy(signed_log_fn, system, ensemble.positions, potential=potential).total
+    return rate, local_energy(signed_log_fn, system, ensemble.positions).total
 
 
 @dataclass
@@ -350,8 +349,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(start, settings.iters):
             t0 = time.perf_counter()
-            rate, eloc = walker_phase(fn, system, ensemble, settings.steps_per_iter,
-                                      settings.potential)
+            rate, eloc = walker_phase(fn, system, ensemble, settings.steps_per_iter)
             stats = estimate_energy(eloc)
             if not np.isfinite(stats.mean) or stats.n_valid < max(1, eloc.size // 2):
                 raise RuntimeError(
@@ -392,8 +390,8 @@ class EnergyReport:
 
 
 def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int = 500,
-                    n_estimates: int = 200, steps_between: int = 10, seed: int = 1,
-                    potential: str = "coulomb") -> EnergyReport:
+                    n_estimates: int = 200, steps_between: int = 10,
+                    seed: int = 1) -> EnergyReport:
     """Fixed-parameter energy with an uncertainty from per-chain means.
 
     Chains are independent, so the spread of their time-averaged energies
@@ -409,7 +407,7 @@ def evaluate_energy(wf, theta: np.ndarray, *, n_walkers: int = 256, burn_in: int
     per_chain = np.zeros(n_walkers)
     per_chain_n = np.zeros(n_walkers)
     for _ in range(n_estimates):
-        _, eloc = walker_phase(fn, system, ensemble, steps_between, potential)
+        _, eloc = walker_phase(fn, system, ensemble, steps_between)
         good = np.isfinite(eloc)
         per_chain[good] += eloc[good]
         per_chain_n[good] += 1

@@ -137,8 +137,7 @@ def digest(name: str) -> str:
 def train_digest(name: str) -> str:
     cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
     wf = SortletWavefunction(cfg.system, seed=cfg.run.seed)
-    settings = optimizer.TrainSettings(iters=3, walkers=64, burn_in=20, seed=cfg.run.seed,
-                                       potential=cfg.run.potential)
+    settings = optimizer.TrainSettings(iters=3, walkers=64, burn_in=20, seed=cfg.run.seed)
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
         optimizer.train(wf, settings, out_dir=out)
@@ -164,8 +163,7 @@ def evaluate_digest(name: str) -> str:
     cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
     wf = SortletWavefunction(cfg.system, seed=cfg.run.seed)
     report = optimizer.evaluate_energy(wf, _perturbed(wf), n_walkers=16, burn_in=10,
-                                       n_estimates=4, steps_between=3, seed=cfg.run.seed + 1,
-                                       potential=cfg.run.potential)
+                                       n_estimates=4, steps_between=3, seed=cfg.run.seed + 1)
     h = hashlib.sha256()
     _feeder(h)(np.float64(report.mean), np.float64(report.stderr), np.int64(report.n_chains))
     return h.hexdigest()

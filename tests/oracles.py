@@ -276,10 +276,17 @@ class HydrogenGroundState:
         return SignedLog(np.ones(shape[0], dtype=np.int64), -dist)
 
 
+def harmonic_local_energy(signed_log_fn, system: SystemSpec, positions: np.ndarray):
+    """Per-walker local energy in the isotropic well V = (1/2) sum_i |r_i|^2:
+    hamiltonian.local_energy's kinetic term, the code under test, plus V."""
+    kinetic = local_energy(signed_log_fn, system, positions).kinetic
+    return kinetic + 0.5 * ad.sum(positions ** 2, axis=(1, 2))
+
+
 class HarmonicGroundState:
     """Exact isotropic-well ground state: log|Psi| = -(1/2) sum_i |r_i|^2.
 
-    With the harmonic potential hook its local energy is 1.5 per electron.
+    Under `harmonic_local_energy` its local energy is 1.5 per electron.
     """
 
     def signed_log(self, positions):
@@ -341,10 +348,10 @@ class ToyChain1D:
         return SignedLog(np.ones(positions.shape[0]), logmag)
 
     def local_energies(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """hamiltonian.local_energy, harmonic, of the particle at (x, 0, 0)."""
+        """`harmonic_local_energy` of the particle at (x, 0, 0)."""
         positions = np.pad(xs.reshape(-1, 1, 1), ((0, 0), (0, 0), (0, 2)))
-        return local_energy(lambda p: self.signed_log(theta, p), self.system, positions,
-                            potential="harmonic").total
+        return harmonic_local_energy(lambda p: self.signed_log(theta, p), self.system,
+                                     positions)
 
     @staticmethod
     def grid(n: int = 4001):

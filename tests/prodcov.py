@@ -55,7 +55,6 @@ KEEP = (
     ("Dual.__mul__'s Dual x Dual branch", "it keeps Dual arithmetic complete, like Dual / Dual"),
     ("Dual and Var __repr__, Var.shape", "a Dual or Var prints, and tells its shape, as an array does"),
     ("norm's single-eps form", "two lines, and seven test and oracle sites call it"),
-    ("the harmonic potential", "a config may select it"),
     ("energy_gradient's weights=", "criterion 5 checks the covariance estimator against exact "
      "quadrature through it (oracles.toy_gradient_check)"),
     ("symsum, symsum_abs, stack, the Dual and Var engines of maximum and minimum (_select's "

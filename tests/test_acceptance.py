@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (HarmonicGroundState, HydrogenGroundState, complexity_benchmark,
-                     toy_gradient_check)
+                     harmonic_local_energy, toy_gradient_check)
 from sortlet_vmc import probes
 from sortlet_vmc.ansatz import SortletWavefunction, score_parity
 from sortlet_vmc.geometry import SystemSpec
@@ -111,8 +111,7 @@ def test_criterion_03_zero_variance_oracles():
     harm = HarmonicGroundState()
     rng = np.random.default_rng(31)
     pts2 = rng.standard_normal((10_000, 1, 3))
-    eloc2 = local_energy(lambda p: harm.signed_log(p), system, pts2,
-                         potential="harmonic").total
+    eloc2 = harmonic_local_energy(lambda p: harm.signed_log(p), system, pts2)
     dev_w = float(np.max(np.abs(eloc2 - 1.5)))
     _verdict("criterion 3 (zero-variance oracles)",
              dev_h < 1e-9 and dev_w < 1e-9,

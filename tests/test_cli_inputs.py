@@ -104,15 +104,14 @@ def config_docs(draw, faulty: bool):
         n_up = draw(st.integers(0, 4))
         doc["electrons"] = {"n_up": n_up, "n_down": draw(st.integers(int(n_up == 0), 4))}
     if draw(st.booleans()):
-        doc["run"] = {"seed": draw(st.integers(0, 3)),
-                      "potential": draw(st.sampled_from(["coulomb", "harmonic"]))}
+        doc["run"] = {"seed": draw(st.integers(0, 3))}
     if not faulty:
         return doc
     nucleus = nuclei[-1]
     fault = draw(st.sampled_from(["type", "missing", "unknown", "charge_0", "coincident"]))
     if fault == "type":
         where = draw(st.sampled_from(["element", "charge", "xyz", "coordinate", "n_up",
-                                      "seed", "potential", "nuclei", "system", "electrons"]))
+                                      "seed", "nuclei", "system", "electrons"]))
         value = draw(WRONG)
         if where in ("element", "charge"):
             nucleus.pop("element", None), nucleus.pop("charge", None)
@@ -123,8 +122,8 @@ def config_docs(draw, faulty: bool):
             nucleus["xyz"][draw(st.integers(0, 2))] = draw(st.sampled_from(NOT_NUMBERS))
         elif where == "n_up":
             doc["electrons"] = {"n_up": value, "n_down": 1}
-        elif where in ("seed", "potential"):
-            doc["run"] = {where: value}
+        elif where == "seed":
+            doc["run"] = {"seed": value}
         elif where == "nuclei":
             doc["system"]["nuclei"] = value
         else:  # a blank (null) electrons section stands for none

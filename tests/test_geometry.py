@@ -64,18 +64,15 @@ electrons:
     assert (sys.n_up, sys.n_down) == (1, 1)
 
 
-def test_seed_and_potential_roundtrip():
+def test_seed_roundtrip():
     cfg = parse_config(H_CFG + """
 run:
   seed: 11
-  potential: harmonic
 """)
     assert cfg.run.seed == 11
-    assert cfg.run.potential == "harmonic"
     # defaults
     cfg = parse_config(H_CFG)
     assert cfg.run.seed == 0
-    assert cfg.run.potential == "coulomb"
 
 
 @pytest.mark.parametrize("snippet,field", [
@@ -84,7 +81,7 @@ run:
     ("system:\n  nuclei:\n    - element: H\n      charge: 1\n      xyz: [0,0,0]\n", "nuclei[0]"),
     ("system:\n  nuclei:\n    - element: H\n      xyz: [0,0,0]\n      extra: 1\n", "extra"),
     (H_CFG + "run:\n  seed: -3\n", "seed"),
-    (H_CFG + "run:\n  potential: morse\n", "potential"),
+    (H_CFG + "run:\n  potential: coulomb\n", "run.potential: unknown key (allowed: ['seed'])"),
     (H_CFG + "electrons:\n  n_up: 1\n", "electrons"),
     (H_CFG + "bogus: {}\n", "bogus"),
     ("system: {}\n", "nuclei"),
@@ -97,14 +94,13 @@ run:
     ("system:\n  nuclei:\n    - element: [H]\n      xyz: [0,0,0]\n", "element"),
     (H_CFG + "electrons: false\n", "electrons"),
     (H_CFG + "run: []\n", "run"),
-    (H_CFG + "run:\n  potential: {coulomb: 1}\n", "potential"),
     ("system:\n  nuclei:\n    - charge: 100000000000000000000\n      xyz: [0,0,0]\n"
      "electrons:\n  n_up: 1\n  n_down: 0\n", "system"),
 ], ids=["bad-element", "short-xyz", "element-and-charge", "unknown-nucleus-key",
         "negative-seed", "unknown-potential", "half-override", "unknown-top-key",
         "missing-nuclei", "non-mapping", "bool-charge", "bool-xyz", "bool-seed",
         "bool-n_up", "bool-n_down", "list-element", "bool-electrons", "list-run",
-        "mapping-potential", "charge-past-int64"])
+        "charge-past-int64"])
 def test_rejects_bad_configs(snippet, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(snippet)

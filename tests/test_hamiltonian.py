@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import sortlet_vmc
-from oracles import HarmonicGroundState, HydrogenGroundState
+from oracles import HarmonicGroundState, HydrogenGroundState, harmonic_local_energy
 from sortlet_vmc import ad
 from sortlet_vmc.ansatz import SignedLog, SortletWavefunction
 from sortlet_vmc.geometry import SystemSpec, load_system, transpose_electrons
 from sortlet_vmc.hamiltonian import (
     electron_potentials,
-    harmonic_potential,
     local_energy,
     nuclear_repulsion,
     walker_chunk,
@@ -74,11 +73,6 @@ def test_electron_potentials_of_coincidences_are_infinite_without_a_warning():
     assert np.isfinite(ee[1]) and np.isfinite(en[1])
 
 
-def test_harmonic_potential_hand_value():
-    pos = np.array([[[1.0, 2.0, 2.0]]])
-    assert harmonic_potential(pos)[0] == pytest.approx(4.5, rel=1e-15)
-
-
 def test_hydrogen_ground_state_local_energy_is_exact():
     rng = np.random.default_rng(0)
     pos = rng.normal(size=(2000, 1, 3)) * 2.0
@@ -100,8 +94,8 @@ def test_hydrogen_off_center_nucleus():
 def test_harmonic_ground_state_local_energy_is_exact():
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(1000, 1, 3))
-    e = local_energy(HarmonicGroundState().signed_log, H, pos, potential="harmonic")
-    np.testing.assert_allclose(e.total, 1.5, atol=1e-12)
+    e = harmonic_local_energy(HarmonicGroundState().signed_log, H, pos)
+    np.testing.assert_allclose(e, 1.5, atol=1e-12)
 
 
 def test_harmonic_many_electron_scaling():
@@ -109,8 +103,8 @@ def test_harmonic_many_electron_scaling():
                      n_up=2, n_down=2)
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(200, 4, 3))
-    e = local_energy(HarmonicGroundState().signed_log, sys, pos, potential="harmonic")
-    np.testing.assert_allclose(e.total, 6.0, atol=1e-12)  # 1.5 per electron
+    e = harmonic_local_energy(HarmonicGroundState().signed_log, sys, pos)
+    np.testing.assert_allclose(e, 6.0, atol=1e-12)  # 1.5 per electron
 
 
 def test_local_energy_invariant_under_logmag_shift():
@@ -295,8 +289,3 @@ def test_local_energy_nan_on_nodes():
     e = local_energy(lambda p: wf.signed_log(wf.theta0, p), LI, pos)
     assert np.isnan(e.kinetic[0])
 
-
-def test_unknown_potential_rejected():
-    with pytest.raises(ValueError):
-        local_energy(HydrogenGroundState().signed_log, H, np.zeros((1, 1, 3)) + 1.0,
-                     potential="morse")

@@ -426,7 +426,7 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
 
 @pytest.mark.parametrize("change", [
     {"lr": 2e-3}, {"lr_decay": 500.0}, {"burn_in": 7}, {"steps_per_iter": 3},
-    {"walkers": 8}, {"seed": 1}, {"potential": "harmonic"}, "wavefunction_seed",
+    {"walkers": 8}, {"seed": 1}, "wavefunction_seed",
 ], ids=lambda c: c if isinstance(c, str) else next(iter(c)))
 def test_run_fingerprint_reads_every_setting_a_resume_must_keep(change):
     """Two runs that differ in any setting but the run length and the
