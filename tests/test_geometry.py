@@ -96,11 +96,12 @@ run:
     (H_CFG + "run: []\n", "run"),
     ("system:\n  nuclei:\n    - charge: 100000000000000000000\n      xyz: [0,0,0]\n"
      "electrons:\n  n_up: 1\n  n_down: 0\n", "system"),
+    (H_CFG + "run:\n  potential: {coulomb: 1}\n", "run.potential: unknown key (allowed: ['seed'])"),
 ], ids=["bad-element", "short-xyz", "element-and-charge", "unknown-nucleus-key",
         "negative-seed", "unknown-potential", "half-override", "unknown-top-key",
         "missing-nuclei", "non-mapping", "bool-charge", "bool-xyz", "bool-seed",
         "bool-n_up", "bool-n_down", "list-element", "bool-electrons", "list-run",
-        "charge-past-int64"])
+        "charge-past-int64", "mapping-potential"])
 def test_rejects_bad_configs(snippet, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(snippet)
