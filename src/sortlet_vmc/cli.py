@@ -7,7 +7,8 @@ the environment before the first array library loads.
 Output layout, stable: <out>/run-<hash>/metrics.ndjson, checkpoints/
 step-%08d.npz and report-<kind>.txt. <hash> is `optimizer.config_fingerprint`:
 for `train` the run's (system, ansatz, theta0 and every flag but --iters and
---checkpoint-every), else the model's (system and ansatz). A fresh
+--checkpoint-every), else the model's (system and ansatz): a probe's is the
+one it evaluates, --sortlets heads where it reads that flag, else one. A fresh
 `train` into a directory with a checkpoint is refused (use --resume); one
 killed before its first checkpoint is simply run again. `evaluate` reports
 into the run directory of its checkpoint. Reports and metrics hold one strict
@@ -31,12 +32,12 @@ OUT_ENV = "SORTLET_VMC_OUT"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 PROBE_KINDS = ("antisymmetry", "nodes", "smoothness")
-# the optional flags each probe reads besides --out; a one-head nodes comparator reads no mixture
+# the optional flags each probe reads besides --out; one without --sortlets evaluates one head
 PROBE_FLAGS = {"antisymmetry": ("--seed", "--trials", "--sortlets"),
                "nodes": ("--seed", "--trials", "--sortlets"),
-               "nodes --single-sortlet": ("--seed", "--trials", "--single-sortlet"),
                "nodes --vandermonde": ("--seed", "--trials", "--vandermonde"),
                "smoothness": ("--seed", "--trials")}
+PROBE_TRIALS = {"antisymmetry": 1000, "nodes": 100, "smoothness": 10}  # --trials' defaults
 
 
 class UsageError(Exception):
@@ -95,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("config", type=Path)
     r.add_argument("--seed", type=natural)
     r.add_argument("--trials", type=count,
-                   help="trials or paths, depending on the probe (default 1000)")
+                   help="trials, or paths for nodes (default: antisymmetry 1000, "
+                        "nodes 100, smoothness 10)")
     r.add_argument("--sortlets", type=count,
                    help="mixture heads of antisymmetry and plain nodes (default 16)")
-    group = r.add_mutually_exclusive_group()
-    for flag, what in (("--single-sortlet", "assert a crossing on every exchange path"),
-                       ("--vandermonde", "same protocol on the pairwise-product comparator")):
-        group.add_argument(flag, dest="comparator", action="store_const", const=flag,
-                           help=f"nodes: {what}")
+    r.add_argument("--vandermonde", action="store_true",
+                   help="nodes: the same protocol on one head's Vandermonde comparator")
     r.add_argument("--out", type=Path)
     return p
 
@@ -124,10 +123,10 @@ def _load_config(path: Path):
         raise UsageError(f"bad config {path}: {err.strerror if isinstance(err, OSError) else err}")
 
 
-def _wavefunction(system, args, seed: int):
+def _wavefunction(system, n_sortlets: int, seed: int):
     from .ansatz import SortletWavefunction
 
-    return SortletWavefunction(system, n_sortlets=_sortlets(args), seed=seed)
+    return SortletWavefunction(system, n_sortlets=n_sortlets, seed=seed)
 
 
 def _sortlets(args) -> int:
@@ -145,7 +144,7 @@ def cmd_train(args) -> int:
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, args, seed)
+    wf = _wavefunction(cfg.system, _sortlets(args), seed)
     settings = TrainSettings(iters=args.iters, walkers=args.walkers, seed=seed,
                              lr=args.lr, burn_in=args.burn_in,
                              checkpoint_every=args.checkpoint_every)
@@ -170,7 +169,7 @@ def cmd_evaluate(args) -> int:
 
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, args, seed)
+    wf = _wavefunction(cfg.system, _sortlets(args), seed)
     # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the model
     ckpt_dir = args.checkpoint.resolve().parent
     run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
@@ -195,30 +194,27 @@ def cmd_probe(args) -> int:
     from . import probes
     from .optimizer import append_record, config_fingerprint, record_json
 
-    probe = f"nodes {args.comparator}" if args.kind == "nodes" and args.comparator else args.kind
+    probe = "nodes --vandermonde" if args.kind == "nodes" and args.vandermonde else args.kind
     for flag, value in (("--seed", args.seed), ("--trials", args.trials),
-                        ("--sortlets", args.sortlets), (args.comparator, True)):
-        if None not in (flag, value) and flag not in PROBE_FLAGS[probe]:
+                        ("--sortlets", args.sortlets),
+                        ("--vandermonde", args.vandermonde or None)):
+        if value is not None and flag not in PROBE_FLAGS[probe]:
             given = flag if value is True else f"{flag} {value}"
             raise UsageError(f"{given}: probe {probe} does not read it")
-    sortlets = _sortlets(args)
-    trials = args.trials or 1000
+    sortlets = _sortlets(args) if "--sortlets" in PROBE_FLAGS[probe] else 1
+    trials = args.trials or PROBE_TRIALS[args.kind]
     cfg = _load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, args, seed)
+    wf = _wavefunction(cfg.system, sortlets, seed)
     run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf)}"
     try:
         if args.kind == "antisymmetry":
             report = probes.antisymmetry_suite(wf, trials=trials, seed=seed)
         elif args.kind == "nodes":
-            kind = {None: "sum", "--single-sortlet": "sortlet",
-                    "--vandermonde": "vandermonde"}[args.comparator]
-            report = probes.node_crossing_suite(cfg.system, kind=kind,
-                                                n_paths=min(trials, 100), seed=seed,
-                                                n_sortlets=sortlets)
+            report = probes.node_crossing_suite(wf, vandermonde=args.vandermonde,
+                                                n_paths=trials, seed=seed)
         else:
-            report = probes.smoothness_probe(cfg.system, trials=min(trials, 10),
-                                             seed=seed)
+            report = probes.smoothness_probe(wf, trials=trials, seed=seed)
     except ValueError as err:  # an exchange probe on a system with no same-spin pair
         raise UsageError(f"probe {args.kind}: {err}")
     except RuntimeError as err:  # a run failure: too few off-node paths

@@ -1,8 +1,8 @@
 """Executable checks of the structural claims the engine rests on.
 
-Each probe is deterministic given a seed and returns a plain dict with a
-"passed" flag plus whatever evidence it gathered, so reports serialize as
-one JSON line. The probes deliberately avoid the autodiff engines wherever
+Each probe takes the wavefunction it checks, evaluates it at its initial θ,
+is deterministic given a seed and returns a plain dict with a "passed" flag
+plus whatever evidence it gathered, so reports serialize as one JSON line. The probes deliberately avoid the autodiff engines wherever
 the engines themselves are under test: sign flips are compared bitwise,
 derivatives come from finite differences of plain values.
 """
@@ -16,18 +16,17 @@ import numpy as np
 
 from . import ad, backbone
 from .ad.fd import derivative_one_sided, grad_central
-from .ansatz import SortletWavefunction, vandermonde_logs
+from .ansatz import vandermonde_logs
 from .geometry import SystemSpec, transpose_electrons
 from .sampler import electron_homes
 
 
-def _initial_signed_log(system: SystemSpec, kind: str, seed: int, n_sortlets: int = 1):
-    """positions -> SignedLog of the probes' ansatz (width 16, two layers) at
-    its initial θ, bound once. kind "vandermonde" is the baseline: the one-head
-    backbone with prod_{i<j}(s_j - s_i) for antisymmetrizer, plain only."""
-    wf = SortletWavefunction(system, n_sortlets=n_sortlets, hidden=16, layers=2, seed=seed)
-    bound = wf.bind(wf.theta0)
-    if kind == "vandermonde":
+def _signed_log_fn(wf, vandermonde: bool = False):
+    """positions -> SignedLog of wf at its initial θ, bound once. With
+    vandermonde, the baseline: head 0 of wf's scores with prod_{i<j}(s_j - s_i)
+    for antisymmetrizer, plain only."""
+    bound, system = wf.bind(wf.theta0), wf.system
+    if vandermonde:
         return lambda p: vandermonde_logs(
             backbone.scores(system, bound, backbone.electron_geometry(system, p)[0])[:, 0, :])
     return lambda p: wf.signed_log(bound, p)
@@ -54,16 +53,16 @@ def _random_same_spin_pairs(system: SystemSpec, trials: int, rng):
 def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
     """Exact sign flip under random same-spin transpositions at wf.theta0, batched.
 
-    Also runs the Vandermonde baseline through the same protocol and an
-    opposite-spin control group for which no relation is asserted.
+    Also runs wf's head-0 Vandermonde baseline through the same protocol and
+    an opposite-spin control group for which no relation is asserted.
     """
     system = wf.system
-    bound = wf.bind(wf.theta0)
+    fn = _signed_log_fn(wf)
     rng = np.random.default_rng(seed)
     pos = _random_configs(system, trials, rng)
     i, j = _random_same_spin_pairs(system, trials, rng)
-    sl = wf.signed_log(bound, pos)
-    sw = wf.signed_log(bound, transpose_electrons(pos, i, j))
+    sl = fn(pos)
+    sw = fn(transpose_electrons(pos, i, j))
 
     live = (sl.sign != 0) & (sw.sign != 0)
     sign_bad = np.flatnonzero(sw.sign != -sl.sign)
@@ -83,7 +82,7 @@ def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
         report["witness"] = {"positions": pos[k].tolist(),
                              "swap": [int(i[k]), int(j[k])]}
 
-    vdm = _initial_signed_log(system, "vandermonde", seed)
+    vdm = _signed_log_fn(wf, vandermonde=True)
     n_v = min(trials, 100)
     vs = vdm(pos[:n_v])
     vw = vdm(transpose_electrons(pos[:n_v], i[:n_v], j[:n_v]))
@@ -93,7 +92,7 @@ def antisymmetry_suite(wf, trials: int = 1000, seed: int = 0) -> dict:
     # control: opposite-spin swaps have no fixed sign relation
     up, dn = system.sectors
     if up.size and dn.size:
-        so = wf.signed_log(bound, transpose_electrons(pos[:n_v], up[0], dn[0]))
+        so = fn(transpose_electrons(pos[:n_v], up[0], dn[0]))
         report["opposite_spin_flip_fraction"] = float(
             np.mean(so.sign == -sl.sign[:n_v]))
     return report
@@ -181,21 +180,17 @@ def _exchange_paths(system: SystemSpec, fn, rng, attempts: int, resolution: int,
         yield pos, i, j, result
 
 
-def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: int = 100,
-                        seed: int = 0, n_sortlets: int = backbone.DEFAULT_SORTLETS) -> dict:
-    """Run the exchange-path crossing protocol over random paths.
-
-    kind "sortlet" uses a single-sortlet wavefunction, "vandermonde" the
-    baseline; both are expected to show a crossing on every path. kind
-    "sum" runs the mixture of n_sortlets heads (only it reads n_sortlets)
-    in exploratory mode, recording crossing counts on pair-exchange and
-    three-cycle paths without asserting.
-    """
+def node_crossing_suite(wf, *, vandermonde: bool = False, n_paths: int = 100,
+                        seed: int = 0) -> dict:
+    """Run the exchange-path crossing protocol over random paths of wf at
+    wf.theta0, or of its Vandermonde baseline. Any antisymmetric ψ changes
+    sign between r and its exchange, so every path must show a crossing. A
+    spin sector of three electrons adds three-cycle paths, which end at an
+    even permutation: their crossing counts are recorded, not asserted."""
+    system = wf.system
     resolution = 200  # path samples; crossings are bisected to width 1e-10
-    if kind not in ("sortlet", "vandermonde", "sum"):
-        raise ValueError(f"unknown ansatz kind {kind!r}")
     rng = np.random.default_rng(seed)
-    fn = _initial_signed_log(system, kind, seed, n_sortlets if kind == "sum" else 1)
+    fn = _signed_log_fn(wf, vandermonde)
 
     t0 = time.perf_counter()
     results = [r for *_, r in itertools.islice(
@@ -206,27 +201,23 @@ def node_crossing_suite(system: SystemSpec, *, kind: str = "sortlet", n_paths: i
     found = sum(c >= 1 for c in counts)
     max_width = max([r["max_width"] for r in results if r["count"] >= 1], default=0.0)
 
-    report = {"probe": "nodes", "kind": kind, "seed": seed, "paths": n_paths,
+    report = {"probe": "nodes", "vandermonde": vandermonde, "seed": seed, "paths": n_paths,
               "with_crossing": found, "max_bracket_width": max_width,
               "mean_crossings": float(np.mean(counts)),
               "elapsed": round(time.perf_counter() - t0, 3),
               "passed": found == n_paths}
 
-    if kind == "sum":
-        # exploratory: three-cycle paths return to the same configuration
-        # with even parity, so crossings are not forced; record what happens.
-        report["passed"] = True
+    sectors = [s for s in system.sectors if s.size >= 3]
+    if sectors:
+        ts = np.linspace(0.0, 1.0, resolution + 1)
         cyc_counts = []
-        sectors = [s for s in system.sectors if s.size >= 3]
-        if sectors:
-            ts = np.linspace(0.0, 1.0, resolution + 1)
-            for _ in range(min(n_paths, 25)):
-                pos = _random_configs(system, 1, rng)[0]
-                a, b, c = rng.choice(sectors[0], size=3, replace=False)
-                target = transpose_electrons(transpose_electrons(pos, a, b), b, c)  # (a b c)
-                path = _path_positions(pos, target, ts)
-                cyc_counts.append(sum(k.size for k in _sign_changes(np.asarray(fn(path).sign))))
-            report["three_cycle_crossing_counts"] = cyc_counts
+        for _ in range(min(n_paths, 25)):
+            pos = _random_configs(system, 1, rng)[0]
+            a, b, c = rng.choice(sectors[0], size=3, replace=False)
+            target = transpose_electrons(transpose_electrons(pos, a, b), b, c)  # (a b c)
+            path = _path_positions(pos, target, ts)
+            cyc_counts.append(sum(k.size for k in _sign_changes(np.asarray(fn(path).sign))))
+        report["three_cycle_crossing_counts"] = cyc_counts
     return report
 
 
@@ -268,8 +259,8 @@ def _double_tie_config(system: SystemSpec, rng) -> np.ndarray | None:
     return None
 
 
-def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> dict:
-    """First-derivative behavior of the signed value at score ties.
+def smoothness_probe(wf, *, trials: int = 10, seed: int = 0) -> dict:
+    """First-derivative behavior of wf's signed value at score ties, at wf.theta0.
 
     Single tie: the value crosses zero along an exchange path; one-sided
     finite-difference derivatives from both sides must agree (the sign
@@ -277,8 +268,9 @@ def smoothness_probe(system: SystemSpec, *, trials: int = 10, seed: int = 0) -> 
     every coordinate derivative vanishes, checked by central differences.
     Also cross-checks FD against the forward engine away from ties.
     """
+    system = wf.system
     rng = np.random.default_rng(seed)
-    fn = _initial_signed_log(system, "sortlet", seed)
+    fn = _signed_log_fn(wf)
     flat_value = lambda p: float(fn(p.reshape(-1, 3)[None]).value()[0])
 
     single = []

@@ -11,8 +11,9 @@ output root under a temporary directory:
   at `--lr 2e-3`, so the rate parser runs);
 - one `train --resume` of the Li run from its first checkpoint, and one
   `evaluate` of its last;
-- every kind in `cli.PROBE_KINDS`, and both `nodes` comparators, on li,
-  b and h4_theta90 (2 trials).
+- every kind in `cli.PROBE_KINDS`, and `nodes` at one head
+  (`--sortlets 1`) and with `--vandermonde`, on li, b and h4_theta90
+  (2 trials).
 
 The report has four parts: the commands with their exit codes; each
 function of src/sortlet_vmc never entered, by file, first line and
@@ -79,7 +80,7 @@ def commands(out: Path, probe_kinds):
     yield ["evaluate", li, str(checkpoints[-1]), "--walkers", "4", "--estimates", "2",
            "--equilibration", "2", "--out", str(out / "li")]
     probes = [[kind] for kind in probe_kinds]
-    probes += [["nodes", "--single-sortlet"], ["nodes", "--vandermonde"]]
+    probes += [["nodes", "--sortlets", "1"], ["nodes", "--vandermonde"]]
     for name in PROBE_CONFIGS:
         for probe in probes:
             yield ["probe", probe[0], str(CONFIGS / f"{name}.yaml"), *probe[1:], "--trials", "2",

@@ -198,11 +198,12 @@ def test_criterion_07_lithium_stretch(tmp_path):
 
 
 def test_criterion_08_node_crossings():
-    """Sign change on 100/100 exchange paths, both ansatz kinds, < 60 s."""
+    """Sign change on 100/100 exchange paths, one sortlet head and its Vandermonde
+    baseline, < 60 s."""
+    wf = SortletWavefunction(beryllium(), n_sortlets=1, hidden=16, layers=2, seed=80)
     t0 = time.perf_counter()
-    a = probes.node_crossing_suite(beryllium(), kind="sortlet", n_paths=100, seed=80)
-    b = probes.node_crossing_suite(beryllium(), kind="vandermonde", n_paths=100,
-                                   seed=80)
+    a = probes.node_crossing_suite(wf, n_paths=100, seed=80)
+    b = probes.node_crossing_suite(wf, vandermonde=True, n_paths=100, seed=80)
     elapsed = time.perf_counter() - t0
     ok = (a["with_crossing"] == 100 and b["with_crossing"] == 100
           and max(a["max_bracket_width"], b["max_bracket_width"]) <= 1e-10
@@ -216,9 +217,11 @@ def test_criterion_08_node_crossings():
 
 def test_criterion_09_c1_smoothness():
     """One-sided derivatives agree to 1e-5 at single ties; zero at double ties."""
-    be = probes.smoothness_probe(beryllium(), trials=10, seed=90)
+    one_head = lambda system, seed: SortletWavefunction(system, n_sortlets=1, hidden=16,
+                                                        layers=2, seed=seed)
+    be = probes.smoothness_probe(one_head(beryllium(), 90), trials=10, seed=90)
     boron = SystemSpec(np.zeros((1, 3)), np.array([5]), 3, 2)
-    bo = probes.smoothness_probe(boron, trials=5, seed=91)
+    bo = probes.smoothness_probe(one_head(boron, 91), trials=5, seed=91)
     worst = max(be["worst_one_sided_rel"], bo["worst_one_sided_rel"])
     double = max(be["double_tie"]["max_coordinate_derivative"],
                  bo["double_tie"]["max_coordinate_derivative"])

@@ -279,13 +279,18 @@ def test_coordinates_past_the_float_range_are_a_bad_config(tmp_path, capsys, xyz
 
 def test_unknown_probe_kind_rejected_by_parser(h_config, tmp_path, capsys):
     """An unknown kind, or one of the config-blind kinds the CLI once had,
-    is argparse's invalid choice: exit 2, nothing written."""
+    is argparse's invalid choice, and --single-sortlet (now --sortlets 1) an
+    unrecognized argument: exit 2, nothing written."""
     out = tmp_path / "runs"
     for kind in ("slater", "variational", "gradcheck"):
         with pytest.raises(SystemExit) as exit_:
             main(["probe", kind, str(h_config), "--out", str(out)])
         assert exit_.value.code == 2
         assert f"argument kind: invalid choice: '{kind}'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["probe", "nodes", str(h_config), "--single-sortlet", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --single-sortlet" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -386,11 +391,9 @@ def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, ca
     ["evaluate", "{cfg}", "ckpt.npz"],
     ["probe", "antisymmetry", "{cfg}", "--trials", "4"],
     ["probe", "nodes", "{cfg}", "--trials", "1"],
-    ["probe", "nodes", "{cfg}", "--trials", "1", "--single-sortlet"],
     ["probe", "nodes", "{cfg}", "--trials", "1", "--vandermonde"],
     ["probe", "smoothness", "{cfg}", "--trials", "1"],
-], ids=["train", "evaluate", "probe", "nodes", "nodes_single_sortlet", "nodes_vandermonde",
-        "smoothness"])
+], ids=["train", "evaluate", "probe", "nodes", "nodes_vandermonde", "smoothness"])
 def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
@@ -405,29 +408,54 @@ def test_probe_nodes_hands_sortlets_to_its_mixture(h_config, tmp_path, monkeypat
     from sortlet_vmc import probes
 
     seen = []
-    monkeypatch.setattr(probes, "node_crossing_suite",
-                        lambda system, **kw: seen.append(kw["n_sortlets"]) or {"passed": True})
-    argv = ["probe", "nodes", str(h_config), "--trials", "1", "--out", str(tmp_path / "runs")]
-    assert main(argv) == 0 and main(argv + ["--sortlets", "3"]) == 0
-    assert seen == [16, 3]
+    monkeypatch.setattr(probes, "node_crossing_suite", lambda wf, **kw: seen.append(
+        (wf.n_sortlets, kw["n_paths"])) or {"passed": True})
+    argv = ["probe", "nodes", str(h_config), "--out", str(tmp_path / "runs")]
+    assert main(argv) == 0 and main(argv + ["--sortlets", "3", "--trials", "500"]) == 0
+    assert seen == [(16, 100), (3, 500)]
 
 
-NODES_ONLY = [(kind, flag) for kind in cli.PROBE_KINDS if kind != "nodes"
-              for flag in ("--single-sortlet", "--vandermonde")]
+@pytest.mark.parametrize("argv, heads", [
+    (["smoothness"], 1),
+    (["nodes", "--vandermonde"], 1),
+    (["nodes", "--sortlets", "3"], 3),
+    (["antisymmetry"], 16),
+], ids=["smoothness", "nodes_vandermonde", "nodes_sortlets_3", "antisymmetry"])
+def test_a_probe_reports_into_the_directory_of_the_model_it_evaluates(tmp_path, monkeypatch,
+                                                                     argv, heads):
+    """The run directory of a probe is named by the fingerprint of the very
+    wavefunction the probe is handed: --sortlets heads where it reads that
+    flag, else one."""
+    from sortlet_vmc import probes
+
+    seen = []
+    suite = {"antisymmetry": "antisymmetry_suite", "nodes": "node_crossing_suite",
+             "smoothness": "smoothness_probe"}[argv[0]]
+    monkeypatch.setattr(probes, suite, lambda wf, **kw: seen.append(wf) or {"passed": True})
+    out = tmp_path / "runs"
+    assert main(["probe", argv[0], str(CONFIGS / "li.yaml"), *argv[1:], "--out", str(out)]) == 0
+    cfg = parse_config((CONFIGS / "li.yaml").read_text())
+    model = SortletWavefunction(cfg.system, n_sortlets=heads, seed=cfg.run.seed)
+    (report,) = out.glob(f"run-*/report-{argv[0]}.txt")
+    assert report.parent.name == f"run-{config_fingerprint(cfg.system, model)}"
+    (wf,) = seen
+    assert config_fingerprint(wf.system, wf) == config_fingerprint(cfg.system, model)
+
+
+NODES_ONLY = [kind for kind in cli.PROBE_KINDS if kind != "nodes"]
 
 
 @pytest.mark.parametrize("argv, flag", [
     *(((*argv, "--sortlets", "3"), "--sortlets 3") for argv in (
-        ("nodes", "--single-sortlet"), ("nodes", "--vandermonde"), ("smoothness",))),
-    *((argv, argv[1]) for argv in NODES_ONLY),
-], ids=["nodes_single_sortlet", "nodes_vandermonde", "smoothness",
-        *(kind + flag.replace("-", "_")[1:] for kind, flag in NODES_ONLY)])
+        ("nodes", "--vandermonde"), ("smoothness",))),
+    *(((kind, "--vandermonde"), "--vandermonde") for kind in NODES_ONLY),
+], ids=["nodes_vandermonde", "smoothness", *(kind + "_vandermonde" for kind in NODES_ONLY)])
 def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, flag):
     """A probe refuses each flag it does not read instead of ignoring it
     (cli.PROBE_FLAGS): one that evaluates one head refuses even an in-range
-    --sortlets, and every probe but nodes refuses nodes' --single-sortlet
-    and --vandermonde. One error line and exit 2 before the config is read
-    (it does not exist here), no report."""
+    --sortlets, and every probe but nodes refuses nodes' --vandermonde. One
+    error line and exit 2 before the config is read (it does not exist
+    here), no report."""
     out = tmp_path / "runs"
     err = refused(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:],
                    "--out", str(out)], capsys)

@@ -190,7 +190,7 @@ def invocations(draw):
             argv += count("--seed", 0, 3)
         if "--sortlets" in reads or fault == "sortlets":
             argv += sortlets
-        comparators = ("--single-sortlet", "--vandermonde")
+        comparators = ("--vandermonde",)
         # plain nodes takes a comparator in place of --sortlets, so only with it is one a fault
         unread = [f for f in ("--seed", "--trials", "--sortlets", *comparators) if f not in reads
                   and not (probe == "nodes" and f in comparators and "--sortlets" not in argv)]

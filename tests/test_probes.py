@@ -121,29 +121,31 @@ def test_sign_changes_match_the_scan_loops_on_random_sequences():
         assert zeros.size + flips.size == _three_cycle_count(signs.tolist())
 
 
-@pytest.mark.parametrize("kind", ["sortlet", "vandermonde"])
-def test_node_suite_finds_crossing_on_every_path(kind):
-    report = probes.node_crossing_suite(beryllium(), kind=kind, n_paths=25, seed=4)
+def probe_model(system, seed, n_sortlets=1):
+    """The model the probes' tests hand in: width 16, two layers."""
+    return SortletWavefunction(system, n_sortlets=n_sortlets, hidden=16, layers=2, seed=seed)
+
+
+@pytest.mark.parametrize("vandermonde", [False, True], ids=["sortlet", "vandermonde"])
+def test_node_suite_finds_crossing_on_every_path(vandermonde):
+    report = probes.node_crossing_suite(probe_model(beryllium(), 4), vandermonde=vandermonde,
+                                        n_paths=25, seed=4)
     assert report["passed"]
     assert report["with_crossing"] == 25
     assert report["max_bracket_width"] <= 1e-10
 
 
 def test_node_suite_sum_mode_records_three_cycles():
-    report = probes.node_crossing_suite(boron(), kind="sum", n_paths=10, seed=5)
-    assert report["passed"]
+    report = probes.node_crossing_suite(probe_model(boron(), 5, n_sortlets=16), n_paths=10,
+                                        seed=5)
+    assert report["passed"] and report["with_crossing"] == 10
     counts = report["three_cycle_crossing_counts"]
     assert len(counts) == 10
     assert all(c >= 0 for c in counts)
 
 
-def test_node_suite_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        probes.node_crossing_suite(beryllium(), kind="slater")
-
-
 def test_smoothness_probe_passes_on_beryllium():
-    report = probes.smoothness_probe(beryllium(), trials=5, seed=6)
+    report = probes.smoothness_probe(probe_model(beryllium(), 6), trials=5, seed=6)
     assert report["passed"]
     assert report["worst_one_sided_rel"] < 1e-5
     assert report["double_tie"]["applicable"]
@@ -152,7 +154,7 @@ def test_smoothness_probe_passes_on_beryllium():
 
 
 def test_smoothness_probe_triple_coincidence_on_boron():
-    report = probes.smoothness_probe(boron(), trials=3, seed=7)
+    report = probes.smoothness_probe(probe_model(boron(), 7), trials=3, seed=7)
     assert report["passed"]
     assert report["double_tie"]["max_coordinate_derivative"] < 1e-8
 
