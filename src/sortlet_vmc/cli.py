@@ -14,11 +14,13 @@ killed before its first checkpoint is simply run again. `evaluate` reports
 into the run directory of its checkpoint. Reports and metrics hold one strict
 JSON record per line. The output root is --out, else $SORTLET_VMC_OUT, else ./runs.
 
-Every refusal of input raises UsageError, which `main` alone prints as one
-`error:` line before it exits 2, with nothing written; argparse's refusals
-exit 2 too. A run that fails (a checkpoint that cannot be loaded or does not
-fit, a diverged training, an evaluation with no walker of nonzero ψ to start
-from, a probe short of paths) prints one `error:` line and exits 1.
+Each probe kind is a subcommand of `probe` with exactly the flags it reads,
+so argparse refuses any other. Every other refusal of input raises UsageError,
+which `main` alone prints as one `error:` line before it exits 2, with nothing
+written; argparse's refusals exit 2 too. A run that fails (a checkpoint that
+cannot be loaded or does not fit, a diverged training, an evaluation with no
+walker of nonzero ψ to start from, a probe short of paths) prints one
+`error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from pathlib import Path
 OUT_ENV = "SORTLET_VMC_OUT"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-PROBE_KINDS = ("antisymmetry", "nodes", "smoothness")
-# the optional flags each probe reads besides --out; one without --sortlets evaluates one head
-PROBE_FLAGS = {"antisymmetry": ("--seed", "--trials", "--sortlets"),
-               "nodes": ("--seed", "--trials", "--sortlets"),
-               "nodes --vandermonde": ("--seed", "--trials", "--vandermonde"),
-               "smoothness": ("--seed", "--trials")}
-PROBE_TRIALS = {"antisymmetry": 1000, "nodes": 100, "smoothness": 10}  # --trials' defaults
+PROBE_KINDS = ("antisymmetry", "nodes", "smoothness")  # probe's subcommands
 
 
 class UsageError(Exception):
@@ -72,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("config", type=Path, help="YAML system/run description")
     t.add_argument("--iters", type=count, default=1000)
     t.add_argument("--walkers", type=count, default=512)
-    t.add_argument("--sortlets", type=count, default=16)
+    t.add_argument("--sortlets", type=count)
     t.add_argument("--seed", type=natural, help="override the config seed")
     t.add_argument("--lr", type=rate, default=1e-3)
     t.add_argument("--burn-in", type=natural, default=500)
@@ -87,22 +83,30 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--estimates", type=count, default=200)
     e.add_argument("--equilibration", type=natural, default=500)
     e.add_argument("--walkers", type=count, default=256)
-    e.add_argument("--sortlets", type=count, default=16)
+    e.add_argument("--sortlets", type=count)
     e.add_argument("--seed", type=natural)
     e.add_argument("--out", type=Path)
 
-    r = sub.add_parser("probe", help="run one structural validation")
-    r.add_argument("kind", choices=PROBE_KINDS)
-    r.add_argument("config", type=Path)
-    r.add_argument("--seed", type=natural)
-    r.add_argument("--trials", type=count,
-                   help="trials, or paths for nodes (default: antisymmetry 1000, "
-                        "nodes 100, smoothness 10)")
-    r.add_argument("--sortlets", type=count,
-                   help="mixture heads of antisymmetry and plain nodes (default 16)")
-    r.add_argument("--vandermonde", action="store_true",
-                   help="nodes: the same protocol on one head's Vandermonde comparator")
-    r.add_argument("--out", type=Path)
+    # what every probe reads: its config, the seed of its draws and model, the output root
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("config", type=Path, help="YAML system/run description")
+    shared.add_argument("--seed", type=natural, help="override the config seed")
+    shared.add_argument("--out", type=Path, help="output root (else $%s)" % OUT_ENV)
+    kinds = sub.add_parser("probe", help="run one structural validation").add_subparsers(
+        dest="kind", required=True)
+    antisymmetry, nodes, smoothness = (kinds.add_parser(kind, parents=[shared])
+                                       for kind in PROBE_KINDS)
+    antisymmetry.add_argument("--trials", type=count, default=1000,
+                              help="same-spin exchanges (default: %(default)s)")
+    antisymmetry.add_argument("--sortlets", type=count, help="mixture heads")
+    nodes.add_argument("--trials", type=count, default=100,
+                       help="exchange paths (default: %(default)s)")
+    model = nodes.add_mutually_exclusive_group()
+    model.add_argument("--sortlets", type=count, help="mixture heads")
+    model.add_argument("--vandermonde", action="store_true",
+                       help="one head's Vandermonde comparator in place of the mixture")
+    smoothness.add_argument("--trials", type=count, default=10,
+                            help="single score ties (default: %(default)s)")
     return p
 
 
@@ -123,10 +127,13 @@ def _load_config(path: Path):
         raise UsageError(f"bad config {path}: {err.strerror if isinstance(err, OSError) else err}")
 
 
-def _wavefunction(system, n_sortlets: int, seed: int):
+def _model(args, n_sortlets: int):
+    """(seed, model of n_sortlets heads) of args.config; --seed overrides its seed."""
     from .ansatz import SortletWavefunction
 
-    return SortletWavefunction(system, n_sortlets=n_sortlets, seed=seed)
+    cfg = _load_config(args.config)
+    seed = cfg.run.seed if args.seed is None else args.seed
+    return seed, SortletWavefunction(cfg.system, n_sortlets=n_sortlets, seed=seed)
 
 
 def _sortlets(args) -> int:
@@ -142,13 +149,11 @@ def _sortlets(args) -> int:
 def cmd_train(args) -> int:
     from .optimizer import TrainSettings, config_fingerprint, format_energy, train
 
-    cfg = _load_config(args.config)
-    seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, _sortlets(args), seed)
+    seed, wf = _model(args, _sortlets(args))
     settings = TrainSettings(iters=args.iters, walkers=args.walkers, seed=seed,
                              lr=args.lr, burn_in=args.burn_in,
                              checkpoint_every=args.checkpoint_every)
-    run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf, settings)}"
+    run_dir = _out_root(args) / f"run-{config_fingerprint(wf.system, wf, settings)}"
     done = sorted(run_dir.glob("checkpoints/step-*.npz"))
     if args.resume is None and done:
         raise UsageError(f"{run_dir} holds this run already; continue it with --resume {done[-1]}")
@@ -167,13 +172,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     from .optimizer import Checkpoint, append_record, config_fingerprint, evaluate_energy
 
-    cfg = _load_config(args.config)
-    seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, _sortlets(args), seed)
+    seed, wf = _model(args, _sortlets(args))
     # the run that wrote <run>/checkpoints/<step>.npz; else keyed by the model
     ckpt_dir = args.checkpoint.resolve().parent
     run_dir = (ckpt_dir.parent if ckpt_dir.name == "checkpoints"
-               else _out_root(args) / f"run-{config_fingerprint(cfg.system, wf)}")
+               else _out_root(args) / f"run-{config_fingerprint(wf.system, wf)}")
     try:
         state = Checkpoint.load(args.checkpoint, wf=wf)
         report = evaluate_energy(wf, state["theta"], n_walkers=args.walkers,
@@ -194,27 +197,17 @@ def cmd_probe(args) -> int:
     from . import probes
     from .optimizer import append_record, config_fingerprint, record_json
 
-    probe = "nodes --vandermonde" if args.kind == "nodes" and args.vandermonde else args.kind
-    for flag, value in (("--seed", args.seed), ("--trials", args.trials),
-                        ("--sortlets", args.sortlets),
-                        ("--vandermonde", args.vandermonde or None)):
-        if value is not None and flag not in PROBE_FLAGS[probe]:
-            given = flag if value is True else f"{flag} {value}"
-            raise UsageError(f"{given}: probe {probe} does not read it")
-    sortlets = _sortlets(args) if "--sortlets" in PROBE_FLAGS[probe] else 1
-    trials = args.trials or PROBE_TRIALS[args.kind]
-    cfg = _load_config(args.config)
-    seed = cfg.run.seed if args.seed is None else args.seed
-    wf = _wavefunction(cfg.system, sortlets, seed)
-    run_dir = _out_root(args) / f"run-{config_fingerprint(cfg.system, wf)}"
+    vandermonde = getattr(args, "vandermonde", False)  # nodes' alone
+    seed, wf = _model(args, 1 if vandermonde or "sortlets" not in args else _sortlets(args))
+    run_dir = _out_root(args) / f"run-{config_fingerprint(wf.system, wf)}"
     try:
         if args.kind == "antisymmetry":
-            report = probes.antisymmetry_suite(wf, trials=trials, seed=seed)
+            report = probes.antisymmetry_suite(wf, trials=args.trials, seed=seed)
         elif args.kind == "nodes":
-            report = probes.node_crossing_suite(wf, vandermonde=args.vandermonde,
-                                                n_paths=trials, seed=seed)
+            report = probes.node_crossing_suite(wf, vandermonde=vandermonde,
+                                                trials=args.trials, seed=seed)
         else:
-            report = probes.smoothness_probe(wf, trials=trials, seed=seed)
+            report = probes.smoothness_probe(wf, trials=args.trials, seed=seed)
     except ValueError as err:  # an exchange probe on a system with no same-spin pair
         raise UsageError(f"probe {args.kind}: {err}")
     except RuntimeError as err:  # a run failure: too few off-node paths

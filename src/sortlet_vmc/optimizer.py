@@ -184,6 +184,17 @@ def config_fingerprint(system: SystemSpec, wf: SortletWavefunction,
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _write_beside(path: Path, write):
+    """write(tmp) beside `path`, then rename it into place; a failed write leaves no tmp."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class Checkpoint:
     """One .npz holding everything needed to continue a run bit-for-bit, and
     the one place that decides which fingerprint a checkpoint must match.
@@ -199,8 +210,8 @@ class Checkpoint:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         adam_state = adam.state()
-        tmp = path.with_name(path.name + ".tmp")
-        try:
+
+        def write(tmp: Path):
             with open(tmp, "wb") as f:
                 np.savez(
                     f,
@@ -217,10 +228,7 @@ class Checkpoint:
                     sigma=np.float64(ensemble.sigma),
                     step=np.int64(ensemble.step),
                 )
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        _write_beside(path, write)
 
     @staticmethod
     def load(path: Path, *, wf: SortletWavefunction, fingerprint: str | None = None) -> dict:
@@ -339,9 +347,7 @@ def train(wf: SortletWavefunction, settings: TrainSettings, out_dir: Path,
         # file is rewritten beside itself and renamed, so a kill leaves it whole
         kept = [line for line in metrics.read_text().splitlines(keepends=True)
                 if line.endswith("\n") and json.loads(line)["iter"] < start]
-        tmp = metrics.with_name(metrics.name + ".tmp")
-        tmp.write_text("".join(kept))
-        os.replace(tmp, metrics)
+        _write_beside(metrics, lambda tmp: tmp.write_text("".join(kept)))
 
     energies = []
     stats = EnergyStats(np.nan, np.nan, np.nan, 0, 0)

@@ -14,7 +14,7 @@ import pytest
 from oracles import (HarmonicGroundState, HydrogenGroundState, complexity_benchmark,
                      harmonic_local_energy, toy_gradient_check)
 from sortlet_vmc import probes
-from sortlet_vmc.ansatz import SortletWavefunction, score_parity
+from sortlet_vmc.ansatz import SortletWavefunction, sortlet_logs
 from sortlet_vmc.geometry import SystemSpec
 from sortlet_vmc.hamiltonian import local_energy
 from sortlet_vmc.optimizer import TrainSettings, evaluate_energy, train
@@ -39,14 +39,16 @@ def beryllium():
 
 
 def test_criterion_01_parity_oracle():
-    """The ansatz's parity equals brute-force inversion parity, 1e4 vectors, < 5 s."""
+    """The ansatz's parity equals brute-force inversion parity, 1e4 vectors, < 5 s:
+    the sign of a sortlet head (`sortlet_logs`), which for these sizes comes
+    from the sorting network's swap count."""
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(2, 13))
         v = rng.standard_normal(n)
-        parity = int(score_parity(v))
+        parity = int(sortlet_logs(v[None]).sign[0])
         i, j = np.triu_indices(n, 1)
         brute = 1 - 2 * (int(np.sum(v[i] > v[j])) % 2)
         mismatches += parity != brute
@@ -202,8 +204,8 @@ def test_criterion_08_node_crossings():
     baseline, < 60 s."""
     wf = SortletWavefunction(beryllium(), n_sortlets=1, hidden=16, layers=2, seed=80)
     t0 = time.perf_counter()
-    a = probes.node_crossing_suite(wf, n_paths=100, seed=80)
-    b = probes.node_crossing_suite(wf, vandermonde=True, n_paths=100, seed=80)
+    a = probes.node_crossing_suite(wf, trials=100, seed=80)
+    b = probes.node_crossing_suite(wf, vandermonde=True, trials=100, seed=80)
     elapsed = time.perf_counter() - t0
     ok = (a["with_crossing"] == 100 and b["with_crossing"] == 100
           and max(a["max_bracket_width"], b["max_bracket_width"]) <= 1e-10

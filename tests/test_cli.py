@@ -386,21 +386,31 @@ def test_numeric_flags_below_their_bound_are_usage_errors(h_config, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "{cfg}", "--iters", "1", "--walkers", "4"],
-    ["evaluate", "{cfg}", "ckpt.npz"],
-    ["probe", "antisymmetry", "{cfg}", "--trials", "4"],
-    ["probe", "nodes", "{cfg}", "--trials", "1"],
-    ["probe", "nodes", "{cfg}", "--trials", "1", "--vandermonde"],
-    ["probe", "smoothness", "{cfg}", "--trials", "1"],
+PAST_THE_MAXIMUM = "error: --sortlets 40: at most 32 heads"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["train", "{cfg}", "--iters", "1", "--walkers", "4"], PAST_THE_MAXIMUM),
+    (["evaluate", "{cfg}", "ckpt.npz"], PAST_THE_MAXIMUM),
+    (["probe", "antisymmetry", "{cfg}", "--trials", "4"], PAST_THE_MAXIMUM),
+    (["probe", "nodes", "{cfg}", "--trials", "1"], PAST_THE_MAXIMUM),
+    (["probe", "nodes", "{cfg}", "--trials", "1", "--vandermonde"],
+     "sortlet-vmc probe nodes: error: argument --sortlets: not allowed with argument "
+     "--vandermonde"),
+    (["probe", "smoothness", "{cfg}", "--trials", "1"],
+     "sortlet-vmc: error: unrecognized arguments: --sortlets 40"),
 ], ids=["train", "evaluate", "probe", "nodes", "nodes_vandermonde", "smoothness"])
-def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv):
+def test_sortlets_past_the_maximum_is_a_one_line_error(h_config, tmp_path, capsys, argv, error):
+    """--sortlets past backbone.MAX_SORTLETS is refused in one `error:` line;
+    a probe that evaluates one head does not read the flag, and argparse
+    refuses it after its usage lines."""
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exit_:
         main([a.format(cfg=h_config) for a in argv] + ["--sortlets", "40", "--out", str(out)])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --sortlets 40") and len(err.splitlines()) == 1
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
+    assert err.endswith(error + "\n")
     assert not out.exists()
 
 
@@ -409,7 +419,7 @@ def test_probe_nodes_hands_sortlets_to_its_mixture(h_config, tmp_path, monkeypat
 
     seen = []
     monkeypatch.setattr(probes, "node_crossing_suite", lambda wf, **kw: seen.append(
-        (wf.n_sortlets, kw["n_paths"])) or {"passed": True})
+        (wf.n_sortlets, kw["trials"])) or {"passed": True})
     argv = ["probe", "nodes", str(h_config), "--out", str(tmp_path / "runs")]
     assert main(argv) == 0 and main(argv + ["--sortlets", "3", "--trials", "500"]) == 0
     assert seen == [(16, 100), (3, 500)]
@@ -445,21 +455,25 @@ def test_a_probe_reports_into_the_directory_of_the_model_it_evaluates(tmp_path, 
 NODES_ONLY = [kind for kind in cli.PROBE_KINDS if kind != "nodes"]
 
 
-@pytest.mark.parametrize("argv, flag", [
-    *(((*argv, "--sortlets", "3"), "--sortlets 3") for argv in (
-        ("nodes", "--vandermonde"), ("smoothness",))),
-    *(((kind, "--vandermonde"), "--vandermonde") for kind in NODES_ONLY),
+@pytest.mark.parametrize("argv, error", [
+    (("nodes", "--vandermonde", "--sortlets", "3"),
+     "error: argument --sortlets: not allowed with argument --vandermonde"),
+    (("smoothness", "--sortlets", "3"), "error: unrecognized arguments: --sortlets 3"),
+    *(((kind, "--vandermonde"), "error: unrecognized arguments: --vandermonde")
+      for kind in NODES_ONLY),
 ], ids=["nodes_vandermonde", "smoothness", *(kind + "_vandermonde" for kind in NODES_ONLY)])
-def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, flag):
-    """A probe refuses each flag it does not read instead of ignoring it
-    (cli.PROBE_FLAGS): one that evaluates one head refuses even an in-range
-    --sortlets, and every probe but nodes refuses nodes' --vandermonde. One
-    error line and exit 2 before the config is read (it does not exist
-    here), no report."""
+def test_probes_without_a_mixture_refuse_sortlets(tmp_path, capsys, argv, error):
+    """A probe kind's subcommand has only the flags the probe reads, so
+    argparse refuses any other instead of ignoring it: one that evaluates
+    one head refuses even an in-range --sortlets, and every probe but nodes
+    refuses nodes' --vandermonde. One error line and exit 2 before the
+    config is read (it does not exist here), no report."""
     out = tmp_path / "runs"
-    err = refused(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:],
-                   "--out", str(out)], capsys)
-    assert err.startswith(f"error: {flag}:")
+    with pytest.raises(SystemExit) as exit_:
+        main(["probe", argv[0], str(tmp_path / "absent.yaml"), *argv[1:], "--out", str(out)])
+    assert exit_.value.code == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert line.endswith(error)
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import inspect
 import json
 from pathlib import Path
@@ -422,6 +423,29 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     wf = small_wf()
     state = Checkpoint.load(ckpt, wf=wf, fingerprint=config_fingerprint(wf.system, wf, settings))
     assert state["next_iter"] == 3
+
+
+def test_failed_metrics_rewrite_keeps_the_metrics_and_leaves_no_tmp(tmp_path, monkeypatch):
+    """A resume rewrites metrics.ndjson beside itself; a write that fails
+    partway (a full disk) propagates, leaves metrics.ndjson as it was and
+    removes its partial file, as a failed checkpoint save does."""
+    settings = smoke_settings(iters=3, checkpoint_every=1)
+    train(small_wf(), settings, out_dir=tmp_path)
+    metrics = tmp_path / "metrics.ndjson"
+    before = metrics.read_bytes()
+    write_text = Path.write_text
+
+    def fills_the_disk(self, text, *args, **kwargs):
+        write_text(self, text[:10], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", fills_the_disk)
+    with pytest.raises(OSError, match="No space left"):
+        train(small_wf(), settings, out_dir=tmp_path,
+              resume_from=tmp_path / "checkpoints" / "step-00000002.npz")
+    monkeypatch.undo()
+    assert metrics.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoints", "metrics.ndjson"]
 
 
 @pytest.mark.parametrize("change", [

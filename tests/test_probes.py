@@ -129,14 +129,14 @@ def probe_model(system, seed, n_sortlets=1):
 @pytest.mark.parametrize("vandermonde", [False, True], ids=["sortlet", "vandermonde"])
 def test_node_suite_finds_crossing_on_every_path(vandermonde):
     report = probes.node_crossing_suite(probe_model(beryllium(), 4), vandermonde=vandermonde,
-                                        n_paths=25, seed=4)
+                                        trials=25, seed=4)
     assert report["passed"]
     assert report["with_crossing"] == 25
     assert report["max_bracket_width"] <= 1e-10
 
 
 def test_node_suite_sum_mode_records_three_cycles():
-    report = probes.node_crossing_suite(probe_model(boron(), 5, n_sortlets=16), n_paths=10,
+    report = probes.node_crossing_suite(probe_model(boron(), 5, n_sortlets=16), trials=10,
                                         seed=5)
     assert report["passed"] and report["with_crossing"] == 10
     counts = report["three_cycle_crossing_counts"]
